@@ -23,9 +23,6 @@ from .errors import (
 from .linsys import CouplingMatrix, EffectiveBlocks, build_matrix, effective_blocks, invert_dense
 from .model import (
     TWO_PI,
-    CavitySite,
-    MechanicalMode,
-    OpticalMode,
     Susceptibilities,
     SystemParams,
     from_table1,

@@ -22,11 +22,13 @@ degeneracy that aborts the scenario.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -39,23 +41,25 @@ MODES = ("spectrum", "fluxmap", "tune", "steadystate")
 FORMATS = ("csv", "json")
 PRESETS = ("table1",)
 
-_PAIR_KEYS_HZ = (
-    "mech_frequency_hz",
-    "optical_external_decay_hz",
-    "optical_internal_decay_hz",
-    "mech_external_decay_hz",
-    "mech_internal_decay_hz",
-)
-_PARAM_KEYS = set(_PAIR_KEYS_HZ) | {
-    "preset",
-    "optical_hop_hz",
-    "mechanical_hop_hz",
-    "enhanced_coupling_hz",
-    "enhanced_coupling_angular",
-    "detuning_hz",
-    "flux_pi",
-    "drive_phase_pi",
-    "vacuum_coupling_hz",
+# Scenario params key -> (its SystemParams field, or its [left, right] fields;
+# unit factor to angular; minimum or None; whether the minimum is exclusive).
+# "flux" is not a field: it is applied last, through SystemParams.with_flux.
+# Keys are validated in this order, so a missing inline field reports the
+# first key that would have set it.
+_PARAMS = {
+    "mechanical_hop_hz": (("mechanical_hop",), TWO_PI, 0.0, False),
+    "mech_frequency_hz": (("omega_mL", "omega_mR"), TWO_PI, 0.0, True),
+    "optical_external_decay_hz": (("kappa_eL", "kappa_eR"), TWO_PI, 0.0, False),
+    "optical_internal_decay_hz": (("kappa_iL", "kappa_iR"), TWO_PI, 0.0, False),
+    "mech_external_decay_hz": (("gamma_eL", "gamma_eR"), TWO_PI, 0.0, False),
+    "mech_internal_decay_hz": (("gamma_iL", "gamma_iR"), TWO_PI, 0.0, False),
+    "optical_hop_hz": (("optical_hop",), TWO_PI, 0.0, False),
+    "enhanced_coupling_hz": (("G_L", "G_R"), TWO_PI, 0.0, False),
+    "enhanced_coupling_angular": (("G_L", "G_R"), 1.0, 0.0, False),
+    "detuning_hz": (("detuning_L", "detuning_R"), TWO_PI, None, False),
+    "vacuum_coupling_hz": (("g_L", "g_R"), TWO_PI, 0.0, False),
+    "flux_pi": (("flux",), math.pi, None, False),
+    "drive_phase_pi": (("phi_L", "phi_R"), math.pi, None, False),
 }
 _TUNE_KEYS = {
     "flux_bounds_pi",
@@ -66,6 +70,26 @@ _TUNE_KEYS = {
     "descent_sweeps",
 }
 _STEADY_KEYS = {"drive_amplitude", "drive_phase_pi", "target_enhanced_coupling_hz"}
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping key given twice.
+
+    YAML 1.2 requires unique keys; PyYAML would silently keep the last one.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # merge keys may repeat; SafeLoader rejects collection keys itself
+            merge = key_node.tag == "tag:yaml.org,2002:merge"
+            if merge or not isinstance(key_node, yaml.ScalarNode):
+                continue
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise ConfigError(f"{key}: duplicate key (line {key_node.start_mark.line + 1})")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _fail(key, message):
@@ -118,7 +142,7 @@ def _integer(key, value, minimum):
 
 
 def _normalize_params(raw):
-    _check_keys("params", raw, _PARAM_KEYS)
+    _check_keys("params", raw, _PARAMS.keys() | {"preset"})
     out = {}
     preset = raw.get("preset")
     if preset is not None:
@@ -129,9 +153,6 @@ def _normalize_params(raw):
     if "mechanical_hop_hz" not in raw:
         _fail("params.mechanical_hop_hz", "the mechanical hop V is required "
               "(the preset does not pin it; see the tune mode for picking one)")
-    out["mechanical_hop_hz"] = _number("params.mechanical_hop_hz",
-                                       raw["mechanical_hop_hz"], 0.0)
-
     if "enhanced_coupling_hz" in raw and "enhanced_coupling_angular" in raw:
         _fail("params.enhanced_coupling_angular",
               "give enhanced_coupling_hz or enhanced_coupling_angular, not both")
@@ -139,37 +160,16 @@ def _normalize_params(raw):
         _fail("params.flux_pi", "give flux_pi or drive_phase_pi, not both")
 
     if preset is None:
-        required = list(_PAIR_KEYS_HZ) + ["optical_hop_hz"]
-        for key in required:
-            if key not in raw:
+        # without a preset, the keys must set every field the preset sets
+        given = {field for key in raw if key in _PARAMS for field in _PARAMS[key][0]}
+        for key in _PARAMS:
+            if any(f in model.TABLE1_HZ and f not in given for f in _PARAMS[key][0]):
                 _fail(f"params.{key}", "required when no preset is used")
-        if "enhanced_coupling_hz" not in raw and "enhanced_coupling_angular" not in raw:
-            _fail("params.enhanced_coupling_hz", "required when no preset is used")
 
-    if "optical_hop_hz" in raw:
-        out["optical_hop_hz"] = _number("params.optical_hop_hz", raw["optical_hop_hz"], 0.0)
-    if "enhanced_coupling_hz" in raw:
-        out["enhanced_coupling_hz"] = _pair("params.enhanced_coupling_hz",
-                                            raw["enhanced_coupling_hz"], 0.0)
-    if "enhanced_coupling_angular" in raw:
-        out["enhanced_coupling_angular"] = _pair("params.enhanced_coupling_angular",
-                                                 raw["enhanced_coupling_angular"], 0.0)
-    if "mech_frequency_hz" in raw:
-        out["mech_frequency_hz"] = _pair("params.mech_frequency_hz",
-                                         raw["mech_frequency_hz"], 0.0, exclusive=True)
-    for key in _PAIR_KEYS_HZ:
-        if key == "mech_frequency_hz" or key not in raw:
-            continue
-        out[key] = _pair(f"params.{key}", raw[key], 0.0)
-    if "detuning_hz" in raw:
-        out["detuning_hz"] = _pair("params.detuning_hz", raw["detuning_hz"])
-    if "vacuum_coupling_hz" in raw:
-        out["vacuum_coupling_hz"] = _pair("params.vacuum_coupling_hz",
-                                          raw["vacuum_coupling_hz"], 0.0)
-    if "flux_pi" in raw:
-        out["flux_pi"] = _number("params.flux_pi", raw["flux_pi"])
-    if "drive_phase_pi" in raw:
-        out["drive_phase_pi"] = _pair("params.drive_phase_pi", raw["drive_phase_pi"])
+    for key, (target, _, minimum, exclusive) in _PARAMS.items():
+        if key in raw:
+            check = _number if len(target) == 1 else _pair
+            out[key] = check(f"params.{key}", raw[key], minimum, exclusive)
     return out
 
 
@@ -353,107 +353,21 @@ class Scenario:
 
     def build_params(self) -> SystemParams:
         p = self.params
+        values = {}
         if p.get("preset") == "table1":
-            base = model.from_table1(p["mechanical_hop_hz"])
-        else:
-            pair = lambda key: p[key]
-            left = model.CavitySite(
-                optical=model.OpticalMode(
-                    external_decay=TWO_PI * pair("optical_external_decay_hz")[0],
-                    internal_decay=TWO_PI * pair("optical_internal_decay_hz")[0],
-                ),
-                mechanical=model.MechanicalMode(
-                    frequency=TWO_PI * pair("mech_frequency_hz")[0],
-                    external_decay=TWO_PI * pair("mech_external_decay_hz")[0],
-                    internal_decay=TWO_PI * pair("mech_internal_decay_hz")[0],
-                ),
-            )
-            right = model.CavitySite(
-                optical=model.OpticalMode(
-                    external_decay=TWO_PI * pair("optical_external_decay_hz")[1],
-                    internal_decay=TWO_PI * pair("optical_internal_decay_hz")[1],
-                ),
-                mechanical=model.MechanicalMode(
-                    frequency=TWO_PI * pair("mech_frequency_hz")[1],
-                    external_decay=TWO_PI * pair("mech_external_decay_hz")[1],
-                    internal_decay=TWO_PI * pair("mech_internal_decay_hz")[1],
-                ),
-            )
-            base = SystemParams.red_detuned(
-                left=left,
-                right=right,
-                optical_hop=TWO_PI * p["optical_hop_hz"],
-                mechanical_hop=TWO_PI * p["mechanical_hop_hz"],
-                G_L=0.0,
-                G_R=0.0,
-            )
-
-        # overrides on top of the preset / inline base
-        if p.get("preset") is not None:
-            left, right = base.left, base.right
-            if "mech_frequency_hz" in p:
-                left = replace(left, mechanical=replace(
-                    left.mechanical, frequency=TWO_PI * p["mech_frequency_hz"][0]))
-                right = replace(right, mechanical=replace(
-                    right.mechanical, frequency=TWO_PI * p["mech_frequency_hz"][1]))
-            if "optical_external_decay_hz" in p:
-                left = replace(left, optical=replace(
-                    left.optical, external_decay=TWO_PI * p["optical_external_decay_hz"][0]))
-                right = replace(right, optical=replace(
-                    right.optical, external_decay=TWO_PI * p["optical_external_decay_hz"][1]))
-            if "optical_internal_decay_hz" in p:
-                left = replace(left, optical=replace(
-                    left.optical, internal_decay=TWO_PI * p["optical_internal_decay_hz"][0]))
-                right = replace(right, optical=replace(
-                    right.optical, internal_decay=TWO_PI * p["optical_internal_decay_hz"][1]))
-            if "mech_external_decay_hz" in p:
-                left = replace(left, mechanical=replace(
-                    left.mechanical, external_decay=TWO_PI * p["mech_external_decay_hz"][0]))
-                right = replace(right, mechanical=replace(
-                    right.mechanical, external_decay=TWO_PI * p["mech_external_decay_hz"][1]))
-            if "mech_internal_decay_hz" in p:
-                left = replace(left, mechanical=replace(
-                    left.mechanical, internal_decay=TWO_PI * p["mech_internal_decay_hz"][0]))
-                right = replace(right, mechanical=replace(
-                    right.mechanical, internal_decay=TWO_PI * p["mech_internal_decay_hz"][1]))
-            base = replace(base, left=left, right=right,
-                           detuning_L=-left.mechanical.frequency,
-                           detuning_R=-right.mechanical.frequency)
-            if "optical_hop_hz" in p:
-                base = base.with_optical_hop(TWO_PI * p["optical_hop_hz"])
-
-        if "enhanced_coupling_hz" in p:
-            gl, gr = p["enhanced_coupling_hz"]
-            base = base.with_enhanced_coupling(G_L=TWO_PI * gl, G_R=TWO_PI * gr)
-        if "enhanced_coupling_angular" in p:
-            gl, gr = p["enhanced_coupling_angular"]
-            base = base.with_enhanced_coupling(G_L=gl, G_R=gr)
-
-        if "detuning_hz" in p:
-            base = replace(base,
-                           detuning_L=TWO_PI * p["detuning_hz"][0],
-                           detuning_R=TWO_PI * p["detuning_hz"][1])
-        if "vacuum_coupling_hz" in p:
-            gl, gr = p["vacuum_coupling_hz"]
-            base = replace(
-                base,
-                left=replace(base.left, optical=replace(
-                    base.left.optical, vacuum_coupling=TWO_PI * gl)),
-                right=replace(base.right, optical=replace(
-                    base.right.optical, vacuum_coupling=TWO_PI * gr)),
-            )
-        if "drive_phase_pi" in p:
-            pl, pr = p["drive_phase_pi"]
-            base = replace(
-                base,
-                left=replace(base.left, optical=replace(
-                    base.left.optical, drive_phase=math.pi * pl)),
-                right=replace(base.right, optical=replace(
-                    base.right.optical, drive_phase=math.pi * pr)),
-            )
+            values = {name: TWO_PI * value for name, value in model.TABLE1_HZ.items()}
+        for key, value in p.items():
+            if key in ("preset", "flux_pi"):
+                continue
+            target, factor = _PARAMS[key][:2]
+            for field, v in zip(target, value if len(target) == 2 else [value]):
+                values[field] = factor * v
+        values.setdefault("detuning_L", -values["omega_mL"])
+        values.setdefault("detuning_R", -values["omega_mR"])
+        params = SystemParams(**values)
         if "flux_pi" in p:
-            base = base.with_flux(math.pi * p["flux_pi"])
-        return base
+            params = params.with_flux(math.pi * p["flux_pi"])
+        return params
 
     def build_frequency_grid(self) -> sweep.FrequencyGrid:
         g = self.frequency_grid
@@ -631,7 +545,7 @@ _RUNNERS = {
 
 
 def run(scenario: Scenario) -> str:
-    """Execute one scenario and write its output file.
+    """Execute one scenario and write its output file atomically.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel
@@ -645,8 +559,16 @@ def run(scenario: Scenario) -> str:
         # scenario problems, same as schema failures
         raise ConfigError(str(exc)) from None
     path = scenario.output["path"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # write beside the target and rename over it, so an interrupted run never
+    # leaves a truncated output; open() keeps the umask-derived file mode
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # still there only if the write or rename failed
     return path
 
 
@@ -661,7 +583,7 @@ def _apply_override(config, assignment):
     if not key:
         raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
     try:
-        value = yaml.safe_load(raw_value)
+        value = yaml.load(raw_value, Loader=_UniqueKeyLoader)
     except yaml.YAMLError:
         raise ConfigError(f"--set {key}: cannot parse value {raw_value!r}") from None
     node = config
@@ -685,7 +607,7 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                config = yaml.safe_load(fh) or {}
+                config = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
         except yaml.YAMLError as exc:

@@ -31,177 +31,93 @@ def wrap_phase(phi: float) -> float:
     return w
 
 
-def _require_nonneg(name, value):
-    if value < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class OpticalMode:
-    """One cavity field.
-
-    external_decay / internal_decay are kappa_e and kappa_i; the total decay
-    kappa = kappa_e + kappa_i.  drive_amplitude is the laser amplitude in
-    sqrt(photons/s), vacuum_coupling the single-photon optomechanical rate;
-    both matter only for steady-state calculations and default to zero.
-    """
-
-    external_decay: float
-    internal_decay: float
-    drive_phase: float = 0.0
-    drive_amplitude: float = 0.0
-    vacuum_coupling: float = 0.0
-    cavity_frequency: float = 0.0
-
-    def __post_init__(self):
-        _require_nonneg("external_decay", self.external_decay)
-        _require_nonneg("internal_decay", self.internal_decay)
-        _require_nonneg("vacuum_coupling", self.vacuum_coupling)
-
-    @property
-    def total_decay(self) -> float:
-        return self.external_decay + self.internal_decay
-
-
-@dataclass(frozen=True)
-class MechanicalMode:
-    """One mechanical resonator: frequency omega_m and decay split gamma_e/gamma_i."""
-
-    frequency: float
-    external_decay: float
-    internal_decay: float
-
-    def __post_init__(self):
-        if self.frequency <= 0.0:
-            raise ValueError(f"mechanical frequency must be > 0, got {self.frequency!r}")
-        _require_nonneg("external_decay", self.external_decay)
-        _require_nonneg("internal_decay", self.internal_decay)
-
-    @property
-    def total_decay(self) -> float:
-        return self.external_decay + self.internal_decay
-
-
-@dataclass(frozen=True)
-class CavitySite:
-    """Optical plus mechanical mode sharing one optomechanical cavity."""
-
-    optical: OpticalMode
-    mechanical: MechanicalMode
+# validated in SystemParams.__post_init__; every field is in exactly one tuple
+_NONNEGATIVE = ("kappa_eL", "kappa_eR", "kappa_iL", "kappa_iR",
+                "gamma_eL", "gamma_eR", "gamma_iL", "gamma_iR",
+                "optical_hop", "mechanical_hop", "G_L", "G_R", "g_L", "g_R")
+_POSITIVE = ("omega_mL", "omega_mR")
+_FINITE = ("detuning_L", "detuning_R", "phi_L", "phi_R")
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Complete parameter set of the plaquette.
+    """Complete parameter set of the plaquette, one angular field per rate.
 
-    Hop amplitudes and enhanced couplings are magnitudes (>= 0); all phase
-    information lives in the drive phases of the optical modes.  Detunings
-    are laser-relative (delta_j = omega_drive - omega_cavity) and are stored
-    explicitly so that non-red-detuned setups remain expressible.
+    Per site j in {L, R}: mechanical frequency omega_mj, optical decay split
+    kappa_ej / kappa_ij, mechanical decay split gamma_ej / gamma_ij, drive
+    phase phi_j and single-photon optomechanical coupling g_j (used only by
+    steady-state calculations).  Hop amplitudes and enhanced couplings are
+    magnitudes (>= 0); all phase information lives in the drive phases.
+    Detunings are laser-relative (delta_j = omega_drive - omega_cavity) and
+    are stored explicitly so that non-red-detuned setups remain expressible.
+    Every value must be finite.  Override a field with
+    ``dataclasses.replace``.
     """
 
-    left: CavitySite
-    right: CavitySite
+    omega_mL: float
+    omega_mR: float
+    kappa_eL: float
+    kappa_eR: float
+    kappa_iL: float
+    kappa_iR: float
+    gamma_eL: float
+    gamma_eR: float
+    gamma_iL: float
+    gamma_iR: float
     optical_hop: float
     mechanical_hop: float
     G_L: float
     G_R: float
     detuning_L: float
     detuning_R: float
+    phi_L: float = 0.0
+    phi_R: float = 0.0
+    g_L: float = 0.0
+    g_R: float = 0.0
 
     def __post_init__(self):
-        _require_nonneg("optical_hop", self.optical_hop)
-        _require_nonneg("mechanical_hop", self.mechanical_hop)
-        _require_nonneg("G_L", self.G_L)
-        _require_nonneg("G_R", self.G_R)
+        # chained comparisons are False for NaN, so NaN fails every check
+        for name in _NONNEGATIVE:
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name in _FINITE:
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod
-    def red_detuned(cls, left, right, optical_hop, mechanical_hop, G_L, G_R):
+    def red_detuned(cls, **fields) -> "SystemParams":
         """Build with the red-detuned operating point delta_j = -omega_mj."""
-        return cls(
-            left=left,
-            right=right,
-            optical_hop=optical_hop,
-            mechanical_hop=mechanical_hop,
-            G_L=G_L,
-            G_R=G_R,
-            detuning_L=-left.mechanical.frequency,
-            detuning_R=-right.mechanical.frequency,
-        )
-
-    # -- shorthand accessors used throughout the formula code ----------------
+        return cls(detuning_L=-fields["omega_mL"], detuning_R=-fields["omega_mR"], **fields)
 
     @property
     def kappa_L(self) -> float:
-        return self.left.optical.total_decay
+        return self.kappa_eL + self.kappa_iL
 
     @property
     def kappa_R(self) -> float:
-        return self.right.optical.total_decay
-
-    @property
-    def kappa_eL(self) -> float:
-        return self.left.optical.external_decay
-
-    @property
-    def kappa_eR(self) -> float:
-        return self.right.optical.external_decay
+        return self.kappa_eR + self.kappa_iR
 
     @property
     def gamma_L(self) -> float:
-        return self.left.mechanical.total_decay
+        return self.gamma_eL + self.gamma_iL
 
     @property
     def gamma_R(self) -> float:
-        return self.right.mechanical.total_decay
-
-    @property
-    def gamma_eL(self) -> float:
-        return self.left.mechanical.external_decay
-
-    @property
-    def gamma_eR(self) -> float:
-        return self.right.mechanical.external_decay
-
-    @property
-    def omega_mL(self) -> float:
-        return self.left.mechanical.frequency
-
-    @property
-    def omega_mR(self) -> float:
-        return self.right.mechanical.frequency
-
-    @property
-    def phi_L(self) -> float:
-        return self.left.optical.drive_phase
-
-    @property
-    def phi_R(self) -> float:
-        return self.right.optical.drive_phase
+        return self.gamma_eR + self.gamma_iR
 
     @property
     def synthetic_flux(self) -> float:
         return self.phi_L - self.phi_R
 
-    # -- copy-with helpers ----------------------------------------------------
-
     def with_flux(self, flux: float) -> "SystemParams":
         """Copy with phi_L moved so that phi_L - phi_R equals ``flux``."""
-        optical = replace(self.left.optical, drive_phase=self.phi_R + flux)
-        return replace(self, left=replace(self.left, optical=optical))
-
-    def with_mechanical_hop(self, value: float) -> "SystemParams":
-        return replace(self, mechanical_hop=value)
-
-    def with_optical_hop(self, value: float) -> "SystemParams":
-        return replace(self, optical_hop=value)
-
-    def with_enhanced_coupling(self, G_L=None, G_R=None) -> "SystemParams":
-        return replace(
-            self,
-            G_L=self.G_L if G_L is None else G_L,
-            G_R=self.G_R if G_R is None else G_R,
-        )
+        return replace(self, phi_L=self.phi_R + flux)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,36 +181,6 @@ def from_table1(mechanical_hop_hz: float, flux: float = 0.0) -> SystemParams:
     ``flux`` is the synthetic flux in radians, realised as phi_L = flux,
     phi_R = 0.
     """
-    t = TABLE1_HZ
-    left = CavitySite(
-        optical=OpticalMode(
-            external_decay=TWO_PI * t["kappa_eL"],
-            internal_decay=TWO_PI * t["kappa_iL"],
-            drive_phase=flux,
-        ),
-        mechanical=MechanicalMode(
-            frequency=TWO_PI * t["omega_mL"],
-            external_decay=TWO_PI * t["gamma_eL"],
-            internal_decay=TWO_PI * t["gamma_iL"],
-        ),
-    )
-    right = CavitySite(
-        optical=OpticalMode(
-            external_decay=TWO_PI * t["kappa_eR"],
-            internal_decay=TWO_PI * t["kappa_iR"],
-            drive_phase=0.0,
-        ),
-        mechanical=MechanicalMode(
-            frequency=TWO_PI * t["omega_mR"],
-            external_decay=TWO_PI * t["gamma_eR"],
-            internal_decay=TWO_PI * t["gamma_iR"],
-        ),
-    )
-    return SystemParams.red_detuned(
-        left=left,
-        right=right,
-        optical_hop=TWO_PI * t["optical_hop"],
-        mechanical_hop=TWO_PI * mechanical_hop_hz,
-        G_L=TWO_PI * t["G_L"],
-        G_R=TWO_PI * t["G_R"],
-    )
+    fields = {name: TWO_PI * value for name, value in TABLE1_HZ.items()}
+    return SystemParams.red_detuned(mechanical_hop=TWO_PI * mechanical_hop_hz,
+                                    phi_L=flux, **fields)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,13 +23,8 @@ from .model import SystemParams
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: auxiliary parameters tune() may adjust, mapped to copy-with helpers
-AUX_PARAMETERS = {
-    "mechanical_hop": lambda p, v: p.with_mechanical_hop(v),
-    "optical_hop": lambda p, v: p.with_optical_hop(v),
-    "G_L": lambda p, v: p.with_enhanced_coupling(G_L=v),
-    "G_R": lambda p, v: p.with_enhanced_coupling(G_R=v),
-}
+#: SystemParams fields tune() may search besides the flux
+AUX_PARAMETERS = ("mechanical_hop", "optical_hop", "G_L", "G_R")
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,7 @@ class SearchSpace:
     """Bounds and budget for :func:`tune`.
 
     Collapsed bounds (lo == hi) pin that coordinate.  ``aux_name`` must be a
-    key of AUX_PARAMETERS when given, with ``aux_bounds`` in angular units.
+    name in AUX_PARAMETERS when given, with ``aux_bounds`` in angular units.
     """
 
     flux_bounds: tuple
@@ -136,7 +131,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     if quantity not in response.QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     flux_lo, flux_hi = search_space.flux_bounds
-    if flux_lo > flux_hi:
+    if not flux_lo <= flux_hi:
         raise ValueError("flux bounds must satisfy lo <= hi")
     if search_space.aux_name is not None:
         if search_space.aux_name not in AUX_PARAMETERS:
@@ -147,7 +142,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         if search_space.aux_bounds is None:
             raise ValueError("aux_bounds required when aux_name is set")
         aux_lo, aux_hi = search_space.aux_bounds
-        if aux_lo > aux_hi:
+        if not aux_lo <= aux_hi:
             raise ValueError("aux bounds must satisfy lo <= hi")
     open_coords = flux_lo < flux_hi or (
         search_space.aux_name is not None and aux_lo < aux_hi)
@@ -159,7 +154,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     def apply(flux, aux):
         candidate = params.with_flux(flux)
         if search_space.aux_name is not None:
-            candidate = AUX_PARAMETERS[search_space.aux_name](candidate, aux)
+            candidate = replace(candidate, **{search_space.aux_name: aux})
         return candidate
 
     def objective(flux, aux):

@@ -70,8 +70,8 @@ def steady_amplitudes(params: SystemParams, drives) -> SteadyState:
     return SteadyState(
         alpha_L=alpha_L,
         alpha_R=alpha_R,
-        G_L=params.left.optical.vacuum_coupling * abs(alpha_L),
-        G_R=params.right.optical.vacuum_coupling * abs(alpha_R),
+        G_L=params.g_L * abs(alpha_L),
+        G_R=params.g_R * abs(alpha_R),
     )
 
 
@@ -92,11 +92,9 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
         raise ValueError("target couplings must be >= 0")
     if target_L == 0.0 and target_R == 0.0:
         return (0j, 0j)
-    g_L = params.left.optical.vacuum_coupling
-    g_R = params.right.optical.vacuum_coupling
-    if target_L > 0.0 and g_L == 0.0:
+    if target_L > 0.0 and params.g_L == 0.0:
         raise ValueError("left vacuum coupling is zero but target G_L > 0")
-    if target_R > 0.0 and g_R == 0.0:
+    if target_R > 0.0 and params.g_R == 0.0:
         raise ValueError("right vacuum coupling is zero but target G_R > 0")
 
     t = drive_response_matrix(params, params.phi_L, params.phi_R)
@@ -109,8 +107,8 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     unit_R = t[1][0] + t[1][1]
     phase_L = cmath.exp(1j * cmath.phase(unit_L)) if unit_L != 0 else 1.0
     phase_R = cmath.exp(1j * cmath.phase(unit_R)) if unit_R != 0 else 1.0
-    alpha_L = (target_L / g_L) * phase_L if target_L > 0.0 else 0j
-    alpha_R = (target_R / g_R) * phase_R if target_R > 0.0 else 0j
+    alpha_L = (target_L / params.g_L) * phase_L if target_L > 0.0 else 0j
+    alpha_R = (target_R / params.g_R) * phase_R if target_R > 0.0 else 0j
 
     eps_L = (t[1][1] * alpha_L - t[0][1] * alpha_R) / det
     eps_R = (t[0][0] * alpha_R - t[1][0] * alpha_L) / det

@@ -31,8 +31,8 @@ class FrequencyGrid:
     points: int
 
     def __post_init__(self):
-        if not self.start < self.stop:
-            raise ValueError(f"grid start {self.start!r} must be < stop {self.stop!r}")
+        if not -math.inf < self.start < self.stop < math.inf:
+            raise ValueError(f"grid start {self.start!r} must be < stop {self.stop!r}, both finite")
         if self.points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
 

@@ -19,37 +19,23 @@ def random_params(rng):
     """Reference rates scaled log-uniformly over +-2 decades, random phases."""
     s = 10.0 ** rng.uniform(-2.0, 2.0, size=8)
     phi_L, phi_R = rng.uniform(0.0, of.TWO_PI, size=2)
-    left = of.CavitySite(
-        optical=of.OpticalMode(
-            external_decay=of.TWO_PI * 0.74e9 * s[0],
-            internal_decay=of.TWO_PI * 0.29e9 * s[0],
-            drive_phase=phi_L,
-        ),
-        mechanical=of.MechanicalMode(
-            frequency=of.TWO_PI * 5.7884e9,
-            external_decay=of.TWO_PI * 4.3e6 * s[1],
-            internal_decay=of.TWO_PI * 1.0e6 * s[1],
-        ),
-    )
-    right = of.CavitySite(
-        optical=of.OpticalMode(
-            external_decay=of.TWO_PI * 0.44e9 * s[2],
-            internal_decay=of.TWO_PI * 0.31e9 * s[2],
-            drive_phase=phi_R,
-        ),
-        mechanical=of.MechanicalMode(
-            frequency=of.TWO_PI * 5.7791e9,
-            external_decay=of.TWO_PI * 5.7e6 * s[3],
-            internal_decay=of.TWO_PI * 1.2e6 * s[3],
-        ),
-    )
     return of.SystemParams.red_detuned(
-        left=left,
-        right=right,
+        omega_mL=of.TWO_PI * 5.7884e9,
+        omega_mR=of.TWO_PI * 5.7791e9,
+        kappa_eL=of.TWO_PI * 0.74e9 * s[0],
+        kappa_iL=of.TWO_PI * 0.29e9 * s[0],
+        gamma_eL=of.TWO_PI * 4.3e6 * s[1],
+        gamma_iL=of.TWO_PI * 1.0e6 * s[1],
+        kappa_eR=of.TWO_PI * 0.44e9 * s[2],
+        kappa_iR=of.TWO_PI * 0.31e9 * s[2],
+        gamma_eR=of.TWO_PI * 5.7e6 * s[3],
+        gamma_iR=of.TWO_PI * 1.2e6 * s[3],
         optical_hop=of.TWO_PI * 110e6 * s[4],
         mechanical_hop=of.TWO_PI * 1e6 * s[5],
         G_L=of.TWO_PI * 33e6 * s[6],
         G_R=of.TWO_PI * 31e6 * s[7],
+        phi_L=phi_L,
+        phi_R=phi_R,
     )
 
 

@@ -83,7 +83,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_integer_flux_reciprocity():
     _, v_star = _phonon_tuning()
-    params = of.from_table1(0.0).with_mechanical_hop(v_star)
+    params = replace(of.from_table1(0.0), mechanical_hop=v_star)
     omega = of.default_frequency_grid().values()
     worst = 0.0
     for n in (0, 1, -1, 2, -2):
@@ -97,12 +97,8 @@ def test_criterion_02_integer_flux_reciprocity():
 
 def test_criterion_03_lossless_reciprocity():
     p = of.from_table1(0.52e6)
-    left = replace(p.left, optical=replace(p.left.optical, external_decay=0.0,
-                                           internal_decay=0.0))
-    right = replace(p.right, optical=replace(p.right.optical, external_decay=0.0,
-                                             internal_decay=0.0))
-    p = replace(p, left=left, right=right, detuning_L=-p.omega_mL,
-                detuning_R=-p.omega_mL)
+    p = replace(p, kappa_eL=0.0, kappa_iL=0.0, kappa_eR=0.0, kappa_iR=0.0,
+                detuning_L=-p.omega_mL, detuning_R=-p.omega_mL)
     omega = of.default_frequency_grid().values()
     worst = 0.0
     for flux in np.linspace(-2 * math.pi, 2 * math.pi, 21):
@@ -116,7 +112,7 @@ def test_criterion_03_lossless_reciprocity():
 
 def test_criterion_04_flux_antisymmetry():
     flux_star, v_star = _phonon_tuning()
-    params = of.from_table1(0.0).with_mechanical_hop(v_star)
+    params = replace(of.from_table1(0.0), mechanical_hop=v_star)
     flux_axis = of.default_flux_grid()
     grid = of.default_frequency_grid()
     forward = of.flux_map(params, of.PHONON, flux_axis, grid)
@@ -147,7 +143,7 @@ def test_criterion_05_conversion_duality():
 def test_criterion_06_phonon_peak_reproduction():
     started = time.monotonic()
     flux_star, v_star = _phonon_tuning()
-    params = of.from_table1(0.0).with_mechanical_hop(v_star).with_flux(flux_star)
+    params = replace(of.from_table1(0.0), mechanical_hop=v_star).with_flux(flux_star)
     points = of.spectrum(params, of.PHONON, of.default_frequency_grid())
     values = np.array([pt.value_db for pt in points])
     peak = float(values.max())
@@ -166,7 +162,7 @@ def test_criterion_06_phonon_peak_reproduction():
 def test_criterion_07_photon_to_phonon_peak():
     result = _conversion_tuning()
     peak_hz = result.peak_frequency / TWO_PI
-    params = of.from_table1(0.0).with_mechanical_hop(result.best_aux)
+    params = replace(of.from_table1(0.0), mechanical_hop=result.best_aux)
     flipped = of.isolation_db(params.with_flux(-1.42 * math.pi),
                               result.peak_frequency, of.PHOTON_TO_PHONON)
     _criterion(
@@ -187,7 +183,7 @@ def test_criterion_08_phonon_to_photon_peak():
     )
     result = of.tune(of.from_table1(0.0), of.PHONON_TO_PHOTON, space)
     peak_hz = result.peak_frequency / TWO_PI
-    params = of.from_table1(0.0).with_mechanical_hop(result.best_aux)
+    params = replace(of.from_table1(0.0), mechanical_hop=result.best_aux)
     reversed_spectrum = of.isolation_db(params.with_flux(-1.4 * math.pi),
                                         of.default_frequency_grid().values(),
                                         of.PHONON_TO_PHOTON)
@@ -207,11 +203,7 @@ def test_criterion_09_steady_state_round_trip():
     for _ in range(100):
         p = random_params(rng)
         g = 10.0 ** rng.uniform(1, 4, size=2)
-        left = replace(p.left, optical=replace(p.left.optical,
-                                               vacuum_coupling=TWO_PI * g[0]))
-        right = replace(p.right, optical=replace(p.right.optical,
-                                                 vacuum_coupling=TWO_PI * g[1]))
-        p = replace(p, left=left, right=right)
+        p = replace(p, g_L=TWO_PI * g[0], g_R=TWO_PI * g[1])
         target = tuple(TWO_PI * 10.0 ** rng.uniform(4, 8, size=2))
         eps_L, eps_R = of.drives_for_target_G(p, target)
         state = of.steady_amplitudes(p, (eps_L, eps_R, p.phi_L, p.phi_R))
@@ -226,7 +218,7 @@ def test_criterion_09_steady_state_round_trip():
 
 def test_criterion_10_zero_flux_conversion_nonreciprocity():
     result = _conversion_tuning()
-    params = of.from_table1(0.0).with_mechanical_hop(result.best_aux).with_flux(0.0)
+    params = replace(of.from_table1(0.0), mechanical_hop=result.best_aux).with_flux(0.0)
     values = of.isolation_db(params, of.default_frequency_grid().values(),
                              of.PHOTON_TO_PHONON)
     largest = float(np.max(np.abs(values)))

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -185,6 +187,14 @@ output: {{path: {out}, format: csv}}
         freq, db = line.split(",")
         expected = of.isolation_db(preset, TWO_PI * float(freq), of.PHONON)
         assert float(db) == pytest.approx(expected, abs=1e-9)
+    assert cli.load_scenario(config).build_params() == preset
+
+
+def test_params_table_covers_system_params():
+    fields = {f.name for f in dataclasses.fields(of.SystemParams)}
+    targets = {t for entry in cli._PARAMS.values() for t in entry[0]}
+    assert targets - fields == {"flux"}
+    assert fields <= targets
 
 
 def test_inline_params_missing_field_names_key(tmp_path, capsys):
@@ -288,6 +298,41 @@ def test_scenario_round_trip():
     # and through an actual YAML round trip
     text = yaml.safe_dump(scenario.to_dict())
     assert cli.Scenario.from_dict(yaml.safe_load(text)) == scenario
+
+
+def test_duplicate_yaml_key_rejected(tmp_path, capsys):
+    out = tmp_path / "dup.csv"
+    config = _write(tmp_path, f"""
+mode: spectrum
+quantity: phonon
+mode: fluxmap
+params: {{preset: table1, mechanical_hop_hz: 5.6e5}}
+output: {{path: {out}}}
+""")
+    assert _run(["run", config]) == 2
+    assert "mode: duplicate key" in capsys.readouterr().err
+    assert not out.exists()
+    dup = "frequency_grid={start_hz: 5.8e9, start_hz: 5.7e9}"
+    assert _run(["run", "--preset", "table1", "--set", dup]) == 2
+    assert "start_hz: duplicate key" in capsys.readouterr().err
+
+
+def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    args = ["run", "--preset", "table1", "--set", "mode=spectrum",
+            "--set", "quantity=phonon", "--set", "params.mechanical_hop_hz=520e3",
+            "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
+            "--out", str(out)]
+    assert _run(args) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_run_requires_config_or_preset(capsys):

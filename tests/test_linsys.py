@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,7 @@ M_58GHZ = np.array([
 
 
 def _params_58():
-    p = of.from_table1(1e6)
-    from dataclasses import replace
-
-    left = replace(p.left, optical=replace(p.left.optical, drive_phase=math.pi / 2))
-    return replace(p, left=left)
+    return replace(of.from_table1(1e6), phi_L=math.pi / 2)
 
 
 def test_build_matrix_reference_point():
@@ -52,12 +49,12 @@ def test_matrix_block_structure():
 
 
 def test_matrix_decoupled_limits():
-    p = of.from_table1(1e6).with_enhanced_coupling(G_L=0.0, G_R=0.0)
+    p = replace(of.from_table1(1e6), G_L=0.0, G_R=0.0)
     m = of.build_matrix(p, TWO_PI * 5.8e9)
     assert np.all(m.block_C == 0)
     assert np.all(m.block_D == 0)
 
-    q = of.from_table1(0.0).with_optical_hop(0.0)
+    q = replace(of.from_table1(0.0), optical_hop=0.0)
     m = of.build_matrix(q, TWO_PI * 5.8e9)
     assert m.block_A[0, 1] == 0 and m.block_A[1, 0] == 0
     assert m.block_B[0, 1] == 0 and m.block_B[1, 0] == 0
@@ -136,21 +133,15 @@ def test_flux_gauge_invariance():
     p = of.from_table1(2e6, flux=0.81)
     omega = TWO_PI * 5.91e9
     reference = np.abs(of.effective_blocks(p, omega).assemble())
-    from dataclasses import replace
-
     for shift in rng.uniform(-10, 10, size=5):
-        left = replace(p.left, optical=replace(p.left.optical,
-                                               drive_phase=p.phi_L + shift))
-        right = replace(p.right, optical=replace(p.right.optical,
-                                                 drive_phase=p.phi_R + shift))
-        shifted = np.abs(of.effective_blocks(replace(p, left=left, right=right),
-                                             omega).assemble())
+        shifted = np.abs(of.effective_blocks(
+            replace(p, phi_L=p.phi_L + shift, phi_R=p.phi_R + shift), omega).assemble())
         assert np.max(np.abs(shifted - reference) / reference) <= 1e-9
 
 
 def test_no_optical_dressing_without_enhanced_coupling():
     # G = 0 leaves the mechanical block bare: B_eff^-1 = B^-1
-    p = of.from_table1(4e6).with_enhanced_coupling(G_L=0.0, G_R=0.0)
+    p = replace(of.from_table1(4e6), G_L=0.0, G_R=0.0)
     omega = TWO_PI * 5.83e9
     chi = of.susceptibilities(p, omega)
     V = p.mechanical_hop
@@ -169,13 +160,10 @@ def test_degenerate_block_raised_for_undamped_resonance():
     omega_m = TWO_PI * 5.8e9
     omega = omega_m + TWO_PI * 1e6
     V = omega - omega_m  # exact float difference so det_B cancels exactly
-    site = lambda: of.CavitySite(
-        optical=of.OpticalMode(external_decay=0.0, internal_decay=0.0),
-        mechanical=of.MechanicalMode(frequency=omega_m, external_decay=0.0,
-                                     internal_decay=0.0),
-    )
     p = of.SystemParams.red_detuned(
-        left=site(), right=site(),
+        omega_mL=omega_m, omega_mR=omega_m,
+        kappa_eL=0.0, kappa_eR=0.0, kappa_iL=0.0, kappa_iR=0.0,
+        gamma_eL=0.0, gamma_eR=0.0, gamma_iL=0.0, gamma_iR=0.0,
         optical_hop=TWO_PI * 110e6, mechanical_hop=V,
         G_L=TWO_PI * 33e6, G_R=TWO_PI * 31e6,
     )

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,15 +49,12 @@ def test_interference_condition_quadrature_case():
     omega = TWO_PI * 5.8e9
     delta = TWO_PI * 110e6 - omega
     J = omega + delta  # exact float so that omega + delta == J bitwise
-    site = lambda kappa_e: of.CavitySite(
-        optical=of.OpticalMode(external_decay=kappa_e, internal_decay=0.0),
-        mechanical=of.MechanicalMode(frequency=TWO_PI * 5.7884e9,
-                                     external_decay=TWO_PI * 4.3e6,
-                                     internal_decay=TWO_PI * 1.0e6),
-    )
     # omega + delta = J on both sites and kappa_R = 0 make det_A = -i kappa_L J / 2
     p = of.SystemParams(
-        left=site(TWO_PI * 0.74e9), right=site(0.0),
+        omega_mL=TWO_PI * 5.7884e9, omega_mR=TWO_PI * 5.7884e9,
+        kappa_eL=TWO_PI * 0.74e9, kappa_eR=0.0, kappa_iL=0.0, kappa_iR=0.0,
+        gamma_eL=TWO_PI * 4.3e6, gamma_eR=TWO_PI * 4.3e6,
+        gamma_iL=TWO_PI * 1.0e6, gamma_iR=TWO_PI * 1.0e6,
         optical_hop=J, mechanical_hop=0.0,
         G_L=TWO_PI * 33e6, G_R=TWO_PI * 31e6,
         detuning_L=delta, detuning_R=delta,
@@ -67,20 +65,15 @@ def test_interference_condition_quadrature_case():
     assert sol.flux == -math.pi / 2
     assert sol.mechanical_hop == abs(gamma)
     assert not sol.degenerate
-    tuned = p.with_mechanical_hop(sol.mechanical_hop).with_flux(sol.flux)
+    tuned = replace(p, mechanical_hop=sol.mechanical_hop).with_flux(sol.flux)
     assert of.phonon_isolation(tuned, omega).value_db > 300.0
 
 
 def test_interference_condition_flags_real_gamma():
     # optically lossless system: gamma_A purely real, tuning degenerate
-    from dataclasses import replace
-
     p = of.from_table1(0.0)
-    left = replace(p.left, optical=replace(p.left.optical, external_decay=0.0,
-                                           internal_decay=0.0))
-    right = replace(p.right, optical=replace(p.right.optical, external_decay=0.0,
-                                             internal_decay=0.0))
-    p = replace(p, left=left, right=right, detuning_L=-p.omega_mL, detuning_R=-p.omega_mL)
+    p = replace(p, kappa_eL=0.0, kappa_iL=0.0, kappa_eR=0.0, kappa_iR=0.0,
+                detuning_L=-p.omega_mL, detuning_R=-p.omega_mL)
     sol = of.interference_condition(p, TWO_PI * 5.9e9)
     assert sol.degenerate
     assert not of.interference_condition(of.from_table1(0.0), TWO_PI * 5.9e9).degenerate
@@ -88,10 +81,10 @@ def test_interference_condition_flags_real_gamma():
 
 def test_interference_condition_rejects_zero_bridge():
     with pytest.raises(of.ZeroCoupling):
-        of.interference_condition(of.from_table1(1e6).with_optical_hop(0.0),
+        of.interference_condition(replace(of.from_table1(1e6), optical_hop=0.0),
                                   TWO_PI * 5.85e9)
     with pytest.raises(of.ZeroCoupling):
-        of.interference_condition(of.from_table1(1e6).with_enhanced_coupling(G_R=0.0),
+        of.interference_condition(replace(of.from_table1(1e6), G_R=0.0),
                                   TWO_PI * 5.85e9)
 
 
@@ -110,7 +103,7 @@ def test_tune_collapsed_space_returns_the_point():
     result = of.tune(p, of.PHONON, space)
     assert result.best_flux == 0.4
     assert result.best_aux == TWO_PI * 2e6
-    values = of.isolation_db(p.with_flux(0.4).with_mechanical_hop(TWO_PI * 2e6),
+    values = of.isolation_db(replace(p, mechanical_hop=TWO_PI * 2e6).with_flux(0.4),
                              _small_grid().values(), of.PHONON)
     assert result.peak_db == values.max()
     assert len(result.trace) == 1
@@ -133,7 +126,7 @@ def test_tune_trace_is_monotone_and_consistent():
     assert result.trace[-1][1] == result.peak_db
     # reported peak matches a direct evaluation at the reported point
     check = of.isolation_db(
-        p.with_flux(result.best_flux).with_mechanical_hop(result.best_aux),
+        replace(p, mechanical_hop=result.best_aux).with_flux(result.best_flux),
         result.peak_frequency, of.PHONON)
     assert abs(check - result.peak_db) <= 1e-9
 
@@ -182,6 +175,16 @@ def test_tune_flux_only_search():
     assert result.best_aux is None
     assert result.peak_db > 0.0
     assert all(it[1] is None for it, _ in result.trace)
+
+
+def test_tune_rejects_nan_bounds():
+    p = of.from_table1(1e6)
+    for flux_bounds in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=flux_bounds))
+    with pytest.raises(ValueError):
+        of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=(0, 1), aux_name="G_L",
+                                             aux_bounds=(math.nan, 1.0)))
 
 
 def test_tune_validates_inputs():

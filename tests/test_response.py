@@ -25,19 +25,12 @@ ISO_585 = {
 
 
 def _params_585():
-    p = of.from_table1(12e6)
-    left = replace(p.left, optical=replace(p.left.optical, drive_phase=0.83))
-    right = replace(p.right, optical=replace(p.right.optical, drive_phase=0.21))
-    return replace(p, left=left, right=right)
+    return replace(of.from_table1(12e6), phi_L=0.83, phi_R=0.21)
 
 
 def _lossless(flux=0.0, equal_detunings=True):
-    p = of.from_table1(2e6, flux=flux)
-    left = replace(p.left, optical=replace(p.left.optical, external_decay=0.0,
-                                           internal_decay=0.0))
-    right = replace(p.right, optical=replace(p.right.optical, external_decay=0.0,
-                                             internal_decay=0.0))
-    p = replace(p, left=left, right=right)
+    p = replace(of.from_table1(2e6, flux=flux),
+                kappa_eL=0.0, kappa_iL=0.0, kappa_eR=0.0, kappa_iR=0.0)
     if equal_detunings:
         p = replace(p, detuning_L=-p.omega_mL, detuning_R=-p.omega_mL)
     return p
@@ -52,7 +45,7 @@ def test_gamma_terms_reference_point():
 
 
 def test_gamma_terms_no_bridge():
-    p = of.from_table1(1e6).with_optical_hop(0.0)
+    p = replace(of.from_table1(1e6), optical_hop=0.0)
     g = of.gamma_terms(p, TWO_PI * 5.85e9)
     assert g.gamma_A == 0 and g.gamma_plus == 0 and g.gamma_minus == 0
 
@@ -69,7 +62,7 @@ def test_gamma_terms_lossless_on_resonance():
 
 
 def test_gamma_terms_rejects_zero_enhanced_coupling():
-    p = of.from_table1(1e6).with_enhanced_coupling(G_L=0.0)
+    p = replace(of.from_table1(1e6), G_L=0.0)
     with pytest.raises(of.ZeroCoupling):
         of.gamma_terms(p, TWO_PI * 5.85e9)
 
@@ -150,15 +143,12 @@ def test_conversion_duality():
 
 
 def test_fully_symmetric_system_converts_reciprocally():
-    site = lambda: of.CavitySite(
-        optical=of.OpticalMode(external_decay=TWO_PI * 0.5e9,
-                               internal_decay=TWO_PI * 0.3e9),
-        mechanical=of.MechanicalMode(frequency=TWO_PI * 5.78e9,
-                                     external_decay=TWO_PI * 5e6,
-                                     internal_decay=TWO_PI * 1e6),
-    )
     p = of.SystemParams.red_detuned(
-        left=site(), right=site(),
+        omega_mL=TWO_PI * 5.78e9, omega_mR=TWO_PI * 5.78e9,
+        kappa_eL=TWO_PI * 0.5e9, kappa_eR=TWO_PI * 0.5e9,
+        kappa_iL=TWO_PI * 0.3e9, kappa_iR=TWO_PI * 0.3e9,
+        gamma_eL=TWO_PI * 5e6, gamma_eR=TWO_PI * 5e6,
+        gamma_iL=TWO_PI * 1e6, gamma_iR=TWO_PI * 1e6,
         optical_hop=TWO_PI * 110e6, mechanical_hop=TWO_PI * 2e6,
         G_L=TWO_PI * 33e6, G_R=TWO_PI * 33e6,
     )
@@ -183,7 +173,7 @@ def test_closed_forms_match_dense_oracle():
 def test_perfect_isolation_sentinels():
     # with J = 0 and G_L = 0 one conversion direction is dead: the forward
     # photon->phonon amplitude vanishes identically
-    p = of.from_table1(2e6).with_optical_hop(0.0).with_enhanced_coupling(G_L=0.0)
+    p = replace(of.from_table1(2e6), optical_hop=0.0, G_L=0.0)
     omega = TWO_PI * 5.8e9
     assert of.photon_to_phonon_isolation(p, omega).value_db == -math.inf
     assert of.phonon_to_photon_isolation(p, omega).value_db == math.inf
@@ -222,7 +212,7 @@ def test_conversion_isolation_matches_conversion_blocks():
 
 
 def test_transmission_matrix_decoupled_diagonal():
-    p = of.from_table1(0.0).with_optical_hop(0.0).with_enhanced_coupling(G_L=0.0, G_R=0.0)
+    p = replace(of.from_table1(0.0), optical_hop=0.0, G_L=0.0, G_R=0.0)
     omega = TWO_PI * 5.82e9
     chi = of.susceptibilities(p, omega)
     t = of.transmission_matrix(p, omega)
@@ -246,12 +236,8 @@ def test_transmission_matrix_matches_dense_product():
 
 def test_transmission_ratio_gives_phonon_isolation_for_equal_ports():
     # with gamma_eL = gamma_eR the port factors cancel from the phonon ratio
-    p = of.from_table1(0.9e6, flux=0.77)
-    left = replace(p.left, mechanical=replace(p.left.mechanical,
-                                              external_decay=TWO_PI * 5e6))
-    right = replace(p.right, mechanical=replace(p.right.mechanical,
-                                                external_decay=TWO_PI * 5e6))
-    p = replace(p, left=left, right=right)
+    p = replace(of.from_table1(0.9e6, flux=0.77),
+                gamma_eL=TWO_PI * 5e6, gamma_eR=TWO_PI * 5e6)
     omega = TWO_PI * 5.884e9
     t = of.transmission_matrix(p, omega)
     ratio_db = 20 * math.log10(abs(t[3, 2]) / abs(t[2, 3]))

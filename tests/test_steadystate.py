@@ -13,16 +13,12 @@ from helpers import random_params
 
 
 def _with_vacuum_coupling(p, g_hz=(200.0, 200.0)):
-    left = replace(p.left, optical=replace(p.left.optical,
-                                           vacuum_coupling=TWO_PI * g_hz[0]))
-    right = replace(p.right, optical=replace(p.right.optical,
-                                             vacuum_coupling=TWO_PI * g_hz[1]))
-    return replace(p, left=left, right=right)
+    return replace(p, g_L=TWO_PI * g_hz[0], g_R=TWO_PI * g_hz[1])
 
 
 def test_single_driven_cavity_closed_form():
     # J = 0 and eps_R = 0 decouples the cavities completely
-    p = _with_vacuum_coupling(of.from_table1(1e6).with_optical_hop(0.0))
+    p = _with_vacuum_coupling(replace(of.from_table1(1e6), optical_hop=0.0))
     eps_L = 2.5e6
     phi_L = 0.4
     state = of.steady_amplitudes(p, (eps_L, 0.0, phi_L, 0.0))
@@ -32,7 +28,7 @@ def test_single_driven_cavity_closed_form():
     assert state.alpha_R == 0
     assert state.G_R == 0.0
     assert state.G_L == pytest.approx(
-        p.left.optical.vacuum_coupling * abs(expected), rel=1e-12)
+        p.g_L * abs(expected), rel=1e-12)
 
 
 def test_zero_drives_give_zero_fields():
@@ -65,9 +61,8 @@ def test_drives_for_target_trivial_zero():
 
 
 def test_drives_for_target_decoupled_closed_form():
-    p = _with_vacuum_coupling(of.from_table1(1e6).with_optical_hop(0.0))
-    g_L = p.left.optical.vacuum_coupling
-    g_R = p.right.optical.vacuum_coupling
+    p = _with_vacuum_coupling(replace(of.from_table1(1e6), optical_hop=0.0))
+    g_L, g_R = p.g_L, p.g_R
     target = (TWO_PI * 33e6, TWO_PI * 31e6)
     eps_L, eps_R = of.drives_for_target_G(p, target)
     expected_L = target[0] * abs(p.kappa_L / 2 - 1j * p.detuning_L) / (g_L * math.sqrt(p.kappa_eL))
@@ -107,23 +102,19 @@ def test_missing_vacuum_coupling_is_rejected():
 
 def test_singular_drive_map_raises_no_solution():
     # kappa_eL = 0 makes the left cavity undriveable
-    p = _with_vacuum_coupling(of.from_table1(1e6).with_optical_hop(0.0))
-    left = replace(p.left, optical=replace(p.left.optical, external_decay=0.0))
-    p = replace(p, left=left)
+    p = _with_vacuum_coupling(replace(of.from_table1(1e6), optical_hop=0.0))
+    p = replace(p, kappa_eL=0.0)
     with pytest.raises(of.NoSolution):
         of.drives_for_target_G(p, (TWO_PI * 1e6, TWO_PI * 1e6))
 
 
 def test_degenerate_denominator_raises():
     # kappa = 0, detuning 0, J = 0: the response denominator vanishes
-    site = lambda: of.CavitySite(
-        optical=of.OpticalMode(external_decay=0.0, internal_decay=0.0),
-        mechanical=of.MechanicalMode(frequency=TWO_PI * 5.8e9,
-                                     external_decay=TWO_PI * 1e6,
-                                     internal_decay=TWO_PI * 1e6),
-    )
     p = of.SystemParams(
-        left=site(), right=site(),
+        omega_mL=TWO_PI * 5.8e9, omega_mR=TWO_PI * 5.8e9,
+        kappa_eL=0.0, kappa_eR=0.0, kappa_iL=0.0, kappa_iR=0.0,
+        gamma_eL=TWO_PI * 1e6, gamma_eR=TWO_PI * 1e6,
+        gamma_iL=TWO_PI * 1e6, gamma_iR=TWO_PI * 1e6,
         optical_hop=0.0, mechanical_hop=0.0,
         G_L=0.0, G_R=0.0,
         detuning_L=0.0, detuning_R=0.0,

@@ -16,6 +16,12 @@ def test_frequency_grid_validation():
         of.FrequencyGrid(start=1.0, stop=2.0, points=1)
 
 
+def test_frequency_grid_rejects_non_finite_bounds():
+    for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            of.FrequencyGrid(start=start, stop=stop, points=3)
+
+
 def test_frequency_grid_values():
     grid = of.FrequencyGrid.from_hz(5.6e9, 6.1e9, 11)
     values = grid.values()
