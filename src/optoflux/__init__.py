@@ -42,13 +42,8 @@ from .response import (
     PHONON_TO_PHOTON,
     PHOTON_TO_PHONON,
     QUANTITIES,
-    GammaMediated,
-    IsolationPoint,
-    gamma_terms,
+    gamma_A,
     isolation_db,
-    phonon_isolation,
-    phonon_to_photon_isolation,
-    photon_to_phonon_isolation,
     transmission_matrix,
 )
 from .steadystate import SteadyState, drives_for_target_G, steady_amplitudes

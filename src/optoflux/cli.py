@@ -414,10 +414,10 @@ def _json_safe(x):
     return x
 
 
-def _spectrum_lines(points):
+def _spectrum_lines(omega, values):
     lines = ["frequency_hz,isolation_db"]
-    for pt in points:
-        lines.append(f"{_fmt(pt.omega / TWO_PI)},{_fmt(pt.value_db)}")
+    for w, v in zip(omega, values):
+        lines.append(f"{_fmt(w / TWO_PI)},{_fmt(v)}")
     return lines
 
 
@@ -432,16 +432,17 @@ def _fluxmap_lines(fluxmap):
 
 
 def _run_spectrum(scenario, params):
-    points = sweep.spectrum(params, scenario.quantity, scenario.build_frequency_grid())
+    grid = scenario.build_frequency_grid()
+    omega = grid.values().tolist()
+    values = sweep.spectrum(params, scenario.quantity, grid).tolist()
     if scenario.output["format"] == "csv":
-        return "\n".join(_spectrum_lines(points)) + "\n"
+        return "\n".join(_spectrum_lines(omega, values)) + "\n"
     payload = {
         "mode": "spectrum",
         "quantity": scenario.quantity,
         "points": [
-            {"frequency_hz": _json_safe(pt.omega / TWO_PI),
-             "isolation_db": _json_safe(pt.value_db)}
-            for pt in points
+            {"frequency_hz": _json_safe(w / TWO_PI), "isolation_db": _json_safe(v)}
+            for w, v in zip(omega, values)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"

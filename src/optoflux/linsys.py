@@ -158,6 +158,18 @@ def _check_det(name, det, scale):
         raise DegenerateBlock(f"{name} = {det!r} vanishes at this frequency")
 
 
+def optical_det(chi, J):
+    """det(A) = chi_aL_inv chi_aR_inv + J^2; broadcasts over array-valued chi."""
+    return chi.chi_aR_inv * chi.chi_aL_inv + J * J
+
+
+def checked_optical_det(chi, J) -> complex:
+    """:func:`optical_det` at one frequency; :class:`DegenerateBlock` if it vanishes."""
+    det_A = optical_det(chi, J)
+    _check_det("det_A", det_A, abs(chi.chi_aR_inv) * abs(chi.chi_aL_inv) + J * J)
+    return det_A
+
+
 def effective_blocks(params: SystemParams, omega: float) -> EffectiveBlocks:
     """Closed-form block inverses of M(omega).
 
@@ -173,8 +185,7 @@ def effective_blocks(params: SystemParams, omega: float) -> EffectiveBlocks:
     zphi = np.exp(1j * params.synthetic_flux)
     zphic = np.conj(zphi)
 
-    det_A = chi.chi_aR_inv * chi.chi_aL_inv + J * J
-    _check_det("det_A", det_A, abs(chi.chi_aR_inv) * abs(chi.chi_aL_inv) + J * J)
+    det_A = checked_optical_det(chi, J)
     det_B = chi.chi_bR_inv * chi.chi_bL_inv + V * V
     _check_det("det_B", det_B, abs(chi.chi_bR_inv) * abs(chi.chi_bL_inv) + V * V)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import response, sweep
-from .errors import ZeroCoupling
 from .model import SystemParams
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -81,14 +80,19 @@ def interference_condition(params: SystemParams, omega: float) -> InterferenceSo
     V* - Gamma_A e^{i flux*} = 0 exactly.  Raises :class:`ZeroCoupling` when
     Gamma_A vanishes (J or an enhanced coupling is zero).
     """
-    gamma = response.gamma_terms(params, omega)
-    if gamma.gamma_A == 0:
-        raise ZeroCoupling("Gamma_A = 0: no optical bridge to interfere with")
+    gamma = response.gamma_A(params, omega)
     return InterferenceSolution(
-        flux=-cmath.phase(gamma.gamma_A),
-        mechanical_hop=abs(gamma.gamma_A),
-        degenerate=(gamma.gamma_A.imag == 0.0),
+        flux=-cmath.phase(gamma),
+        mechanical_hop=abs(gamma),
+        degenerate=(gamma.imag == 0.0),
     )
+
+
+def _finite_bounds(name, bounds):
+    lo, hi = bounds
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"{name} must be finite with lo <= hi, got {bounds!r}")
+    return lo, hi
 
 
 def _golden_section_max(fn, lo, hi, iterations):
@@ -130,35 +134,46 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     """
     if quantity not in response.QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    flux_lo, flux_hi = search_space.flux_bounds
-    if not flux_lo <= flux_hi:
-        raise ValueError("flux bounds must satisfy lo <= hi")
-    if search_space.aux_name is not None:
-        if search_space.aux_name not in AUX_PARAMETERS:
+    flux_lo, flux_hi = _finite_bounds("flux_bounds", search_space.flux_bounds)
+    aux_name = search_space.aux_name
+    has_aux = aux_name is not None
+    if has_aux:
+        if aux_name not in AUX_PARAMETERS:
             raise ValueError(
-                f"unknown auxiliary parameter {search_space.aux_name!r}, "
+                f"unknown auxiliary parameter {aux_name!r}, "
                 f"expected one of {sorted(AUX_PARAMETERS)}"
             )
         if search_space.aux_bounds is None:
             raise ValueError("aux_bounds required when aux_name is set")
-        aux_lo, aux_hi = search_space.aux_bounds
-        if not aux_lo <= aux_hi:
-            raise ValueError("aux bounds must satisfy lo <= hi")
-    open_coords = flux_lo < flux_hi or (
-        search_space.aux_name is not None and aux_lo < aux_hi)
+        aux_lo, aux_hi = _finite_bounds("aux_bounds", search_space.aux_bounds)
+        for bound in (aux_lo, aux_hi):
+            try:
+                replace(params, **{aux_name: bound})
+            except ValueError as exc:
+                raise ValueError(f"aux_bounds: {exc}") from None
+    open_coords = flux_lo < flux_hi or (has_aux and aux_lo < aux_hi)
     if open_coords and search_space.coarse_points < 2:
         raise ValueError("coarse_points must be >= 2 for a non-collapsed search space")
     grid = search_space.frequency_grid or sweep.default_frequency_grid()
     omega = grid.values()
 
-    def apply(flux, aux):
-        candidate = params.with_flux(flux)
-        if search_space.aux_name is not None:
-            candidate = replace(candidate, **{search_space.aux_name: aux})
-        return candidate
+    # the amplitude terms depend on neither the flux nor V, so they are
+    # built once unless the searched coupling enters them
+    shared_terms = None
+    if aux_name in (None, "mechanical_hop"):
+        shared_terms = response.amplitude_terms(params, omega, quantity)
+
+    def spectrum_at(flux, aux):
+        if shared_terms is None:
+            terms = response.amplitude_terms(replace(params, **{aux_name: aux}), omega, quantity)
+        else:
+            terms = shared_terms
+        hop = aux if aux_name == "mechanical_hop" else params.mechanical_hop
+        # the flux params.with_flux(flux) would carry
+        return response.amplitude_db(terms, hop, (params.phi_R + flux) - params.phi_R)
 
     def objective(flux, aux):
-        values = response.isolation_db(apply(flux, aux), omega, quantity)
+        values = spectrum_at(flux, aux)
         if np.all(np.isnan(values)):
             return -math.inf
         return float(np.nanmax(values))
@@ -169,12 +184,10 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         return np.linspace(lo, hi, search_space.coarse_points)
 
     flux_axis = axis(flux_lo, flux_hi)
-    if search_space.aux_name is None:
-        aux_axis = np.array([math.nan])  # placeholder, never applied
-    else:
+    if has_aux:
         aux_axis = axis(aux_lo, aux_hi)
-
-    has_aux = search_space.aux_name is not None
+    else:
+        aux_axis = np.array([math.nan])  # placeholder, never applied
 
     def record(flux, aux, obj):
         return ((flux, aux if has_aux else None), obj)
@@ -192,7 +205,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     if flux_lo < flux_hi:
         half = (flux_hi - flux_lo) / (search_space.coarse_points - 1)
         coords.append(("flux", flux_lo, flux_hi, half))
-    if search_space.aux_name is not None and aux_lo < aux_hi:
+    if has_aux and aux_lo < aux_hi:
         half = (aux_hi - aux_lo) / (search_space.coarse_points - 1)
         coords.append(("aux", aux_lo, aux_hi, half))
 
@@ -216,7 +229,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
                 best_obj = fx
                 trace.append(record(best_flux, best_aux, best_obj))
 
-    final = response.isolation_db(apply(best_flux, best_aux), omega, quantity)
+    final = spectrum_at(best_flux, best_aux)
     masked = np.where(np.isnan(final), -math.inf, final)
     peak_index = int(np.argmax(masked))
     return TuneResult(

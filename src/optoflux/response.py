@@ -8,33 +8,40 @@ of M^-1 they correspond to (1-based indices inside each 2x2 block):
     photon -> phonon       (-B_eff^-1 D A^-1)[2,1] / (-B_eff^-1 D A^-1)[1,2]
     phonon -> photon       (-A_eff^-1 C B^-1)[2,1] / (-A_eff^-1 C B^-1)[1,2]
 
-Writing Gamma_A = J G_L G_R / det_A for the optically mediated
-mechanical-mechanical coupling, the phonon ratio is
-|V - Gamma_A e^{-i phi}| / |V - Gamma_A e^{+i phi}|: the direct hop V
-interferes with the optical bridge, and the interference differs between
-the two directions unless Gamma_A is real or phi is an integer multiple
-of pi.
+Every amplitude, in either direction of any channel, has one form
 
-The amplitudes are evaluated in a cleared-denominator form, e.g.
+    |g V X + Y w|,   w = e^{-i phi} forward,  w = e^{+i phi} backward,
 
-    phonon:           |V det_A - J G_L G_R e^{-i phi}|
-                  vs  |V det_A - J G_L G_R e^{+i phi}|
-    photon -> phonon: |G_L V chi_aR_inv + J G_R chi_bL_inv e^{-i phi}|
-                  vs  |G_R V chi_aL_inv + J G_L chi_bR_inv e^{+i phi}|
+with terms (g, X, Y) that depend on neither the flux phi nor the mechanical
+hop V (:func:`amplitude_terms`):
 
-which are algebraically identical to the block-element ratios but remain
-finite for vanishing couplings and at undamped optical resonances.
+    phonon             both directions   (1, det_A, -J G_L G_R)
+    photon -> phonon   forward           (G_L, chi_aR_inv, J G_R chi_bL_inv)
+                       backward          (G_R, chi_aL_inv, J G_L chi_bR_inv)
+    phonon -> photon   the photon -> phonon terms with the directions swapped
+
+Divided by det_A the phonon amplitude is |V - Gamma_A e^{-+i phi}|, where
+Gamma_A = J G_L G_R / det_A is the optically mediated mechanical coupling:
+the direct hop V interferes with the optical bridge, and the interference
+differs between the two directions unless Gamma_A is real or phi is an
+integer multiple of pi.  The swap is the conversion duality: phonon ->
+photon at flux phi is exactly minus photon -> phonon at -phi.
+
+These cleared-denominator forms are algebraically identical to the
+block-element ratios but remain finite for vanishing couplings and at
+undamped optical resonances.  Because the terms depend on neither phi nor
+V, sweeps and searches over those two build them once per frequency grid
+and rerun only :func:`amplitude_db`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linsys
-from .errors import DegenerateBlock, ZeroCoupling
+from .errors import ZeroCoupling
 from .model import SystemParams, susceptibilities
 
 PHONON = "phonon"
@@ -46,60 +53,17 @@ QUANTITIES = (PHONON, PHOTON_TO_PHONON, PHONON_TO_PHOTON)
 UNDERFLOW = 1e-300
 
 
-@dataclass(frozen=True)
-class IsolationPoint:
-    """Isolation in dB at one probe frequency (angular)."""
+def gamma_A(params: SystemParams, omega: float) -> complex:
+    """Optically mediated mechanical coupling Gamma_A = J G_L G_R / det_A.
 
-    omega: float
-    value_db: float
-
-
-@dataclass(frozen=True)
-class GammaMediated:
-    """Optically mediated coupling terms entering the closed forms.
-
-    gamma_A    = J G_L G_R / det_A           (phonon transport)
-    gamma_plus = (J / chi_aL_inv) (G_L / G_R) chi_bR_inv   (conversion, +)
-    gamma_minus= (J / chi_aR_inv) (G_R / G_L) chi_bL_inv   (conversion, -)
+    Raises :class:`ZeroCoupling` when the bridge J G_L G_R vanishes and
+    :class:`DegenerateBlock` when det_A does.
     """
-
-    gamma_A: complex
-    gamma_plus: complex
-    gamma_minus: complex
-
-
-def gamma_terms(params: SystemParams, omega: float) -> GammaMediated:
-    """Evaluate the three mediated-coupling terms at one frequency.
-
-    For J = 0 every term is zero.  With J > 0 the conversion terms divide by
-    the optical susceptibilities and by G_L, G_R: both enhanced couplings
-    must be nonzero (:class:`ZeroCoupling` otherwise), and on an exactly
-    undamped optical resonance (chi_a_inv = 0) the affected conversion term
-    is a pole and comes back as complex nan while gamma_A stays finite.
-    A vanishing det_A raises :class:`DegenerateBlock`.
-    """
-    J = params.optical_hop
-    if J == 0.0:
-        return GammaMediated(0j, 0j, 0j)
+    bridge = params.optical_hop * params.G_L * params.G_R
+    if bridge == 0.0:
+        raise ZeroCoupling("Gamma_A = 0: no optical bridge to interfere with")
     chi = susceptibilities(params, omega)
-    det_A = chi.chi_aR_inv * chi.chi_aL_inv + J * J
-    scale = abs(chi.chi_aR_inv) * abs(chi.chi_aL_inv) + J * J
-    if abs(det_A) < linsys.DEGENERACY_RTOL * scale:
-        raise DegenerateBlock(f"det_A = {det_A!r} vanishes at omega = {omega!r}")
-    if params.G_L == 0.0 or params.G_R == 0.0:
-        raise ZeroCoupling("gamma_plus/gamma_minus need both G_L and G_R nonzero")
-    undefined = complex(math.nan, math.nan)
-    return GammaMediated(
-        gamma_A=complex(J * params.G_L * params.G_R / det_A),
-        gamma_plus=(
-            complex((J / chi.chi_aL_inv) * (params.G_L / params.G_R) * chi.chi_bR_inv)
-            if chi.chi_aL_inv != 0 else undefined
-        ),
-        gamma_minus=(
-            complex((J / chi.chi_aR_inv) * (params.G_R / params.G_L) * chi.chi_bL_inv)
-            if chi.chi_aR_inv != 0 else undefined
-        ),
-    )
+    return complex(bridge / linsys.checked_optical_det(chi, params.optical_hop))
 
 
 def _ratio_db(num, den):
@@ -124,74 +88,43 @@ def _ratio_db(num, den):
     return db
 
 
-def _phonon_amplitudes(params, omega):
+def amplitude_terms(params: SystemParams, omega, quantity: str):
+    """The flux- and V-independent terms of one channel at ``omega``.
+
+    Returns ``((g, X, Y) forward, (g, X, Y) backward)`` for
+    :func:`amplitude_db`; X and Y broadcast like ``omega``.
+    """
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
     chi = susceptibilities(params, omega)
     J = params.optical_hop
-    det_A = chi.chi_aR_inv * chi.chi_aL_inv + J * J
-    bridge = J * params.G_L * params.G_R
-    z = np.exp(1j * params.synthetic_flux)
-    v_det = params.mechanical_hop * det_A
-    return np.abs(v_det - bridge * np.conj(z)), np.abs(v_det - bridge * z)
+    if quantity == PHONON:
+        terms = (1.0, linsys.optical_det(chi, J), -(J * params.G_L * params.G_R))
+        return terms, terms
+    from_left = (params.G_L, chi.chi_aR_inv, J * params.G_R * chi.chi_bL_inv)
+    from_right = (params.G_R, chi.chi_aL_inv, J * params.G_L * chi.chi_bR_inv)
+    if quantity == PHOTON_TO_PHONON:
+        return from_left, from_right
+    return from_right, from_left
 
 
-def _photon_to_phonon_amplitudes(params, omega):
-    chi = susceptibilities(params, omega)
-    J = params.optical_hop
-    V = params.mechanical_hop
-    z = np.exp(1j * params.synthetic_flux)
-    num = np.abs(params.G_L * V * chi.chi_aR_inv + J * params.G_R * chi.chi_bL_inv * np.conj(z))
-    den = np.abs(params.G_R * V * chi.chi_aL_inv + J * params.G_L * chi.chi_bR_inv * z)
-    return num, den
-
-
-def _phonon_to_photon_amplitudes(params, omega):
-    chi = susceptibilities(params, omega)
-    J = params.optical_hop
-    V = params.mechanical_hop
-    z = np.exp(1j * params.synthetic_flux)
-    num = np.abs(params.G_R * V * chi.chi_aL_inv + J * params.G_L * chi.chi_bR_inv * np.conj(z))
-    den = np.abs(params.G_L * V * chi.chi_aR_inv + J * params.G_R * chi.chi_bL_inv * z)
-    return num, den
-
-
-_AMPLITUDES = {
-    PHONON: _phonon_amplitudes,
-    PHOTON_TO_PHONON: _photon_to_phonon_amplitudes,
-    PHONON_TO_PHOTON: _phonon_to_photon_amplitudes,
-}
+def amplitude_db(terms, mechanical_hop: float, flux: float):
+    """Isolation in dB, |g V X + Y e^{-i flux}| over |g V X + Y e^{+i flux}|."""
+    (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
+    z = np.exp(1j * flux)
+    forward = np.abs((g_f * mechanical_hop) * x_f + y_f * np.conj(z))
+    backward = np.abs((g_b * mechanical_hop) * x_b + y_b * z)
+    return _ratio_db(forward, backward)
 
 
 def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     """Isolation in dB for one transport/conversion channel.
 
     ``omega`` may be a float or an ndarray of probe frequencies; the return
-    matches.  This is the vector workhorse behind the scalar operations and
-    the sweep module.
+    matches.
     """
-    try:
-        amplitudes = _AMPLITUDES[quantity]
-    except KeyError:
-        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}") from None
-    num, den = amplitudes(params, np.asarray(omega, dtype=float))
-    return _ratio_db(num, den)
-
-
-def phonon_isolation(params: SystemParams, omega: float) -> IsolationPoint:
-    """Forward/backward phonon transmission ratio in dB at one frequency."""
-    num, den = _phonon_amplitudes(params, float(omega))
-    return IsolationPoint(omega=float(omega), value_db=_ratio_db(num, den))
-
-
-def photon_to_phonon_isolation(params: SystemParams, omega: float) -> IsolationPoint:
-    """Forward (L->R) over backward (R->L) photon-to-phonon conversion, dB."""
-    num, den = _photon_to_phonon_amplitudes(params, float(omega))
-    return IsolationPoint(omega=float(omega), value_db=_ratio_db(num, den))
-
-
-def phonon_to_photon_isolation(params: SystemParams, omega: float) -> IsolationPoint:
-    """Forward (L->R) over backward (R->L) phonon-to-photon conversion, dB."""
-    num, den = _phonon_to_photon_amplitudes(params, float(omega))
-    return IsolationPoint(omega=float(omega), value_db=_ratio_db(num, den))
+    terms = amplitude_terms(params, np.asarray(omega, dtype=float), quantity)
+    return amplitude_db(terms, params.mechanical_hop, params.synthetic_flux)
 
 
 def transmission_matrix(params: SystemParams, omega: float) -> np.ndarray:
@@ -200,8 +133,8 @@ def transmission_matrix(params: SystemParams, omega: float) -> np.ndarray:
     Returns M^-1(omega) . diag(sqrt(kappa_eL), sqrt(kappa_eR),
     sqrt(gamma_eL), sqrt(gamma_eR)) built from the closed-form blocks.  The
     external-coupling factors cancel out of same-species ratios only when
-    the two ports share the coupling rate; the isolation functions above
-    follow the bare block-element convention instead.
+    the two ports share the coupling rate; :func:`isolation_db` follows the
+    bare block-element convention instead.
     """
     blocks = linsys.effective_blocks(params, omega)
     ports = np.sqrt(

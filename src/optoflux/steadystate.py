@@ -88,8 +88,9 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     zero external coupling) and a nonzero target makes that matter.
     """
     target_L, target_R = target
-    if target_L < 0.0 or target_R < 0.0:
-        raise ValueError("target couplings must be >= 0")
+    # written negated so that NaN fails too
+    if not (0.0 <= target_L < math.inf and 0.0 <= target_R < math.inf):
+        raise ValueError(f"target couplings must be finite and >= 0, got {target!r}")
     if target_L == 0.0 and target_R == 0.0:
         return (0j, 0j)
     if target_L > 0.0 and params.g_L == 0.0:

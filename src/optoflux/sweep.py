@@ -9,6 +9,7 @@ mechanical linewidths produce inside the 5.6-6.1 GHz band.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,10 @@ class FrequencyGrid:
     points: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ValueError(f"grid points must be an integer, got {self.points!r}") from None
         if not -math.inf < self.start < self.stop < math.inf:
             raise ValueError(f"grid start {self.start!r} must be < stop {self.stop!r}, both finite")
         if self.points < 2:
@@ -63,31 +68,32 @@ class FluxMap:
     quantity: str
 
 
-def spectrum(params: SystemParams, quantity: str, grid: FrequencyGrid):
-    """Isolation at every grid frequency, in grid order.
+def spectrum(params: SystemParams, quantity: str, grid: FrequencyGrid) -> np.ndarray:
+    """Isolation in dB at every grid frequency, in grid order.
 
     Undefined points surface as non-finite sentinel values (inf for a perfect
     null, nan for degenerate input) instead of aborting the sweep.
     """
-    omega = grid.values()
-    values = response.isolation_db(params, omega, quantity)
-    return [response.IsolationPoint(omega=float(w), value_db=float(v))
-            for w, v in zip(omega, values)]
+    return response.isolation_db(params, grid.values(), quantity)
 
 
 def flux_map(params: SystemParams, quantity: str, flux_grid, freq_grid: FrequencyGrid) -> FluxMap:
     """Evaluate one quantity over a full (flux, frequency) product grid.
 
-    Rows are independent; the result is deterministic for fixed inputs
-    regardless of how the evaluation is scheduled.
+    The flux-independent amplitude terms are built once; each row then
+    costs one kernel evaluation.
     """
     flux_axis = np.asarray(flux_grid, dtype=float)
     if flux_axis.ndim != 1 or flux_axis.size < 1:
         raise ValueError("flux grid must be a non-empty 1D array of radians")
+    if not np.all(np.isfinite(flux_axis)):
+        raise ValueError("flux grid values must be finite")
     omega = freq_grid.values()
+    terms = response.amplitude_terms(params, omega, quantity)
     values = np.empty((flux_axis.size, omega.size), dtype=float)
-    for i, flux in enumerate(flux_axis):
-        values[i, :] = response.isolation_db(params.with_flux(flux), omega, quantity)
+    # the fluxes params.with_flux(flux) would carry, without building params
+    for i, flux in enumerate((params.phi_R + flux_axis) - params.phi_R):
+        values[i, :] = response.amplitude_db(terms, params.mechanical_hop, flux)
     values.setflags(write=False)
     flux_axis = flux_axis.copy()
     flux_axis.setflags(write=False)

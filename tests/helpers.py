@@ -15,10 +15,8 @@ ORACLE_ELEMENTS = {
 }
 
 
-def random_params(rng):
-    """Reference rates scaled log-uniformly over +-2 decades, random phases."""
-    s = 10.0 ** rng.uniform(-2.0, 2.0, size=8)
-    phi_L, phi_R = rng.uniform(0.0, of.TWO_PI, size=2)
+def scaled_params(s, phi_L=0.0, phi_R=0.0):
+    """Reference rates with the eight rate groups scaled by the factors ``s``."""
     return of.SystemParams.red_detuned(
         omega_mL=of.TWO_PI * 5.7884e9,
         omega_mR=of.TWO_PI * 5.7791e9,
@@ -37,6 +35,13 @@ def random_params(rng):
         phi_L=phi_L,
         phi_R=phi_R,
     )
+
+
+def random_params(rng):
+    """Reference rates scaled log-uniformly over +-2 decades, random phases."""
+    s = 10.0 ** rng.uniform(-2.0, 2.0, size=8)
+    phi_L, phi_R = rng.uniform(0.0, of.TWO_PI, size=2)
+    return scaled_params(s, phi_L, phi_R)
 
 
 def random_omega(rng):

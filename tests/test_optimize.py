@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ def test_interference_condition_nulls_backward_amplitude():
     p0 = of.from_table1(0.0)
     omegas = [TWO_PI * 5.85e9, TWO_PI * 5.9e9] + [random_omega(rng) for _ in range(20)]
     for omega in omegas:
-        gamma = of.gamma_terms(p0, omega).gamma_A
+        gamma = of.gamma_A(p0, omega)
         sol = of.interference_condition(p0, omega)
         null = abs(sol.mechanical_hop - gamma * cmath.exp(1j * sol.flux))
         assert null <= 1e-12 * abs(gamma)
@@ -38,7 +39,7 @@ def test_interference_condition_randomized_params():
     for _ in range(50):
         p = random_params(rng)
         omega = random_omega(rng)
-        gamma = of.gamma_terms(p, omega).gamma_A
+        gamma = of.gamma_A(p, omega)
         sol = of.interference_condition(p, omega)
         assert abs(sol.mechanical_hop - gamma * cmath.exp(1j * sol.flux)) <= 1e-12 * abs(gamma)
 
@@ -59,14 +60,14 @@ def test_interference_condition_quadrature_case():
         G_L=TWO_PI * 33e6, G_R=TWO_PI * 31e6,
         detuning_L=delta, detuning_R=delta,
     )
-    gamma = of.gamma_terms(p, omega).gamma_A
+    gamma = of.gamma_A(p, omega)
     assert gamma.real == 0.0 and gamma.imag > 0.0
     sol = of.interference_condition(p, omega)
     assert sol.flux == -math.pi / 2
     assert sol.mechanical_hop == abs(gamma)
     assert not sol.degenerate
     tuned = replace(p, mechanical_hop=sol.mechanical_hop).with_flux(sol.flux)
-    assert of.phonon_isolation(tuned, omega).value_db > 300.0
+    assert of.isolation_db(tuned, omega, of.PHONON) > 300.0
 
 
 def test_interference_condition_flags_real_gamma():
@@ -185,6 +186,45 @@ def test_tune_rejects_nan_bounds():
     with pytest.raises(ValueError):
         of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=(0, 1), aux_name="G_L",
                                              aux_bounds=(math.nan, 1.0)))
+
+
+def test_tune_rejects_non_finite_bounds():
+    p = of.from_table1(1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flux_bounds in ((-math.inf, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="flux_bounds"):
+                of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=flux_bounds))
+        for aux_name, aux_bounds in (("G_L", (0.0, math.inf)),
+                                     ("optical_hop", (-math.inf, 1.0)),
+                                     ("mechanical_hop", (-1.0, 1.0))):
+            with pytest.raises(ValueError, match="aux_bounds"):
+                of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=(0, 1), aux_name=aux_name,
+                                                     aux_bounds=aux_bounds))
+
+
+def test_tune_peak_matches_isolation_db_exactly():
+    # candidates skip building SystemParams; the reported peak must still be
+    # exactly what isolation_db gives at the reported point
+    p = replace(of.from_table1(2e6), phi_L=0.5, phi_R=0.37)
+    grid = _small_grid()
+    bounds = {"mechanical_hop": (TWO_PI * 0.1e6, TWO_PI * 20e6),
+              "optical_hop": (TWO_PI * 50e6, TWO_PI * 200e6),
+              "G_L": (TWO_PI * 10e6, TWO_PI * 60e6),
+              "G_R": (TWO_PI * 10e6, TWO_PI * 60e6),
+              None: None}
+    for quantity in of.QUANTITIES:
+        for aux_name, aux_bounds in bounds.items():
+            space = of.SearchSpace(flux_bounds=(-math.pi, math.pi), aux_name=aux_name,
+                                   aux_bounds=aux_bounds, frequency_grid=grid,
+                                   coarse_points=5, golden_iterations=6, descent_sweeps=1)
+            result = of.tune(p, quantity, space)
+            best = p.with_flux(result.best_flux)
+            if aux_name is not None:
+                best = replace(best, **{aux_name: result.best_aux})
+            values = of.isolation_db(best, grid.values(), quantity)
+            assert result.peak_db == np.nanmax(values)
+            assert result.trace[-1][1] == result.peak_db
 
 
 def test_tune_validates_inputs():

@@ -36,46 +36,66 @@ def _lossless(flux=0.0, equal_detunings=True):
     return p
 
 
+def _ratio(terms):
+    """Y / (g X): the mediated coupling the hop V interferes with."""
+    g, x, y = terms
+    return y / (g * x)
+
+
 def test_gamma_terms_reference_point():
-    g = of.gamma_terms(_params_585(), TWO_PI * 5.85e9)
-    for name, expected in GAMMA_585.items():
-        got = getattr(g, name)
-        assert got.real == pytest.approx(expected.real, rel=1e-12)
-        assert got.imag == pytest.approx(expected.imag, rel=1e-12)
+    p = _params_585()
+    omega = TWO_PI * 5.85e9
+    phonon, _ = of.response.amplitude_terms(p, omega, of.PHONON)
+    forward, backward = of.response.amplitude_terms(p, omega, of.PHOTON_TO_PHONON)
+    got = {
+        "gamma_A": of.gamma_A(p, omega),
+        "gamma_A_from_terms": -_ratio(phonon),
+        "gamma_plus": _ratio(backward),
+        "gamma_minus": _ratio(forward),
+    }
+    for name, value in got.items():
+        expected = GAMMA_585[name.replace("_from_terms", "")]
+        assert value.real == pytest.approx(expected.real, rel=1e-12), name
+        assert value.imag == pytest.approx(expected.imag, rel=1e-12), name
 
 
 def test_gamma_terms_no_bridge():
+    # J = 0 removes the bridge term Y from every amplitude
     p = replace(of.from_table1(1e6), optical_hop=0.0)
-    g = of.gamma_terms(p, TWO_PI * 5.85e9)
-    assert g.gamma_A == 0 and g.gamma_plus == 0 and g.gamma_minus == 0
+    omega = TWO_PI * 5.85e9
+    for quantity in of.QUANTITIES:
+        for _, _, y in of.response.amplitude_terms(p, omega, quantity):
+            assert y == 0
+    with pytest.raises(of.ZeroCoupling):
+        of.gamma_A(p, omega)
 
 
 def test_gamma_terms_lossless_on_resonance():
     # kappa = 0 with omega on both (equal) resonances: gamma_A = G_L G_R / J real
     p = _lossless()
     omega = -p.detuning_L
-    g = of.gamma_terms(p, omega)
-    assert g.gamma_A.imag == 0.0
-    assert g.gamma_A.real == pytest.approx(p.G_L * p.G_R / p.optical_hop, rel=1e-14)
-    # the conversion terms are poles there and flagged as undefined
-    assert math.isnan(g.gamma_plus.real) and math.isnan(g.gamma_minus.real)
+    gamma = of.gamma_A(p, omega)
+    assert gamma.imag == 0.0
+    assert gamma.real == pytest.approx(p.G_L * p.G_R / p.optical_hop, rel=1e-14)
+    # gamma_plus and gamma_minus are poles there (X = chi_a_inv = 0), but the
+    # cleared-denominator conversion amplitudes stay finite
+    for g, x, y in of.response.amplitude_terms(p, omega, of.PHOTON_TO_PHONON):
+        assert x == 0 and y != 0
+    for quantity in (of.PHOTON_TO_PHONON, of.PHONON_TO_PHOTON):
+        assert math.isfinite(of.isolation_db(p.with_flux(0.7), omega, quantity))
 
 
 def test_gamma_terms_rejects_zero_enhanced_coupling():
     p = replace(of.from_table1(1e6), G_L=0.0)
     with pytest.raises(of.ZeroCoupling):
-        of.gamma_terms(p, TWO_PI * 5.85e9)
+        of.gamma_A(p, TWO_PI * 5.85e9)
 
 
 def test_isolations_reference_point():
     p = _params_585()
     omega = TWO_PI * 5.85e9
-    assert of.phonon_isolation(p, omega).value_db == pytest.approx(
-        ISO_585[of.PHONON], abs=1e-9)
-    assert of.photon_to_phonon_isolation(p, omega).value_db == pytest.approx(
-        ISO_585[of.PHOTON_TO_PHONON], abs=1e-9)
-    assert of.phonon_to_photon_isolation(p, omega).value_db == pytest.approx(
-        ISO_585[of.PHONON_TO_PHOTON], abs=1e-9)
+    for quantity, expected in ISO_585.items():
+        assert of.isolation_db(p, omega, quantity) == pytest.approx(expected, abs=1e-9)
 
 
 def test_phonon_isolation_zero_flux_is_exactly_reciprocal():
@@ -175,8 +195,8 @@ def test_perfect_isolation_sentinels():
     # photon->phonon amplitude vanishes identically
     p = replace(of.from_table1(2e6), optical_hop=0.0, G_L=0.0)
     omega = TWO_PI * 5.8e9
-    assert of.photon_to_phonon_isolation(p, omega).value_db == -math.inf
-    assert of.phonon_to_photon_isolation(p, omega).value_db == math.inf
+    assert of.isolation_db(p, omega, of.PHOTON_TO_PHONON) == -math.inf
+    assert of.isolation_db(p, omega, of.PHONON_TO_PHOTON) == math.inf
 
 
 def test_isolation_db_validates_quantity():
@@ -185,10 +205,13 @@ def test_isolation_db_validates_quantity():
 
 
 def test_isolation_point_records_frequency():
+    # one frequency in, one float out, equal to that entry of an array call
     omega = TWO_PI * 5.87e9
-    pt = of.phonon_isolation(of.from_table1(1e6, flux=0.3), omega)
-    assert pt.omega == omega
-    assert math.isfinite(pt.value_db)
+    p = of.from_table1(1e6, flux=0.3)
+    value = of.isolation_db(p, omega, of.PHONON)
+    assert isinstance(value, float) and math.isfinite(value)
+    omegas = np.array([TWO_PI * 5.8e9, omega])
+    assert of.isolation_db(p, omegas, of.PHONON)[1] == value
 
 
 def test_phonon_isolation_matches_mechanical_block_ratio():
@@ -196,7 +219,7 @@ def test_phonon_isolation_matches_mechanical_block_ratio():
     omega = TWO_PI * 5.895e9
     blocks = of.effective_blocks(p, omega)
     ratio_db = 20 * math.log10(abs(blocks.B_eff_inv[1, 0]) / abs(blocks.B_eff_inv[0, 1]))
-    assert of.phonon_isolation(p, omega).value_db == pytest.approx(ratio_db, abs=1e-9)
+    assert of.isolation_db(p, omega, of.PHONON) == pytest.approx(ratio_db, abs=1e-9)
 
 
 def test_conversion_isolation_matches_conversion_blocks():
@@ -205,9 +228,9 @@ def test_conversion_isolation_matches_conversion_blocks():
     blocks = of.effective_blocks(p, omega)
     p2b = blocks.conv_photon_to_phonon
     b2p = blocks.conv_phonon_to_photon
-    assert of.photon_to_phonon_isolation(p, omega).value_db == pytest.approx(
+    assert of.isolation_db(p, omega, of.PHOTON_TO_PHONON) == pytest.approx(
         20 * math.log10(abs(p2b[1, 0]) / abs(p2b[0, 1])), abs=1e-9)
-    assert of.phonon_to_photon_isolation(p, omega).value_db == pytest.approx(
+    assert of.isolation_db(p, omega, of.PHONON_TO_PHOTON) == pytest.approx(
         20 * math.log10(abs(b2p[1, 0]) / abs(b2p[0, 1])), abs=1e-9)
 
 
@@ -241,4 +264,4 @@ def test_transmission_ratio_gives_phonon_isolation_for_equal_ports():
     omega = TWO_PI * 5.884e9
     t = of.transmission_matrix(p, omega)
     ratio_db = 20 * math.log10(abs(t[3, 2]) / abs(t[2, 3]))
-    assert of.phonon_isolation(p, omega).value_db == pytest.approx(ratio_db, abs=1e-9)
+    assert of.isolation_db(p, omega, of.PHONON) == pytest.approx(ratio_db, abs=1e-9)

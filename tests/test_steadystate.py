@@ -60,6 +60,13 @@ def test_drives_for_target_trivial_zero():
     assert of.drives_for_target_G(p, (0.0, 0.0)) == (0j, 0j)
 
 
+def test_drives_for_target_rejects_bad_targets():
+    p = _with_vacuum_coupling(of.from_table1(1e6))
+    for target in ((math.nan, 1e6), (1e6, math.nan), (-1.0, 1e6), (math.inf, 1e6)):
+        with pytest.raises(ValueError, match="target couplings"):
+            of.drives_for_target_G(p, target)
+
+
 def test_drives_for_target_decoupled_closed_form():
     p = _with_vacuum_coupling(replace(of.from_table1(1e6), optical_hop=0.0))
     g_L, g_R = p.g_L, p.g_R

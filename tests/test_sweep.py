@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ def test_frequency_grid_rejects_non_finite_bounds():
             of.FrequencyGrid(start=start, stop=stop, points=3)
 
 
+def test_frequency_grid_rejects_non_integer_points():
+    for points in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            of.FrequencyGrid(start=0.0, stop=1.0, points=points)
+    assert of.FrequencyGrid(start=0.0, stop=1.0, points=np.int64(3)).values().shape == (3,)
+
+
 def test_frequency_grid_values():
     grid = of.FrequencyGrid.from_hz(5.6e9, 6.1e9, 11)
     values = grid.values()
@@ -41,30 +49,26 @@ def test_default_grids():
 
 def test_spectrum_zero_flux_phonon_is_flat_zero():
     p = of.from_table1(2e6, flux=0.0)
-    points = of.spectrum(p, of.PHONON, of.FrequencyGrid.from_hz(5.6e9, 6.1e9, 101))
-    assert len(points) == 101
-    assert all(pt.value_db == 0.0 for pt in points)
+    values = of.spectrum(p, of.PHONON, of.FrequencyGrid.from_hz(5.6e9, 6.1e9, 101))
+    assert values.shape == (101,)
+    assert np.all(values == 0.0)
 
 
 def test_spectrum_two_points():
     p = of.from_table1(2e6, flux=0.4)
     grid = of.FrequencyGrid.from_hz(5.7e9, 5.9e9, 2)
-    points = of.spectrum(p, of.PHONON, grid)
-    assert len(points) == 2
-    assert [pt.omega for pt in points] == list(grid.values())
+    values = of.spectrum(p, of.PHONON, grid)
+    assert values.shape == (2,)
+    assert np.array_equal(values, of.isolation_db(p, grid.values(), of.PHONON))
 
 
 def test_spectrum_matches_scalar_operations():
     p = of.from_table1(1.5e6, flux=0.9)
     grid = of.FrequencyGrid.from_hz(5.7e9, 6.0e9, 17)
-    for quantity, op in [
-        (of.PHONON, of.phonon_isolation),
-        (of.PHOTON_TO_PHONON, of.photon_to_phonon_isolation),
-        (of.PHONON_TO_PHOTON, of.phonon_to_photon_isolation),
-    ]:
-        points = of.spectrum(p, quantity, grid)
-        for pt in points[::4]:
-            assert pt.value_db == pytest.approx(op(p, pt.omega).value_db, abs=1e-12)
+    for quantity in of.QUANTITIES:
+        values = of.spectrum(p, quantity, grid)
+        for omega, value in zip(grid.values()[::4], values[::4]):
+            assert value == pytest.approx(of.isolation_db(p, float(omega), quantity), abs=1e-12)
 
 
 def test_flux_map_shape_and_tag():
@@ -112,6 +116,27 @@ def test_flux_map_rejects_bad_axis():
         of.flux_map(p, of.PHONON, np.zeros((2, 2)), grid)
     with pytest.raises(ValueError):
         of.flux_map(p, of.PHONON, [], grid)
+
+
+def test_flux_map_rejects_non_finite_flux():
+    p = of.from_table1(1e6)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 4)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            of.flux_map(p, of.PHONON, [0.0, bad], grid)
+
+
+def test_flux_map_rows_match_isolation_db_exactly():
+    # rows reuse one set of amplitude terms; each equals a fresh evaluation
+    # phi_R = 2.9 makes (phi_R + flux) - phi_R differ from flux on 9 rows
+    p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
+    flux_axis = np.linspace(-2 * math.pi, 2 * math.pi, 41)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 6.0e9, 31)
+    for quantity in of.QUANTITIES:
+        fm = of.flux_map(p, quantity, flux_axis, grid)
+        for flux, row in zip(flux_axis, fm.values):
+            expected = of.isolation_db(p.with_flux(flux), grid.values(), quantity)
+            assert np.array_equal(row, expected)
 
 
 def test_sweep_rejects_unknown_quantity():
