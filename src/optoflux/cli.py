@@ -61,14 +61,12 @@ _PARAMS = {
     "flux_pi": (("flux",), math.pi, None, False),
     "drive_phase_pi": (("phi_L", "phi_R"), math.pi, None, False),
 }
-_TUNE_KEYS = {
-    "flux_bounds_pi",
-    "aux",
-    "aux_bounds_hz",
-    "coarse_points",
-    "golden_iterations",
-    "descent_sweeps",
-}
+# tune budget key -> its minimum; the defaults are those of optimize.SearchSpace
+_TUNE_BUDGET = {"coarse_points": 1, "golden_iterations": 0, "descent_sweeps": 0}
+_TUNE_KEYS = {"flux_bounds_pi", "aux", "aux_bounds_hz", *_TUNE_BUDGET}
+# the most frequency points (times flux points in fluxmap mode) a scenario
+# may ask for, so that a typo fails at validation instead of in allocation
+MAX_GRID_CELLS = 10**8
 _STEADY_KEYS = {"drive_amplitude", "drive_phase_pi", "target_enhanced_coupling_hz"}
 
 
@@ -243,6 +241,10 @@ class Scenario:
             )
         elif "flux_grid" in raw:
             _fail("flux_grid", f"only applicable to fluxmap mode, not {mode}")
+        cells = frequency_grid["points"] * (flux_grid["points"] if flux_grid else 1)
+        if cells > MAX_GRID_CELLS:
+            key = "frequency_grid.points" + (" x flux_grid.points" if flux_grid else "")
+            _fail(key, f"{cells} grid cells exceed the limit of {MAX_GRID_CELLS}")
 
         tune = None
         if mode == "tune":
@@ -301,11 +303,9 @@ class Scenario:
             out["aux_bounds_hz"] = [alo, ahi]
         elif "aux_bounds_hz" in raw:
             _fail("tune.aux_bounds_hz", "only applicable when aux is set")
-        out["coarse_points"] = _integer("tune.coarse_points", raw.get("coarse_points", 33), 1)
-        out["golden_iterations"] = _integer("tune.golden_iterations",
-                                            raw.get("golden_iterations", 40), 0)
-        out["descent_sweeps"] = _integer("tune.descent_sweeps",
-                                         raw.get("descent_sweeps", 3), 0)
+        for key, minimum in _TUNE_BUDGET.items():
+            default = getattr(optimize.SearchSpace, key)
+            out[key] = _integer(f"tune.{key}", raw.get(key, default), minimum)
         return out
 
     @staticmethod
@@ -399,104 +399,98 @@ class Scenario:
 # -- serialization -------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits; non-finite values as inf / -inf / nan."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
+def _csv(header, *columns):
+    """CSV chunks: the header row, then one row per entry of the columns.
+
+    Numbers carry 12 significant digits; "%.12g" prints non-finite values as
+    inf, -inf and nan.
+    """
+    table = np.column_stack(columns)
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    yield ",".join(header) + "\n"
+    # row by row: a whole-table tolist() would hold every cell as an object
+    for row in table:
+        yield line % tuple(row.tolist())
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return _fmt(x)
-    return x
+def _json(payload):
+    """JSON chunks of ``payload``, indented by 2, then a final newline."""
+    yield from json.JSONEncoder(indent=2).iterencode(payload)
+    yield "\n"
 
 
-def _spectrum_lines(omega, values):
-    lines = ["frequency_hz,isolation_db"]
-    for w, v in zip(omega, values):
-        lines.append(f"{_fmt(w / TWO_PI)},{_fmt(v)}")
-    return lines
-
-
-def _fluxmap_lines(fluxmap):
-    header = ["frequency_hz"] + [_fmt(f / math.pi) for f in fluxmap.flux_axis]
-    lines = [",".join(header)]
-    freqs = fluxmap.freq_axis.values() / TWO_PI
-    for j, freq in enumerate(freqs):
-        row = [_fmt(freq)] + [_fmt(v) for v in fluxmap.values[:, j]]
-        lines.append(",".join(row))
-    return lines
+def _json_values(values):
+    """An array or scalar as nested lists of floats for :func:`_json`, with
+    non-finite cells as "inf", "-inf" and "nan", which JSON has no literal for."""
+    values = np.asarray(values, dtype=float)
+    out = values.astype(object)
+    out[np.isposinf(values)] = "inf"
+    out[np.isneginf(values)] = "-inf"
+    out[np.isnan(values)] = "nan"
+    return out.tolist()
 
 
 def _run_spectrum(scenario, params):
     grid = scenario.build_frequency_grid()
-    omega = grid.values().tolist()
-    values = sweep.spectrum(params, scenario.quantity, grid).tolist()
+    freqs = grid.values() / TWO_PI
+    values = sweep.spectrum(params, scenario.quantity, grid)
     if scenario.output["format"] == "csv":
-        return "\n".join(_spectrum_lines(omega, values)) + "\n"
-    payload = {
+        return _csv(["frequency_hz", "isolation_db"], freqs, values)
+    return _json({
         "mode": "spectrum",
         "quantity": scenario.quantity,
         "points": [
-            {"frequency_hz": _json_safe(w / TWO_PI), "isolation_db": _json_safe(v)}
-            for w, v in zip(omega, values)
+            {"frequency_hz": w, "isolation_db": v}
+            for w, v in zip(_json_values(freqs), _json_values(values))
         ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def _run_fluxmap(scenario, params):
     fm = sweep.flux_map(params, scenario.quantity, scenario.build_flux_axis(),
                         scenario.build_frequency_grid())
+    flux_pi = fm.flux_axis / math.pi
+    freqs = fm.freq_axis.values() / TWO_PI
     if scenario.output["format"] == "csv":
-        return "\n".join(_fluxmap_lines(fm)) + "\n"
-    payload = {
+        header = ["frequency_hz"] + ["%.12g" % f for f in flux_pi.tolist()]
+        return _csv(header, freqs, *fm.values)
+    return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
-        "flux_pi": [f / math.pi for f in fm.flux_axis],
-        "frequency_hz": [w / TWO_PI for w in fm.freq_axis.values()],
-        "isolation_db": [[_json_safe(float(v)) for v in row] for row in fm.values],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        "flux_pi": _json_values(flux_pi),
+        "frequency_hz": _json_values(freqs),
+        "isolation_db": _json_values(fm.values),
+    })
 
 
 def _run_tune(scenario, params):
     result = optimize.tune(params, scenario.quantity, scenario.build_search_space())
+    aux = scenario.tune.get("aux")
     aux_hz = None if result.best_aux is None else result.best_aux / TWO_PI
     if scenario.output["format"] == "csv":
-        lines = [
-            "best_flux_rad,best_flux_pi,best_aux_name,best_aux_hz,peak_db,peak_frequency_hz",
-            ",".join([
-                _fmt(result.best_flux),
-                _fmt(result.best_flux / math.pi),
-                scenario.tune.get("aux") or "",
-                "" if aux_hz is None else _fmt(aux_hz),
-                _fmt(result.peak_db),
-                _fmt(result.peak_frequency / TWO_PI),
-            ]),
-        ]
-        return "\n".join(lines) + "\n"
-    payload = {
+        aux_cell = "" if aux_hz is None else "%.12g" % aux_hz
+        return ["best_flux_rad,best_flux_pi,best_aux_name,best_aux_hz,peak_db,peak_frequency_hz\n",
+                "%.12g,%.12g,%s,%s,%.12g,%.12g\n" % (
+                    result.best_flux, result.best_flux / math.pi, aux or "", aux_cell,
+                    result.peak_db, result.peak_frequency / TWO_PI)]
+    objectives = _json_values([obj for _, obj in result.trace])
+    return _json({
         "mode": "tune",
         "quantity": scenario.quantity,
         "best_flux_rad": result.best_flux,
         "best_flux_pi": result.best_flux / math.pi,
         "best_flux_wrapped_pi": wrap_phase(result.best_flux) / math.pi,
-        "best_aux_name": scenario.tune.get("aux"),
+        "best_aux_name": aux,
         "best_aux_hz": aux_hz,
-        "peak_db": _json_safe(result.peak_db),
+        "peak_db": _json_values(result.peak_db),
         "peak_frequency_hz": result.peak_frequency / TWO_PI,
         "trace": [
-            {"flux_rad": it[0],
-             "aux_hz": None if it[1] is None else it[1] / TWO_PI,
-             "objective_db": _json_safe(obj)}
-            for it, obj in result.trace
+            {"flux_rad": flux,
+             "aux_hz": None if aux_value is None else aux_value / TWO_PI,
+             "objective_db": obj}
+            for ((flux, aux_value), _), obj in zip(result.trace, objectives)
         ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def _run_steadystate(scenario, params):
@@ -530,11 +524,8 @@ def _run_steadystate(scenario, params):
         "phi_R_rad": drives[3],
     }
     if scenario.output["format"] == "csv":
-        lines = [",".join(fields), ",".join(_fmt(v) for v in fields.values())]
-        return "\n".join(lines) + "\n"
-    payload = {"mode": "steadystate"}
-    payload.update({k: _json_safe(v) for k, v in fields.items()})
-    return json.dumps(payload, indent=2) + "\n"
+        return _csv(fields, *fields.values())
+    return _json({"mode": "steadystate", **dict(zip(fields, _json_values(list(fields.values()))))})
 
 
 _RUNNERS = {
@@ -554,10 +545,11 @@ def run(scenario: Scenario) -> str:
     """
     try:
         params = scenario.build_params()
-        text = _RUNNERS[scenario.mode](scenario, params)
+        # a runner does all numerical work here and returns chunks that only
+        # format it, so value-level rejections from the model or search layers
+        # surface before the file is opened, as scenario problems
+        chunks = _RUNNERS[scenario.mode](scenario, params)
     except ValueError as exc:
-        # value-level rejections from the model or search layers are
-        # scenario problems, same as schema failures
         raise ConfigError(str(exc)) from None
     path = scenario.output["path"]
     # write beside the target and rename over it, so an interrupted run never
@@ -565,7 +557,7 @@ def run(scenario: Scenario) -> str:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(OSError):

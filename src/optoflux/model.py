@@ -119,6 +119,11 @@ class SystemParams:
         """Copy with phi_L moved so that phi_L - phi_R equals ``flux``."""
         return replace(self, phi_L=self.phi_R + flux)
 
+    def carried_flux(self, flux):
+        """``with_flux(flux).synthetic_flux``, rounded as phi_L rounds it;
+        ``flux`` may be an array, so sweeps need no copy per value."""
+        return (self.phi_R + flux) - self.phi_R
+
 
 @dataclass(frozen=True, eq=False)
 class Susceptibilities:

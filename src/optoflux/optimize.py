@@ -169,8 +169,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         else:
             terms = shared_terms
         hop = aux if aux_name == "mechanical_hop" else params.mechanical_hop
-        # the flux params.with_flux(flux) would carry
-        return response.amplitude_db(terms, hop, (params.phi_R + flux) - params.phi_R)
+        return response.amplitude_db(terms, hop, params.carried_flux(flux))
 
     def objective(flux, aux):
         values = spectrum_at(flux, aux)

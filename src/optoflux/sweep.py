@@ -91,8 +91,7 @@ def flux_map(params: SystemParams, quantity: str, flux_grid, freq_grid: Frequenc
     omega = freq_grid.values()
     terms = response.amplitude_terms(params, omega, quantity)
     values = np.empty((flux_axis.size, omega.size), dtype=float)
-    # the fluxes params.with_flux(flux) would carry, without building params
-    for i, flux in enumerate((params.phi_R + flux_axis) - params.phi_R):
+    for i, flux in enumerate(params.carried_flux(flux_axis)):
         values[i, :] = response.amplitude_db(terms, params.mechanical_hop, flux)
     values.setflags(write=False)
     flux_axis = flux_axis.copy()

@@ -111,8 +111,9 @@ def test_preset_flag_and_overrides(tmp_path):
 
 
 def test_fluxmap_matches_committed_golden(tmp_path):
-    out = tmp_path / "fm.csv"
-    config = _write(tmp_path, f"""
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"fm.{fmt}"
+        config = _write(tmp_path, f"""
 mode: fluxmap
 quantity: phonon
 params:
@@ -120,10 +121,10 @@ params:
   mechanical_hop_hz: 520e3
 flux_grid: {{start_pi: -1.0, stop_pi: 1.0, points: 5}}
 frequency_grid: {{start_hz: 5.8e9, stop_hz: 5.9e9, points: 4}}
-output: {{path: {out}, format: csv}}
+output: {{path: {out}, format: {fmt}}}
 """)
-    assert _run(["run", config]) == 0
-    assert out.read_text() == (DATA / "fluxmap_small.csv").read_text()
+        assert _run(["run", config]) == 0
+        assert out.read_bytes() == (DATA / f"fluxmap_small.{fmt}").read_bytes()
 
 
 def test_output_is_deterministic(tmp_path):
@@ -144,21 +145,24 @@ def test_output_is_deterministic(tmp_path):
 def test_perfect_isolation_serializes_as_inf(tmp_path):
     # kill the optical bridge and the left coupling: one conversion direction
     # has identically zero amplitude
-    out = tmp_path / "inf.csv"
-    base = [
-        "run", "--preset", "table1",
-        "--set", "params.mechanical_hop_hz=1e6",
-        "--set", "params.optical_hop_hz=0",
-        "--set", "params.enhanced_coupling_hz=[0, 31e6]",
-        "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
-        "--out", str(out),
-    ]
-    assert _run(base + ["--set", "mode=spectrum", "--set", "quantity=phonon_to_photon"]) == 0
-    body = out.read_text().strip().splitlines()[1:]
-    assert all(line.endswith(",inf") for line in body)
-    assert _run(base + ["--set", "mode=spectrum", "--set", "quantity=photon_to_phonon"]) == 0
-    body = out.read_text().strip().splitlines()[1:]
-    assert all(line.endswith(",-inf") for line in body)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"inf.{fmt}"
+        base = [
+            "run", "--preset", "table1", "--set", "mode=spectrum",
+            "--set", "params.mechanical_hop_hz=1e6",
+            "--set", "params.optical_hop_hz=0",
+            "--set", "params.enhanced_coupling_hz=[0, 31e6]",
+            "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
+            "--out", str(out), "--format", fmt,
+        ]
+        for quantity, sentinel in (("phonon_to_photon", "inf"), ("photon_to_phonon", "-inf")):
+            assert _run(base + ["--set", f"quantity={quantity}"]) == 0
+            if fmt == "csv":
+                body = out.read_text().strip().splitlines()[1:]
+                assert all(line.endswith("," + sentinel) for line in body)
+            else:
+                points = json.loads(out.read_text())["points"]
+                assert [pt["isolation_db"] for pt in points] == [sentinel] * 3
 
 
 def test_inline_params_without_preset(tmp_path):
@@ -361,3 +365,33 @@ def test_enhanced_coupling_angular_override(tmp_path):
     with_angular = out.read_text()
     assert _run(base + ["--set", "params.enhanced_coupling_hz=[33e6, 31e6]"]) == 0
     assert out.read_text() == with_angular
+
+
+def test_tune_budget_defaults_and_minima(capsys):
+    raw = {"mode": "tune", "quantity": "phonon",
+           "params": {"preset": "table1", "mechanical_hop_hz": 5e5},
+           "tune": {"flux_bounds_pi": [-0.5, 0.0], "descent_sweeps": 0}}
+    tune = cli.Scenario.from_dict(raw).tune
+    default = of.SearchSpace(flux_bounds=(0.0, 0.0))
+    assert tune["coarse_points"] == default.coarse_points
+    assert tune["golden_iterations"] == default.golden_iterations
+    assert tune["descent_sweeps"] == 0
+    for key, bad in (("coarse_points", 0), ("golden_iterations", -1), ("descent_sweeps", 2.5)):
+        with pytest.raises(cli.ConfigError, match=f"tune.{key}"):
+            cli.Scenario.from_dict(dict(raw, tune=dict(raw["tune"], **{key: bad})))
+
+
+def test_oversized_grid_rejected_before_allocation(capsys):
+    # validation only: nothing here runs a scenario, so no grid is built
+    with pytest.raises(cli.ConfigError, match="frequency_grid.points: 1000000000 grid cells"):
+        cli.load_scenario(preset="table1", overrides=[
+            "mode=spectrum", "quantity=phonon", "params.mechanical_hop_hz=5e5",
+            "frequency_grid.points=1000000000"])
+    fluxmap = ["mode=fluxmap", "quantity=phonon", "params.mechanical_hop_hz=5e5",
+               "flux_grid.points=1001", "frequency_grid.points=100000"]
+    with pytest.raises(cli.ConfigError, match="frequency_grid.points x flux_grid.points"):
+        cli.load_scenario(preset="table1", overrides=fluxmap)
+    # the default 401 x 2001 map and a 10**8-cell map stay well inside the limit
+    assert cli.load_scenario(preset="table1", overrides=fluxmap[:3]).flux_grid["points"] == 401
+    cli.load_scenario(preset="table1", overrides=fluxmap[:3] + [
+        "flux_grid.points=1000", "frequency_grid.points=100000"])

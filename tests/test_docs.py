@@ -1,0 +1,22 @@
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BLOCKS = [
+    pytest.param(block, id=f"{name}-{i}")
+    for name in ("README.md", "PAPER.md")
+    for i, block in enumerate(re.findall(r"^```python\n(.*?)^```",
+                                         (ROOT / name).read_text(encoding="utf-8"),
+                                         flags=re.DOTALL | re.MULTILINE))
+]
+
+
+def test_docs_have_python_examples():
+    assert {b.id.split("-")[0] for b in BLOCKS} == {"README.md", "PAPER.md"}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_python_example_runs(block):
+    exec(compile(block, "<doc example>", "exec"), {})

@@ -104,6 +104,12 @@ def test_synthetic_flux_and_with_flux():
     assert q.phi_R == p.phi_R
     # original untouched (value semantics)
     assert p.synthetic_flux == pytest.approx(0.4, rel=1e-15)
+    # carried_flux is exactly the flux a with_flux copy carries, on arrays too
+    p = replace(p, phi_L=0.9, phi_R=2.9)
+    fluxes = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 41)
+    carried = p.carried_flux(fluxes)
+    assert carried.tolist() == [p.with_flux(f).synthetic_flux for f in fluxes]
+    assert p.carried_flux(-1.3) == p.with_flux(-1.3).synthetic_flux
 
 
 def test_copy_helpers():
