@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
@@ -61,13 +60,10 @@ _PARAMS = {
     "flux_pi": (("flux",), math.pi, None, False),
     "drive_phase_pi": (("phi_L", "phi_R"), math.pi, None, False),
 }
-# tune budget key -> its minimum; the defaults are those of optimize.SearchSpace
-_TUNE_BUDGET = {"coarse_points": 1, "golden_iterations": 0, "descent_sweeps": 0}
-_TUNE_KEYS = {"flux_bounds_pi", "aux", "aux_bounds_hz", *_TUNE_BUDGET}
-# the most frequency points (times flux points in fluxmap mode) a scenario
-# may ask for, so that a typo fails at validation instead of in allocation
+# the most grid cells a scenario may ask for: frequency points, times flux
+# points in fluxmap mode or tune.coarse_points (one coarse row) in tune mode,
+# so that a typo fails at validation instead of in allocation
 MAX_GRID_CELLS = 10**8
-_STEADY_KEYS = {"drive_amplitude", "drive_phase_pi", "target_enhanced_coupling_hz"}
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -111,7 +107,10 @@ def _number(key, value, minimum=None, exclusive=False):
             _fail(key, f"must be a number, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, f"must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         _fail(key, "must be finite")
     if minimum is not None:
@@ -137,6 +136,75 @@ def _integer(key, value, minimum):
     if value < minimum:
         _fail(key, f"must be >= {minimum}")
     return value
+
+
+def _path(key, value, minimum=None):
+    if not isinstance(value, str) or not value:
+        _fail(key, "must be a non-empty string")
+    return value
+
+
+_REQUIRED = object()  # the default of a key that has none
+# Scenario section -> (the modes it belongs to, {key: (kind, minimum, default)}).
+# A kind is one of the checkers above or a tuple of the allowed values; a key
+# whose default is None is left out when absent.  Rules that tie keys together
+# are checked in Scenario.from_dict.
+_SECTIONS = {
+    "frequency_grid": (("spectrum", "fluxmap", "tune"), {
+        "start_hz": (_number, None, sweep.DEFAULT_FREQ_START_HZ),
+        "stop_hz": (_number, None, sweep.DEFAULT_FREQ_STOP_HZ),
+        "points": (_integer, 2, sweep.DEFAULT_FREQ_POINTS),
+    }),
+    "flux_grid": (("fluxmap",), {
+        "start_pi": (_number, None, -2.0),
+        "stop_pi": (_number, None, 2.0),
+        "points": (_integer, 2, sweep.DEFAULT_FLUX_POINTS),
+    }),
+    "tune": (("tune",), {
+        "flux_bounds_pi": (_pair, None, _REQUIRED),
+        "aux": ((None, *optimize.AUX_PARAMETERS), None, None),
+        "aux_bounds_hz": (_pair, 0.0, None),
+        "coarse_points": (_integer, 1, optimize.SearchSpace.coarse_points),
+        "golden_iterations": (_integer, 0, optimize.SearchSpace.golden_iterations),
+        "descent_sweeps": (_integer, 0, optimize.SearchSpace.descent_sweeps),
+    }),
+    "steadystate": (("steadystate",), {
+        "drive_amplitude": (_pair, 0.0, None),
+        "drive_phase_pi": (_pair, None, None),
+        "target_enhanced_coupling_hz": (_pair, 0.0, None),
+    }),
+    "output": (MODES, {
+        "format": (FORMATS, None, "csv"),
+        "path": (_path, None, None),  # result.<format> when absent
+    }),
+}
+
+
+def _section(name, mode, raw):
+    """Section ``name`` of scenario mapping ``raw``, checked and completed
+    with its defaults; None when ``mode`` does not use it."""
+    modes, keys = _SECTIONS[name]
+    if mode not in modes:
+        if name in raw:
+            _fail(name, f"only applicable to {' or '.join(modes)} mode, not {mode}")
+        return None
+    section = raw.get(name, {})
+    _check_keys(name, section, keys)
+    out = {}
+    for key, (kind, minimum, default) in keys.items():
+        if key in section:
+            value = section[key]
+            if not isinstance(kind, tuple):
+                value = kind(f"{name}.{key}", value, minimum)
+            elif value not in kind:
+                _fail(f"{name}.{key}", f"must be one of {kind}, got {value!r}")
+        elif default is _REQUIRED:
+            _fail(f"{name}.{key}", "required")
+        else:
+            value = default
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def _normalize_params(raw):
@@ -171,20 +239,6 @@ def _normalize_params(raw):
     return out
 
 
-def _normalize_grid(section, raw, defaults, unit_keys):
-    allowed = set(unit_keys) | {"points"}
-    _check_keys(section, raw, allowed)
-    out = dict(defaults)
-    for key in unit_keys:
-        if key in raw:
-            out[key] = _number(f"{section}.{key}", raw[key])
-    if "points" in raw:
-        out["points"] = _integer(f"{section}.points", raw["points"], 2)
-    if out[unit_keys[0]] >= out[unit_keys[1]]:
-        _fail(section, f"{unit_keys[0]} must be < {unit_keys[1]}")
-    return out
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One validated batch job.  Values stay in file units (Hz, pi)."""
@@ -192,7 +246,7 @@ class Scenario:
     mode: str
     quantity: str | None
     params: dict
-    frequency_grid: dict
+    frequency_grid: dict | None
     flux_grid: dict | None
     tune: dict | None
     steadystate: dict | None
@@ -202,9 +256,7 @@ class Scenario:
     def from_dict(cls, raw) -> "Scenario":
         if not isinstance(raw, dict):
             raise ConfigError("scenario: top level must be a mapping")
-        allowed = {"mode", "quantity", "params", "frequency_grid", "flux_grid",
-                   "tune", "steadystate", "output"}
-        _check_keys("scenario", raw, allowed)
+        _check_keys("scenario", raw, {"mode", "quantity", "params", *_SECTIONS})
 
         mode = raw.get("mode")
         if mode not in MODES:
@@ -221,133 +273,46 @@ class Scenario:
         if "params" not in raw:
             _fail("params", "section is required")
         params = _normalize_params(raw["params"])
+        sections = {name: _section(name, mode, raw) for name in _SECTIONS}
 
-        if mode == "steadystate" and "frequency_grid" in raw:
-            _fail("frequency_grid", "not applicable to steadystate mode")
-        frequency_grid = _normalize_grid(
-            "frequency_grid", raw.get("frequency_grid", {}),
-            {"start_hz": sweep.DEFAULT_FREQ_START_HZ,
-             "stop_hz": sweep.DEFAULT_FREQ_STOP_HZ,
-             "points": sweep.DEFAULT_FREQ_POINTS},
-            ("start_hz", "stop_hz"),
-        )
-
-        flux_grid = None
-        if mode == "fluxmap":
-            flux_grid = _normalize_grid(
-                "flux_grid", raw.get("flux_grid", {}),
-                {"start_pi": -2.0, "stop_pi": 2.0, "points": sweep.DEFAULT_FLUX_POINTS},
-                ("start_pi", "stop_pi"),
-            )
-        elif "flux_grid" in raw:
-            _fail("flux_grid", f"only applicable to fluxmap mode, not {mode}")
-        cells = frequency_grid["points"] * (flux_grid["points"] if flux_grid else 1)
+        for name, start, stop in (("frequency_grid", "start_hz", "stop_hz"),
+                                  ("flux_grid", "start_pi", "stop_pi")):
+            grid = sections[name]
+            if grid is not None and grid[start] >= grid[stop]:
+                _fail(name, f"{start} must be < {stop}")
+        cells, counted = 1, []
+        for name, key in (("frequency_grid", "points"), ("flux_grid", "points"),
+                          ("tune", "coarse_points")):
+            if sections[name] is not None:
+                cells *= sections[name][key]
+                counted.append(f"{name}.{key}")
         if cells > MAX_GRID_CELLS:
-            key = "frequency_grid.points" + (" x flux_grid.points" if flux_grid else "")
-            _fail(key, f"{cells} grid cells exceed the limit of {MAX_GRID_CELLS}")
+            _fail(" x ".join(counted), f"{cells} grid cells exceed the limit of {MAX_GRID_CELLS}")
 
-        tune = None
-        if mode == "tune":
-            tune = cls._normalize_tune(raw.get("tune"))
-        elif "tune" in raw:
-            _fail("tune", f"only applicable to tune mode, not {mode}")
+        tune = sections["tune"]
+        if tune is not None:
+            for key in ("flux_bounds_pi", "aux_bounds_hz"):
+                if key in tune and tune[key][0] > tune[key][1]:
+                    _fail(f"tune.{key}", "lower bound exceeds upper bound")
+            if ("aux" in tune) != ("aux_bounds_hz" in tune):
+                _fail("tune.aux_bounds_hz", "required when aux is set" if "aux" in tune
+                      else "only applicable when aux is set")
 
-        steady = None
-        if mode == "steadystate":
-            steady = cls._normalize_steady(raw.get("steadystate"))
-        elif "steadystate" in raw:
-            _fail("steadystate", f"only applicable to steadystate mode, not {mode}")
-
-        output = raw.get("output", {})
-        _check_keys("output", output, {"path", "format"})
-        fmt = output.get("format", "csv")
-        if fmt not in FORMATS:
-            _fail("output.format", f"must be one of {FORMATS}, got {fmt!r}")
-        path = output.get("path", f"result.{fmt}")
-        if not isinstance(path, str) or not path:
-            _fail("output.path", "must be a non-empty string")
-
-        return cls(
-            mode=mode,
-            quantity=quantity,
-            params=params,
-            frequency_grid=frequency_grid,
-            flux_grid=flux_grid,
-            tune=tune,
-            steadystate=steady,
-            output={"path": path, "format": fmt},
-        )
-
-    @staticmethod
-    def _normalize_tune(raw):
-        if raw is None:
-            raise ConfigError("tune: section is required in tune mode")
-        _check_keys("tune", raw, _TUNE_KEYS)
-        out = {}
-        if "flux_bounds_pi" not in raw:
-            _fail("tune.flux_bounds_pi", "required")
-        lo, hi = _pair("tune.flux_bounds_pi", raw["flux_bounds_pi"])
-        if lo > hi:
-            _fail("tune.flux_bounds_pi", "lower bound exceeds upper bound")
-        out["flux_bounds_pi"] = [lo, hi]
-        aux = raw.get("aux")
-        if aux is not None:
-            if aux not in optimize.AUX_PARAMETERS:
-                _fail("tune.aux", f"must be one of {sorted(optimize.AUX_PARAMETERS)}")
-            if "aux_bounds_hz" not in raw:
-                _fail("tune.aux_bounds_hz", "required when aux is set")
-            alo, ahi = _pair("tune.aux_bounds_hz", raw["aux_bounds_hz"], 0.0)
-            if alo > ahi:
-                _fail("tune.aux_bounds_hz", "lower bound exceeds upper bound")
-            out["aux"] = aux
-            out["aux_bounds_hz"] = [alo, ahi]
-        elif "aux_bounds_hz" in raw:
-            _fail("tune.aux_bounds_hz", "only applicable when aux is set")
-        for key, minimum in _TUNE_BUDGET.items():
-            default = getattr(optimize.SearchSpace, key)
-            out[key] = _integer(f"tune.{key}", raw.get(key, default), minimum)
-        return out
-
-    @staticmethod
-    def _normalize_steady(raw):
-        if raw is None:
-            raise ConfigError("steadystate: section is required in steadystate mode")
-        _check_keys("steadystate", raw, _STEADY_KEYS)
-        out = {}
-        forward = "drive_amplitude" in raw
-        inverse = "target_enhanced_coupling_hz" in raw
-        if forward == inverse:
-            _fail("steadystate", "give exactly one of drive_amplitude "
-                  "or target_enhanced_coupling_hz")
-        if forward:
-            out["drive_amplitude"] = _pair("steadystate.drive_amplitude",
-                                           raw["drive_amplitude"], 0.0)
-            if "drive_phase_pi" in raw:
-                out["drive_phase_pi"] = _pair("steadystate.drive_phase_pi",
-                                              raw["drive_phase_pi"])
-        else:
-            if "drive_phase_pi" in raw:
+        steady = sections["steadystate"]
+        if steady is not None:
+            if ("drive_amplitude" in steady) == ("target_enhanced_coupling_hz" in steady):
+                _fail("steadystate", "give exactly one of drive_amplitude "
+                      "or target_enhanced_coupling_hz")
+            if "drive_phase_pi" in steady and "drive_amplitude" not in steady:
                 _fail("steadystate.drive_phase_pi",
                       "only applicable with drive_amplitude (phases come from params)")
-            out["target_enhanced_coupling_hz"] = _pair(
-                "steadystate.target_enhanced_coupling_hz",
-                raw["target_enhanced_coupling_hz"], 0.0)
-        return out
+
+        output = sections["output"]
+        output.setdefault("path", f"result.{output['format']}")
+        return cls(mode=mode, quantity=quantity, params=params, **sections)
 
     def to_dict(self) -> dict:
-        out = {"mode": self.mode}
-        if self.quantity is not None:
-            out["quantity"] = self.quantity
-        out["params"] = copy.deepcopy(self.params)
-        out["frequency_grid"] = dict(self.frequency_grid)
-        if self.flux_grid is not None:
-            out["flux_grid"] = dict(self.flux_grid)
-        if self.tune is not None:
-            out["tune"] = copy.deepcopy(self.tune)
-        if self.steadystate is not None:
-            out["steadystate"] = copy.deepcopy(self.steadystate)
-        out["output"] = dict(self.output)
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     # -- builders -------------------------------------------------------------
 
@@ -379,16 +344,11 @@ class Scenario:
 
     def build_search_space(self) -> optimize.SearchSpace:
         t = self.tune
-        aux = t.get("aux")
-        aux_bounds = None
-        if aux is not None:
-            alo, ahi = t["aux_bounds_hz"]
-            aux_bounds = (TWO_PI * alo, TWO_PI * ahi)
         lo, hi = t["flux_bounds_pi"]
         return optimize.SearchSpace(
             flux_bounds=(math.pi * lo, math.pi * hi),
-            aux_name=aux,
-            aux_bounds=aux_bounds,
+            aux_name=t.get("aux"),
+            aux_bounds=tuple(TWO_PI * b for b in t["aux_bounds_hz"]) if "aux" in t else None,
             frequency_grid=self.build_frequency_grid(),
             coarse_points=t["coarse_points"],
             golden_iterations=t["golden_iterations"],
@@ -577,7 +537,7 @@ def _apply_override(config, assignment):
         raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
     try:
         value = yaml.load(raw_value, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError:
+    except (yaml.YAMLError, ValueError):  # ValueError: an integer beyond int()'s digit limit
         raise ConfigError(f"--set {key}: cannot parse value {raw_value!r}") from None
     node = config
     parts = key.split(".")
@@ -601,9 +561,9 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 config = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"cannot parse config {path!r}: {exc}") from None
         if not isinstance(config, dict):
             raise ConfigError("scenario: top level must be a mapping")

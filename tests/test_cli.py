@@ -297,11 +297,19 @@ def test_scenario_round_trip():
         "flux_grid": {"start_pi": -1.0, "stop_pi": 1.0, "points": 21},
         "output": {"path": "x.csv", "format": "csv"},
     }
-    scenario = cli.Scenario.from_dict(raw)
-    assert cli.Scenario.from_dict(scenario.to_dict()) == scenario
-    # and through an actual YAML round trip
-    text = yaml.safe_dump(scenario.to_dict())
-    assert cli.Scenario.from_dict(yaml.safe_load(text)) == scenario
+    tune = {"mode": "tune", "quantity": "phonon", "params": raw["params"],
+            "tune": {"flux_bounds_pi": [-0.5, 0.0], "aux": "G_L", "aux_bounds_hz": [1e7, 4e7]}}
+    steady = {"mode": "steadystate", "params": raw["params"],
+              "steadystate": {"drive_amplitude": [1e6, 2e6], "drive_phase_pi": [0.5, 0.0]}}
+    for case in (raw, tune, steady):
+        scenario = cli.Scenario.from_dict(case)
+        assert cli.Scenario.from_dict(scenario.to_dict()) == scenario
+        # and through an actual YAML round trip
+        text = yaml.safe_dump(scenario.to_dict())
+        assert cli.Scenario.from_dict(yaml.safe_load(text)) == scenario
+    # sections a mode does not use are None and left out of the dict
+    assert scenario.frequency_grid is None
+    assert set(scenario.to_dict()) == {"mode", "params", "steadystate", "output"}
 
 
 def test_duplicate_yaml_key_rejected(tmp_path, capsys):
@@ -395,3 +403,147 @@ def test_oversized_grid_rejected_before_allocation(capsys):
     assert cli.load_scenario(preset="table1", overrides=fluxmap[:3]).flux_grid["points"] == 401
     cli.load_scenario(preset="table1", overrides=fluxmap[:3] + [
         "flux_grid.points=1000", "frequency_grid.points=100000"])
+
+
+_SPECTRUM = ["mode=spectrum", "quantity=phonon", "params.mechanical_hop_hz=5e5"]
+_FLUXMAP = ["mode=fluxmap", "quantity=phonon", "params.mechanical_hop_hz=5e5"]
+_TUNE = ["mode=tune", "quantity=phonon", "params.mechanical_hop_hz=5e5",
+         "tune.flux_bounds_pi=[-0.5, 0.0]"]
+_STEADY = ["mode=steadystate", "params.mechanical_hop_hz=0", "params.vacuum_coupling_hz=[200, 200]"]
+_FORWARD = _STEADY + ["steadystate.drive_amplitude=[1e6, 1e6]"]
+_INVERSE = _STEADY + ["steadystate.target_enhanced_coupling_hz=[33e6, 31e6]"]
+
+# (base overrides, extra overrides, the key or section the message starts with)
+REJECTIONS = {
+    "unknown top-level key": (_SPECTRUM, ["typo=1"], "scenario.typo"),
+    "unknown params key": (_SPECTRUM, ["params.typo=1"], "params.typo"),
+    "unknown frequency_grid key": (_SPECTRUM, ["frequency_grid.typo=1"], "frequency_grid.typo"),
+    "unknown flux_grid key": (_FLUXMAP, ["flux_grid.typo=1"], "flux_grid.typo"),
+    "unknown tune key": (_TUNE, ["tune.typo=1"], "tune.typo"),
+    "unknown steadystate key": (_FORWARD, ["steadystate.typo=1"], "steadystate.typo"),
+    "unknown output key": (_SPECTRUM, ["output.typo=1"], "output.typo"),
+    "bad mode": (_SPECTRUM, ["mode=wiggle"], "mode"),
+    "bad quantity": (_SPECTRUM, ["quantity=sound"], "quantity"),
+    "quantity in steadystate": (_FORWARD, ["quantity=phonon"], "quantity"),
+    "flux_grid in spectrum": (_SPECTRUM, ["flux_grid.points=3"], "flux_grid"),
+    "tune in fluxmap": (_FLUXMAP, ["tune.coarse_points=3"], "tune"),
+    "steadystate in tune": (_TUNE, ["steadystate.drive_amplitude=[1, 1]"], "steadystate"),
+    "frequency_grid in steadystate": (_FORWARD, ["frequency_grid.points=3"], "frequency_grid"),
+    "null params": (_SPECTRUM, ["params=null"], "params"),
+    "null frequency_grid": (_SPECTRUM, ["frequency_grid=null"], "frequency_grid"),
+    "list frequency_grid": (_SPECTRUM, ["frequency_grid=[1, 2]"], "frequency_grid"),
+    "null flux_grid": (_FLUXMAP, ["flux_grid=null"], "flux_grid"),
+    "null tune": (_TUNE, ["tune=null"], "tune"),
+    "scalar tune": (_TUNE, ["tune=3"], "tune"),
+    "missing tune": (["mode=tune", "quantity=phonon", "params.mechanical_hop_hz=5e5"], [], "tune"),
+    "null steadystate": (_STEADY, ["steadystate=null"], "steadystate"),
+    "scalar steadystate": (_STEADY, ["steadystate=x"], "steadystate"),
+    "missing steadystate": (_STEADY, [], "steadystate"),
+    "null output": (_SPECTRUM, ["output=null"], "output"),
+    "frequency_grid start = stop": (_SPECTRUM, ["frequency_grid={start_hz: 6e9, stop_hz: 6e9}"],
+                                    "frequency_grid"),
+    "frequency_grid start > stop": (_SPECTRUM, ["frequency_grid={start_hz: 6e9, stop_hz: 5e9}"],
+                                    "frequency_grid"),
+    "flux_grid start > stop": (_FLUXMAP, ["flux_grid={start_pi: 1, stop_pi: -1}"], "flux_grid"),
+    "frequency_grid one point": (_SPECTRUM, ["frequency_grid.points=1"], "frequency_grid.points"),
+    "flux_grid one point": (_FLUXMAP, ["flux_grid.points=1"], "flux_grid.points"),
+    "fractional points": (_SPECTRUM, ["frequency_grid.points=2.5"], "frequency_grid.points"),
+    "string points": (_FLUXMAP, ["flux_grid.points='3'"], "flux_grid.points"),
+    "boolean points": (_SPECTRUM, ["frequency_grid.points=true"], "frequency_grid.points"),
+    "non-number start": (_SPECTRUM, ["frequency_grid.start_hz=abc"], "frequency_grid.start_hz"),
+    "infinite stop": (_FLUXMAP, ["flux_grid.stop_pi=.inf"], "flux_grid.stop_pi"),
+    "missing flux bounds": (_TUNE, ["tune={coarse_points: 5}"], "tune.flux_bounds_pi"),
+    "flux bounds not a pair": (_TUNE, ["tune.flux_bounds_pi=0.5"], "tune.flux_bounds_pi"),
+    "flux bounds reversed": (_TUNE, ["tune.flux_bounds_pi=[0.5, -0.5]"], "tune.flux_bounds_pi"),
+    "aux bounds reversed": (_TUNE, ["tune.aux=G_L", "tune.aux_bounds_hz=[2e7, 1e7]"],
+                            "tune.aux_bounds_hz"),
+    "bad aux": (_TUNE, ["tune.aux=kappa", "tune.aux_bounds_hz=[1, 2]"], "tune.aux"),
+    "aux without bounds": (_TUNE, ["tune.aux=G_L"], "tune.aux_bounds_hz"),
+    "bounds without aux": (_TUNE, ["tune.aux_bounds_hz=[1, 2]"], "tune.aux_bounds_hz"),
+    "negative aux bounds": (_TUNE, ["tune.aux=G_R", "tune.aux_bounds_hz=[-1, 2]"],
+                            "tune.aux_bounds_hz"),
+    "coarse_points below 1": (_TUNE, ["tune.coarse_points=0"], "tune.coarse_points"),
+    "golden_iterations below 0": (_TUNE, ["tune.golden_iterations=-1"], "tune.golden_iterations"),
+    "descent_sweeps below 0": (_TUNE, ["tune.descent_sweeps=-1"], "tune.descent_sweeps"),
+    "fractional descent_sweeps": (_TUNE, ["tune.descent_sweeps=1.5"], "tune.descent_sweeps"),
+    "both steady directions": (_FORWARD, ["steadystate.target_enhanced_coupling_hz=[1, 1]"],
+                               "steadystate"),
+    "neither steady direction": (_STEADY, ["steadystate={}"], "steadystate"),
+    "only drive phases": (_STEADY, ["steadystate.drive_phase_pi=[0, 1]"], "steadystate"),
+    "negative drive amplitude": (_STEADY, ["steadystate.drive_amplitude=[-1, 1]"],
+                                 "steadystate.drive_amplitude"),
+    "drive amplitude not a pair": (_STEADY, ["steadystate.drive_amplitude=[1, 2, 3]"],
+                                   "steadystate.drive_amplitude"),
+    "negative target coupling": (_STEADY, ["steadystate.target_enhanced_coupling_hz=[1, -1]"],
+                                 "steadystate.target_enhanced_coupling_hz"),
+    "drive phases with inverse": (_INVERSE, ["steadystate.drive_phase_pi=[0, 1]"],
+                                  "steadystate.drive_phase_pi"),
+    "bad output format": (_SPECTRUM, ["output.format=xml"], "output.format"),
+    "empty output path": (_SPECTRUM, ["output.path=''"], "output.path"),
+    "numeric output path": (_SPECTRUM, ["output.path=3"], "output.path"),
+    "unknown preset": (_SPECTRUM, ["params.preset=table2"], "params.preset"),
+    "negative params value": (_SPECTRUM, ["params.optical_hop_hz=-1"], "params.optical_hop_hz"),
+    "zero mechanical frequency": (_SPECTRUM, ["params.mech_frequency_hz=[0, 1e9]"],
+                                  "params.mech_frequency_hz"),
+    "both coupling forms": (_SPECTRUM, ["params.enhanced_coupling_hz=[1, 1]",
+                                        "params.enhanced_coupling_angular=[1, 1]"],
+                            "params.enhanced_coupling_angular"),
+    "flux and drive phases": (_SPECTRUM, ["params.flux_pi=0.5", "params.drive_phase_pi=[0, 1]"],
+                              "params.flux_pi"),
+    "oversized spectrum": (_SPECTRUM, ["frequency_grid.points=100000001"], "frequency_grid.points"),
+}
+
+
+@pytest.mark.parametrize("base, extra, key", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_invalid_scenario_names_its_key(base, extra, key):
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_scenario(preset="table1", overrides=base + extra)
+    assert str(info.value).startswith(key), str(info.value)
+
+
+@pytest.mark.parametrize("base", [_SPECTRUM, _FLUXMAP, _TUNE, _FORWARD, _INVERSE],
+                         ids=["spectrum", "fluxmap", "tune", "forward", "inverse"])
+def test_rejection_bases_are_valid(base):
+    cli.load_scenario(preset="table1", overrides=base)
+
+
+def test_huge_integer_is_rejected_as_not_finite(tmp_path, capsys):
+    huge = "9" * 401  # beyond the float range, so float() overflows
+    for section in (f"params: {{preset: table1, mechanical_hop_hz: {huge}}}",
+                    f"params: {{preset: table1, mechanical_hop_hz: 0}}\n"
+                    f"steadystate: {{drive_amplitude: [{huge}, 1]}}"):
+        mode = "mode: steadystate" if "steadystate" in section else "mode: spectrum\nquantity: phonon"
+        assert _run(["run", _write(tmp_path, f"{mode}\n{section}\n")]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert ("steadystate.drive_amplitude[0]" if "steadystate" in section
+                else "params.mechanical_hop_hz") in err
+    # an integer past int()'s string-conversion limit fails in the YAML reader
+    big = "9" * 5000
+    assert _run(["run", _write(tmp_path, f"mode: spectrum\nparams: {{mechanical_hop_hz: {big}}}\n")]) == 2
+    assert "cannot parse config" in capsys.readouterr().err
+    assert _run(["run", "--preset", "table1", "--set", f"params.mechanical_hop_hz={big}"]) == 2
+    assert "--set params.mechanical_hop_hz: cannot parse value" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"mode: spectrum\nquantity: phonon  # \xff\n")
+    assert _run(["run", str(path)]) == 2
+    assert f"cannot read config {str(path)!r}" in capsys.readouterr().err
+
+
+def test_tune_coarse_row_counts_toward_grid_cap():
+    # validation only: nothing here runs a search, so no coarse row is built
+    base = ["mode=tune", "quantity=phonon", "params.mechanical_hop_hz=5e5",
+            "tune.flux_bounds_pi=[-0.5, 0.0]"]
+    with pytest.raises(cli.ConfigError,
+                       match="frequency_grid.points x tune.coarse_points: 200100000000000 grid"):
+        cli.load_scenario(preset="table1", overrides=base + ["tune.coarse_points=100000000000"])
+    with pytest.raises(cli.ConfigError, match="frequency_grid.points x tune.coarse_points"):
+        cli.load_scenario(preset="table1", overrides=base + [
+            "tune.coarse_points=10001", "frequency_grid.points=10000"])
+    # the bench's 20001 x 33 tune and a 10**8-cell one stay inside the limit
+    cli.load_scenario(preset="table1", overrides=base + ["frequency_grid.points=20001"])
+    cli.load_scenario(preset="table1", overrides=base + [
+        "tune.coarse_points=10000", "frequency_grid.points=10000"])
