@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrix,
     ZeroCoupling,
 )
-from .linsys import CouplingMatrix, EffectiveBlocks, build_matrix, effective_blocks, invert_dense
+from .linsys import build_matrix, effective_blocks, invert_dense
 from .model import (
     TWO_PI,
     Susceptibilities,

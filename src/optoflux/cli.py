@@ -60,10 +60,10 @@ _PARAMS = {
     "flux_pi": (("flux",), math.pi, None, False),
     "drive_phase_pi": (("phi_L", "phi_R"), math.pi, None, False),
 }
-# the most grid cells a scenario may ask for: frequency points, times flux
-# points in fluxmap mode or tune.coarse_points (one coarse row) in tune mode,
-# so that a typo fails at validation instead of in allocation
-MAX_GRID_CELLS = 10**8
+# the most kernel point evaluations (one isolation value at one frequency) a
+# scenario may ask for, so that a typo fails at validation instead of in
+# allocation or in a search that never ends; see Scenario.from_dict
+MAX_POINT_EVALUATIONS = 10**8
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -280,15 +280,6 @@ class Scenario:
             grid = sections[name]
             if grid is not None and grid[start] >= grid[stop]:
                 _fail(name, f"{start} must be < {stop}")
-        cells, counted = 1, []
-        for name, key in (("frequency_grid", "points"), ("flux_grid", "points"),
-                          ("tune", "coarse_points")):
-            if sections[name] is not None:
-                cells *= sections[name][key]
-                counted.append(f"{name}.{key}")
-        if cells > MAX_GRID_CELLS:
-            _fail(" x ".join(counted), f"{cells} grid cells exceed the limit of {MAX_GRID_CELLS}")
-
         tune = sections["tune"]
         if tune is not None:
             for key in ("flux_bounds_pi", "aux_bounds_hz"):
@@ -297,6 +288,23 @@ class Scenario:
             if ("aux" in tune) != ("aux_bounds_hz" in tune):
                 _fail("tune.aux_bounds_hz", "required when aux is set" if "aux" in tune
                       else "only applicable when aux is set")
+
+        # kernel point evaluations per frequency point: one per flux point, or
+        # one per objective of the search (the coarse scan, golden_iterations
+        # + 2 per sweep and open coordinate, and the final spectrum)
+        keys, per_point = ["frequency_grid.points"], 1
+        if mode == "fluxmap":
+            keys, per_point = [*keys, "flux_grid.points"], sections["flux_grid"]["points"]
+        elif mode == "tune":
+            keys += ["tune.coarse_points", "tune.golden_iterations", "tune.descent_sweeps"]
+            opened = sum(tune[k][0] < tune[k][1] for k in ("flux_bounds_pi", "aux_bounds_hz")
+                         if k in tune)
+            per_point = (tune["coarse_points"] ** opened + 1
+                         + tune["descent_sweeps"] * opened * (tune["golden_iterations"] + 2))
+        grid = sections["frequency_grid"]
+        if grid is not None and grid["points"] * per_point > MAX_POINT_EVALUATIONS:
+            _fail(", ".join(keys), "the scenario needs more than "
+                  f"{MAX_POINT_EVALUATIONS:,} kernel point evaluations")
 
         steady = sections["steadystate"]
         if steady is not None:

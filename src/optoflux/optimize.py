@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,6 +135,10 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     """
     if quantity not in response.QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
+    for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
+        value = getattr(search_space, name)
+        if not (isinstance(value, numbers.Integral) and value >= minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     flux_lo, flux_hi = _finite_bounds("flux_bounds", search_space.flux_bounds)
     aux_name = search_space.aux_name
     has_aux = aux_name is not None
@@ -208,10 +213,10 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         half = (aux_hi - aux_lo) / (search_space.coarse_points - 1)
         coords.append(("aux", aux_lo, aux_hi, half))
 
-    for sweep_index in range(search_space.descent_sweeps):
-        shrink = 4.0 ** sweep_index
+    # each sweep quarters the brackets, down to 0 (0.25 ** k underflows quietly)
+    for sweep_index in range(search_space.descent_sweeps if coords else 0):
         for name, lo, hi, half in coords:
-            width = half / shrink
+            width = half * 0.25 ** sweep_index
             if name == "flux":
                 bracket = (max(lo, best_flux - width), min(hi, best_flux + width))
                 fn = lambda x: objective(x, best_aux)

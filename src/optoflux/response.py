@@ -131,13 +131,11 @@ def transmission_matrix(params: SystemParams, omega: float) -> np.ndarray:
     """Mode-amplitude response to unit coherent inputs at the four ports.
 
     Returns M^-1(omega) . diag(sqrt(kappa_eL), sqrt(kappa_eR),
-    sqrt(gamma_eL), sqrt(gamma_eR)) built from the closed-form blocks.  The
-    external-coupling factors cancel out of same-species ratios only when
-    the two ports share the coupling rate; :func:`isolation_db` follows the
-    bare block-element convention instead.
+    sqrt(gamma_eL), sqrt(gamma_eR)): the closed-form inverse of
+    :func:`linsys.effective_blocks` with each column scaled by its port's
+    root external coupling.  Those factors cancel out of same-species ratios
+    only when the two ports share the coupling rate; :func:`isolation_db`
+    follows the bare block-element convention instead.
     """
-    blocks = linsys.effective_blocks(params, omega)
-    ports = np.sqrt(
-        [params.kappa_eL, params.kappa_eR, params.gamma_eL, params.gamma_eR]
-    )
-    return blocks.assemble() * ports[np.newaxis, :]
+    ports = np.sqrt([params.kappa_eL, params.kappa_eR, params.gamma_eL, params.gamma_eR])
+    return linsys.effective_blocks(params, omega) * ports

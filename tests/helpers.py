@@ -1,6 +1,8 @@
-"""Shared test utilities: randomized parameter draws and the dense oracle."""
+"""Shared test utilities: randomized parameter draws, the dense oracle and
+the exact rational inverse."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,3 +60,38 @@ def oracle_isolation_db(params, omega, quantity):
 def max_entrywise_relative(a, b):
     """Largest |a - b| / |b| over entries (b as reference, no zero entries)."""
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+
+
+def exact_inverse(m):
+    """M^-1 by Gauss-Jordan elimination in exact rational arithmetic.
+
+    Each float entry becomes a (real, imaginary) pair of Fractions without
+    rounding, so the only rounding is the final conversion of each entry of
+    the inverse back to the nearest complex float.  The arbiter for entries
+    where the dense and closed-form routes disagree.
+    """
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    rows = np.asarray(m, dtype=complex).tolist()
+    n = len(rows)
+    zero, one = Fraction(0), Fraction(1)
+    rows = [
+        [(Fraction(z.real), Fraction(z.imag)) for z in row]
+        + [(one if i == j else zero, zero) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != (0, 0)), None)
+        if pivot is None:
+            raise ZeroDivisionError(f"singular matrix: no pivot in column {col}")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        re, im = rows[col][col]
+        norm = re * re + im * im
+        rows[col] = [mul(x, (re / norm, -im / norm)) for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor != (0, 0):
+                rows[r] = [(x[0] - p[0], x[1] - p[1])
+                           for x, p in zip(rows[r], (mul(factor, y) for y in rows[col]))]
+    return np.array([[complex(float(re), float(im)) for re, im in row[n:]] for row in rows])

@@ -61,7 +61,7 @@ def test_criterion_01_oracle_equivalence():
         p = random_params(rng)
         omega = random_omega(rng)
         dense = of.invert_dense(of.build_matrix(p, omega))
-        assembled = of.effective_blocks(p, omega).assemble()
+        assembled = of.effective_blocks(p, omega)
         worst_block = max(worst_block, max_entrywise_relative(assembled, dense))
         for quantity in of.QUANTITIES:
             closed = of.isolation_db(p, omega, quantity)

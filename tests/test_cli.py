@@ -391,14 +391,21 @@ def test_tune_budget_defaults_and_minima(capsys):
 
 def test_oversized_grid_rejected_before_allocation(capsys):
     # validation only: nothing here runs a scenario, so no grid is built
-    with pytest.raises(cli.ConfigError, match="frequency_grid.points: 1000000000 grid cells"):
+    with pytest.raises(cli.ConfigError, match="^frequency_grid.points: the scenario needs "
+                       "more than 100,000,000 kernel point evaluations$"):
         cli.load_scenario(preset="table1", overrides=[
             "mode=spectrum", "quantity=phonon", "params.mechanical_hop_hz=5e5",
             "frequency_grid.points=1000000000"])
     fluxmap = ["mode=fluxmap", "quantity=phonon", "params.mechanical_hop_hz=5e5",
                "flux_grid.points=1001", "frequency_grid.points=100000"]
-    with pytest.raises(cli.ConfigError, match="frequency_grid.points x flux_grid.points"):
+    with pytest.raises(cli.ConfigError, match="^frequency_grid.points, flux_grid.points: "):
         cli.load_scenario(preset="table1", overrides=fluxmap)
+    # a count past int()'s 4,300-digit string limit is compared, never printed
+    huge = fluxmap[:3] + ["flux_grid.points=" + "9" * 3000, "frequency_grid.points=" + "9" * 3000]
+    with pytest.raises(cli.ConfigError, match="^frequency_grid.points, flux_grid.points: "):
+        cli.load_scenario(preset="table1", overrides=huge)
+    assert _run(["run", "--preset", "table1"] + [f"--set={o}" for o in huge]) == 2
+    assert "kernel point evaluations" in capsys.readouterr().err
     # the default 401 x 2001 map and a 10**8-cell map stay well inside the limit
     assert cli.load_scenario(preset="table1", overrides=fluxmap[:3]).flux_grid["points"] == 401
     cli.load_scenario(preset="table1", overrides=fluxmap[:3] + [
@@ -537,13 +544,30 @@ def test_tune_coarse_row_counts_toward_grid_cap():
     # validation only: nothing here runs a search, so no coarse row is built
     base = ["mode=tune", "quantity=phonon", "params.mechanical_hop_hz=5e5",
             "tune.flux_bounds_pi=[-0.5, 0.0]"]
-    with pytest.raises(cli.ConfigError,
-                       match="frequency_grid.points x tune.coarse_points: 200100000000000 grid"):
+    keys = ("^frequency_grid.points, tune.coarse_points, tune.golden_iterations, "
+            "tune.descent_sweeps: the scenario needs more than 100,000,000 kernel point")
+    with pytest.raises(cli.ConfigError, match=keys):
         cli.load_scenario(preset="table1", overrides=base + ["tune.coarse_points=100000000000"])
-    with pytest.raises(cli.ConfigError, match="frequency_grid.points x tune.coarse_points"):
+    # 10000 x (10000 coarse + 3 sweeps x (40 + 2) + 1) evaluations
+    with pytest.raises(cli.ConfigError, match=keys):
         cli.load_scenario(preset="table1", overrides=base + [
-            "tune.coarse_points=10001", "frequency_grid.points=10000"])
-    # the bench's 20001 x 33 tune and a 10**8-cell one stay inside the limit
-    cli.load_scenario(preset="table1", overrides=base + ["frequency_grid.points=20001"])
+            "tune.coarse_points=10000", "frequency_grid.points=10000"])
+    # the golden-section budget counts too, so a typo there cannot run forever
+    for key in ("golden_iterations", "descent_sweeps"):
+        with pytest.raises(cli.ConfigError, match=keys):
+            cli.load_scenario(preset="table1", overrides=base + [
+                f"tune.{key}=1000000000", "frequency_grid.points=11"])
+    # a second open coordinate squares the coarse scan: 101 x 1000^2 > 10**8
+    aux = ["tune.aux=mechanical_hop", "tune.aux_bounds_hz=[1e6, 60e6]"]
+    with pytest.raises(cli.ConfigError, match=keys):
+        cli.load_scenario(preset="table1", overrides=base + aux + [
+            "tune.coarse_points=1000", "frequency_grid.points=101"])
+    # the bench's 20001 x (33^2 + 3 x 2 x 42 + 1) tune_2d, a collapsed search
+    # (20001 x 2, whatever its coarse_points) and a flux-only
+    # 10000 x (9000 + 3 x 42 + 1) one stay inside the limit
+    cli.load_scenario(preset="table1", overrides=base + aux + ["frequency_grid.points=20001"])
+    cli.load_scenario(preset="table1", overrides=[
+        *base[:3], "tune.flux_bounds_pi=[0.5, 0.5]", "tune.coarse_points=1000000",
+        "frequency_grid.points=20001"])
     cli.load_scenario(preset="table1", overrides=base + [
-        "tune.coarse_points=10000", "frequency_grid.points=10000"])
+        "tune.coarse_points=9000", "frequency_grid.points=10000"])

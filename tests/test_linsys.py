@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,9 +6,16 @@ import numpy as np
 import pytest
 
 import optoflux as of
+from optoflux import linsys
 from optoflux.model import TWO_PI
 
-from helpers import max_entrywise_relative, random_omega, random_params
+from helpers import (
+    exact_inverse,
+    max_entrywise_relative,
+    random_omega,
+    random_params,
+    scaled_params,
+)
 
 # entry-by-entry scripted evaluation of M(omega) for the reference parameters
 # with V = 2pi*1 MHz, phi_L = pi/2, phi_R = 0 at omega/2pi = 5.8 GHz
@@ -29,41 +37,43 @@ def _params_58():
 
 def test_build_matrix_reference_point():
     m = of.build_matrix(_params_58(), TWO_PI * 5.8e9)
-    assert np.allclose(m.entries, M_58GHZ, rtol=1e-12, atol=1e-6)
+    assert np.allclose(m, M_58GHZ, rtol=1e-12, atol=1e-6)
 
 
 def test_matrix_block_structure():
     p = of.from_table1(3e6, flux=0.9)
     m = of.build_matrix(p, TWO_PI * 5.85e9)
-    assert m.block_A[0, 1] == 1j * p.optical_hop
-    assert m.block_A[1, 0] == 1j * p.optical_hop
-    assert m.block_B[0, 1] == 1j * p.mechanical_hop
-    assert m.block_B[1, 0] == 1j * p.mechanical_hop
+    assert m[0, 1] == 1j * p.optical_hop
+    assert m[1, 0] == 1j * p.optical_hop
+    assert m[2, 3] == 1j * p.mechanical_hop
+    assert m[3, 2] == 1j * p.mechanical_hop
     # D = -C* elementwise for the diagonal conversion blocks
-    assert np.allclose(m.block_D, -np.conj(m.block_C), rtol=0, atol=1e-16 * p.G_L)
+    assert np.allclose(m[2:, :2], -np.conj(m[:2, 2:]), rtol=0, atol=1e-16 * p.G_L)
     chi = of.susceptibilities(p, TWO_PI * 5.85e9)
-    assert m.entries[0, 0] == chi.chi_aL_inv
-    assert m.entries[1, 1] == chi.chi_aR_inv
-    assert m.entries[2, 2] == chi.chi_bL_inv
-    assert m.entries[3, 3] == chi.chi_bR_inv
+    assert m[0, 0] == chi.chi_aL_inv
+    assert m[1, 1] == chi.chi_aR_inv
+    assert m[2, 2] == chi.chi_bL_inv
+    assert m[3, 3] == chi.chi_bR_inv
 
 
 def test_matrix_decoupled_limits():
     p = replace(of.from_table1(1e6), G_L=0.0, G_R=0.0)
     m = of.build_matrix(p, TWO_PI * 5.8e9)
-    assert np.all(m.block_C == 0)
-    assert np.all(m.block_D == 0)
+    assert np.all(m[:2, 2:] == 0)
+    assert np.all(m[2:, :2] == 0)
 
     q = replace(of.from_table1(0.0), optical_hop=0.0)
     m = of.build_matrix(q, TWO_PI * 5.8e9)
-    assert m.block_A[0, 1] == 0 and m.block_A[1, 0] == 0
-    assert m.block_B[0, 1] == 0 and m.block_B[1, 0] == 0
+    assert m[0, 1] == 0 and m[1, 0] == 0
+    assert m[2, 3] == 0 and m[3, 2] == 0
 
 
 def test_matrix_entries_read_only():
-    m = of.build_matrix(of.from_table1(1e6), TWO_PI * 5.8e9)
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 0.0
+    p = of.from_table1(1e6)
+    for m in (of.build_matrix(p, TWO_PI * 5.8e9), of.effective_blocks(p, TWO_PI * 5.8e9)):
+        assert type(m) is np.ndarray and m.dtype == complex and m.shape == (4, 4)
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
 
 
 def test_invert_dense_identity_and_diagonal():
@@ -77,8 +87,8 @@ def test_invert_dense_residual_bound():
     p = of.from_table1(1e6, flux=1.1)
     m = of.build_matrix(p, TWO_PI * 5.9e9)
     inv = of.invert_dense(m)
-    residual = np.max(np.abs(m.entries @ inv - np.eye(4)))
-    assert residual <= 1e-10 * np.max(np.abs(m.entries))
+    residual = np.max(np.abs(m @ inv - np.eye(4)))
+    assert residual <= 1e-10 * np.max(np.abs(m))
 
 
 def test_invert_dense_rejects_singular():
@@ -103,27 +113,46 @@ def test_effective_blocks_match_dense_randomized():
         p = random_params(rng)
         omega = random_omega(rng)
         dense = of.invert_dense(of.build_matrix(p, omega))
-        assembled = of.effective_blocks(p, omega).assemble()
-        worst = max(worst, max_entrywise_relative(assembled, dense))
+        closed = of.effective_blocks(p, omega)
+        worst = max(worst, max_entrywise_relative(closed, dense))
     assert worst <= 1e-10
+
+
+
+def test_both_routes_match_exact_inverse_at_range_corners():
+    # every corner of the random_params box (each rate group 10^-2 or 10^2
+    # times its reference) on either mechanical resonance: weak optical
+    # decay with strong G_L, G_R there is where a closed form that subtracts
+    # nearly equal products loses digits, so the exact rational inverse
+    # decides, at the criterion-1 entry bound
+    worst = {"closed form": 0.0, "dense": 0.0}
+    for exponents in itertools.product((-2.0, 2.0), repeat=8):
+        p = scaled_params(10.0 ** np.array(exponents), phi_L=0.3, phi_R=1.1)
+        for omega in (p.omega_mL, p.omega_mR):
+            m = of.build_matrix(p, omega)
+            exact = exact_inverse(m)
+            for route, inv in (("closed form", of.effective_blocks(p, omega)),
+                               ("dense", of.invert_dense(m))):
+                worst[route] = max(worst[route], max_entrywise_relative(inv, exact))
+    assert worst["closed form"] <= 1e-9 and worst["dense"] <= 1e-9, worst
 
 
 def test_effective_blocks_determinants():
     p = of.from_table1(2.5e6, flux=0.37)
     omega = TWO_PI * 5.88e9
     chi = of.susceptibilities(p, omega)
-    blocks = of.effective_blocks(p, omega)
-    assert blocks.det_A == chi.chi_aR_inv * chi.chi_aL_inv + p.optical_hop ** 2
-    assert blocks.det_B == chi.chi_bR_inv * chi.chi_bL_inv + p.mechanical_hop ** 2
+    det_A = chi.chi_aR_inv * chi.chi_aL_inv + p.optical_hop ** 2
+    assert linsys.optical_det(chi, p.optical_hop) == det_A
+    assert linsys.checked_optical_det(chi, p.optical_hop) == det_A
 
 
 def test_mechanical_offdiagonals_coincide_at_integer_flux():
     p = of.from_table1(1.7e6)
     omega = TWO_PI * 5.86e9
     for n in (-2, -1, 0, 1, 2):
-        blocks = of.effective_blocks(p.with_flux(n * math.pi), omega)
-        b01 = blocks.B_eff_inv[0, 1]
-        b10 = blocks.B_eff_inv[1, 0]
+        B_eff_inv = of.effective_blocks(p.with_flux(n * math.pi), omega)[2:, 2:]
+        b01 = B_eff_inv[0, 1]
+        b10 = B_eff_inv[1, 0]
         assert abs(b01 - b10) <= 1e-12 * abs(b01)
 
 
@@ -132,10 +161,10 @@ def test_flux_gauge_invariance():
     rng = np.random.default_rng(7)
     p = of.from_table1(2e6, flux=0.81)
     omega = TWO_PI * 5.91e9
-    reference = np.abs(of.effective_blocks(p, omega).assemble())
+    reference = np.abs(of.effective_blocks(p, omega))
     for shift in rng.uniform(-10, 10, size=5):
         shifted = np.abs(of.effective_blocks(
-            replace(p, phi_L=p.phi_L + shift, phi_R=p.phi_R + shift), omega).assemble())
+            replace(p, phi_L=p.phi_L + shift, phi_R=p.phi_R + shift), omega))
         assert np.max(np.abs(shifted - reference) / reference) <= 1e-9
 
 
@@ -146,13 +175,13 @@ def test_no_optical_dressing_without_enhanced_coupling():
     chi = of.susceptibilities(p, omega)
     V = p.mechanical_hop
     det_B = chi.chi_bR_inv * chi.chi_bL_inv + V * V
-    blocks = of.effective_blocks(p, omega)
-    assert blocks.B_eff_inv[0, 1] == -1j * V / det_B
-    assert blocks.B_eff_inv[1, 0] == -1j * V / det_B
-    assert np.all(blocks.conv_photon_to_phonon == 0)
-    assert np.all(blocks.conv_phonon_to_photon == 0)
+    inv = of.effective_blocks(p, omega)
+    assert inv[2, 3] == -1j * V / det_B
+    assert inv[3, 2] == -1j * V / det_B
+    assert np.all(inv[2:, :2] == 0)
+    assert np.all(inv[:2, 2:] == 0)
     dense = of.invert_dense(of.build_matrix(p, omega))
-    assert max_entrywise_relative(blocks.assemble(), dense) <= 1e-9
+    assert max_entrywise_relative(inv, dense) <= 1e-9
 
 
 def test_degenerate_block_raised_for_undamped_resonance():
@@ -170,9 +199,9 @@ def test_degenerate_block_raised_for_undamped_resonance():
     with pytest.raises(of.DegenerateBlock):
         of.effective_blocks(p, omega)
     # off the resonance the zero-decay system still inverts cleanly
-    blocks = of.effective_blocks(p, omega_m + 3 * V)
+    closed = of.effective_blocks(p, omega_m + 3 * V)
     dense = of.invert_dense(of.build_matrix(p, omega_m + 3 * V))
-    assert max_entrywise_relative(blocks.assemble(), dense) <= 1e-9
+    assert max_entrywise_relative(closed, dense) <= 1e-9
 
 
 def test_degenerate_block_is_a_singular_matrix():

@@ -238,3 +238,33 @@ def test_tune_validates_inputs():
                                              aux_bounds=(0, 1)))
     with pytest.raises(ValueError):
         of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=(0, 1), aux_name="G_L"))
+
+
+def test_tune_validates_budget():
+    p = of.from_table1(1e6)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 3)
+    for name, bad in (("coarse_points", 2.5), ("coarse_points", 0), ("coarse_points", "33"),
+                      ("golden_iterations", -5), ("golden_iterations", 4.0),
+                      ("descent_sweeps", -1), ("descent_sweeps", None)):
+        space = of.SearchSpace(flux_bounds=(0.0, 1.0), frequency_grid=grid, **{name: bad})
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            of.tune(p, of.PHONON, space)
+    # the minima themselves are a valid budget: a collapsed space needs no
+    # coarse row and no descent
+    space = of.SearchSpace(flux_bounds=(0.5, 0.5), frequency_grid=grid, coarse_points=1,
+                           golden_iterations=0, descent_sweeps=0)
+    assert of.tune(p, of.PHONON, space).best_flux == 0.5
+
+
+def test_tune_survives_long_descent_budgets():
+    # past 511 sweeps the bracket width underflows to 0 instead of 4.0 ** k
+    # overflowing; a collapsed space skips the sweeps instead of idling
+    p = of.from_table1(1e6)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 3)
+    space = of.SearchSpace(flux_bounds=(0.0, 1.0), frequency_grid=grid, coarse_points=3,
+                           golden_iterations=0, descent_sweeps=600)
+    result = of.tune(p, of.PHONON, space)
+    assert 0.0 <= result.best_flux <= 1.0
+    collapsed = of.SearchSpace(flux_bounds=(0.5, 0.5), frequency_grid=grid,
+                               descent_sweeps=10**18)
+    assert of.tune(p, of.PHONON, collapsed).best_flux == 0.5

@@ -72,7 +72,7 @@ def test_closed_forms_match_dense_oracle_over_draws(exponents, phi_L, phi_R, ome
     # the criterion-1 tolerances
     p = _params(exponents, phi_L, phi_R)
     dense = of.invert_dense(of.build_matrix(p, omega))
-    assert max_entrywise_relative(of.effective_blocks(p, omega).assemble(), dense) <= 1e-9
+    assert max_entrywise_relative(of.effective_blocks(p, omega), dense) <= 1e-9
     for quantity in of.QUANTITIES:
         closed = of.isolation_db(p, omega, quantity)
         assert abs(closed - oracle_isolation_db(p, omega, quantity)) <= 1e-6

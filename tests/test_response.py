@@ -217,17 +217,17 @@ def test_isolation_point_records_frequency():
 def test_phonon_isolation_matches_mechanical_block_ratio():
     p = of.from_table1(0.6e6, flux=-0.8)
     omega = TWO_PI * 5.895e9
-    blocks = of.effective_blocks(p, omega)
-    ratio_db = 20 * math.log10(abs(blocks.B_eff_inv[1, 0]) / abs(blocks.B_eff_inv[0, 1]))
+    B_eff_inv = of.effective_blocks(p, omega)[2:, 2:]
+    ratio_db = 20 * math.log10(abs(B_eff_inv[1, 0]) / abs(B_eff_inv[0, 1]))
     assert of.isolation_db(p, omega, of.PHONON) == pytest.approx(ratio_db, abs=1e-9)
 
 
 def test_conversion_isolation_matches_conversion_blocks():
     p = of.from_table1(9e6, flux=1.9)
     omega = TWO_PI * 5.92e9
-    blocks = of.effective_blocks(p, omega)
-    p2b = blocks.conv_photon_to_phonon
-    b2p = blocks.conv_phonon_to_photon
+    inv = of.effective_blocks(p, omega)
+    p2b = inv[2:, :2]
+    b2p = inv[:2, 2:]
     assert of.isolation_db(p, omega, of.PHOTON_TO_PHONON) == pytest.approx(
         20 * math.log10(abs(p2b[1, 0]) / abs(p2b[0, 1])), abs=1e-9)
     assert of.isolation_db(p, omega, of.PHONON_TO_PHOTON) == pytest.approx(
