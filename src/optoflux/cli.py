@@ -381,21 +381,63 @@ def _csv(header, *columns):
         yield line % tuple(row.tolist())
 
 
+def _sentinel(x):
+    """A float as JSON can hold it: finite values stay, while inf, -inf and nan,
+    which JSON has no literal for, become the strings "inf", "-inf" and "nan"."""
+    return x if math.isfinite(x) else str(x)
+
+
+def _plain(value):
+    """``value`` with :func:`_sentinel` applied to every float in its dicts and lists."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return _sentinel(value) if isinstance(value, float) else value
+
+
+def _json_array(values, indent):
+    """JSON chunks of a float array nested at ``indent`` (a newline plus
+    spaces), one innermost row per chunk."""
+    if not len(values):
+        yield "[]"
+        return
+    inner = indent + "  "
+    if values.ndim > 1:
+        sep = "["
+        for row in values:
+            yield sep + inner
+            yield from _json_array(row, inner)
+            sep = ","
+        yield indent + "]"
+        return
+    cells = values.tolist()
+    if np.isfinite(values).all():
+        # float.__repr__ is what json writes for a finite float
+        texts = map(float.__repr__, cells)
+    else:
+        texts = (json.dumps(_sentinel(x)) for x in cells)
+    yield "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
 def _json(payload):
-    """JSON chunks of ``payload``, indented by 2, then a final newline."""
-    yield from json.JSONEncoder(indent=2).iterencode(payload)
-    yield "\n"
+    """JSON chunks of the mapping ``payload``: the bytes of
+    ``json.dumps(payload, indent=2)`` plus a final newline, with non-finite
+    floats as the strings of :func:`_sentinel`.
 
-
-def _json_values(values):
-    """An array or scalar as nested lists of floats for :func:`_json`, with
-    non-finite cells as "inf", "-inf" and "nan", which JSON has no literal for."""
-    values = np.asarray(values, dtype=float)
-    out = values.astype(object)
-    out[np.isposinf(values)] = "inf"
-    out[np.isneginf(values)] = "-inf"
-    out[np.isnan(values)] = "nan"
-    return out.tolist()
+    An ndarray value is streamed one row at a time; any other value goes
+    through ``json.dumps`` and is re-indented to its nesting level.
+    """
+    sep = "{"
+    for key, value in payload.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
+        if isinstance(value, np.ndarray):
+            yield from _json_array(value, "\n  ")
+        else:
+            # a JSON string never holds a raw newline, so every one is layout
+            yield json.dumps(_plain(value), indent=2).replace("\n", "\n  ")
+        sep = ","
+    yield "\n}\n"
 
 
 def _run_spectrum(scenario, params):
@@ -409,7 +451,7 @@ def _run_spectrum(scenario, params):
         "quantity": scenario.quantity,
         "points": [
             {"frequency_hz": w, "isolation_db": v}
-            for w, v in zip(_json_values(freqs), _json_values(values))
+            for w, v in zip(freqs.tolist(), values.tolist())
         ],
     })
 
@@ -425,9 +467,9 @@ def _run_fluxmap(scenario, params):
     return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
-        "flux_pi": _json_values(flux_pi),
-        "frequency_hz": _json_values(freqs),
-        "isolation_db": _json_values(fm.values),
+        "flux_pi": flux_pi,
+        "frequency_hz": freqs,
+        "isolation_db": fm.values,
     })
 
 
@@ -441,7 +483,6 @@ def _run_tune(scenario, params):
                 "%.12g,%.12g,%s,%s,%.12g,%.12g\n" % (
                     result.best_flux, result.best_flux / math.pi, aux or "", aux_cell,
                     result.peak_db, result.peak_frequency / TWO_PI)]
-    objectives = _json_values([obj for _, obj in result.trace])
     return _json({
         "mode": "tune",
         "quantity": scenario.quantity,
@@ -450,13 +491,13 @@ def _run_tune(scenario, params):
         "best_flux_wrapped_pi": wrap_phase(result.best_flux) / math.pi,
         "best_aux_name": aux,
         "best_aux_hz": aux_hz,
-        "peak_db": _json_values(result.peak_db),
+        "peak_db": result.peak_db,
         "peak_frequency_hz": result.peak_frequency / TWO_PI,
         "trace": [
             {"flux_rad": flux,
              "aux_hz": None if aux_value is None else aux_value / TWO_PI,
              "objective_db": obj}
-            for ((flux, aux_value), _), obj in zip(result.trace, objectives)
+            for (flux, aux_value), obj in result.trace
         ],
     })
 
@@ -493,7 +534,7 @@ def _run_steadystate(scenario, params):
     }
     if scenario.output["format"] == "csv":
         return _csv(fields, *fields.values())
-    return _json({"mode": "steadystate", **dict(zip(fields, _json_values(list(fields.values()))))})
+    return _json({"mode": "steadystate", **fields})
 
 
 _RUNNERS = {
@@ -506,6 +547,11 @@ _RUNNERS = {
 
 def run(scenario: Scenario) -> str:
     """Execute one scenario and write its output file atomically.
+
+    Every number is computed first.  CSV and JSON are then streamed one row
+    at a time into a temporary file beside the output path, which is renamed
+    over it, so neither the file nor a nested-list copy of a map is ever held
+    in memory whole.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel
@@ -560,6 +606,14 @@ def _apply_override(config, assignment):
     node[parts[-1]] = value
 
 
+def _put(config, section, key, value):
+    """Set ``config[section][key]`` for a command-line flag."""
+    node = config.setdefault(section, {})
+    if not isinstance(node, dict):
+        _fail(section, "must be a mapping")
+    node[key] = value
+
+
 def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> Scenario:
     """Assemble a scenario from an optional file plus command-line pieces."""
     if path is None and preset is None:
@@ -576,16 +630,13 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
         if not isinstance(config, dict):
             raise ConfigError("scenario: top level must be a mapping")
     if preset is not None:
-        config.setdefault("params", {})
-        if not isinstance(config["params"], dict):
-            raise ConfigError("params: must be a mapping")
-        config["params"]["preset"] = preset
+        _put(config, "params", "preset", preset)
     for assignment in overrides:
         _apply_override(config, assignment)
     if out is not None:
-        config.setdefault("output", {})["path"] = out
+        _put(config, "output", "path", out)
     if fmt is not None:
-        config.setdefault("output", {})["format"] = fmt
+        _put(config, "output", "format", fmt)
     return Scenario.from_dict(config)
 
 

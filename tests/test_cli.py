@@ -4,6 +4,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -125,6 +126,52 @@ output: {{path: {out}, format: {fmt}}}
 """)
         assert _run(["run", config]) == 0
         assert out.read_bytes() == (DATA / f"fluxmap_small.{fmt}").read_bytes()
+
+
+def test_sentinel_fluxmap_matches_committed_golden(tmp_path):
+    # no optical bridge and no left coupling: every forward photon->phonon
+    # amplitude is identically zero, so every cell is -inf
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"fm.{fmt}"
+        assert _run([
+            "run", "--preset", "table1", "--set", "mode=fluxmap",
+            "--set", "quantity=photon_to_phonon",
+            "--set", "params.mechanical_hop_hz=1e6",
+            "--set", "params.optical_hop_hz=0",
+            "--set", "params.enhanced_coupling_hz=[0, 31e6]",
+            "--set", "flux_grid={start_pi: -1.0, stop_pi: 1.0, points: 3}",
+            "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
+            "--out", str(out), "--format", fmt,
+        ]) == 0
+        assert out.read_bytes() == (DATA / f"fluxmap_sentinel.{fmt}").read_bytes()
+
+
+_ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999999999e-05,
+                  1 / 3, 5800000000.0, 9999999999999998.0, 1e16, 1e22]
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param(_ORACLE_VALUES, id="1d"),
+    pytest.param([], id="1d empty"),
+    pytest.param([_ORACLE_VALUES[:6], _ORACLE_VALUES[6:]], id="2 rows mixed"),
+    pytest.param([[1.5, -2.0], [math.inf, math.nan]], id="finite row, sentinel row"),
+    pytest.param([[x] for x in _ORACLE_VALUES], id="1 column"),
+    pytest.param([[math.nan] * 3, [-math.inf] * 3, [math.inf] * 3], id="all sentinels"),
+    pytest.param([[[0.1, math.inf], [-0.0, 2.0]]] * 2, id="3d"),
+])
+def test_json_writer_matches_stdlib_encoder(values):
+    def plain(v):  # the nested lists json would need, with sentinel strings
+        if isinstance(v, list):
+            return [plain(x) for x in v]
+        return v if math.isfinite(v) else {math.inf: "inf", -math.inf: "-inf"}.get(v, "nan")
+
+    payload = {"mode": "fluxmap", "best_aux_name": None, "peak_db": -math.inf,
+               "points": [{"frequency_hz": 5.8e9, "isolation_db": math.nan}],
+               "flux_pi": np.array(_ORACLE_VALUES), "isolation_db": np.array(values, dtype=float)}
+    expected = {"mode": "fluxmap", "best_aux_name": None, "peak_db": "-inf",
+                "points": [{"frequency_hz": 5.8e9, "isolation_db": "nan"}],
+                "flux_pi": plain(_ORACLE_VALUES), "isolation_db": plain(values)}
+    assert "".join(cli._json(payload)) == json.dumps(expected, indent=2) + "\n"
 
 
 def test_output_is_deterministic(tmp_path):
@@ -571,3 +618,14 @@ def test_tune_coarse_row_counts_toward_grid_cap():
         "frequency_grid.points=20001"])
     cli.load_scenario(preset="table1", overrides=base + [
         "tune.coarse_points=9000", "frequency_grid.points=10000"])
+
+
+@pytest.mark.parametrize("flag", [["--out", "x.csv"], ["--format", "json"]])
+@pytest.mark.parametrize("output", ["null", "3"])
+def test_output_flag_needs_output_mapping(tmp_path, monkeypatch, capsys, flag, output):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["run", "--preset", "table1", "--set", "mode=spectrum",
+                 "--set", "quantity=phonon", "--set", "params.mechanical_hop_hz=5e5",
+                 "--set", f"output={output}", *flag]) == 2
+    assert "output: must be a mapping" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
