@@ -163,24 +163,26 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     omega = grid.values()
 
     # the amplitude terms depend on neither the flux nor V, so they are
-    # built once unless the searched coupling enters them
-    shared_terms = None
+    # built once, with one kernel and one output buffer, unless the searched
+    # coupling enters them
+    shared_db = buffer = None
     if aux_name in (None, "mechanical_hop"):
-        shared_terms = response.amplitude_terms(params, omega, quantity)
+        shared_db = response.amplitude_kernel(response.amplitude_terms(params, omega, quantity))
+        buffer = np.empty_like(omega)
 
-    def spectrum_at(flux, aux):
-        if shared_terms is None:
-            terms = response.amplitude_terms(replace(params, **{aux_name: aux}), omega, quantity)
+    def spectrum_at(flux, aux, out=None):
+        if shared_db is None:
+            db = response.amplitude_kernel(
+                response.amplitude_terms(replace(params, **{aux_name: aux}), omega, quantity))
         else:
-            terms = shared_terms
+            db = shared_db
         hop = aux if aux_name == "mechanical_hop" else params.mechanical_hop
-        return response.amplitude_db(terms, hop, params.carried_flux(flux))
+        return db(hop, params.carried_flux(flux), out)
 
     def objective(flux, aux):
-        values = spectrum_at(flux, aux)
-        if np.all(np.isnan(values)):
-            return -math.inf
-        return float(np.nanmax(values))
+        # fmax skips nan cells; only a spectrum that is nan everywhere gives nan
+        peak = float(np.fmax.reduce(spectrum_at(flux, aux, buffer)))
+        return -math.inf if math.isnan(peak) else peak
 
     def axis(lo, hi):
         if lo == hi:

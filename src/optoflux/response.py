@@ -31,7 +31,7 @@ These cleared-denominator forms are algebraically identical to the
 block-element ratios but remain finite for vanishing couplings and at
 undamped optical resonances.  Because the terms depend on neither phi nor
 V, sweeps and searches over those two build them once per frequency grid
-and rerun only :func:`amplitude_db`.
+and rerun only :func:`amplitude_kernel`.
 """
 
 from __future__ import annotations
@@ -66,33 +66,44 @@ def gamma_A(params: SystemParams, omega: float) -> complex:
     return complex(bridge / linsys.checked_optical_det(chi, params.optical_hop))
 
 
-def _ratio_db(num, den):
-    """20*log10(num/den) with exact-zero and underflow handling.
+def _ratio_db(num, den, mask):
+    """Overwrite ``num`` with 20*log10(num/den) and return it.
 
     Bitwise-equal amplitudes give exactly 0 dB.  A numerator or denominator
     below UNDERFLOW reports -inf or +inf (+inf is the perfect-isolation
-    sentinel); both below gives nan.
+    sentinel); both below gives nan.  ``den`` and the bool array ``mask``
+    are scratch and are overwritten too.
+
+    One minimum per amplitude decides whether any sentinel can fire.  The
+    guard is negated because a nan minimum must fail it: a nan amplitude
+    beside a tiny one still needs the sentinel path.
     """
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        db = 20.0 * (np.log10(num) - np.log10(den))
-    tiny_n = num < UNDERFLOW
-    tiny_d = den < UNDERFLOW
-    db = np.where(tiny_d & ~tiny_n, math.inf, db)
-    db = np.where(tiny_n & ~tiny_d, -math.inf, db)
-    db = np.where(tiny_n & tiny_d, math.nan, db)
-    db = np.where(num == den, 0.0, db)
-    if db.ndim == 0:
-        return float(db)
-    return db
+    if not (num.min() >= UNDERFLOW and den.min() >= UNDERFLOW):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            db = 20.0 * (np.log10(num) - np.log10(den))
+        tiny_n = num < UNDERFLOW
+        tiny_d = den < UNDERFLOW
+        db = np.where(tiny_d & ~tiny_n, math.inf, db)
+        db = np.where(tiny_n & ~tiny_d, -math.inf, db)
+        db = np.where(tiny_n & tiny_d, math.nan, db)
+        num[...] = np.where(num == den, 0.0, db)
+        return num
+    np.equal(num, den, out=mask)
+    np.log10(num, out=num)
+    np.log10(den, out=den)
+    # inf - inf is nan; the mask puts equal infinite amplitudes back to 0 dB
+    with np.errstate(invalid="ignore"):
+        np.subtract(num, den, out=num)
+    np.multiply(num, 20.0, out=num)
+    np.copyto(num, 0.0, where=mask)
+    return num
 
 
 def amplitude_terms(params: SystemParams, omega, quantity: str):
     """The flux- and V-independent terms of one channel at ``omega``.
 
     Returns ``((g, X, Y) forward, (g, X, Y) backward)`` for
-    :func:`amplitude_db`; X and Y broadcast like ``omega``.
+    :func:`amplitude_kernel`; X and Y broadcast like ``omega``.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
@@ -108,13 +119,31 @@ def amplitude_terms(params: SystemParams, omega, quantity: str):
     return from_right, from_left
 
 
-def amplitude_db(terms, mechanical_hop: float, flux: float):
-    """Isolation in dB, |g V X + Y e^{-i flux}| over |g V X + Y e^{+i flux}|."""
+def amplitude_kernel(terms):
+    """The isolation in dB of one set of :func:`amplitude_terms`.
+
+    Returns ``db(mechanical_hop, flux, out=None)``: |g V X + Y e^{-i flux}|
+    over |g V X + Y e^{+i flux}| in dB, written into ``out`` (a fresh array
+    when None) and returned.  The scratch space is allocated here, once, so
+    a sweep or search that reruns the kernel allocates nothing per call.
+    """
     (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
-    z = np.exp(1j * flux)
-    forward = np.abs((g_f * mechanical_hop) * x_f + y_f * np.conj(z))
-    backward = np.abs((g_b * mechanical_hop) * x_b + y_b * z)
-    return _ratio_db(forward, backward)
+    shape = np.broadcast_shapes(*(np.shape(t) for t in (x_f, y_f, x_b, y_b)))
+    hop_x, y_w = np.empty(shape, complex), np.empty(shape, complex)
+    backward, mask = np.empty(shape), np.empty(shape, bool)
+
+    def db(mechanical_hop, flux, out=None):
+        if out is None:
+            out = np.empty(shape)
+        z = np.exp(1j * flux)
+        for g, x, y, w, amplitude in ((g_f, x_f, y_f, np.conj(z), out),
+                                      (g_b, x_b, y_b, z, backward)):
+            np.multiply(g * mechanical_hop, x, out=hop_x)
+            np.add(hop_x, np.multiply(y, w, out=y_w), out=hop_x)
+            np.abs(hop_x, out=amplitude)
+        return _ratio_db(out, backward, mask)
+
+    return db
 
 
 def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
@@ -124,7 +153,8 @@ def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     matches.
     """
     terms = amplitude_terms(params, np.asarray(omega, dtype=float), quantity)
-    return amplitude_db(terms, params.mechanical_hop, params.synthetic_flux)
+    db = amplitude_kernel(terms)(params.mechanical_hop, params.synthetic_flux)
+    return float(db) if db.ndim == 0 else db
 
 
 def transmission_matrix(params: SystemParams, omega: float) -> np.ndarray:

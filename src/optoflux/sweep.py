@@ -81,7 +81,7 @@ def flux_map(params: SystemParams, quantity: str, flux_grid, freq_grid: Frequenc
     """Evaluate one quantity over a full (flux, frequency) product grid.
 
     The flux-independent amplitude terms are built once; each row then
-    costs one kernel evaluation.
+    costs one kernel evaluation, written straight into the map.
     """
     flux_axis = np.asarray(flux_grid, dtype=float)
     if flux_axis.ndim != 1 or flux_axis.size < 1:
@@ -89,10 +89,10 @@ def flux_map(params: SystemParams, quantity: str, flux_grid, freq_grid: Frequenc
     if not np.all(np.isfinite(flux_axis)):
         raise ValueError("flux grid values must be finite")
     omega = freq_grid.values()
-    terms = response.amplitude_terms(params, omega, quantity)
+    db = response.amplitude_kernel(response.amplitude_terms(params, omega, quantity))
     values = np.empty((flux_axis.size, omega.size), dtype=float)
     for i, flux in enumerate(params.carried_flux(flux_axis)):
-        values[i, :] = response.amplitude_db(terms, params.mechanical_hop, flux)
+        db(params.mechanical_hop, flux, out=values[i])
     values.setflags(write=False)
     flux_axis = flux_axis.copy()
     flux_axis.setflags(write=False)

@@ -1,5 +1,5 @@
-"""Shared test utilities: randomized parameter draws, the dense oracle and
-the exact rational inverse."""
+"""Shared test utilities: randomized parameter draws, the dense oracle, the
+exact rational inverse and the reference dB ratio."""
 
 import math
 from fractions import Fraction
@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 import optoflux as of
+from optoflux.response import UNDERFLOW
 
 # mode ordering (a_L, a_R, b_L, b_R): element pairs whose magnitude ratio
 # defines each isolation, as (forward, backward) indices into M^-1
@@ -55,6 +56,25 @@ def oracle_isolation_db(params, omega, quantity):
     minv = of.invert_dense(of.build_matrix(params, omega))
     (fi, fj), (bi, bj) = ORACLE_ELEMENTS[quantity]
     return 20.0 * math.log10(abs(minv[fi, fj]) / abs(minv[bi, bj]))
+
+
+def ratio_db_reference(num, den):
+    """20*log10(num/den) with the isolation sentinels, one np.where per rule.
+
+    The straightforward form of ``response._ratio_db``: bitwise-equal
+    amplitudes give 0 dB, a numerator (denominator) below UNDERFLOW gives
+    -inf (+inf), both below gives nan.
+    """
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = 20.0 * (np.log10(num) - np.log10(den))
+    tiny_n = num < UNDERFLOW
+    tiny_d = den < UNDERFLOW
+    db = np.where(tiny_d & ~tiny_n, math.inf, db)
+    db = np.where(tiny_n & ~tiny_d, -math.inf, db)
+    db = np.where(tiny_n & tiny_d, math.nan, db)
+    return np.where(num == den, 0.0, db)
 
 
 def max_entrywise_relative(a, b):

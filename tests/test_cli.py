@@ -146,6 +146,23 @@ def test_sentinel_fluxmap_matches_committed_golden(tmp_path):
         assert out.read_bytes() == (DATA / f"fluxmap_sentinel.{fmt}").read_bytes()
 
 
+def test_tune_matches_committed_golden(tmp_path):
+    # photon->phonon over flux and V with a short budget: the coarse scan,
+    # both descent coordinates and the shared kernel buffer all run
+    out = tmp_path / "tune.json"
+    assert _run([
+        "run", "--preset", "table1", "--set", "mode=tune",
+        "--set", "quantity=photon_to_phonon",
+        "--set", "params.mechanical_hop_hz=520e3",
+        "--set", "tune={flux_bounds_pi: [1.0, 2.0], aux: mechanical_hop, "
+                 "aux_bounds_hz: [1e6, 60e6], coarse_points: 9, golden_iterations: 12, "
+                 "descent_sweeps: 2}",
+        "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}",
+        "--out", str(out), "--format", "json",
+    ]) == 0
+    assert out.read_bytes() == (DATA / "tune_small.json").read_bytes()
+
+
 _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999999999e-05,
                   1 / 3, 5800000000.0, 9999999999999998.0, 1e16, 1e22]
 

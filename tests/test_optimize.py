@@ -227,6 +227,26 @@ def test_tune_peak_matches_isolation_db_exactly():
             assert result.trace[-1][1] == result.peak_db
 
 
+def test_all_nan_spectrum_scores_minus_inf(monkeypatch):
+    # both amplitudes below UNDERFLOW and unequal: every cell is nan, so every
+    # candidate scores -inf, the first coarse point is kept, and no all-nan
+    # RuntimeWarning escapes
+    def tiny_terms(params, omega, quantity):
+        return ((1.0, np.full(omega.shape, 1e-320 + 0j), 0.0),
+                (1.0, np.full(omega.shape, 3e-320 + 0j), 0.0))
+
+    monkeypatch.setattr(of.response, "amplitude_terms", tiny_terms)
+    space = of.SearchSpace(flux_bounds=(0.0, 1.0), aux_name="mechanical_hop",
+                           aux_bounds=(TWO_PI * 1e5, TWO_PI * 1e6),
+                           frequency_grid=_small_grid(), coarse_points=3,
+                           golden_iterations=2, descent_sweeps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = of.tune(of.from_table1(1e6), of.PHOTON_TO_PHONON, space)
+    assert result.trace == (((0.0, TWO_PI * 1e5), -math.inf),)
+    assert math.isnan(result.peak_db)
+
+
 def test_tune_validates_inputs():
     p = of.from_table1(1e6)
     with pytest.raises(ValueError):

@@ -16,10 +16,12 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import optoflux as of  # noqa: E402
+from optoflux import response  # noqa: E402
 
 from helpers import (  # noqa: E402
     max_entrywise_relative,
     oracle_isolation_db,
+    ratio_db_reference,
     scaled_params,
 )
 
@@ -76,3 +78,38 @@ def test_closed_forms_match_dense_oracle_over_draws(exponents, phi_L, phi_R, ome
     for quantity in of.QUANTITIES:
         closed = of.isolation_db(p, omega, quantity)
         assert abs(closed - oracle_isolation_db(p, omega, quantity)) <= 1e-6
+
+
+# amplitudes at and around the sentinel thresholds, with ordinary values so
+# that whole arrays also clear the guard and take the in-place path
+TINY = np.nextafter(response.UNDERFLOW, 0.0)
+amplitude_cells = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, TINY, response.UNDERFLOW, math.nan,
+                     math.inf, -math.inf]),
+    st.floats(min_value=response.UNDERFLOW, allow_nan=False),
+    st.floats(1e-3, 1e3),
+)
+
+
+@st.composite
+def amplitude_pairs(draw):
+    n = draw(st.integers(1, 8))
+    num = draw(st.lists(amplitude_cells, min_size=n, max_size=n))
+    den = draw(st.lists(amplitude_cells, min_size=n, max_size=n))
+    same = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    den = [a if s else b for a, b, s in zip(num, den, same)]
+    return np.array(num), np.array(den)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(pair=amplitude_pairs())
+@example(pair=(np.array([math.nan, 1e-310]), np.array([1.0, 1.0])))
+@example(pair=(np.array([1.0, math.nan]), np.array([2.0, 0.0])))
+@example(pair=(np.array([2.0, math.inf, 3.0]), np.array([1.0, math.inf, 3.0])))
+def test_ratio_db_matches_reference_bitwise(pair):
+    # the in-place fast path must give exactly what one np.where per
+    # sentinel rule gives, nan next to a tiny cell included
+    num, den = pair
+    expected = ratio_db_reference(num, den)
+    got = response._ratio_db(num.copy(), den.copy(), np.empty(num.shape, bool))
+    assert got.tobytes() == expected.tobytes()

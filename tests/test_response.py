@@ -199,6 +199,23 @@ def test_perfect_isolation_sentinels():
     assert of.isolation_db(p, omega, of.PHONON_TO_PHOTON) == math.inf
 
 
+def test_amplitude_kernel_writes_only_its_output():
+    # the kernel reuses its scratch between calls; what it returns is the
+    # caller's out or a fresh array, never that scratch
+    p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
+    omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 31)
+    for quantity in of.QUANTITIES:
+        db = of.response.amplitude_kernel(of.response.amplitude_terms(p, omegas, quantity))
+        first = db(p.mechanical_hop, p.carried_flux(0.4))
+        kept = first.copy()
+        second = db(p.mechanical_hop, -1.3)
+        out = np.empty_like(omegas)
+        assert db(2.0 * p.mechanical_hop, 2.2, out=out) is out
+        assert second is not first
+        assert np.array_equal(first, kept)
+        assert np.array_equal(first, of.isolation_db(p.with_flux(0.4), omegas, quantity))
+
+
 def test_isolation_db_validates_quantity():
     with pytest.raises(ValueError):
         of.isolation_db(of.from_table1(1e6), TWO_PI * 5.8e9, "bogus")

@@ -71,6 +71,25 @@ def test_spectrum_matches_scalar_operations():
             assert value == pytest.approx(of.isolation_db(p, float(omega), quantity), abs=1e-12)
 
 
+def test_results_are_not_changed_by_later_evaluations():
+    # every result owns its array: no later spectrum, map or tune may write
+    # into one handed out before
+    p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 6.0e9, 31)
+    spectra = {q: of.spectrum(p.with_flux(0.4), q, grid) for q in of.QUANTITIES}
+    points = {q: of.isolation_db(p.with_flux(0.4), grid.values(), q) for q in of.QUANTITIES}
+    before = {q: (spectra[q].tobytes(), points[q].tobytes()) for q in of.QUANTITIES}
+    for q in of.QUANTITIES:
+        of.spectrum(p.with_flux(-1.3), q, grid)
+        of.isolation_db(p.with_flux(2.2), grid.values(), q)
+        of.flux_map(p, q, [0.1, 0.2], grid)
+        of.tune(p, q, of.SearchSpace(flux_bounds=(0.0, 1.0), aux_name="mechanical_hop",
+                                     aux_bounds=(TWO_PI * 1e5, TWO_PI * 1e6),
+                                     frequency_grid=grid, coarse_points=3,
+                                     golden_iterations=2, descent_sweeps=1))
+    assert {q: (spectra[q].tobytes(), points[q].tobytes()) for q in of.QUANTITIES} == before
+
+
 def test_flux_map_shape_and_tag():
     p = of.from_table1(1e6)
     flux_axis = np.linspace(-math.pi, math.pi, 9)
