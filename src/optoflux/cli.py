@@ -15,6 +15,12 @@ Example scenario::
     frequency_grid: {start_hz: 5.6e9, stop_hz: 6.1e9, points: 2001}
     output: {path: spectrum.csv, format: csv}
 
+Loading, validating, building parameters and the steadystate mode are
+plain Python.  The numeric layers (numpy, ``linsys``, ``response``, ``sweep``,
+``optimize``) are imported by the runners of the spectrum, fluxmap and tune
+modes when they run, so a steady-state run or a rejected file never loads
+them.
+
 Exit codes: 0 success, 1 i/o failure, 2 validation failure, 3 numerical
 degeneracy that aborts the scenario.
 """
@@ -28,13 +34,18 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
 import yaml
 
-from . import model, optimize, response, steadystate, sweep
+from . import model, steadystate
 from .errors import ConfigError, NoSolution, SingularMatrix, ZeroCoupling
 from .model import TWO_PI, SystemParams, wrap_phase
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import optimize, sweep
 
 MODES = ("spectrum", "fluxmap", "tune", "steadystate")
 FORMATS = ("csv", "json")
@@ -151,22 +162,22 @@ _REQUIRED = object()  # the default of a key that has none
 # are checked in Scenario.from_dict.
 _SECTIONS = {
     "frequency_grid": (("spectrum", "fluxmap", "tune"), {
-        "start_hz": (_number, None, sweep.DEFAULT_FREQ_START_HZ),
-        "stop_hz": (_number, None, sweep.DEFAULT_FREQ_STOP_HZ),
-        "points": (_integer, 2, sweep.DEFAULT_FREQ_POINTS),
+        "start_hz": (_number, None, model.DEFAULT_FREQ_START_HZ),
+        "stop_hz": (_number, None, model.DEFAULT_FREQ_STOP_HZ),
+        "points": (_integer, 2, model.DEFAULT_FREQ_POINTS),
     }),
     "flux_grid": (("fluxmap",), {
         "start_pi": (_number, None, -2.0),
         "stop_pi": (_number, None, 2.0),
-        "points": (_integer, 2, sweep.DEFAULT_FLUX_POINTS),
+        "points": (_integer, 2, model.DEFAULT_FLUX_POINTS),
     }),
     "tune": (("tune",), {
         "flux_bounds_pi": (_pair, None, _REQUIRED),
-        "aux": ((None, *optimize.AUX_PARAMETERS), None, None),
+        "aux": ((None, *model.AUX_PARAMETERS), None, None),
         "aux_bounds_hz": (_pair, 0.0, None),
-        "coarse_points": (_integer, 1, optimize.SearchSpace.coarse_points),
-        "golden_iterations": (_integer, 0, optimize.SearchSpace.golden_iterations),
-        "descent_sweeps": (_integer, 0, optimize.SearchSpace.descent_sweeps),
+        "coarse_points": (_integer, 1, model.DEFAULT_COARSE_POINTS),
+        "golden_iterations": (_integer, 0, model.DEFAULT_GOLDEN_ITERATIONS),
+        "descent_sweeps": (_integer, 0, model.DEFAULT_DESCENT_SWEEPS),
     }),
     "steadystate": (("steadystate",), {
         "drive_amplitude": (_pair, 0.0, None),
@@ -267,8 +278,8 @@ class Scenario:
             if quantity is not None:
                 _fail("quantity", "not applicable to steadystate mode")
         else:
-            if quantity not in response.QUANTITIES:
-                _fail("quantity", f"must be one of {response.QUANTITIES}, got {quantity!r}")
+            if quantity not in model.QUANTITIES:
+                _fail("quantity", f"must be one of {model.QUANTITIES}, got {quantity!r}")
 
         if "params" not in raw:
             _fail("params", "section is required")
@@ -342,15 +353,24 @@ class Scenario:
             params = params.with_flux(math.pi * p["flux_pi"])
         return params
 
+    # the builders below import the numeric layers, so only modes that use
+    # them load numpy
+
     def build_frequency_grid(self) -> sweep.FrequencyGrid:
+        from . import sweep
+
         g = self.frequency_grid
         return sweep.FrequencyGrid.from_hz(g["start_hz"], g["stop_hz"], g["points"])
 
     def build_flux_axis(self) -> np.ndarray:
+        import numpy as np
+
         g = self.flux_grid
         return np.linspace(math.pi * g["start_pi"], math.pi * g["stop_pi"], g["points"])
 
     def build_search_space(self) -> optimize.SearchSpace:
+        from . import optimize
+
         t = self.tune
         lo, hi = t["flux_bounds_pi"]
         return optimize.SearchSpace(
@@ -367,18 +387,16 @@ class Scenario:
 # -- serialization -------------------------------------------------------------
 
 
-def _csv(header, *columns):
-    """CSV chunks: the header row, then one row per entry of the columns.
+def _csv(header, rows):
+    """CSV chunks: the header row, then one line per row of Python floats.
 
     Numbers carry 12 significant digits; "%.12g" prints non-finite values as
     inf, -inf and nan.
     """
-    table = np.column_stack(columns)
-    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    line = ",".join(["%.12g"] * len(header)) + "\n"
     yield ",".join(header) + "\n"
-    # row by row: a whole-table tolist() would hold every cell as an object
-    for row in table:
-        yield line % tuple(row.tolist())
+    for row in rows:
+        yield line % tuple(row)
 
 
 def _sentinel(x):
@@ -399,6 +417,8 @@ def _plain(value):
 def _json_array(values, indent):
     """JSON chunks of a float array nested at ``indent`` (a newline plus
     spaces), one innermost row per chunk."""
+    import numpy as np
+
     if not len(values):
         yield "[]"
         return
@@ -428,10 +448,13 @@ def _json(payload):
     An ndarray value is streamed one row at a time; any other value goes
     through ``json.dumps`` and is re-indented to its nesting level.
     """
+    # a payload can hold an ndarray only once numpy is loaded, so a payload
+    # of plain values is written without importing it
+    numpy = sys.modules.get("numpy")
     sep = "{"
     for key, value in payload.items():
         yield f"{sep}\n  {json.dumps(key)}: "
-        if isinstance(value, np.ndarray):
+        if numpy is not None and isinstance(value, numpy.ndarray):
             yield from _json_array(value, "\n  ")
         else:
             # a JSON string never holds a raw newline, so every one is layout
@@ -440,12 +463,18 @@ def _json(payload):
     yield "\n}\n"
 
 
+# The runners of the array modes import the numeric layers when they run and
+# call them as module attributes, so a wrapper set on the module is honoured.
+
+
 def _run_spectrum(scenario, params):
+    from . import sweep
+
     grid = scenario.build_frequency_grid()
     freqs = grid.values() / TWO_PI
     values = sweep.spectrum(params, scenario.quantity, grid)
     if scenario.output["format"] == "csv":
-        return _csv(["frequency_hz", "isolation_db"], freqs, values)
+        return _csv(["frequency_hz", "isolation_db"], zip(freqs.tolist(), values.tolist()))
     return _json({
         "mode": "spectrum",
         "quantity": scenario.quantity,
@@ -457,13 +486,19 @@ def _run_spectrum(scenario, params):
 
 
 def _run_fluxmap(scenario, params):
+    import numpy as np
+
+    from . import sweep
+
     fm = sweep.flux_map(params, scenario.quantity, scenario.build_flux_axis(),
                         scenario.build_frequency_grid())
     flux_pi = fm.flux_axis / math.pi
     freqs = fm.freq_axis.values() / TWO_PI
     if scenario.output["format"] == "csv":
         header = ["frequency_hz"] + ["%.12g" % f for f in flux_pi.tolist()]
-        return _csv(header, freqs, *fm.values)
+        table = np.column_stack((freqs, *fm.values))
+        # row by row: a whole-table tolist() would hold every cell as an object
+        return _csv(header, (row.tolist() for row in table))
     return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
@@ -474,6 +509,8 @@ def _run_fluxmap(scenario, params):
 
 
 def _run_tune(scenario, params):
+    from . import optimize
+
     result = optimize.tune(params, scenario.quantity, scenario.build_search_space())
     aux = scenario.tune.get("aux")
     aux_hz = None if result.best_aux is None else result.best_aux / TWO_PI
@@ -533,7 +570,7 @@ def _run_steadystate(scenario, params):
         "phi_R_rad": drives[3],
     }
     if scenario.output["format"] == "csv":
-        return _csv(fields, *fields.values())
+        return _csv(fields, [fields.values()])
     return _json({"mode": "steadystate", **fields})
 
 
@@ -548,10 +585,12 @@ _RUNNERS = {
 def run(scenario: Scenario) -> str:
     """Execute one scenario and write its output file atomically.
 
-    Every number is computed first.  CSV and JSON are then streamed one row
-    at a time into a temporary file beside the output path, which is renamed
-    over it, so neither the file nor a nested-list copy of a map is ever held
-    in memory whole.
+    Every number is computed first; the runner of an array mode imports
+    numpy and the numeric layers at this point, the steadystate runner
+    never does.  CSV and JSON are then streamed one row at a time into a
+    temporary file beside the output path, which is renamed over it, so
+    neither the file nor a nested-list copy of a map is ever held in memory
+    whole.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel

@@ -29,10 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateBlock, SingularMatrix
-from .model import SystemParams, susceptibilities
-
-#: relative threshold below which a pivot or determinant counts as vanished
-DEGENERACY_RTOL = 1e-14
+from .model import DEGENERACY_RTOL, SystemParams, susceptibilities
 
 
 def build_matrix(params: SystemParams, omega: float) -> np.ndarray:

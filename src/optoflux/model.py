@@ -22,6 +22,33 @@ from dataclasses import dataclass, replace
 
 TWO_PI = 2.0 * math.pi
 
+# The constants below are read by the numeric modules and by scenario
+# validation alike; they live here, with no numpy import, so that validation
+# and steady-state runs never load numpy.
+
+#: relative threshold below which a pivot or determinant counts as vanished
+DEGENERACY_RTOL = 1e-14
+
+# the three isolation channels (see :mod:`~optoflux.response`)
+PHONON = "phonon"
+PHOTON_TO_PHONON = "photon_to_phonon"
+PHONON_TO_PHOTON = "phonon_to_photon"
+QUANTITIES = (PHONON, PHOTON_TO_PHONON, PHONON_TO_PHOTON)
+
+#: SystemParams fields the tune search may vary besides the flux
+AUX_PARAMETERS = ("mechanical_hop", "optical_hop", "G_L", "G_R")
+
+# default probe band, frequency points and flux points of spectra and maps
+DEFAULT_FREQ_START_HZ = 5.6e9
+DEFAULT_FREQ_STOP_HZ = 6.1e9
+DEFAULT_FREQ_POINTS = 2001
+DEFAULT_FLUX_POINTS = 401
+
+# default budget of the tune search (see optimize.SearchSpace)
+DEFAULT_COARSE_POINTS = 33
+DEFAULT_GOLDEN_ITERATIONS = 40
+DEFAULT_DESCENT_SWEEPS = 3
+
 
 def wrap_phase(phi: float) -> float:
     """Map a phase to the display interval (-pi, pi]."""

@@ -19,12 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import response, sweep
-from .model import SystemParams
+from .model import (AUX_PARAMETERS, DEFAULT_COARSE_POINTS, DEFAULT_DESCENT_SWEEPS,
+                    DEFAULT_GOLDEN_ITERATIONS, SystemParams)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: SystemParams fields tune() may search besides the flux
-AUX_PARAMETERS = ("mechanical_hop", "optical_hop", "G_L", "G_R")
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,9 @@ class SearchSpace:
     aux_name: str | None = None
     aux_bounds: tuple | None = None
     frequency_grid: sweep.FrequencyGrid | None = None
-    coarse_points: int = 33
-    golden_iterations: int = 40
-    descent_sweeps: int = 3
+    coarse_points: int = DEFAULT_COARSE_POINTS
+    golden_iterations: int = DEFAULT_GOLDEN_ITERATIONS
+    descent_sweeps: int = DEFAULT_DESCENT_SWEEPS
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,9 @@ import numpy as np
 
 from . import linsys
 from .errors import ZeroCoupling
-from .model import SystemParams, susceptibilities
-
-PHONON = "phonon"
-PHOTON_TO_PHONON = "photon_to_phonon"
-PHONON_TO_PHOTON = "phonon_to_photon"
-QUANTITIES = (PHONON, PHOTON_TO_PHONON, PHONON_TO_PHOTON)
+# the channel names stay importable from here
+from .model import (PHONON, PHONON_TO_PHOTON, PHOTON_TO_PHONON,  # noqa: F401
+                    QUANTITIES, SystemParams, susceptibilities)
 
 #: amplitudes below this count as an exact null (perfect isolation sentinel)
 UNDERFLOW = 1e-300

@@ -19,9 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import linsys
 from .errors import DegenerateBlock, NoSolution
-from .model import SystemParams
+from .model import DEGENERACY_RTOL, SystemParams
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ def drive_response_matrix(params: SystemParams, phi_L: float, phi_R: float):
     d_R = params.kappa_R / 2.0 - 1j * params.detuning_R
     den = d_L * d_R + J * J
     scale = abs(d_L) * abs(d_R) + J * J
-    if scale == 0.0 or abs(den) < linsys.DEGENERACY_RTOL * scale:
+    if scale == 0.0 or abs(den) < DEGENERACY_RTOL * scale:
         raise DegenerateBlock(f"steady-state denominator {den!r} vanishes")
     cross = -1j * J * cmath.exp(1j * (phi_L + phi_R))
     root_eL = math.sqrt(params.kappa_eL)
@@ -101,7 +100,7 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     t = drive_response_matrix(params, params.phi_L, params.phi_R)
     det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
     scale = abs(t[0][0] * t[1][1]) + abs(t[0][1] * t[1][0])
-    if scale == 0.0 or abs(det) < linsys.DEGENERACY_RTOL * scale:
+    if scale == 0.0 or abs(det) < DEGENERACY_RTOL * scale:
         raise NoSolution("drive map is singular for these phases and couplings")
 
     unit_L = t[0][0] + t[0][1]

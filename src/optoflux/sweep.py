@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import response
-from .model import TWO_PI, SystemParams
-
-DEFAULT_FREQ_START_HZ = 5.6e9
-DEFAULT_FREQ_STOP_HZ = 6.1e9
-DEFAULT_FREQ_POINTS = 2001
-DEFAULT_FLUX_POINTS = 401
+from .model import (DEFAULT_FLUX_POINTS, DEFAULT_FREQ_POINTS, DEFAULT_FREQ_START_HZ,
+                    DEFAULT_FREQ_STOP_HZ, TWO_PI, SystemParams)
 
 
 @dataclass(frozen=True)

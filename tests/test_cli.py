@@ -163,6 +163,50 @@ def test_tune_matches_committed_golden(tmp_path):
     assert out.read_bytes() == (DATA / "tune_small.json").read_bytes()
 
 
+@pytest.mark.parametrize("name, section, fmt", [
+    ("steady_forward", "{drive_amplitude: [1e8, 1e8]}", "csv"),
+    ("steady_inverse", "{target_enhanced_coupling_hz: [33e6, 31e6]}", "json"),
+])
+def test_steadystate_matches_committed_golden(tmp_path, name, section, fmt):
+    # the benchmark's default-seed steady-state scenarios: one row of plain
+    # floats through the CSV writer, and a flat JSON mapping
+    out = tmp_path / f"{name}.{fmt}"
+    assert _run([
+        "run", "--preset", "table1", "--set", "mode=steadystate",
+        "--set", "params.mechanical_hop_hz=515709.8644424447",
+        "--set", "params.flux_pi=-0.1585105713191547",
+        "--set", "params.vacuum_coupling_hz=[1000, 1000]",
+        "--set", f"steadystate={section}",
+        "--out", str(out), "--format", fmt,
+    ]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+def test_schema_defaults_match_numeric_layers():
+    # the schema reads its defaults and allowed values from model, so that
+    # validation needs no numpy; they must still be what the layers use
+    from optoflux import linsys, model, optimize, response, sweep
+
+    params = {"preset": "table1", "mechanical_hop_hz": 5e5}
+    tune = cli.Scenario.from_dict({"mode": "tune", "quantity": "phonon", "params": params,
+                                   "tune": {"flux_bounds_pi": [0.0, 1.0]}})
+    budget = {f.name: f.default for f in dataclasses.fields(optimize.SearchSpace)}
+    for key in ("coarse_points", "golden_iterations", "descent_sweeps"):
+        assert tune.tune[key] == budget[key]
+    assert tune.build_frequency_grid() == sweep.default_frequency_grid()
+
+    fluxmap = cli.Scenario.from_dict({"mode": "fluxmap", "quantity": "phonon", "params": params})
+    assert fluxmap.flux_grid["points"] == sweep.DEFAULT_FLUX_POINTS
+    assert np.array_equal(fluxmap.build_flux_axis(), sweep.default_flux_grid())
+    assert fluxmap.build_frequency_grid() == sweep.default_frequency_grid()
+
+    for quantity in response.QUANTITIES:
+        cli.Scenario.from_dict({"mode": "spectrum", "quantity": quantity, "params": params})
+    assert model.QUANTITIES == response.QUANTITIES
+    assert cli._SECTIONS["tune"][1]["aux"][0] == (None, *optimize.AUX_PARAMETERS)
+    assert linsys.DEGENERACY_RTOL is model.DEGENERACY_RTOL
+
+
 _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999999999e-05,
                   1 / 3, 5800000000.0, 9999999999999998.0, 1e16, 1e22]
 

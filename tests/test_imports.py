@@ -1,0 +1,173 @@
+"""What importing the package loads, checked in fresh interpreters.
+
+Scenario validation, parameter building and the steadystate mode are plain
+Python, so they must not pay for importing numpy or the numeric layers; the
+package namespace loads its names on first use and must still offer every
+name it always did.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+NUMERIC = ("numpy", "optoflux.linsys", "optoflux.response", "optoflux.sweep",
+           "optoflux.optimize")
+
+# every name the package exported when it imported its submodules eagerly,
+# with the submodule that defined it then
+EXPORTED = {
+    "errors": ("ConfigError", "DegenerateBlock", "NoSolution", "OptofluxError",
+               "SingularMatrix", "ZeroCoupling"),
+    "linsys": ("build_matrix", "effective_blocks", "invert_dense"),
+    "model": ("TWO_PI", "Susceptibilities", "SystemParams", "from_table1",
+              "susceptibilities", "wrap_phase"),
+    "optimize": ("AUX_PARAMETERS", "InterferenceSolution", "SearchSpace", "TuneResult",
+                 "interference_condition", "tune"),
+    "response": ("PHONON", "PHONON_TO_PHOTON", "PHOTON_TO_PHONON", "QUANTITIES",
+                 "gamma_A", "isolation_db", "transmission_matrix"),
+    "steadystate": ("SteadyState", "drives_for_target_G", "steady_amplitudes"),
+    "sweep": ("FluxMap", "FrequencyGrid", "default_flux_grid", "default_frequency_grid",
+              "flux_map", "spectrum"),
+}
+
+_REPORT = ("import json, sys\n"
+           f"print(json.dumps([m for m in {NUMERIC!r} if m in sys.modules]))\n")
+_SETUP = ("import sys\n"
+          "from optoflux import cli\n"
+          "for path in sys.argv[1:]:\n"
+          "    cli.load_scenario(path).build_params()\n")
+
+
+def _python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+# ``python -m optoflux run ...`` through runpy, as -m runs it, then the report
+# (-X importtime cannot tell: it does not log `from . import name` imports)
+_CLI = ("import runpy\n"
+        "try:\n"
+        "    runpy.run_module('optoflux', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n")
+
+
+def _loaded_by_cli(config, cwd):
+    """Exit code of ``python -m optoflux run config`` and the numeric modules
+    it left in ``sys.modules``."""
+    proc = _python(["-c", _CLI + _REPORT, "run", str(config)], cwd)
+    assert proc.returncode == 0, proc.stderr
+    *_, code, loaded = proc.stdout.splitlines()
+    return int(code), json.loads(loaded)
+
+
+_PARAMS = """
+params:
+  preset: table1
+  mechanical_hop_hz: 515709.8644424447
+  flux_pi: -0.1585105713191547
+  vacuum_coupling_hz: [1000, 1000]
+"""
+_SCENARIOS = {
+    "steady_forward": "mode: steadystate\nsteadystate: {drive_amplitude: [1e8, 1e8]}\n"
+                      "output: {format: csv}\n",
+    "steady_inverse": "mode: steadystate\n"
+                      "steadystate: {target_enhanced_coupling_hz: [33e6, 31e6]}\n"
+                      "output: {format: json}\n",
+    "spectrum": "mode: spectrum\nquantity: phonon\n"
+                "frequency_grid: {start_hz: 5.8e9, stop_hz: 5.9e9, points: 5}\n",
+    "fluxmap": "mode: fluxmap\nquantity: phonon\n"
+               "frequency_grid: {start_hz: 5.8e9, stop_hz: 5.9e9, points: 5}\n"
+               "flux_grid: {start_pi: -1.0, stop_pi: 1.0, points: 3}\n",
+    "tune": "mode: tune\nquantity: phonon\n"
+            "frequency_grid: {start_hz: 5.8e9, stop_hz: 5.9e9, points: 5}\n"
+            "tune: {flux_bounds_pi: [0.0, 1.0], coarse_points: 3}\n",
+    "invalid": "mode: spectrum\nquantity: phonon\nfrequency_grid: {points: 1}\n",
+}
+
+
+@pytest.fixture
+def configs(tmp_path):
+    paths = {}
+    for name, text in _SCENARIOS.items():
+        paths[name] = tmp_path / f"{name}.yaml"
+        paths[name].write_text(text + _PARAMS, encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("name", ["steady_forward", "steady_inverse"])
+def test_steadystate_run_imports_no_numeric_layer(configs, tmp_path, name):
+    code, loaded = _loaded_by_cli(configs[name], tmp_path)
+    assert code == 0
+    assert loaded == []
+    assert (tmp_path / ("result.csv" if name == "steady_forward" else "result.json")).is_file()
+
+
+def test_rejected_config_imports_no_numeric_layer(configs, tmp_path):
+    assert _loaded_by_cli(configs["invalid"], tmp_path) == (2, [])
+
+
+def test_spectrum_run_imports_the_numeric_layers(configs, tmp_path):
+    # the counterpart of the checks above: an array mode does load them
+    # (all but optimize, which only tune needs)
+    assert _loaded_by_cli(configs["spectrum"], tmp_path) == (0, list(NUMERIC[:-1]))
+
+
+def test_setup_stages_import_no_numeric_layer(configs, tmp_path):
+    # what a benchmark setup probe does for each mode: import the CLI, load
+    # and validate the scenario, build its parameters
+    modes = ["spectrum", "fluxmap", "tune", "steady_forward", "steady_inverse"]
+    proc = _python(["-c", _SETUP + _REPORT, *(str(configs[m]) for m in modes)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+_NAMESPACE = """
+import importlib, json, sys
+import optoflux as of
+
+report = {}
+# a submodule attribute works before anything imported the submodule
+report["submodule_before_import"] = "optoflux.response" not in sys.modules
+report["amplitude_terms"] = of.response.amplitude_terms is \\
+    importlib.import_module("optoflux.response").amplitude_terms
+exported = json.loads(sys.argv[1])
+report["unresolved"] = [
+    name for module, names in exported.items() for name in names
+    if getattr(of, name) is not getattr(importlib.import_module("optoflux." + module), name)
+]
+star = {}
+exec("from optoflux import *", star)
+everything = [name for names in exported.values() for name in names]
+report["not_starred"] = [name for name in everything if name not in star]
+report["not_in_dir"] = [name for name in everything if name not in dir(of)]
+report["not_in_all"] = [name for name in everything if name not in of.__all__]
+try:
+    of.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+report["hasattr_unknown"] = hasattr(of, "no_such_name")
+print(json.dumps(report))
+"""
+
+
+def test_namespace_exports_every_name(tmp_path):
+    proc = _python(["-c", _NAMESPACE, json.dumps(EXPORTED)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "submodule_before_import": True,
+        "amplitude_terms": True,
+        "unresolved": [],
+        "not_starred": [],
+        "not_in_dir": [],
+        "not_in_all": [],
+        "unknown": "module 'optoflux' has no attribute 'no_such_name'",
+        "hasattr_unknown": False,
+    }
