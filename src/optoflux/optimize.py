@@ -6,7 +6,8 @@ V - Gamma_A(omega) e^{i flux} = 0.  :func:`interference_condition` solves
 that condition in closed form; :func:`tune` is a derivative-free search
 (coarse scan plus golden-section coordinate descent with a fixed budget)
 that maximises the grid-peak isolation of any quantity over flux and,
-optionally, one auxiliary coupling.  Both are fully deterministic.
+optionally, one auxiliary coupling, scoring each candidate with the
+amplitude kernel's ``peak``.  Both are fully deterministic.
 """
 
 from __future__ import annotations
@@ -160,26 +161,24 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     grid = search_space.frequency_grid or sweep.default_frequency_grid()
     omega = grid.values()
 
-    # the amplitude terms depend on neither the flux nor V, so they are
-    # built once, with one kernel and one output buffer, unless the searched
-    # coupling enters them
-    shared_db = buffer = None
-    if aux_name in (None, "mechanical_hop"):
-        shared_db = response.amplitude_kernel(response.amplitude_terms(params, omega, quantity))
-        buffer = np.empty_like(omega)
+    # the amplitude terms depend on neither the flux nor V, so one kernel
+    # serves every candidate unless the searched coupling enters the terms
+    shared = (response.amplitude_kernel(response.amplitude_terms(params, omega, quantity))
+              if aux_name in (None, "mechanical_hop") else None)
 
-    def spectrum_at(flux, aux, out=None):
-        if shared_db is None:
-            db = response.amplitude_kernel(
-                response.amplitude_terms(replace(params, **{aux_name: aux}), omega, quantity))
-        else:
-            db = shared_db
+    def kernel(aux):
+        if shared is not None:
+            return shared
+        return response.amplitude_kernel(
+            response.amplitude_terms(replace(params, **{aux_name: aux}), omega, quantity))
+
+    def point(flux, aux):
         hop = aux if aux_name == "mechanical_hop" else params.mechanical_hop
-        return db(hop, params.carried_flux(flux), out)
+        return hop, params.carried_flux(flux)
 
     def objective(flux, aux):
-        # fmax skips nan cells; only a spectrum that is nan everywhere gives nan
-        peak = float(np.fmax.reduce(spectrum_at(flux, aux, buffer)))
+        # the peak skips nan cells; only a spectrum that is nan everywhere gives nan
+        peak = kernel(aux).peak(*point(flux, aux))
         return -math.inf if math.isnan(peak) else peak
 
     def axis(lo, hi):
@@ -233,7 +232,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
                 best_obj = fx
                 trace.append(record(best_flux, best_aux, best_obj))
 
-    final = spectrum_at(best_flux, best_aux)
+    final = kernel(best_aux)(*point(best_flux, best_aux))
     masked = np.where(np.isnan(final), -math.inf, final)
     peak_index = int(np.argmax(masked))
     return TuneResult(

@@ -31,12 +31,14 @@ These cleared-denominator forms are algebraically identical to the
 block-element ratios but remain finite for vanishing couplings and at
 undamped optical resonances.  Because the terms depend on neither phi nor
 V, sweeps and searches over those two build them once per frequency grid
-and rerun only :func:`amplitude_kernel`.
+and rerun only :func:`amplitude_kernel` (a search, only its ``peak``).
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 
 import numpy as np
 
@@ -121,25 +123,64 @@ def amplitude_kernel(terms):
 
     Returns ``db(mechanical_hop, flux, out=None)``: |g V X + Y e^{-i flux}|
     over |g V X + Y e^{+i flux}| in dB, written into ``out`` (a fresh array
-    when None) and returned.  The scratch space is allocated here, once, so
-    a sweep or search that reruns the kernel allocates nothing per call.
+    when None) and returned.  ``db.peak(mechanical_hop, flux)`` is
+    ``float(np.fmax.reduce(db(...), axis=None))`` bit for bit, with the log
+    taken only where that maximum can be.  The scratch space is allocated
+    here, once, so a sweep or search that reruns the kernel allocates nothing
+    per call; Y e^{-+i flux} is recomputed only when the flux changes.
     """
     (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
     shape = np.broadcast_shapes(*(np.shape(t) for t in (x_f, y_f, x_b, y_b)))
-    hop_x, y_w = np.empty(shape, complex), np.empty(shape, complex)
-    backward, mask = np.empty(shape), np.empty(shape, bool)
+    hop_x, y_wf = np.empty(shape, complex), np.empty(shape, complex)
+    forward, backward, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    ratio = np.ndarray(shape, buffer=hop_x)  # peak's ratio, once hop_x is free
+    # Y_f e^{-i flux} and Y_b e^{+i flux} for the flux whose bits are ``held``, kept
+    # from a flux's first repeat on, so a kernel run once per flux touches no more memory
+    y_wb = held = seen = None
+
+    def amplitudes(mechanical_hop, flux, out):
+        nonlocal y_wb, held, seen
+        bits = struct.pack("d", flux)
+        if y_wb is None and bits == seen:
+            y_wb = np.empty(shape, complex)
+        fresh, held, seen = bits != held, None, bits
+        z = np.exp(1j * flux)
+        for g, x, y, w, y_w, amplitude in (
+                (g_f, x_f, y_f, np.conj(z), y_wf, out),
+                (g_b, x_b, y_b, z, y_wf if y_wb is None else y_wb, backward)):
+            if fresh:
+                np.multiply(y, w, out=y_w)
+            np.multiply(g * mechanical_hop, x, out=hop_x)
+            np.add(hop_x, y_w, out=hop_x)
+            np.abs(hop_x, out=amplitude)
+        if y_wb is not None:
+            held = bits
 
     def db(mechanical_hop, flux, out=None):
         if out is None:
             out = np.empty(shape)
-        z = np.exp(1j * flux)
-        for g, x, y, w, amplitude in ((g_f, x_f, y_f, np.conj(z), out),
-                                      (g_b, x_b, y_b, z, backward)):
-            np.multiply(g * mechanical_hop, x, out=hop_x)
-            np.add(hop_x, np.multiply(y, w, out=y_w), out=hop_x)
-            np.abs(hop_x, out=amplitude)
+        amplitudes(mechanical_hop, flux, out)
         return _ratio_db(out, backward, mask)
 
+    def peak(mechanical_hop, flux):
+        amplitudes(mechanical_hop, flux, forward)
+        if forward.min() >= UNDERFLOW and backward.min() >= UNDERFLOW:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.divide(forward, backward, out=ratio)
+            top = ratio.max()
+            # Past the guard, _ratio_db is 20 (log10 f - log10 b) cell by cell
+            # (its mask only rewrites 0 as 0 where f == b is finite), within
+            # ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off
+            # by a few ulp of at most ~310.  A cell whose ratio is below top
+            # (1 - 1e-9) lies 8.7e-9 dB lower and cannot hold the maximum if top
+            # is normal; a subnormal ratio can be off by half, inf or nan by all.
+            if sys.float_info.min <= top < math.inf:
+                keep = np.greater_equal(ratio, top * (1.0 - 1e-9), out=mask).nonzero()
+                cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
+                return float(cells.max())
+        return float(np.fmax.reduce(_ratio_db(forward, backward, mask), axis=None))
+
+    db.peak = peak
     return db
 
 

@@ -163,6 +163,28 @@ def test_tune_matches_committed_golden(tmp_path):
     assert out.read_bytes() == (DATA / "tune_small.json").read_bytes()
 
 
+@pytest.mark.parametrize("name, flux_pi, aux, fmt", [
+    # a box the backward null curve misses at every grid frequency, so the
+    # search, not an exact null, decides the peak
+    ("tune_search_small", "[0.0, 0.5]", "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]",
+     "json"),
+    # a coupling that enters the amplitude terms: a kernel per candidate
+    ("tune_aux_small", "[1.0, 2.0]", "aux: G_L, aux_bounds_hz: [10e6, 40e6]", "csv"),
+])
+def test_tune_search_matches_committed_golden(tmp_path, name, flux_pi, aux, fmt):
+    out = tmp_path / f"{name}.{fmt}"
+    assert _run([
+        "run", "--preset", "table1", "--set", "mode=tune",
+        "--set", "quantity=photon_to_phonon",
+        "--set", "params.mechanical_hop_hz=520e3",
+        "--set", f"tune={{flux_bounds_pi: {flux_pi}, {aux}, coarse_points: 9, "
+                 "golden_iterations: 12, descent_sweeps: 2}",
+        "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}",
+        "--out", str(out), "--format", fmt,
+    ]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
+
+
 @pytest.mark.parametrize("name, section, fmt", [
     ("steady_forward", "{drive_amplitude: [1e8, 1e8]}", "csv"),
     ("steady_inverse", "{target_enhanced_coupling_hz: [33e6, 31e6]}", "json"),

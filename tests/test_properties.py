@@ -21,6 +21,7 @@ from optoflux import response  # noqa: E402
 from helpers import (  # noqa: E402
     max_entrywise_relative,
     oracle_isolation_db,
+    random_params,
     ratio_db_reference,
     scaled_params,
 )
@@ -113,3 +114,59 @@ def test_ratio_db_matches_reference_bitwise(pair):
     expected = ratio_db_reference(num, den)
     got = response._ratio_db(num.copy(), den.copy(), np.empty(num.shape, bool))
     assert got.tobytes() == expected.tobytes()
+
+
+def _assert_peak_is_full_max(terms, hop, flux):
+    # a fresh kernel for the full spectrum, so that neither call sees the
+    # other's scratch
+    expected = np.fmax.reduce(response.amplitude_kernel(terms)(hop, flux), axis=None)
+    got = response.amplitude_kernel(terms).peak(hop, flux)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), quantity=quantities, hop_scale=st.floats(0.0, 40.0),
+       flux=fluxes)
+def test_kernel_peak_matches_full_spectrum_over_draws(seed, quantity, hop_scale, flux):
+    p = random_params(np.random.default_rng(seed))
+    terms = response.amplitude_terms(p, BAND, quantity)
+    _assert_peak_is_full_max(terms, hop_scale * p.mechanical_hop, flux)
+
+
+# forward over backward: one ulp apart in ratio, the lower ratio with the
+# higher dB on an AVX-512 host, and two ratios that round to 4 and 5 units
+# of the smallest subnormal with the lower one again higher in dB
+ULP_PAIR = (np.array([0.9750756532554867, 5330042.015499256]),
+            np.array([0.0027244869251748936, 14892.823683349254]))
+SUBNORMAL_PAIR = (np.array([1.1536763811861124e-44, 5.450091716805555e-118]),
+                  np.array([5.1890377586554095e+278, 2.4513574315843347e+205]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pair=amplitude_pairs(), scalar=st.sampled_from([None, "numerator", "denominator"]),
+       flux=st.sampled_from([0.0, -0.0, 1.1]))
+@example(pair=ULP_PAIR, scalar=None, flux=0.0)
+@example(pair=SUBNORMAL_PAIR, scalar=None, flux=0.0)
+@example(pair=(np.array([1e-305, 2.0]), np.array([1e-306, 1.0])), scalar=None, flux=0.0)
+@example(pair=(np.array([1e-300, 3.0, 1e300]), np.array([1e300, 3.0, 1e-300])), scalar=None,
+         flux=0.0)
+@example(pair=(np.array([1e-300, 1e-290]), np.array([1e300, 1e300])), scalar=None, flux=0.0)
+@example(pair=(np.full(5, 7.0), np.full(5, 2.0)), scalar=None, flux=0.0)
+@example(pair=(np.full(4, 3.0), np.full(4, 3.0)), scalar="denominator", flux=1.1)
+@example(pair=(np.array([math.inf, 2.0]), np.array([math.inf, 1.0])), scalar=None, flux=0.0)
+@example(pair=(np.array([math.nan, 2.0]), np.array([1.0, 1.0])), scalar=None, flux=0.0)
+def test_kernel_peak_matches_full_spectrum_on_sentinels(pair, scalar, flux):
+    # hand-built terms g = 1, X = amplitude, Y = 0 at V = 1 give each cell
+    # its drawn amplitude: 0, subnormal, just below UNDERFLOW, nan, +-inf,
+    # plateaus and ratios that overflow or underflow; one side may be a
+    # broadcast scalar
+    num, den = pair
+    if scalar == "numerator":
+        num = num[:1].reshape(())
+    elif scalar == "denominator":
+        den = den[:1].reshape(())
+    terms = ((1.0, num + 0j, 0.0), (1.0, den + 0j, 0.0))
+    # an infinite term makes the complex products warn, in db as in peak
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_peak_is_full_max(terms, 1.0, flux)

@@ -201,19 +201,47 @@ def test_perfect_isolation_sentinels():
 
 def test_amplitude_kernel_writes_only_its_output():
     # the kernel reuses its scratch between calls; what it returns is the
-    # caller's out or a fresh array, never that scratch
+    # caller's out or a fresh array, never that scratch, and peak writes
+    # only scratch
     p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
     omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 31)
     for quantity in of.QUANTITIES:
         db = of.response.amplitude_kernel(of.response.amplitude_terms(p, omegas, quantity))
         first = db(p.mechanical_hop, p.carried_flux(0.4))
         kept = first.copy()
+        db.peak(p.mechanical_hop, -1.3)
         second = db(p.mechanical_hop, -1.3)
+        db.peak(3.0 * p.mechanical_hop, p.carried_flux(0.4))
         out = np.empty_like(omegas)
         assert db(2.0 * p.mechanical_hop, 2.2, out=out) is out
+        out_kept = out.copy()
+        db.peak(2.0 * p.mechanical_hop, 0.1)
         assert second is not first
         assert np.array_equal(first, kept)
+        assert np.array_equal(out, out_kept)
         assert np.array_equal(first, of.isolation_db(p.with_flux(0.4), omegas, quantity))
+
+
+def test_amplitude_kernel_reuse_matches_fresh_kernels():
+    # Y e^{-+i flux} is kept while the flux's bits repeat: one kernel fed a
+    # sequence that repeats, alternates and changes the flux (0.0 and -0.0
+    # included) and V gives bitwise what a fresh kernel gives for each call
+    p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
+    omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 41)
+    hops = (p.mechanical_hop, 3.7 * p.mechanical_hop)
+    fluxes = (0.4, 0.4, -1.3, 0.4, 0.0, -0.0, 0.0, np.float64(-1.3), 2.2, 2.2)
+    calls = [(hops[i % 2], flux, i % 3 == 0) for i, flux in enumerate(fluxes)]
+    calls += [(hops[1], 2.2, False), (hops[0], 2.2, True), (hops[0], -0.0, False)]
+    for quantity in of.QUANTITIES:
+        terms = of.response.amplitude_terms(p, omegas, quantity)
+        kernel = of.response.amplitude_kernel(terms)
+        for hop, flux, peak in calls:
+            fresh = of.response.amplitude_kernel(terms)
+            if peak:
+                got, want = kernel.peak(hop, flux), fresh.peak(hop, flux)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            else:
+                assert kernel(hop, flux).tobytes() == fresh(hop, flux).tobytes()
 
 
 def test_isolation_db_validates_quantity():
