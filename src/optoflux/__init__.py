@@ -5,7 +5,7 @@ The package is organised bottom-up:
 
 - :mod:`~optoflux.model`        parameters, unit conventions, susceptibilities
 - :mod:`~optoflux.linsys`       4x4 coupling matrix, dense and closed-form inverses
-- :mod:`~optoflux.response`     the three isolation measures and port responses
+- :mod:`~optoflux.response`     the three isolation measures
 - :mod:`~optoflux.steadystate`  mean intracavity fields and enhanced couplings
 - :mod:`~optoflux.sweep`        spectra and flux-frequency maps
 - :mod:`~optoflux.optimize`     destructive-interference tuning
@@ -30,7 +30,7 @@ _EXPORTS = {
                      "PHONON_TO_PHOTON", "PHOTON_TO_PHONON", "QUANTITIES"), "model"),
     **dict.fromkeys(("InterferenceSolution", "SearchSpace", "TuneResult",
                      "interference_condition", "tune"), "optimize"),
-    **dict.fromkeys(("gamma_A", "isolation_db", "transmission_matrix"), "response"),
+    **dict.fromkeys(("gamma_A", "isolation_db"), "response"),
     **dict.fromkeys(("SteadyState", "drives_for_target_G", "steady_amplitudes"),
                     "steadystate"),
     **dict.fromkeys(("FluxMap", "FrequencyGrid", "default_flux_grid",

@@ -21,6 +21,14 @@ plain Python.  The numeric layers (numpy, ``linsys``, ``response``, ``sweep``,
 modes when they run, so a steady-state run or a rejected file never loads
 them.
 
+An output of at least twice MIN_CELLS_PER_PIECE values, such as a default
+flux map, is formatted by up to one process per usable CPU, each given at
+least MIN_CELLS_PER_PIECE values: its rows are cut into contiguous ranges,
+and ``os.fork`` children format all but the first.  The bytes do not depend
+on how many ranges there are; where ``os.fork`` or ``os.sched_getaffinity``
+is missing, one process formats everything.  On Python >= 3.12 a fork while
+numpy's BLAS threads exist raises a DeprecationWarning.
+
 Exit codes: 0 success, 1 i/o failure, 2 validation failure, 3 numerical
 degeneracy that aborts the scenario.
 """
@@ -34,7 +42,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import yaml
 
@@ -386,17 +394,46 @@ class Scenario:
 
 # -- serialization -------------------------------------------------------------
 
+# the fewest values one process is given to format.  On a 2-CPU x86 host,
+# forking and reaping a 40 MB process took 2-4 ms and a cell took 0.35-0.5 us
+# (CSV) or 0.7-1.1 us (JSON) to format; cutting an output in two began to pay
+# between 20,000 and 80,000 cells in all
+MIN_CELLS_PER_PIECE = 50_000
 
-def _csv(header, rows):
-    """CSV chunks: the header row, then one line per row of Python floats.
 
-    Numbers carry 12 significant digits; "%.12g" prints non-finite values as
-    inf, -inf and nan.
+class _Text(NamedTuple):
+    """An output file's text: the chunks of ``head``, then ``body(lo, hi)``
+    for consecutive row ranges [lo, hi) that cover ``range(rows)``, then the
+    chunks of ``tail``.  ``cells`` counts the values in the rows.
+
+    Any cut of the rows into ranges gives the same bytes, so :func:`_write`
+    can format the ranges in separate processes."""
+
+    head: list
+    rows: int
+    cells: int
+    body: Callable
+    tail: list
+
+
+def _csv(header, table):
+    """CSV text: the header row, then one line per row of ``table``, a list
+    of tuples of Python values or a 2-D float ndarray.
+
+    Numbers carry 12 significant digits ("%.12g" prints non-finite values as
+    inf, -inf and nan); the columns where the first row holds a string are
+    written as they are.
     """
-    line = ",".join(["%.12g"] * len(header)) + "\n"
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield line % tuple(row)
+    plain = isinstance(table, list)
+    line = ",".join("%s" if isinstance(cell, str) else "%.12g"
+                    for cell in (table[0] if len(table) else ())) + "\n"
+
+    def body(lo, hi):
+        # row by row: a whole-table tolist() would hold every cell as an object
+        for row in table[lo:hi]:
+            yield line % (row if plain else tuple(row.tolist()))
+
+    return _Text([",".join(header) + "\n"], len(table), len(table) * len(header), body, [])
 
 
 def _sentinel(x):
@@ -414,53 +451,171 @@ def _plain(value):
     return _sentinel(value) if isinstance(value, float) else value
 
 
-def _json_array(values, indent):
-    """JSON chunks of a float array nested at ``indent`` (a newline plus
-    spaces), one innermost row per chunk."""
-    import numpy as np
+def _json_rows(values, indent, lo, hi):
+    """JSON chunks of rows [lo, hi) of a float array nested at ``indent`` (a
+    newline plus spaces), each row after the "[" (row 0) or "," before it,
+    one innermost row per chunk; the closing ``indent + "]"`` is not included."""
+    inner = indent + "  "
+    if values.ndim > 1:
+        for i in range(lo, hi):
+            yield ("[" if i == 0 else ",") + inner
+            yield from _json_array(values[i], inner)
+        return
+    cells = values[lo:hi]
+    # an array means numpy is loaded: looked up, not imported, so that a
+    # forked writer imports nothing
+    if sys.modules["numpy"].isfinite(cells).all():
+        # float.__repr__ is what json writes for a finite float
+        texts = map(float.__repr__, cells.tolist())
+    else:
+        texts = (json.dumps(_sentinel(x)) for x in cells.tolist())
+    yield ("[" if lo == 0 else ",") + inner + ("," + inner).join(texts)
 
+
+def _json_array(values, indent):
+    """JSON chunks of a whole float array nested at ``indent``."""
     if not len(values):
         yield "[]"
         return
-    inner = indent + "  "
-    if values.ndim > 1:
-        sep = "["
-        for row in values:
-            yield sep + inner
-            yield from _json_array(row, inner)
-            sep = ","
-        yield indent + "]"
-        return
-    cells = values.tolist()
-    if np.isfinite(values).all():
-        # float.__repr__ is what json writes for a finite float
-        texts = map(float.__repr__, cells)
-    else:
-        texts = (json.dumps(_sentinel(x)) for x in cells)
-    yield "[" + inner + ("," + inner).join(texts) + indent + "]"
+    yield from _json_rows(values, indent, 0, len(values))
+    yield indent + "]"
 
 
 def _json(payload):
-    """JSON chunks of the mapping ``payload``: the bytes of
+    """JSON text of the mapping ``payload``: the bytes of
     ``json.dumps(payload, indent=2)`` plus a final newline, with non-finite
     floats as the strings of :func:`_sentinel`.
 
-    An ndarray value is streamed one row at a time; any other value goes
-    through ``json.dumps`` and is re-indented to its nesting level.
+    An ndarray value is written one row at a time, and the rows of the
+    largest one are the text's rows; any other value goes through
+    ``json.dumps`` and is re-indented to its nesting level.
     """
     # a payload can hold an ndarray only once numpy is loaded, so a payload
     # of plain values is written without importing it
     numpy = sys.modules.get("numpy")
-    sep = "{"
+    arrays = [k for k, v in payload.items() if numpy is not None and isinstance(v, numpy.ndarray)]
+    split = max(arrays, key=lambda k: payload[k].size, default=None)
+    if split is not None and not len(payload[split]):
+        split = None  # written whole, as "[]"
+    head, tail = [], []
+    chunks, sep = head, "{"
     for key, value in payload.items():
-        yield f"{sep}\n  {json.dumps(key)}: "
-        if numpy is not None and isinstance(value, numpy.ndarray):
-            yield from _json_array(value, "\n  ")
+        chunks.append(f"{sep}\n  {json.dumps(key)}: ")
+        if key == split:
+            chunks = tail
+            chunks.append("\n  ]")
+        elif key in arrays:
+            chunks.extend(_json_array(value, "\n  "))
         else:
             # a JSON string never holds a raw newline, so every one is layout
-            yield json.dumps(_plain(value), indent=2).replace("\n", "\n  ")
+            chunks.append(json.dumps(_plain(value), indent=2).replace("\n", "\n  "))
         sep = ","
-    yield "\n}\n"
+    chunks.append("\n}\n")
+    if split is None:
+        return _Text(head, 0, 0, lambda lo, hi: (), [])
+    values = payload[split]
+    return _Text(head, len(values), values.size,
+                 lambda lo, hi: _json_rows(values, "\n  ", lo, hi), tail)
+
+
+def _fork(text, lo, hi, part):
+    """Fork a child that formats rows [lo, hi) of ``text`` into the file
+    ``part``; return its pid.
+
+    The child leaves only by os._exit, 0 on success and 1 after printing its
+    error, so nothing of the caller's stack (finally blocks, exception
+    handlers, atexit hooks) runs in it.  SIGINT stays blocked from before the
+    fork until the child is inside the try that ends in os._exit, so that an
+    interrupt cannot unwind a child into the caller either.
+    """
+    import signal  # here, not at the top: only a split write needs it
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                with open(part, "w", encoding="utf-8") as fh:
+                    fh.writelines(text.body(lo, hi))
+                status = 0
+            except BaseException as exc:
+                print(f"optoflux writer of rows {lo}-{hi}: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return pid
+
+
+def _append(part, out):
+    """Append the file ``part`` to the open file descriptor ``out``."""
+    with open(part, "rb") as src:
+        left = os.fstat(src.fileno()).st_size
+        while left:
+            sent = os.sendfile(out, src.fileno(), None, left)
+            if not sent:
+                raise OSError(f"{part}: shorter than its size")
+            left -= sent
+
+
+def _write(text, path):
+    """Write ``text`` to ``path`` atomically, its rows cut into one contiguous
+    range per usable CPU (but no more ranges than rows, nor than
+    MIN_CELLS_PER_PIECE cells apiece allow), formatted at the same time.
+
+    The first range is formatted here into a temporary file beside ``path``;
+    each later one by a forked child into a part file beside that, which is
+    appended once the child exits.  The temporary file is renamed over
+    ``path``, so an interrupted or failed run never leaves a truncated
+    output.  On every exit path each child is reaped (killed first if it
+    still runs) and every part and temporary file removed.
+    """
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = max(1, min(len(os.sched_getaffinity(0)), text.rows,
+                       text.cells // MIN_CELLS_PER_PIECE))
+    bounds = [text.rows * k // n for k in range(n + 1)]
+    tmp = f"{path}.{os.getpid()}.tmp"
+    workers = []  # (pid, part file, lo, hi)
+    reaped = 0
+    try:
+        # a child inherits unflushed output and would write it again
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            part = f"{tmp}.{len(workers) + 1}"
+            workers.append((_fork(text, lo, hi, part), part, lo, hi))
+        # open() keeps the umask-derived file mode
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(text.head)
+            fh.writelines(text.body(0, bounds[1]))
+            for pid, part, lo, hi in workers:
+                _, status = os.waitpid(pid, 0)
+                reaped += 1
+                if status:
+                    raise OSError(f"the writer of rows {lo}-{hi} of {path} failed "
+                                  f"(exit status {os.waitstatus_to_exitcode(status)})")
+                fh.flush()
+                _append(part, fh.fileno())
+                os.remove(part)
+            fh.writelines(text.tail)
+        os.replace(tmp, path)
+    finally:
+        for pid, _, _, _ in workers[reaped:]:
+            from signal import SIGKILL  # loaded by _fork
+
+            with contextlib.suppress(OSError):
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+        for _, part, _, _ in workers:
+            with contextlib.suppress(OSError):
+                os.remove(part)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # still there only if the write or rename failed
 
 
 # The runners of the array modes import the numeric layers when they run and
@@ -468,13 +623,15 @@ def _json(payload):
 
 
 def _run_spectrum(scenario, params):
+    import numpy as np
+
     from . import sweep
 
     grid = scenario.build_frequency_grid()
     freqs = grid.values() / TWO_PI
     values = sweep.spectrum(params, scenario.quantity, grid)
     if scenario.output["format"] == "csv":
-        return _csv(["frequency_hz", "isolation_db"], zip(freqs.tolist(), values.tolist()))
+        return _csv(["frequency_hz", "isolation_db"], np.column_stack((freqs, values)))
     return _json({
         "mode": "spectrum",
         "quantity": scenario.quantity,
@@ -496,9 +653,7 @@ def _run_fluxmap(scenario, params):
     freqs = fm.freq_axis.values() / TWO_PI
     if scenario.output["format"] == "csv":
         header = ["frequency_hz"] + ["%.12g" % f for f in flux_pi.tolist()]
-        table = np.column_stack((freqs, *fm.values))
-        # row by row: a whole-table tolist() would hold every cell as an object
-        return _csv(header, (row.tolist() for row in table))
+        return _csv(header, np.column_stack((freqs, *fm.values)))
     return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
@@ -515,11 +670,11 @@ def _run_tune(scenario, params):
     aux = scenario.tune.get("aux")
     aux_hz = None if result.best_aux is None else result.best_aux / TWO_PI
     if scenario.output["format"] == "csv":
-        aux_cell = "" if aux_hz is None else "%.12g" % aux_hz
-        return ["best_flux_rad,best_flux_pi,best_aux_name,best_aux_hz,peak_db,peak_frequency_hz\n",
-                "%.12g,%.12g,%s,%s,%.12g,%.12g\n" % (
-                    result.best_flux, result.best_flux / math.pi, aux or "", aux_cell,
-                    result.peak_db, result.peak_frequency / TWO_PI)]
+        return _csv(["best_flux_rad", "best_flux_pi", "best_aux_name", "best_aux_hz",
+                     "peak_db", "peak_frequency_hz"],
+                    [(result.best_flux, result.best_flux / math.pi, aux or "",
+                      "" if aux_hz is None else aux_hz,
+                      result.peak_db, result.peak_frequency / TWO_PI)])
     return _json({
         "mode": "tune",
         "quantity": scenario.quantity,
@@ -570,7 +725,7 @@ def _run_steadystate(scenario, params):
         "phi_R_rad": drives[3],
     }
     if scenario.output["format"] == "csv":
-        return _csv(fields, [fields.values()])
+        return _csv(fields, [tuple(fields.values())])
     return _json({"mode": "steadystate", **fields})
 
 
@@ -590,7 +745,11 @@ def run(scenario: Scenario) -> str:
     never does.  CSV and JSON are then streamed one row at a time into a
     temporary file beside the output path, which is renamed over it, so
     neither the file nor a nested-list copy of a map is ever held in memory
-    whole.
+    whole.  An output of at least twice MIN_CELLS_PER_PIECE values has its
+    rows cut into up to one range per usable CPU, formatted at the same time
+    by forked children (so this needs ``os.fork``) and joined in order; the
+    bytes are the same for any number of ranges.  On Python >= 3.12, forking
+    while numpy's BLAS threads exist raises a DeprecationWarning.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel
@@ -598,23 +757,14 @@ def run(scenario: Scenario) -> str:
     """
     try:
         params = scenario.build_params()
-        # a runner does all numerical work here and returns chunks that only
-        # format it, so value-level rejections from the model or search layers
+        # a runner does all numerical work here and returns text that only
+        # formats it, so value-level rejections from the model or search layers
         # surface before the file is opened, as scenario problems
-        chunks = _RUNNERS[scenario.mode](scenario, params)
+        text = _RUNNERS[scenario.mode](scenario, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     path = scenario.output["path"]
-    # write beside the target and rename over it, so an interrupted run never
-    # leaves a truncated output; open() keeps the umask-derived file mode
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)  # still there only if the write or rename failed
+    _write(text, path)
     return path
 
 

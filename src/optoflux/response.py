@@ -194,16 +194,3 @@ def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     db = amplitude_kernel(terms)(params.mechanical_hop, params.synthetic_flux)
     return float(db) if db.ndim == 0 else db
 
-
-def transmission_matrix(params: SystemParams, omega: float) -> np.ndarray:
-    """Mode-amplitude response to unit coherent inputs at the four ports.
-
-    Returns M^-1(omega) . diag(sqrt(kappa_eL), sqrt(kappa_eR),
-    sqrt(gamma_eL), sqrt(gamma_eR)): the closed-form inverse of
-    :func:`linsys.effective_blocks` with each column scaled by its port's
-    root external coupling.  Those factors cancel out of same-species ratios
-    only when the two ports share the coupling rate; :func:`isolation_db`
-    follows the bare block-element convention instead.
-    """
-    ports = np.sqrt([params.kappa_eL, params.kappa_eR, params.gamma_eL, params.gamma_eR])
-    return linsys.effective_blocks(params, omega) * ports

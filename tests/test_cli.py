@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -128,22 +129,123 @@ output: {{path: {out}, format: {fmt}}}
         assert out.read_bytes() == (DATA / f"fluxmap_small.{fmt}").read_bytes()
 
 
-def test_sentinel_fluxmap_matches_committed_golden(tmp_path):
+# the arguments of the committed fluxmap goldens, without --out and --format
+FLUXMAP_GOLDENS = {
+    "fluxmap_small": [
+        "run", "--preset", "table1", "--set", "mode=fluxmap", "--set", "quantity=phonon",
+        "--set", "params.mechanical_hop_hz=520e3",
+        "--set", "flux_grid={start_pi: -1.0, stop_pi: 1.0, points: 5}",
+        "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 4}",
+    ],
     # no optical bridge and no left coupling: every forward photon->phonon
     # amplitude is identically zero, so every cell is -inf
+    "fluxmap_sentinel": [
+        "run", "--preset", "table1", "--set", "mode=fluxmap",
+        "--set", "quantity=photon_to_phonon",
+        "--set", "params.mechanical_hop_hz=1e6",
+        "--set", "params.optical_hop_hz=0",
+        "--set", "params.enhanced_coupling_hz=[0, 31e6]",
+        "--set", "flux_grid={start_pi: -1.0, stop_pi: 1.0, points: 3}",
+        "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
+    ],
+}
+
+
+def test_sentinel_fluxmap_matches_committed_golden(tmp_path):
     for fmt in ("csv", "json"):
         out = tmp_path / f"fm.{fmt}"
-        assert _run([
-            "run", "--preset", "table1", "--set", "mode=fluxmap",
-            "--set", "quantity=photon_to_phonon",
-            "--set", "params.mechanical_hop_hz=1e6",
-            "--set", "params.optical_hop_hz=0",
-            "--set", "params.enhanced_coupling_hz=[0, 31e6]",
-            "--set", "flux_grid={start_pi: -1.0, stop_pi: 1.0, points: 3}",
-            "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
-            "--out", str(out), "--format", fmt,
-        ]) == 0
+        assert _run([*FLUXMAP_GOLDENS["fluxmap_sentinel"],
+                     "--out", str(out), "--format", fmt]) == 0
         assert out.read_bytes() == (DATA / f"fluxmap_sentinel.{fmt}").read_bytes()
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(n)`` makes the writer cut every output of at least n rows into
+    n ranges; it returns the list that collects the pids the writer forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def force(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(cli, "MIN_CELLS_PER_PIECE", 1)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    return force
+
+
+@pytest.mark.parametrize("ranges", [2, 3])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("name", sorted(FLUXMAP_GOLDENS))
+def test_split_fluxmap_matches_committed_golden(tmp_path, split, name, fmt, ranges):
+    forks = split(ranges)
+    out = tmp_path / f"{name}.{fmt}"
+    assert _run([*FLUXMAP_GOLDENS[name], "--out", str(out), "--format", fmt]) == 0
+    assert len(forks) == ranges - 1
+    assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
+    assert os.listdir(tmp_path) == [out.name]
+
+
+def _child_fails(text, lo, hi):
+    if lo:
+        raise RuntimeError("formatting failed")
+    return text.body(lo, hi)
+
+
+def _parent_interrupted(text, lo, hi):
+    if lo:
+        time.sleep(60)  # until the parent kills this child
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("body", [_child_fails, _parent_interrupted])
+def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, split, capsys, body):
+    split(2)
+    csv = cli._csv
+
+    def failing_csv(header, table):
+        text = csv(header, table)
+        return text._replace(body=lambda lo, hi: body(text, lo, hi))
+
+    monkeypatch.setattr(cli, "_csv", failing_csv)
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n")
+    args = [*FLUXMAP_GOLDENS["fluxmap_small"], "--out", str(out), "--format", "csv"]
+    if body is _child_fails:
+        assert _run(args) == 1
+        err = capsys.readouterr().err
+        # the map's 4 frequency rows are cut at 2
+        assert "rows 2-4" in err and "exit status 1" in err
+    else:
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _run(args)
+        assert time.monotonic() - started < 30  # the sleeping child was killed
+    assert out.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_unwinds_into_the_caller(tmp_path, split):
+    forks = split(3)
+    pids = tmp_path / "pids"
+    out = tmp_path / "out.json"
+    try:
+        code = _run([*FLUXMAP_GOLDENS["fluxmap_small"], "--out", str(out), "--format", "json"])
+    finally:
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+    assert code == 0
+    assert len(forks) == 2
+    assert pids.read_text() == f"{os.getpid()}\n"
 
 
 def test_tune_matches_committed_golden(tmp_path):
@@ -241,8 +343,10 @@ _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999
     pytest.param([[x] for x in _ORACLE_VALUES], id="1 column"),
     pytest.param([[math.nan] * 3, [-math.inf] * 3, [math.inf] * 3], id="all sentinels"),
     pytest.param([[[0.1, math.inf], [-0.0, 2.0]]] * 2, id="3d"),
+    # more cells than flux_pi: the 3-D array's rows are the ones cut
+    pytest.param([[[0.1, math.inf], [-0.0, 2.0], [1e22, 5e-324]]] * 3, id="3d, cut"),
 ])
-def test_json_writer_matches_stdlib_encoder(values):
+def test_json_writer_matches_stdlib_encoder(tmp_path, split, values):
     def plain(v):  # the nested lists json would need, with sentinel strings
         if isinstance(v, list):
             return [plain(x) for x in v]
@@ -250,11 +354,35 @@ def test_json_writer_matches_stdlib_encoder(values):
 
     payload = {"mode": "fluxmap", "best_aux_name": None, "peak_db": -math.inf,
                "points": [{"frequency_hz": 5.8e9, "isolation_db": math.nan}],
-               "flux_pi": np.array(_ORACLE_VALUES), "isolation_db": np.array(values, dtype=float)}
+               "flux_pi": np.array(_ORACLE_VALUES), "isolation_db": np.array(values, dtype=float),
+               "quantity": "phonon"}
     expected = {"mode": "fluxmap", "best_aux_name": None, "peak_db": "-inf",
                 "points": [{"frequency_hz": 5.8e9, "isolation_db": "nan"}],
-                "flux_pi": plain(_ORACLE_VALUES), "isolation_db": plain(values)}
-    assert "".join(cli._json(payload)) == json.dumps(expected, indent=2) + "\n"
+                "flux_pi": plain(_ORACLE_VALUES), "isolation_db": plain(values),
+                "quantity": "phonon"}
+    out = tmp_path / "out.json"
+    for ranges in (1, 2, 3, 4):  # up to more ranges than rows
+        split(ranges)
+        cli._write(cli._json(payload), str(out))
+        assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3, 4])
+@pytest.mark.parametrize("table", [
+    pytest.param(np.array([_ORACLE_VALUES]), id="1 row"),
+    pytest.param(np.array([_ORACLE_VALUES]).T, id="1 column"),
+    pytest.param(np.array(_ORACLE_VALUES).reshape(4, 3), id="4 rows"),
+    pytest.param(np.empty((0, 3)), id="empty"),
+    pytest.param([(1.5, "G_L", "", -math.inf)], id="strings"),
+])
+def test_csv_writer_matches_cell_by_cell_format(tmp_path, split, table, ranges):
+    split(ranges)
+    header = [f"c{i}" for i in range(np.shape(table)[1])]
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(x if isinstance(x, str) else "%.12g" % x for x in row) + "\n" for row in table)
+    out = tmp_path / "out.csv"
+    cli._write(cli._csv(header, table), str(out))
+    assert out.read_text(encoding="utf-8") == expected
 
 
 def test_output_is_deterministic(tmp_path):

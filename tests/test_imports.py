@@ -29,7 +29,7 @@ EXPORTED = {
     "optimize": ("AUX_PARAMETERS", "InterferenceSolution", "SearchSpace", "TuneResult",
                  "interference_condition", "tune"),
     "response": ("PHONON", "PHONON_TO_PHOTON", "PHOTON_TO_PHONON", "QUANTITIES",
-                 "gamma_A", "isolation_db", "transmission_matrix"),
+                 "gamma_A", "isolation_db"),
     "steadystate": ("SteadyState", "drives_for_target_G", "steady_amplitudes"),
     "sweep": ("FluxMap", "FrequencyGrid", "default_flux_grid", "default_frequency_grid",
               "flux_map", "spectrum"),

@@ -278,35 +278,3 @@ def test_conversion_isolation_matches_conversion_blocks():
     assert of.isolation_db(p, omega, of.PHONON_TO_PHOTON) == pytest.approx(
         20 * math.log10(abs(b2p[1, 0]) / abs(b2p[0, 1])), abs=1e-9)
 
-
-def test_transmission_matrix_decoupled_diagonal():
-    p = replace(of.from_table1(0.0), optical_hop=0.0, G_L=0.0, G_R=0.0)
-    omega = TWO_PI * 5.82e9
-    chi = of.susceptibilities(p, omega)
-    t = of.transmission_matrix(p, omega)
-    expected = np.diag([
-        math.sqrt(p.kappa_eL) / chi.chi_aL_inv,
-        math.sqrt(p.kappa_eR) / chi.chi_aR_inv,
-        math.sqrt(p.gamma_eL) / chi.chi_bL_inv,
-        math.sqrt(p.gamma_eR) / chi.chi_bR_inv,
-    ])
-    assert np.allclose(t, expected, rtol=1e-12, atol=0)
-
-
-def test_transmission_matrix_matches_dense_product():
-    p = of.from_table1(1.3e6, flux=0.6)
-    omega = p.omega_mL
-    ports = np.diag(np.sqrt([p.kappa_eL, p.kappa_eR, p.gamma_eL, p.gamma_eR]))
-    expected = of.invert_dense(of.build_matrix(p, omega)) @ ports
-    got = of.transmission_matrix(p, omega)
-    assert np.max(np.abs(got - expected) / np.maximum(np.abs(expected), 1e-300)) <= 1e-10
-
-
-def test_transmission_ratio_gives_phonon_isolation_for_equal_ports():
-    # with gamma_eL = gamma_eR the port factors cancel from the phonon ratio
-    p = replace(of.from_table1(0.9e6, flux=0.77),
-                gamma_eL=TWO_PI * 5e6, gamma_eR=TWO_PI * 5e6)
-    omega = TWO_PI * 5.884e9
-    t = of.transmission_matrix(p, omega)
-    ratio_db = 20 * math.log10(abs(t[3, 2]) / abs(t[2, 3]))
-    assert of.isolation_db(p, omega, of.PHONON) == pytest.approx(ratio_db, abs=1e-9)
