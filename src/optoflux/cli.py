@@ -24,10 +24,11 @@ them.
 An output of at least twice MIN_CELLS_PER_PIECE values, such as a default
 flux map, is formatted by up to one process per usable CPU, each given at
 least MIN_CELLS_PER_PIECE values: its rows are cut into contiguous ranges,
-and ``os.fork`` children format all but the first.  The bytes do not depend
-on how many ranges there are; where ``os.fork`` or ``os.sched_getaffinity``
-is missing, one process formats everything.  On Python >= 3.12 a fork while
-numpy's BLAS threads exist raises a DeprecationWarning.
+and forked children format all but the first.  The cut, the fork and the
+clean-up are those of :mod:`optoflux.fanout`, which also scores the coarse
+scan of a large tune.  The bytes do not depend on how many ranges there are;
+where the platform cannot fork, one process formats everything.  On Python
+>= 3.12 a fork while numpy's BLAS threads exist raises a DeprecationWarning.
 
 Exit codes: 0 success, 1 i/o failure, 2 validation failure, 3 numerical
 degeneracy that aborts the scenario.
@@ -451,25 +452,39 @@ def _plain(value):
     return _sentinel(value) if isinstance(value, float) else value
 
 
+def _json_floats(cells):
+    """The JSON texts of the cells of a 1-D float array."""
+    # an array means numpy is loaded: looked up, not imported, so that a
+    # forked writer imports nothing
+    if sys.modules["numpy"].isfinite(cells).all():
+        # float.__repr__ is what json writes for a finite float
+        return map(float.__repr__, cells.tolist())
+    return (json.dumps(_sentinel(x)) for x in cells.tolist())
+
+
 def _json_rows(values, indent, lo, hi):
     """JSON chunks of rows [lo, hi) of a float array nested at ``indent`` (a
     newline plus spaces), each row after the "[" (row 0) or "," before it,
-    one innermost row per chunk; the closing ``indent + "]"`` is not included."""
+    one innermost row per chunk; the closing ``indent + "]"`` is not included.
+
+    The rows of a 1-D record array (one with named fields) are JSON objects
+    of its fields, in order, a few thousand records per chunk."""
     inner = indent + "  "
+    names = values.dtype.names
+    if names:
+        record = "{" + ",".join(f"{inner}  {json.dumps(name)}: %s" for name in names) + inner + "}"
+        step = 4096
+        for start in range(lo, hi, step):
+            cells = [_json_floats(values[name][start:min(hi, start + step)]) for name in names]
+            yield (("[" if start == 0 else ",") + inner
+                   + ("," + inner).join(record % texts for texts in zip(*cells)))
+        return
     if values.ndim > 1:
         for i in range(lo, hi):
             yield ("[" if i == 0 else ",") + inner
             yield from _json_array(values[i], inner)
         return
-    cells = values[lo:hi]
-    # an array means numpy is loaded: looked up, not imported, so that a
-    # forked writer imports nothing
-    if sys.modules["numpy"].isfinite(cells).all():
-        # float.__repr__ is what json writes for a finite float
-        texts = map(float.__repr__, cells.tolist())
-    else:
-        texts = (json.dumps(_sentinel(x)) for x in cells.tolist())
-    yield ("[" if lo == 0 else ",") + inner + ("," + inner).join(texts)
+    yield ("[" if lo == 0 else ",") + inner + ("," + inner).join(_json_floats(values[lo:hi]))
 
 
 def _json_array(values, indent):
@@ -486,9 +501,10 @@ def _json(payload):
     ``json.dumps(payload, indent=2)`` plus a final newline, with non-finite
     floats as the strings of :func:`_sentinel`.
 
-    An ndarray value is written one row at a time, and the rows of the
-    largest one are the text's rows; any other value goes through
-    ``json.dumps`` and is re-indented to its nesting level.
+    An ndarray value is written one row at a time (a record array as a list
+    of objects), and the rows of the largest one are the text's rows; any
+    other value goes through ``json.dumps`` and is re-indented to its
+    nesting level.
     """
     # a payload can hold an ndarray only once numpy is loaded, so a payload
     # of plain values is written without importing it
@@ -514,52 +530,18 @@ def _json(payload):
     if split is None:
         return _Text(head, 0, 0, lambda lo, hi: (), [])
     values = payload[split]
-    return _Text(head, len(values), values.size,
+    return _Text(head, len(values), values.nbytes // 8,  # every value is a float64
                  lambda lo, hi: _json_rows(values, "\n  ", lo, hi), tail)
 
 
-def _fork(text, lo, hi, part):
-    """Fork a child that formats rows [lo, hi) of ``text`` into the file
-    ``part``; return its pid.
-
-    The child leaves only by os._exit, 0 on success and 1 after printing its
-    error, so nothing of the caller's stack (finally blocks, exception
-    handlers, atexit hooks) runs in it.  SIGINT stays blocked from before the
-    fork until the child is inside the try that ends in os._exit, so that an
-    interrupt cannot unwind a child into the caller either.
-    """
-    import signal  # here, not at the top: only a split write needs it
-
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                with open(part, "w", encoding="utf-8") as fh:
-                    fh.writelines(text.body(lo, hi))
-                status = 0
-            except BaseException as exc:
-                print(f"optoflux writer of rows {lo}-{hi}: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                sys.stderr.flush()
-            finally:
-                os._exit(status)
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return pid
-
-
 def _append(part, out):
-    """Append the file ``part`` to the open file descriptor ``out``."""
-    with open(part, "rb") as src:
-        left = os.fstat(src.fileno()).st_size
-        while left:
-            sent = os.sendfile(out, src.fileno(), None, left)
-            if not sent:
-                raise OSError(f"{part}: shorter than its size")
-            left -= sent
+    """Append the open file ``part`` to the open file descriptor ``out``."""
+    size, offset = os.fstat(part.fileno()).st_size, 0
+    while offset < size:
+        sent = os.sendfile(out, part.fileno(), offset, size - offset)
+        if not sent:
+            raise OSError("a part of the output is shorter than its size")
+        offset += sent
 
 
 def _write(text, path):
@@ -568,52 +550,36 @@ def _write(text, path):
     MIN_CELLS_PER_PIECE cells apiece allow), formatted at the same time.
 
     The first range is formatted here into a temporary file beside ``path``;
-    each later one by a forked child into a part file beside that, which is
-    appended once the child exits.  The temporary file is renamed over
-    ``path``, so an interrupted or failed run never leaves a truncated
-    output.  On every exit path each child is reaped (killed first if it
-    still runs) and every part and temporary file removed.
+    each later one by a forked child into an unnamed part file in the same
+    directory (see :func:`fanout.forked`), appended once the child exits.  The
+    temporary file is renamed over ``path``, so an interrupted or failed run
+    never leaves a truncated output.
     """
-    n = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = max(1, min(len(os.sched_getaffinity(0)), text.rows,
-                       text.cells // MIN_CELLS_PER_PIECE))
-    bounds = [text.rows * k // n for k in range(n + 1)]
+    bounds, pieces = [0, text.rows], contextlib.nullcontext(())
+    # under two pieces' worth of cells there is one range: spare the import
+    if text.cells // MIN_CELLS_PER_PIECE > 1:
+        from . import fanout
+
+        def piece(lo, hi, part):
+            with open(part.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+                fh.writelines(text.body(lo, hi))
+
+        bounds = fanout.cut(text.rows, text.cells, MIN_CELLS_PER_PIECE)
+        pieces = fanout.forked(bounds, piece, f"{path}: the writer of rows",
+                               os.path.dirname(path) or ".")
     tmp = f"{path}.{os.getpid()}.tmp"
-    workers = []  # (pid, part file, lo, hi)
-    reaped = 0
     try:
-        # a child inherits unflushed output and would write it again
-        sys.stdout.flush()
-        sys.stderr.flush()
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            part = f"{tmp}.{len(workers) + 1}"
-            workers.append((_fork(text, lo, hi, part), part, lo, hi))
-        # open() keeps the umask-derived file mode
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(text.head)
-            fh.writelines(text.body(0, bounds[1]))
-            for pid, part, lo, hi in workers:
-                _, status = os.waitpid(pid, 0)
-                reaped += 1
-                if status:
-                    raise OSError(f"the writer of rows {lo}-{hi} of {path} failed "
-                                  f"(exit status {os.waitstatus_to_exitcode(status)})")
-                fh.flush()
-                _append(part, fh.fileno())
-                os.remove(part)
-            fh.writelines(text.tail)
+        with pieces as parts:
+            # open() keeps the umask-derived file mode
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(text.head)
+                fh.writelines(text.body(0, bounds[1]))
+                for part in parts:
+                    fh.flush()
+                    _append(part, fh.fileno())
+                fh.writelines(text.tail)
         os.replace(tmp, path)
     finally:
-        for pid, _, _, _ in workers[reaped:]:
-            from signal import SIGKILL  # loaded by _fork
-
-            with contextlib.suppress(OSError):
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-        for _, part, _, _ in workers:
-            with contextlib.suppress(OSError):
-                os.remove(part)
         with contextlib.suppress(OSError):
             os.remove(tmp)  # still there only if the write or rename failed
 
@@ -635,10 +601,7 @@ def _run_spectrum(scenario, params):
     return _json({
         "mode": "spectrum",
         "quantity": scenario.quantity,
-        "points": [
-            {"frequency_hz": w, "isolation_db": v}
-            for w, v in zip(freqs.tolist(), values.tolist())
-        ],
+        "points": np.rec.fromarrays((freqs, values), names=("frequency_hz", "isolation_db")),
     })
 
 
@@ -744,10 +707,10 @@ def run(scenario: Scenario) -> str:
     numpy and the numeric layers at this point, the steadystate runner
     never does.  CSV and JSON are then streamed one row at a time into a
     temporary file beside the output path, which is renamed over it, so
-    neither the file nor a nested-list copy of a map is ever held in memory
-    whole.  An output of at least twice MIN_CELLS_PER_PIECE values has its
+    neither the file nor a nested-list copy of a map or spectrum is ever
+    held in memory whole.  An output of at least twice MIN_CELLS_PER_PIECE values has its
     rows cut into up to one range per usable CPU, formatted at the same time
-    by forked children (so this needs ``os.fork``) and joined in order; the
+    by forked children (where the platform can fork) and joined in order; the
     bytes are the same for any number of ranges.  On Python >= 3.12, forking
     while numpy's BLAS threads exist raises a DeprecationWarning.
 

@@ -1,7 +1,9 @@
 """Shared test utilities: randomized parameter draws, the dense oracle, the
-exact rational inverse and the reference dB ratio."""
+exact rational inverse, the reference dB ratio and the hooks that split and
+break the coarse scan of a tune."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -115,3 +117,44 @@ def exact_inverse(m):
                 rows[r] = [(x[0] - p[0], x[1] - p[1])
                            for x, p in zip(rows[r], (mul(factor, y) for y in rows[col]))]
     return np.array([[complex(float(re), float(im)) for re, im in row[n:]] for row in rows])
+
+
+_FORK = os.fork
+
+
+def force_scan_ranges(monkeypatch, n):
+    """Make the coarse scan of every later tune cut its candidates into n
+    ranges (fewer only with fewer candidates); return the list that collects
+    the pids forked from then on."""
+    forks = []
+
+    def counted_fork():
+        pid = _FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(of.optimize, "MIN_POINTS_PER_PIECE", 1)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def hook_scan(monkeypatch, parent, child):
+    """Make every later tune call ``parent()`` before it scores a candidate
+    in this process, and ``child()`` before it does so in a forked one."""
+    pid = os.getpid()
+    kernel = of.response.amplitude_kernel
+
+    def hooked_kernel(terms):
+        db = kernel(terms)
+        peak = db.peak
+
+        def hooked_peak(*args):
+            (parent if os.getpid() == pid else child)()
+            return peak(*args)
+
+        db.peak = hooked_peak
+        return db
+
+    monkeypatch.setattr(of.response, "amplitude_kernel", hooked_kernel)

@@ -13,6 +13,8 @@ import optoflux as of
 from optoflux import cli
 from optoflux.model import TWO_PI
 
+from helpers import force_scan_ranges, hook_scan
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -248,20 +250,29 @@ def test_no_child_unwinds_into_the_caller(tmp_path, split):
     assert pids.read_text() == f"{os.getpid()}\n"
 
 
+def _tune_args(flux_pi, aux):
+    """A photon->phonon tune with a short budget on a 501-point grid."""
+    return ["run", "--preset", "table1", "--set", "mode=tune",
+            "--set", "quantity=photon_to_phonon",
+            "--set", "params.mechanical_hop_hz=520e3",
+            "--set", f"tune={{flux_bounds_pi: {flux_pi}, {aux}, coarse_points: 9, "
+                     "golden_iterations: 12, descent_sweeps: 2}",
+            "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}"]
+
+
+TUNE_GOLDENS = {
+    "tune_small.json": _tune_args("[1.0, 2.0]", "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]"),
+    "tune_search_small.json": _tune_args("[0.0, 0.5]",
+                                         "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]"),
+    "tune_aux_small.csv": _tune_args("[1.0, 2.0]", "aux: G_L, aux_bounds_hz: [10e6, 40e6]"),
+}
+
+
 def test_tune_matches_committed_golden(tmp_path):
     # photon->phonon over flux and V with a short budget: the coarse scan,
     # both descent coordinates and the shared kernel buffer all run
     out = tmp_path / "tune.json"
-    assert _run([
-        "run", "--preset", "table1", "--set", "mode=tune",
-        "--set", "quantity=photon_to_phonon",
-        "--set", "params.mechanical_hop_hz=520e3",
-        "--set", "tune={flux_bounds_pi: [1.0, 2.0], aux: mechanical_hop, "
-                 "aux_bounds_hz: [1e6, 60e6], coarse_points: 9, golden_iterations: 12, "
-                 "descent_sweeps: 2}",
-        "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}",
-        "--out", str(out), "--format", "json",
-    ]) == 0
+    assert _run([*TUNE_GOLDENS["tune_small.json"], "--out", str(out), "--format", "json"]) == 0
     assert out.read_bytes() == (DATA / "tune_small.json").read_bytes()
 
 
@@ -275,16 +286,34 @@ def test_tune_matches_committed_golden(tmp_path):
 ])
 def test_tune_search_matches_committed_golden(tmp_path, name, flux_pi, aux, fmt):
     out = tmp_path / f"{name}.{fmt}"
-    assert _run([
-        "run", "--preset", "table1", "--set", "mode=tune",
-        "--set", "quantity=photon_to_phonon",
-        "--set", "params.mechanical_hop_hz=520e3",
-        "--set", f"tune={{flux_bounds_pi: {flux_pi}, {aux}, coarse_points: 9, "
-                 "golden_iterations: 12, descent_sweeps: 2}",
-        "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}",
-        "--out", str(out), "--format", fmt,
-    ]) == 0
+    assert _run([*_tune_args(flux_pi, aux), "--out", str(out), "--format", fmt]) == 0
     assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(TUNE_GOLDENS))
+def test_split_tune_matches_committed_golden(tmp_path, monkeypatch, name, ranges):
+    forks = force_scan_ranges(monkeypatch, ranges)
+    out = tmp_path / name
+    assert _run([*TUNE_GOLDENS[name], "--out", str(out), "--format", out.suffix[1:]]) == 0
+    assert len(forks) == ranges - 1  # the scan's children; the output is one range
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_failed_split_scan_exits_1(tmp_path, monkeypatch, capsys):
+    force_scan_ranges(monkeypatch, 2)
+
+    def fail():
+        raise RuntimeError("scoring failed")
+
+    hook_scan(monkeypatch, lambda: None, fail)
+    out = tmp_path / "tune.json"
+    assert _run([*TUNE_GOLDENS["tune_small.json"], "--out", str(out), "--format", "json"]) == 1
+    # 81 candidates, cut at 40
+    assert "the coarse scan of candidates 40-81 failed (exit status 1)" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("name, section, fmt", [
@@ -365,6 +394,33 @@ def test_json_writer_matches_stdlib_encoder(tmp_path, split, values):
         split(ranges)
         cli._write(cli._json(payload), str(out))
         assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
+
+def _records(n):
+    """n (frequency, value) pairs: the oracle values, then finite values
+    broken by a non-finite one every 1,000 records."""
+    values = [*_ORACLE_VALUES, *(i / 7 if i % 1000 else math.inf for i in range(n))][:n]
+    return list(zip(values[::-1], values))
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 10_001])
+def test_json_records_match_stdlib_encoder(tmp_path, split, n):
+    # a spectrum's points: a record array written as a list of objects, its
+    # rows cut inside and across the chunks of a few thousand records
+    def plain(x):
+        return x if math.isfinite(x) else {math.inf: "inf", -math.inf: "-inf"}.get(x, "nan")
+
+    pairs = _records(n)
+    points = np.rec.fromarrays(np.array(pairs, dtype=float).reshape(n, 2).T,
+                               names=("frequency_hz", "isolation_db"))
+    payload = {"mode": "spectrum", "quantity": "phonon", "points": points}
+    expected = json.dumps({"mode": "spectrum", "quantity": "phonon", "points": [
+        {"frequency_hz": plain(f), "isolation_db": plain(v)} for f, v in pairs]}, indent=2)
+    out = tmp_path / "out.json"
+    for ranges in (1, 2, 3, 4):
+        split(ranges)
+        cli._write(cli._json(payload), str(out))
+        assert out.read_text(encoding="utf-8") == expected + "\n"
 
 
 @pytest.mark.parametrize("ranges", [1, 2, 3, 4])

@@ -35,8 +35,16 @@ EXPORTED = {
               "flux_map", "spectrum"),
 }
 
-_REPORT = ("import json, sys\n"
-           f"print(json.dumps([m for m in {NUMERIC!r} if m in sys.modules]))\n")
+# the module that forks and the stdlib module only a fork needs
+FORKING = ("optoflux.fanout", "signal")
+
+
+def _report(modules):
+    return ("import json, sys\n"
+            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n")
+
+
+_REPORT = _report(NUMERIC)
 _SETUP = ("import sys\n"
           "from optoflux import cli\n"
           "for path in sys.argv[1:]:\n"
@@ -59,10 +67,10 @@ _CLI = ("import runpy\n"
         "    print(exc.code)\n")
 
 
-def _loaded_by_cli(config, cwd):
-    """Exit code of ``python -m optoflux run config`` and the numeric modules
-    it left in ``sys.modules``."""
-    proc = _python(["-c", _CLI + _REPORT, "run", str(config)], cwd)
+def _loaded_by_cli(config, cwd, modules=NUMERIC):
+    """Exit code of ``python -m optoflux run config`` and which of
+    ``modules`` it left in ``sys.modules``."""
+    proc = _python(["-c", _CLI + _report(modules), "run", str(config)], cwd)
     assert proc.returncode == 0, proc.stderr
     *_, code, loaded = proc.stdout.splitlines()
     return int(code), json.loads(loaded)
@@ -118,6 +126,15 @@ def test_spectrum_run_imports_the_numeric_layers(configs, tmp_path):
     # the counterpart of the checks above: an array mode does load them
     # (all but optimize, which only tune needs)
     assert _loaded_by_cli(configs["spectrum"], tmp_path) == (0, list(NUMERIC[:-1]))
+
+
+@pytest.mark.parametrize("name, loaded", [
+    ("steady_forward", []), ("steady_inverse", []),
+    ("spectrum", []),  # a one-range write
+    ("tune", ["optoflux.fanout"]),  # a one-range scan
+])
+def test_run_without_a_split_loads_no_fork_code(configs, tmp_path, name, loaded):
+    assert _loaded_by_cli(configs[name], tmp_path, FORKING) == (0, loaded)
 
 
 def test_setup_stages_import_no_numeric_layer(configs, tmp_path):

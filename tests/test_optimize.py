@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import tempfile
+import time
 import warnings
 from dataclasses import replace
 
@@ -9,7 +12,7 @@ import pytest
 import optoflux as of
 from optoflux.model import TWO_PI
 
-from helpers import random_omega, random_params
+from helpers import force_scan_ranges, hook_scan, random_omega, random_params
 
 # scripted closed-form solution at omega/2pi = 5.85 GHz on the reference set
 FLUX_STAR_585 = -0.2885137506677201
@@ -288,3 +291,80 @@ def test_tune_survives_long_descent_budgets():
     collapsed = of.SearchSpace(flux_bounds=(0.5, 0.5), frequency_grid=grid,
                                descent_sweeps=10**18)
     assert of.tune(p, of.PHONON, collapsed).best_flux == 0.5
+
+
+# every searched coupling from 0 up: a candidate can switch a channel off
+_AUX_BOUNDS_HZ = {None: None, "mechanical_hop": (0.0, 3e6), "optical_hop": (0.0, 160e6),
+                  "G_L": (0.0, 40e6), "G_R": (0.0, 40e6)}
+
+
+def _scan_space(aux, coarse_points=5):
+    bounds = _AUX_BOUNDS_HZ[aux]
+    return of.SearchSpace(flux_bounds=(math.pi, TWO_PI), aux_name=aux,
+                          aux_bounds=None if aux is None else tuple(TWO_PI * b for b in bounds),
+                          frequency_grid=of.FrequencyGrid.from_hz(5.85e9, 5.95e9, 41),
+                          coarse_points=coarse_points, golden_iterations=6, descent_sweeps=2)
+
+
+def _bits(result):
+    """Every field of a TuneResult and every trace entry, floats by float.hex."""
+    def hexed(x):
+        return None if x is None else float(x).hex()
+
+    return (hexed(result.best_flux), hexed(result.best_aux), hexed(result.peak_db),
+            hexed(result.peak_frequency),
+            [((hexed(flux), hexed(aux)), hexed(obj)) for (flux, aux), obj in result.trace])
+
+
+@pytest.mark.parametrize("params, quantity, aux", [
+    *(pytest.param(of.from_table1(520e3), quantity, aux, id=f"{quantity}-{aux}")
+      for quantity in of.QUANTITIES for aux in _AUX_BOUNDS_HZ),
+    # no bridge and no left coupling: the backward amplitude is 0, so the
+    # candidates at V = 0 are nan everywhere (-inf) and all others +inf
+    pytest.param(replace(of.from_table1(520e3), optical_hop=0.0, G_L=0.0),
+                 of.PHONON_TO_PHOTON, "mechanical_hop", id="infinite peak"),
+])
+def test_split_scan_gives_the_same_bits(monkeypatch, params, quantity, aux):
+    results = []
+    for ranges in (1, 2, 3):
+        forks = force_scan_ranges(monkeypatch, ranges)
+        results.append(_bits(of.tune(params, quantity, _scan_space(aux))))
+        assert len(forks) == ranges - 1
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+    if params.optical_hop == 0.0:
+        assert results[0][2] == "inf"
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+def _sleep():
+    time.sleep(60)  # until the parent kills this child
+
+
+def _fail():
+    raise RuntimeError("scoring failed")
+
+
+@pytest.mark.parametrize("parent, child", [(lambda: None, _fail), (_interrupt, _sleep)],
+                         ids=["child fails", "parent interrupted"])
+def test_failed_split_scan_leaves_nothing_behind(monkeypatch, tmp_path, parent, child):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    force_scan_ranges(monkeypatch, 2)
+    hook_scan(monkeypatch, parent, child)
+    space = _scan_space("mechanical_hop", coarse_points=9)
+    started = time.monotonic()
+    if child is _fail:
+        # 81 candidates, cut at 40
+        with pytest.raises(OSError, match=r"^the coarse scan of candidates 40-81 failed "
+                                          r"\(exit status 1\)$"):
+            of.tune(of.from_table1(520e3), of.PHOTON_TO_PHONON, space)
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            of.tune(of.from_table1(520e3), of.PHOTON_TO_PHONON, space)
+    assert time.monotonic() - started < 30  # a sleeping child was killed
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == []
