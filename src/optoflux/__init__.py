@@ -10,6 +10,7 @@ The package is organised bottom-up:
 - :mod:`~optoflux.sweep`        spectra and flux-frequency maps
 - :mod:`~optoflux.optimize`     destructive-interference tuning
 - :mod:`~optoflux.cli`          scenario files and the ``optoflux`` command
+- :mod:`~optoflux.__main__`     the process entry of the ``optoflux`` command
 
 Names and submodules load on first use (PEP 562), so importing the package,
 validating a scenario or computing a steady state never imports numpy; only

@@ -774,12 +774,14 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                config = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
+                config = yaml.load(fh, Loader=_UniqueKeyLoader)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
         except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"cannot parse config {path!r}: {exc}") from None
-        if not isinstance(config, dict):
+        if config is None:  # an empty or null document
+            config = {}
+        elif not isinstance(config, dict):
             raise ConfigError("scenario: top level must be a mapping")
     if preset is not None:
         _put(config, "params", "preset", preset)
@@ -829,7 +831,3 @@ def main(argv=None) -> int:
     print(f"wrote {path} ({scenario.mode}"
           + (f", {scenario.quantity}" if scenario.quantity else "") + ")")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

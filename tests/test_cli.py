@@ -854,6 +854,26 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert f"cannot read config {str(path)!r}" in capsys.readouterr().err
 
 
+_STEADY_FLAGS = ["--preset", "table1", *(f"--set={o}" for o in _FORWARD)]
+
+
+@pytest.mark.parametrize("top", ["[]", "false", "0", '""', "[1]", "3.5", "text"])
+def test_config_top_level_that_is_not_a_mapping_exits_2(tmp_path, monkeypatch, capsys, top):
+    # falsy tops too: only an empty or null document stands for no keys
+    monkeypatch.chdir(tmp_path)
+    config = _write(tmp_path, f"{top}\n")
+    assert _run(["run", config, *_STEADY_FLAGS]) == 2
+    assert capsys.readouterr().err == "error: scenario: top level must be a mapping\n"
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+
+@pytest.mark.parametrize("document", ["", "null\n", "~\n", "---\n", "# nothing\n"])
+def test_empty_config_is_an_empty_scenario(tmp_path, monkeypatch, document):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["run", _write(tmp_path, document), *_STEADY_FLAGS]) == 0
+    assert (tmp_path / "result.csv").is_file()
+
+
 def test_tune_coarse_row_counts_toward_grid_cap():
     # validation only: nothing here runs a search, so no coarse row is built
     base = ["mode=tune", "quantity=phonon", "params.mechanical_hop_hz=5e5",

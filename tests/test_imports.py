@@ -3,9 +3,12 @@
 Scenario validation, parameter building and the steadystate mode are plain
 Python, so they must not pay for importing numpy or the numeric layers; the
 package namespace loads its names on first use and must still offer every
-name it always did.
+name it always did.  ``python -m optoflux`` and the console script run one
+process entry, which runs the CLI without the cyclic collector and still
+exits through the interpreter's normal shutdown.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -14,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+DATA = ROOT / "tests" / "data"
 NUMERIC = ("numpy", "optoflux.linsys", "optoflux.response", "optoflux.sweep",
            "optoflux.optimize")
 
@@ -188,3 +193,42 @@ def test_namespace_exports_every_name(tmp_path):
         "unknown": "module 'optoflux' has no attribute 'no_such_name'",
         "hasattr_unknown": False,
     }
+
+
+def _console_script():
+    """(module, function) that pyproject.toml's ``optoflux`` console script
+    runs, read from its text: Python 3.10 has no tomllib."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.replace(" ", "").split("=", 1) for line in section.splitlines() if line)
+    module, function = scripts["optoflux"].strip('"').split(":")
+    return module, function
+
+
+# what each entry leaves for an atexit handler registered before it runs: the
+# handler runs (no os._exit), after the collector was disabled and the
+# surviving objects frozen
+_AT_EXIT = ("import atexit, gc\n"
+            "atexit.register(lambda: print('at exit: collector', gc.isenabled(),\n"
+            "                              'frozen', gc.get_freeze_count() > 0))\n")
+_ENTRIES = {
+    "-m": _CLI,
+    # what the console script that pip writes does, then the exit code as _CLI prints it
+    "console script": ("import sys\nfrom {} import {} as entry\ntry:\n    sys.exit(entry())\n"
+                       "except SystemExit as exc:\n    print(exc.code)\n").format(*_console_script()),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+@pytest.mark.parametrize("name, code", [("steady_forward", 0), ("invalid", 2)])
+def test_entry_runs_without_the_collector_and_exits_cleanly(configs, tmp_path, entry, name, code):
+    assert _console_script() == ("optoflux.__main__", "main")
+    proc = _python(["-c", _AT_EXIT + _ENTRIES[entry], "run", str(configs[name])], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    *wrote, exit_code, at_exit = proc.stdout.splitlines()
+    assert (int(exit_code), at_exit) == (code, "at exit: collector False frozen True")
+    if code == 0:
+        assert wrote == ["wrote result.csv (steadystate)"]
+        assert (tmp_path / "result.csv").read_bytes() == (DATA / "steady_forward.csv").read_bytes()
+    else:
+        assert "frequency_grid.points" in proc.stderr
