@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,41 @@ def test_split_fluxmap_matches_committed_golden(tmp_path, split, name, fmt, rang
     assert len(forks) == ranges - 1
     assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
     assert os.listdir(tmp_path) == [out.name]
+
+
+# the arguments of the committed spectrum goldens, without --out and --format
+SPECTRUM_GOLDEN = [
+    "run", "--preset", "table1", "--set", "mode=spectrum", "--set", "quantity=phonon",
+    "--set", "params.mechanical_hop_hz=515709.8644424447",
+    "--set", "params.flux_pi=-0.1585105713191547",
+    "--set", "frequency_grid={start_hz: 5.85e9, stop_hz: 5.95e9, points: 201}",
+]
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_spectrum_matches_committed_golden(tmp_path, split, fmt, ranges):
+    forks = split(ranges)
+    out = tmp_path / f"spectrum_small.{fmt}"
+    assert _run([*SPECTRUM_GOLDEN, "--out", str(out), "--format", fmt]) == 0
+    assert len(forks) == ranges - 1
+    assert out.read_bytes() == (DATA / f"spectrum_small.{fmt}").read_bytes()
+
+
+def test_csv_fluxmap_is_not_copied_whole(tmp_path, split):
+    # the CSV's rows are the map's columns; joined a block of rows at a time,
+    # the map is never copied whole (a transposed copy peaked at 2.05x its size)
+    split(1)  # one range, formatted here, where tracemalloc sees it
+    scenario = cli.load_scenario(preset="table1", out=str(tmp_path / "fm.csv"), overrides=[
+        "mode=fluxmap", "quantity=phonon", "params.mechanical_hop_hz=520e3",
+        "flux_grid.points=51", "frequency_grid.points=4001"])
+    tracemalloc.start()
+    try:
+        cli.run(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 51 * 4001 * 8
 
 
 def _child_fails(text, lo, hi):
@@ -423,6 +459,19 @@ def test_json_records_match_stdlib_encoder(tmp_path, split, n):
         assert out.read_text(encoding="utf-8") == expected + "\n"
 
 
+# two blocks of rows and 3 more: ranges end inside blocks and across them
+_BLOCKS_ROWS = 2 * cli._CSV_BLOCK_ROWS + 3
+
+
+def _csv_rows(table):
+    """The rows of a table for cli._csv, each a list of its cells; the rows
+    of column blocks are taken cell by cell from each block."""
+    if not isinstance(table, tuple):
+        return [list(row) for row in table]
+    return [[x for block in table for x in np.atleast_1d(block[i])]
+            for i in range(len(table[0]))]
+
+
 @pytest.mark.parametrize("ranges", [1, 2, 3, 4])
 @pytest.mark.parametrize("table", [
     pytest.param(np.array([_ORACLE_VALUES]), id="1 row"),
@@ -430,12 +479,16 @@ def test_json_records_match_stdlib_encoder(tmp_path, split, n):
     pytest.param(np.array(_ORACLE_VALUES).reshape(4, 3), id="4 rows"),
     pytest.param(np.empty((0, 3)), id="empty"),
     pytest.param([(1.5, "G_L", "", -math.inf)], id="strings"),
+    # a frequency column and a map's transpose, as a flux map is written
+    pytest.param((np.linspace(5.8e9, 5.9e9, _BLOCKS_ROWS),
+                  np.resize(_ORACLE_VALUES, (5, _BLOCKS_ROWS)).T), id="column blocks"),
 ])
 def test_csv_writer_matches_cell_by_cell_format(tmp_path, split, table, ranges):
     split(ranges)
-    header = [f"c{i}" for i in range(np.shape(table)[1])]
+    rows = _csv_rows(table)
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else np.shape(table)[1])]
     expected = ",".join(header) + "\n" + "".join(
-        ",".join(x if isinstance(x, str) else "%.12g" % x for x in row) + "\n" for row in table)
+        ",".join(x if isinstance(x, str) else "%.12g" % x for x in row) + "\n" for row in rows)
     out = tmp_path / "out.csv"
     cli._write(cli._csv(header, table), str(out))
     assert out.read_text(encoding="utf-8") == expected

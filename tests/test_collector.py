@@ -105,15 +105,20 @@ def test_tune_creates_no_cycles(monkeypatch, aux):
 
 
 @pytest.mark.parametrize("ranges", [1, 3], ids=["one range", "split"])
-@pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_write_creates_no_cycles(tmp_path, monkeypatch, fmt, ranges):
+@pytest.mark.parametrize("form", ["csv", "csv blocks", "json"])
+def test_write_creates_no_cycles(tmp_path, monkeypatch, form, ranges):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
     monkeypatch.setattr(cli, "MIN_CELLS_PER_PIECE", 1)
 
     def write(rows):
+        # "csv blocks": a column and a 2-D view, over several blocks of rows
+        rows *= cli._CSV_BLOCK_ROWS if form == "csv blocks" else 1
         table = np.arange(rows * 4, dtype=float).reshape(rows, 4)
-        text = (cli._csv(["a", "b", "c", "d"], table) if fmt == "csv"
-                else cli._json({"mode": "fluxmap", "flux_pi": table[0], "isolation_db": table}))
-        cli._write(text, str(tmp_path / f"out.{fmt}"))
+        if form == "json":
+            text = cli._json({"mode": "fluxmap", "flux_pi": table[0], "isolation_db": table})
+        else:
+            columns = (table[:, 0], table[:, 1:]) if form == "csv blocks" else table
+            text = cli._csv(["a", "b", "c", "d"], columns)
+        cli._write(text, str(tmp_path / "out"))
 
     _does_not_grow(write)
