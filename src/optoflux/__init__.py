@@ -8,6 +8,7 @@ The package is organised bottom-up:
 - :mod:`~optoflux.response`     the three isolation measures
 - :mod:`~optoflux.steadystate`  mean intracavity fields and enhanced couplings
 - :mod:`~optoflux.sweep`        spectra and flux-frequency maps
+- :mod:`~optoflux.fanout`       independent work cut into ranges for forked processes
 - :mod:`~optoflux.optimize`     destructive-interference tuning
 - :mod:`~optoflux.cli`          scenario files and the ``optoflux`` command
 - :mod:`~optoflux.__main__`     the process entry of the ``optoflux`` command

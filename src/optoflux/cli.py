@@ -26,13 +26,8 @@ map's CSV rows are the map's columns, joined to the frequency column a few
 rows at a time from a transposed view.
 
 An output of at least twice MIN_CELLS_PER_PIECE values, such as a default
-flux map, is formatted by up to one process per usable CPU, each given at
-least MIN_CELLS_PER_PIECE values: its rows are cut into contiguous ranges,
-and forked children format all but the first.  The cut, the fork and the
-clean-up are those of :mod:`optoflux.fanout`, which also scores the coarse
-scan of a large tune.  The bytes do not depend on how many ranges there are;
-where the platform cannot fork, one process formats everything.  On Python
->= 3.12 a fork while numpy's BLAS threads exist raises a DeprecationWarning.
+flux map, is formatted by the fan-out of :mod:`optoflux.fanout`, with the
+same bytes.
 
 Exit codes: 0 success, 1 i/o failure, 2 validation failure, 3 numerical
 degeneracy that aborts the scenario.
@@ -64,26 +59,6 @@ MODES = ("spectrum", "fluxmap", "tune", "steadystate")
 FORMATS = ("csv", "json")
 PRESETS = ("table1",)
 
-# Scenario params key -> (its SystemParams field, or its [left, right] fields;
-# unit factor to angular; minimum or None; whether the minimum is exclusive).
-# "flux" is not a field: it is applied last, through SystemParams.with_flux.
-# Keys are validated in this order, so a missing inline field reports the
-# first key that would have set it.
-_PARAMS = {
-    "mechanical_hop_hz": (("mechanical_hop",), TWO_PI, 0.0, False),
-    "mech_frequency_hz": (("omega_mL", "omega_mR"), TWO_PI, 0.0, True),
-    "optical_external_decay_hz": (("kappa_eL", "kappa_eR"), TWO_PI, 0.0, False),
-    "optical_internal_decay_hz": (("kappa_iL", "kappa_iR"), TWO_PI, 0.0, False),
-    "mech_external_decay_hz": (("gamma_eL", "gamma_eR"), TWO_PI, 0.0, False),
-    "mech_internal_decay_hz": (("gamma_iL", "gamma_iR"), TWO_PI, 0.0, False),
-    "optical_hop_hz": (("optical_hop",), TWO_PI, 0.0, False),
-    "enhanced_coupling_hz": (("G_L", "G_R"), TWO_PI, 0.0, False),
-    "enhanced_coupling_angular": (("G_L", "G_R"), 1.0, 0.0, False),
-    "detuning_hz": (("detuning_L", "detuning_R"), TWO_PI, None, False),
-    "vacuum_coupling_hz": (("g_L", "g_R"), TWO_PI, 0.0, False),
-    "flux_pi": (("flux",), math.pi, None, False),
-    "drive_phase_pi": (("phi_L", "phi_R"), math.pi, None, False),
-}
 # the most kernel point evaluations (one isolation value at one frequency) a
 # scenario may ask for, so that a typo fails at validation instead of in
 # allocation or in a search that never ends; see Scenario.from_dict
@@ -154,6 +129,10 @@ def _pair(key, value, minimum=None, exclusive=False):
     ]
 
 
+def _positive_pair(key, value, minimum):
+    return _pair(key, value, minimum, exclusive=True)
+
+
 def _integer(key, value, minimum):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(key, f"must be an integer, got {value!r}")
@@ -173,7 +152,29 @@ _REQUIRED = object()  # the default of a key that has none
 # A kind is one of the checkers above or a tuple of the allowed values; a key
 # whose default is None is left out when absent.  Rules that tie keys together
 # are checked in Scenario.from_dict.
+#
+# A params key also names its SystemParams field, or its [left, right]
+# fields, and the factor from file units to angular ones.  "flux" is not a
+# field: it is applied last, through SystemParams.with_flux.  Keys are checked
+# in this order, so a missing inline field reports the first key that would
+# have set it.
 _SECTIONS = {
+    "params": (MODES, {
+        "preset": (PRESETS, None, None, (), None),
+        "mechanical_hop_hz": (_number, 0.0, None, ("mechanical_hop",), TWO_PI),
+        "mech_frequency_hz": (_positive_pair, 0.0, None, ("omega_mL", "omega_mR"), TWO_PI),
+        "optical_external_decay_hz": (_pair, 0.0, None, ("kappa_eL", "kappa_eR"), TWO_PI),
+        "optical_internal_decay_hz": (_pair, 0.0, None, ("kappa_iL", "kappa_iR"), TWO_PI),
+        "mech_external_decay_hz": (_pair, 0.0, None, ("gamma_eL", "gamma_eR"), TWO_PI),
+        "mech_internal_decay_hz": (_pair, 0.0, None, ("gamma_iL", "gamma_iR"), TWO_PI),
+        "optical_hop_hz": (_number, 0.0, None, ("optical_hop",), TWO_PI),
+        "enhanced_coupling_hz": (_pair, 0.0, None, ("G_L", "G_R"), TWO_PI),
+        "enhanced_coupling_angular": (_pair, 0.0, None, ("G_L", "G_R"), 1.0),
+        "detuning_hz": (_pair, None, None, ("detuning_L", "detuning_R"), TWO_PI),
+        "vacuum_coupling_hz": (_pair, 0.0, None, ("g_L", "g_R"), TWO_PI),
+        "flux_pi": (_number, None, None, ("flux",), math.pi),
+        "drive_phase_pi": (_pair, None, None, ("phi_L", "phi_R"), math.pi),
+    }),
     "frequency_grid": (("spectrum", "fluxmap", "tune"), {
         "start_hz": (_number, None, model.DEFAULT_FREQ_START_HZ),
         "stop_hz": (_number, None, model.DEFAULT_FREQ_STOP_HZ),
@@ -215,7 +216,7 @@ def _section(name, mode, raw):
     section = raw.get(name, {})
     _check_keys(name, section, keys)
     out = {}
-    for key, (kind, minimum, default) in keys.items():
+    for key, (kind, minimum, default, *_) in keys.items():
         if key in section:
             value = section[key]
             if not isinstance(kind, tuple):
@@ -228,38 +229,6 @@ def _section(name, mode, raw):
             value = default
         if value is not None:
             out[key] = value
-    return out
-
-
-def _normalize_params(raw):
-    _check_keys("params", raw, _PARAMS.keys() | {"preset"})
-    out = {}
-    preset = raw.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            _fail("params.preset", f"unknown preset {preset!r}, available: {PRESETS}")
-        out["preset"] = preset
-
-    if "mechanical_hop_hz" not in raw:
-        _fail("params.mechanical_hop_hz", "the mechanical hop V is required "
-              "(the preset does not pin it; see the tune mode for picking one)")
-    if "enhanced_coupling_hz" in raw and "enhanced_coupling_angular" in raw:
-        _fail("params.enhanced_coupling_angular",
-              "give enhanced_coupling_hz or enhanced_coupling_angular, not both")
-    if "flux_pi" in raw and "drive_phase_pi" in raw:
-        _fail("params.flux_pi", "give flux_pi or drive_phase_pi, not both")
-
-    if preset is None:
-        # without a preset, the keys must set every field the preset sets
-        given = {field for key in raw if key in _PARAMS for field in _PARAMS[key][0]}
-        for key in _PARAMS:
-            if any(f in model.TABLE1_HZ and f not in given for f in _PARAMS[key][0]):
-                _fail(f"params.{key}", "required when no preset is used")
-
-    for key, (target, _, minimum, exclusive) in _PARAMS.items():
-        if key in raw:
-            check = _number if len(target) == 1 else _pair
-            out[key] = check(f"params.{key}", raw[key], minimum, exclusive)
     return out
 
 
@@ -280,7 +249,7 @@ class Scenario:
     def from_dict(cls, raw) -> "Scenario":
         if not isinstance(raw, dict):
             raise ConfigError("scenario: top level must be a mapping")
-        _check_keys("scenario", raw, {"mode", "quantity", "params", *_SECTIONS})
+        _check_keys("scenario", raw, {"mode", "quantity", *_SECTIONS})
 
         mode = raw.get("mode")
         if mode not in MODES:
@@ -294,10 +263,24 @@ class Scenario:
             if quantity not in model.QUANTITIES:
                 _fail("quantity", f"must be one of {model.QUANTITIES}, got {quantity!r}")
 
-        if "params" not in raw:
-            _fail("params", "section is required")
-        params = _normalize_params(raw["params"])
         sections = {name: _section(name, mode, raw) for name in _SECTIONS}
+
+        params = sections["params"]
+        if "mechanical_hop_hz" not in params:
+            _fail("params.mechanical_hop_hz", "the mechanical hop V is required "
+                  "(the preset does not pin it; see the tune mode for picking one)")
+        if "enhanced_coupling_hz" in params and "enhanced_coupling_angular" in params:
+            _fail("params.enhanced_coupling_angular",
+                  "give enhanced_coupling_hz or enhanced_coupling_angular, not both")
+        if "flux_pi" in params and "drive_phase_pi" in params:
+            _fail("params.flux_pi", "give flux_pi or drive_phase_pi, not both")
+        if "preset" not in params:
+            # without a preset, the keys must set every field the preset sets
+            table = _SECTIONS["params"][1]
+            given = {field for key in params for field in table[key][3]}
+            for key, entry in table.items():
+                if any(f in model.TABLE1_HZ and f not in given for f in entry[3]):
+                    _fail(f"params.{key}", "required when no preset is used")
 
         for name, start, stop in (("frequency_grid", "start_hz", "stop_hz"),
                                   ("flux_grid", "start_pi", "stop_pi")):
@@ -341,7 +324,7 @@ class Scenario:
 
         output = sections["output"]
         output.setdefault("path", f"result.{output['format']}")
-        return cls(mode=mode, quantity=quantity, params=params, **sections)
+        return cls(mode=mode, quantity=quantity, **sections)
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -349,22 +332,19 @@ class Scenario:
     # -- builders -------------------------------------------------------------
 
     def build_params(self) -> SystemParams:
-        p = self.params
         values = {}
-        if p.get("preset") == "table1":
+        if self.params.get("preset") == "table1":
             values = {name: TWO_PI * value for name, value in model.TABLE1_HZ.items()}
-        for key, value in p.items():
-            if key in ("preset", "flux_pi"):
-                continue
-            target, factor = _PARAMS[key][:2]
-            for field, v in zip(target, value if len(target) == 2 else [value]):
+        table = _SECTIONS["params"][1]
+        for key, value in self.params.items():
+            fields, factor = table[key][3:]
+            for field, v in zip(fields, value if len(fields) == 2 else [value]):
                 values[field] = factor * v
+        flux = values.pop("flux", None)
         values.setdefault("detuning_L", -values["omega_mL"])
         values.setdefault("detuning_R", -values["omega_mR"])
         params = SystemParams(**values)
-        if "flux_pi" in p:
-            params = params.with_flux(math.pi * p["flux_pi"])
-        return params
+        return params if flux is None else params.with_flux(flux)
 
     # the builders below import the numeric layers, so only modes that use
     # them load numpy
@@ -574,15 +554,14 @@ def _append(part, out):
 
 
 def _write(text, path):
-    """Write ``text`` to ``path`` atomically, its rows cut into one contiguous
-    range per usable CPU (but no more ranges than rows, nor than
-    MIN_CELLS_PER_PIECE cells apiece allow), formatted at the same time.
+    """Write ``text`` to ``path`` atomically, its rows cut into ranges of at
+    least MIN_CELLS_PER_PIECE cells by the fan-out of :mod:`optoflux.fanout`.
 
     The first range is formatted here into a temporary file beside ``path``;
     each later one by a forked child into an unnamed part file in the same
-    directory (see :func:`fanout.forked`), appended once the child exits.  The
-    temporary file is renamed over ``path``, so an interrupted or failed run
-    never leaves a truncated output.
+    directory, appended once the child exits.  The temporary file is renamed
+    over ``path``, so an interrupted or failed run never leaves a truncated
+    output.
     """
     bounds, pieces = [0, text.rows], contextlib.nullcontext(())
     # under two pieces' worth of cells there is one range: spare the import
@@ -733,14 +712,9 @@ def run(scenario: Scenario) -> str:
     Every number is computed first; the runner of an array mode imports
     numpy and the numeric layers at this point, the steadystate runner
     never does.  CSV and JSON are then formatted from the computed arrays,
-    a row or a block of rows at a time, into a temporary file beside the
-    output path, which is renamed over it, so neither the file nor a
-    nested-list or transposed copy of a map or spectrum is ever held in
-    memory whole.  An output of at least twice MIN_CELLS_PER_PIECE values has its
-    rows cut into up to one range per usable CPU, formatted at the same time
-    by forked children (where the platform can fork) and joined in order; the
-    bytes are the same for any number of ranges.  On Python >= 3.12, forking
-    while numpy's BLAS threads exist raises a DeprecationWarning.
+    a row or a block of rows at a time, by :func:`_write`, so neither the
+    file nor a nested-list or transposed copy of a map or spectrum is ever
+    held in memory whole.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel
@@ -762,36 +736,15 @@ def run(scenario: Scenario) -> str:
 # -- command line ----------------------------------------------------------------
 
 
-def _apply_override(config, assignment):
-    if "=" not in assignment:
-        raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
-    key, _, raw_value = assignment.partition("=")
-    key = key.strip()
-    if not key:
-        raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
-    try:
-        value = yaml.load(raw_value, Loader=_UniqueKeyLoader)
-    except (yaml.YAMLError, ValueError):  # ValueError: an integer beyond int()'s digit limit
-        raise ConfigError(f"--set {key}: cannot parse value {raw_value!r}") from None
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        child = node.get(part)
-        if child is None:
-            child = {}
-            node[part] = child
-        if not isinstance(child, dict):
-            raise ConfigError(f"--set {key}: {part} is not a section")
-        node = child
+def _assign(config, key, value):
+    """Set the dotted scenario key ``key`` of ``config`` to ``value``,
+    adding the sections on its path that are absent."""
+    node, parts = config, key.split(".")
+    for i, part in enumerate(parts[:-1]):
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            _fail(".".join(parts[:i + 1]), "must be a mapping")
     node[parts[-1]] = value
-
-
-def _put(config, section, key, value):
-    """Set ``config[section][key]`` for a command-line flag."""
-    node = config.setdefault(section, {})
-    if not isinstance(node, dict):
-        _fail(section, "must be a mapping")
-    node[key] = value
 
 
 def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> Scenario:
@@ -812,13 +765,21 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
         elif not isinstance(config, dict):
             raise ConfigError("scenario: top level must be a mapping")
     if preset is not None:
-        _put(config, "params", "preset", preset)
+        _assign(config, "params.preset", preset)
     for assignment in overrides:
-        _apply_override(config, assignment)
+        key, equals, raw_value = assignment.partition("=")
+        key = key.strip()
+        if not equals or not key:
+            raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
+        try:
+            value = yaml.load(raw_value, Loader=_UniqueKeyLoader)
+        except (yaml.YAMLError, ValueError):  # ValueError: an integer beyond int()'s digit limit
+            raise ConfigError(f"--set {key}: cannot parse value {raw_value!r}") from None
+        _assign(config, key, value)
     if out is not None:
-        _put(config, "output", "path", out)
+        _assign(config, "output.path", out)
     if fmt is not None:
-        _put(config, "output", "format", fmt)
+        _assign(config, "output.format", fmt)
     return Scenario.from_dict(config)
 
 

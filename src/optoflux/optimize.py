@@ -10,8 +10,7 @@ optionally, one auxiliary coupling, scoring each candidate with the
 amplitude kernel's ``peak``.  Both are fully deterministic.
 
 A call to :func:`tune` may fork: the coarse scan of a large search is scored
-by up to one process per usable CPU (see :mod:`optoflux.fanout`), with the
-same result bit for bit.
+by the fan-out of :mod:`optoflux.fanout`, with the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +56,8 @@ class SearchSpace:
     """Bounds and budget for :func:`tune`.
 
     Collapsed bounds (lo == hi) pin that coordinate.  ``aux_name`` must be a
-    name in AUX_PARAMETERS when given, with ``aux_bounds`` in angular units.
+    name in AUX_PARAMETERS when given, with ``aux_bounds`` in angular units;
+    without one, the mechanical hop stays at the params' own value.
     """
 
     flux_bounds: tuple
@@ -74,8 +74,8 @@ class TuneResult:
     """Best point found by :func:`tune`.
 
     ``trace`` records every accepted improvement as ((flux, aux), objective);
-    the objective column never decreases.  ``best_aux`` is None when no
-    auxiliary parameter was searched.
+    the objective column never decreases.  ``best_aux``, and the aux of
+    every trace entry, is None when no auxiliary parameter was asked for.
     """
 
     best_flux: float
@@ -144,15 +144,12 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     are accepted only when strictly better, so the returned result and its
     trace are reproducible bit for bit.
 
-    The coarse scan's candidates are cut into contiguous ranges in scan
-    order, one per usable CPU but each worth at least MIN_POINTS_PER_PIECE
-    kernel point evaluations.  This process scores the first range and
-    forked children score the others (where the platform can fork;
-    elsewhere one process scores them all).  The objectives are joined in
-    scan order before the strictly-better reduction, so the result does not
-    depend on the cut.  A failed child makes this raise OSError naming its
-    range and exit status.  On Python >= 3.12, forking while numpy's BLAS
-    threads exist raises a DeprecationWarning.
+    The coarse scan's candidates are scored in contiguous ranges of scan
+    order, each worth at least MIN_POINTS_PER_PIECE kernel point
+    evaluations, by the fan-out of :mod:`optoflux.fanout`.  The objectives
+    are joined in scan order before the strictly-better reduction, so the
+    result does not depend on the cut.  A failed child makes this raise
+    OSError naming its range and exit status.
     """
     if quantity not in response.QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
@@ -160,25 +157,26 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         value = getattr(search_space, name)
         if not (isinstance(value, numbers.Integral) and value >= minimum):
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    flux_lo, flux_hi = _finite_bounds("flux_bounds", search_space.flux_bounds)
-    aux_name = search_space.aux_name
-    has_aux = aux_name is not None
-    if has_aux:
-        if aux_name not in AUX_PARAMETERS:
-            raise ValueError(
-                f"unknown auxiliary parameter {aux_name!r}, "
-                f"expected one of {sorted(AUX_PARAMETERS)}"
-            )
-        if search_space.aux_bounds is None:
-            raise ValueError("aux_bounds required when aux_name is set")
-        aux_lo, aux_hi = _finite_bounds("aux_bounds", search_space.aux_bounds)
-        for bound in (aux_lo, aux_hi):
-            try:
-                replace(params, **{aux_name: bound})
-            except ValueError as exc:
-                raise ValueError(f"aux_bounds: {exc}") from None
-    open_coords = flux_lo < flux_hi or (has_aux and aux_lo < aux_hi)
-    if open_coords and search_space.coarse_points < 2:
+    flux_bounds = _finite_bounds("flux_bounds", search_space.flux_bounds)
+    aux_name, aux_bounds = search_space.aux_name, search_space.aux_bounds
+    if aux_name is None:
+        # no aux is a mechanical hop collapsed to the params' own value
+        aux_name, aux_bounds = "mechanical_hop", (params.mechanical_hop,) * 2
+    elif aux_name not in AUX_PARAMETERS:
+        raise ValueError(
+            f"unknown auxiliary parameter {aux_name!r}, "
+            f"expected one of {sorted(AUX_PARAMETERS)}"
+        )
+    elif aux_bounds is None:
+        raise ValueError("aux_bounds required when aux_name is set")
+    aux_bounds = _finite_bounds("aux_bounds", aux_bounds)
+    for bound in aux_bounds:
+        try:
+            replace(params, **{aux_name: bound})
+        except ValueError as exc:
+            raise ValueError(f"aux_bounds: {exc}") from None
+    box = (flux_bounds, aux_bounds)  # the coordinates, flux then aux
+    if any(lo < hi for lo, hi in box) and search_space.coarse_points < 2:
         raise ValueError("coarse_points must be >= 2 for a non-collapsed search space")
     grid = search_space.frequency_grid or sweep.default_frequency_grid()
     omega = grid.values()
@@ -186,7 +184,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     # the amplitude terms depend on neither the flux nor V, so one kernel
     # serves every candidate unless the searched coupling enters the terms
     shared = (response.amplitude_kernel(response.amplitude_terms(params, omega, quantity))
-              if aux_name in (None, "mechanical_hop") else None)
+              if aux_name == "mechanical_hop" else None)
 
     def kernel(aux):
         if shared is not None:
@@ -208,16 +206,8 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
             return np.array([lo])
         return np.linspace(lo, hi, search_space.coarse_points)
 
-    flux_axis = axis(flux_lo, flux_hi)
-    if has_aux:
-        aux_axis = axis(aux_lo, aux_hi)
-    else:
-        aux_axis = np.array([math.nan])  # placeholder, never applied
-
-    def record(flux, aux, obj):
-        return ((flux, aux if has_aux else None), obj)
-
     # candidate i of the scan is (flux_axis[i // m], aux_axis[i % m])
+    flux_axis, aux_axis = (axis(lo, hi) for lo, hi in box)
     m = len(aux_axis)
     candidates = len(flux_axis) * m
 
@@ -231,47 +221,36 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         for part in parts:
             objectives.frombytes(part.read())
 
-    best_flux = best_aux = None
-    best_obj = -math.inf
+    best, best_obj = None, -math.inf  # best: [flux, aux]
     for i, obj in enumerate(objectives):
-        if best_flux is None or obj > best_obj:
-            best_flux, best_aux, best_obj = float(flux_axis[i // m]), float(aux_axis[i % m]), obj
-    trace = [record(best_flux, best_aux, best_obj)]
+        if best is None or obj > best_obj:
+            best, best_obj = [float(flux_axis[i // m]), float(aux_axis[i % m])], obj
 
-    coords = []
-    if flux_lo < flux_hi:
-        half = (flux_hi - flux_lo) / (search_space.coarse_points - 1)
-        coords.append(("flux", flux_lo, flux_hi, half))
-    if has_aux and aux_lo < aux_hi:
-        half = (aux_hi - aux_lo) / (search_space.coarse_points - 1)
-        coords.append(("aux", aux_lo, aux_hi, half))
+    trace = [(tuple(best), best_obj)]
+    # the open coordinates: (index in best, lo, hi, the coarse scan's step)
+    coords = [(k, lo, hi, (hi - lo) / (search_space.coarse_points - 1))
+              for k, (lo, hi) in enumerate(box) if lo < hi]
 
     # each sweep quarters the brackets, down to 0 (0.25 ** k underflows quietly)
     for sweep_index in range(search_space.descent_sweeps if coords else 0):
-        for name, lo, hi, half in coords:
+        for k, lo, hi, half in coords:
             width = half * 0.25 ** sweep_index
-            if name == "flux":
-                bracket = (max(lo, best_flux - width), min(hi, best_flux + width))
-                fn = lambda x: objective(x, best_aux)
-            else:
-                bracket = (max(lo, best_aux - width), min(hi, best_aux + width))
-                fn = lambda x: objective(best_flux, x)
-            x, fx = _golden_section_max(fn, bracket[0], bracket[1],
+            x, fx = _golden_section_max(lambda v: objective(*best[:k], v, *best[k + 1:]),
+                                        max(lo, best[k] - width), min(hi, best[k] + width),
                                         search_space.golden_iterations)
             if fx > best_obj:
-                if name == "flux":
-                    best_flux = float(x)
-                else:
-                    best_aux = float(x)
-                best_obj = fx
-                trace.append(record(best_flux, best_aux, best_obj))
+                best[k], best_obj = float(x), fx
+                trace.append((tuple(best), best_obj))
 
-    final = kernel(best_aux)(*point(best_flux, best_aux))
+    final = kernel(best[1])(*point(*best))
     masked = np.where(np.isnan(final), -math.inf, final)
     peak_index = int(np.argmax(masked))
+    if search_space.aux_name is None:  # no aux was asked for, so none is reported
+        trace = [((flux, None), obj) for (flux, _), obj in trace]
+    (best_flux, best_aux), _ = trace[-1]
     return TuneResult(
         best_flux=best_flux,
-        best_aux=best_aux if has_aux else None,
+        best_aux=best_aux,
         peak_db=float(final[peak_index]),
         peak_frequency=float(omega[peak_index]),
         trace=tuple(trace),

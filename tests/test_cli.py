@@ -286,17 +286,20 @@ def test_no_child_unwinds_into_the_caller(tmp_path, split):
     assert pids.read_text() == f"{os.getpid()}\n"
 
 
-def _tune_args(flux_pi, aux):
-    """A photon->phonon tune with a short budget on a 501-point grid."""
+def _tune_args(flux_pi, aux=""):
+    """A photon->phonon tune with a short budget on a 501-point grid; ``aux``
+    is the tune section's aux keys, or empty for a flux-only search."""
     return ["run", "--preset", "table1", "--set", "mode=tune",
             "--set", "quantity=photon_to_phonon",
             "--set", "params.mechanical_hop_hz=520e3",
-            "--set", f"tune={{flux_bounds_pi: {flux_pi}, {aux}, coarse_points: 9, "
-                     "golden_iterations: 12, descent_sweeps: 2}",
+            "--set", f"tune={{flux_bounds_pi: {flux_pi}, {aux + ', ' if aux else ''}"
+                     "coarse_points: 9, golden_iterations: 12, descent_sweeps: 2}",
             "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}"]
 
 
 TUNE_GOLDENS = {
+    # no aux: V stays the params' own, and the descent improves the flux twice
+    "tune_flux_small.json": _tune_args("[0.0, 2.0]"),
     "tune_small.json": _tune_args("[1.0, 2.0]", "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]"),
     "tune_search_small.json": _tune_args("[0.0, 0.5]",
                                          "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]"),
@@ -563,7 +566,7 @@ output: {{path: {out}, format: csv}}
 
 def test_params_table_covers_system_params():
     fields = {f.name for f in dataclasses.fields(of.SystemParams)}
-    targets = {t for entry in cli._PARAMS.values() for t in entry[0]}
+    targets = {t for entry in cli._SECTIONS["params"][1].values() for t in entry[3]}
     assert targets - fields == {"flux"}
     assert fields <= targets
 
@@ -856,6 +859,11 @@ REJECTIONS = {
     "empty output path": (_SPECTRUM, ["output.path=''"], "output.path"),
     "numeric output path": (_SPECTRUM, ["output.path=3"], "output.path"),
     "unknown preset": (_SPECTRUM, ["params.preset=table2"], "params.preset"),
+    "null preset": (_SPECTRUM, ["params.preset=null"], "params.preset"),
+    "dotted key through a scalar": (_SPECTRUM, ["mode.typo=1"], "mode"),
+    "dotted key through a null section": (_SPECTRUM, ["frequency_grid=null",
+                                                      "frequency_grid.points=3"],
+                                          "frequency_grid"),
     "negative params value": (_SPECTRUM, ["params.optical_hop_hz=-1"], "params.optical_hop_hz"),
     "zero mechanical frequency": (_SPECTRUM, ["params.mech_frequency_hz=[0, 1e9]"],
                                   "params.mech_frequency_hz"),
@@ -960,7 +968,8 @@ def test_tune_coarse_row_counts_toward_grid_cap():
         "tune.coarse_points=9000", "frequency_grid.points=10000"])
 
 
-@pytest.mark.parametrize("flag", [["--out", "x.csv"], ["--format", "json"]])
+@pytest.mark.parametrize("flag", [["--out", "x.csv"], ["--format", "json"],
+                                  ["--set", "output.path=x.csv"]])
 @pytest.mark.parametrize("output", ["null", "3"])
 def test_output_flag_needs_output_mapping(tmp_path, monkeypatch, capsys, flag, output):
     monkeypatch.chdir(tmp_path)

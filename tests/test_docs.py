@@ -26,6 +26,5 @@ def test_readme_lists_every_scenario_key():
     from optoflux import cli
 
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    keys = [f"params.{key}" for key in ["preset", *cli._PARAMS]]
-    keys += [f"{name}.{key}" for name, (_, section) in cli._SECTIONS.items() for key in section]
+    keys = [f"{name}.{key}" for name, (_, section) in cli._SECTIONS.items() for key in section]
     assert [key for key in keys if f"| `{key}` |" not in readme] == []
