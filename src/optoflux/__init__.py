@@ -38,7 +38,7 @@ _EXPORTS = {
     **dict.fromkeys(("FluxMap", "FrequencyGrid", "default_flux_grid",
                      "default_frequency_grid", "flux_map", "spectrum"), "sweep"),
 }
-_SUBMODULES = ("cli", "errors", "linsys", "model", "optimize", "response",
+_SUBMODULES = ("cli", "errors", "fanout", "linsys", "model", "optimize", "response",
                "steadystate", "sweep")
 
 __all__ = sorted(_EXPORTS)

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import yaml
 
 from . import model, steadystate
-from .errors import ConfigError, NoSolution, SingularMatrix, ZeroCoupling
+from .errors import ConfigError, OptofluxError
 from .model import TWO_PI, SystemParams, wrap_phase
 
 if TYPE_CHECKING:
@@ -666,18 +666,13 @@ def _run_tune(scenario, params):
 def _run_steadystate(scenario, params):
     section = scenario.steadystate
     if "drive_amplitude" in section:
-        eps_L, eps_R = section["drive_amplitude"]
-        if "drive_phase_pi" in section:
-            phi_L = math.pi * section["drive_phase_pi"][0]
-            phi_R = math.pi * section["drive_phase_pi"][1]
-        else:
-            phi_L, phi_R = params.phi_L, params.phi_R
-        drives = (eps_L, eps_R, phi_L, phi_R)
+        amplitudes = section["drive_amplitude"]
     else:
         gl_hz, gr_hz = section["target_enhanced_coupling_hz"]
-        eps_L, eps_R = steadystate.drives_for_target_G(
-            params, (TWO_PI * gl_hz, TWO_PI * gr_hz))
-        drives = (eps_L, eps_R, params.phi_L, params.phi_R)
+        amplitudes = steadystate.drives_for_target_G(params, (TWO_PI * gl_hz, TWO_PI * gr_hz))
+    phases_pi = section.get("drive_phase_pi")
+    phases = [math.pi * x for x in phases_pi] if phases_pi else (params.phi_L, params.phi_R)
+    drives = (*amplitudes, *phases)
     state = steadystate.steady_amplitudes(params, drives)
     fields = {
         "alpha_L_re": state.alpha_L.real,
@@ -811,7 +806,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrix, ZeroCoupling, NoSolution) as exc:
+    except OptofluxError as exc:
         print(f"degenerate scenario: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

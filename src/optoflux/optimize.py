@@ -155,7 +155,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         raise ValueError(f"unknown quantity {quantity!r}")
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
         value = getattr(search_space, name)
-        if not (isinstance(value, numbers.Integral) and value >= minimum):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     flux_bounds = _finite_bounds("flux_bounds", search_space.flux_bounds)
     aux_name, aux_bounds = search_space.aux_name, search_space.aux_bounds

@@ -73,27 +73,25 @@ def _ratio_db(num, den, mask):
     sentinel); both below gives nan.  ``den`` and the bool array ``mask``
     are scratch and are overwritten too.
 
-    One minimum per amplitude decides whether any sentinel can fire.  The
-    guard is negated because a nan minimum must fail it: a nan amplitude
-    beside a tiny one still needs the sentinel path.
+    One minimum per non-empty amplitude array decides whether any sentinel
+    can fire, and only then are the masks of tiny cells taken.  The guard is
+    negated because a nan minimum must fail it: a nan amplitude beside a
+    tiny one still needs the sentinels.
     """
-    if not (num.min() >= UNDERFLOW and den.min() >= UNDERFLOW):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            db = 20.0 * (np.log10(num) - np.log10(den))
-        tiny_n = num < UNDERFLOW
-        tiny_d = den < UNDERFLOW
-        db = np.where(tiny_d & ~tiny_n, math.inf, db)
-        db = np.where(tiny_n & ~tiny_d, -math.inf, db)
-        db = np.where(tiny_n & tiny_d, math.nan, db)
-        num[...] = np.where(num == den, 0.0, db)
-        return num
+    tiny = num.size and not (num.min() >= UNDERFLOW and den.min() >= UNDERFLOW)
+    if tiny:
+        tiny_n, tiny_d = num < UNDERFLOW, den < UNDERFLOW
     np.equal(num, den, out=mask)
-    np.log10(num, out=num)
-    np.log10(den, out=den)
-    # inf - inf is nan; the mask puts equal infinite amplitudes back to 0 dB
-    with np.errstate(invalid="ignore"):
+    # log10(0) and inf - inf: the sentinels and the mask rewrite those cells
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log10(num, out=num)
+        np.log10(den, out=den)
         np.subtract(num, den, out=num)
-    np.multiply(num, 20.0, out=num)
+        np.multiply(num, 20.0, out=num)
+    if tiny:
+        np.copyto(num, math.inf, where=tiny_d & ~tiny_n)
+        np.copyto(num, -math.inf, where=tiny_n & ~tiny_d)
+        np.copyto(num, math.nan, where=tiny_n & tiny_d)
     np.copyto(num, 0.0, where=mask)
     return num
 
@@ -127,34 +125,29 @@ def amplitude_kernel(terms):
     ``float(np.fmax.reduce(db(...), axis=None))`` bit for bit, with the log
     taken only where that maximum can be.  The scratch space is allocated
     here, once, so a sweep or search that reruns the kernel allocates nothing
-    per call; Y e^{-+i flux} is recomputed only when the flux changes.
+    per call; e^{i flux} and Y e^{-+i flux} are recomputed only when the
+    flux's bits change.
     """
     (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
     shape = np.broadcast_shapes(*(np.shape(t) for t in (x_f, y_f, x_b, y_b)))
-    hop_x, y_wf = np.empty(shape, complex), np.empty(shape, complex)
+    hop_x, y_wf, y_wb = (np.empty(shape, complex) for _ in range(3))
     forward, backward, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
     ratio = np.ndarray(shape, buffer=hop_x)  # peak's ratio, once hop_x is free
-    # Y_f e^{-i flux} and Y_b e^{+i flux} for the flux whose bits are ``held``, kept
-    # from a flux's first repeat on, so a kernel run once per flux touches no more memory
-    y_wb = held = seen = None
+    held = None  # the flux bits of Y_f e^{-i flux} in y_wf, Y_b e^{+i flux} in y_wb
 
     def amplitudes(mechanical_hop, flux, out):
-        nonlocal y_wb, held, seen
+        nonlocal held
         bits = struct.pack("d", flux)
-        if y_wb is None and bits == seen:
-            y_wb = np.empty(shape, complex)
-        fresh, held, seen = bits != held, None, bits
-        z = np.exp(1j * flux)
-        for g, x, y, w, y_w, amplitude in (
-                (g_f, x_f, y_f, np.conj(z), y_wf, out),
-                (g_b, x_b, y_b, z, y_wf if y_wb is None else y_wb, backward)):
-            if fresh:
-                np.multiply(y, w, out=y_w)
+        if bits != held:
+            held = None
+            z = np.exp(1j * flux)
+            np.multiply(y_f, np.conj(z), out=y_wf)
+            np.multiply(y_b, z, out=y_wb)
+            held = bits
+        for g, x, y_w, amplitude in ((g_f, x_f, y_wf, out), (g_b, x_b, y_wb, backward)):
             np.multiply(g * mechanical_hop, x, out=hop_x)
             np.add(hop_x, y_w, out=hop_x)
             np.abs(hop_x, out=amplitude)
-        if y_wb is not None:
-            held = bits
 
     def db(mechanical_hop, flux, out=None):
         if out is None:

@@ -268,7 +268,8 @@ def test_tune_validates_budget():
     grid = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 3)
     for name, bad in (("coarse_points", 2.5), ("coarse_points", 0), ("coarse_points", "33"),
                       ("golden_iterations", -5), ("golden_iterations", 4.0),
-                      ("descent_sweeps", -1), ("descent_sweeps", None)):
+                      ("descent_sweeps", -1), ("descent_sweeps", None),
+                      ("coarse_points", True), ("descent_sweeps", False)):
         space = of.SearchSpace(flux_bounds=(0.0, 1.0), frequency_grid=grid, **{name: bad})
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
             of.tune(p, of.PHONON, space)

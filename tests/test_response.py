@@ -244,6 +244,14 @@ def test_amplitude_kernel_reuse_matches_fresh_kernels():
                 assert kernel(hop, flux).tobytes() == fresh(hop, flux).tobytes()
 
 
+def test_isolation_db_of_no_frequencies_is_empty():
+    # the sentinel guard takes a minimum, which an empty array does not have
+    p = of.from_table1(1e6)
+    for quantity in of.QUANTITIES:
+        db = of.isolation_db(p, np.array([]), quantity)
+        assert db.shape == (0,) and db.dtype == np.float64
+
+
 def test_isolation_db_validates_quantity():
     with pytest.raises(ValueError):
         of.isolation_db(of.from_table1(1e6), TWO_PI * 5.8e9, "bogus")
