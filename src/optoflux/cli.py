@@ -21,9 +21,11 @@ plain Python.  The numeric layers (numpy, ``linsys``, ``response``, ``sweep``,
 modes when they run, so a steady-state run or a rejected file never loads
 them.
 
-No output is formatted from a whole copy of the computed arrays: a flux
-map's CSV rows are the map's columns, joined to the frequency column a few
-rows at a time from a transposed view.
+No output is formatted from a whole copy of the computed arrays.  A CSV
+table is joined from its column blocks a few rows at a time, so a flux map's
+CSV rows come from a transposed view of the map.  A JSON file streams one
+table: a flux map one row at a time, a spectrum's points a few thousand at
+a time.
 
 An output of at least twice MIN_CELLS_PER_PIECE values, such as a default
 flux map, is formatted by the fan-out of :mod:`optoflux.fanout`, with the
@@ -97,6 +99,15 @@ def _check_keys(section, mapping, allowed):
             _fail(f"{section}.{key}", "unknown key")
 
 
+# the factor from a number's file units to angular ones, by its key's suffix:
+# Hz to rad/s and units of pi to rad; any other number is used as it is
+_SCALES = {"hz": TWO_PI, "pi": math.pi}
+
+
+def _scale(key):
+    return _SCALES.get(key.split("[")[0].rpartition("_")[2], 1.0)
+
+
 def _number(key, value, minimum=None, exclusive=False):
     if isinstance(value, str):
         # YAML 1.1 reads "5.6e9" (no exponent sign) as a string; accept it anyway
@@ -112,6 +123,8 @@ def _number(key, value, minimum=None, exclusive=False):
         value = math.inf
     if not math.isfinite(value):
         _fail(key, "must be finite")
+    if not math.isfinite(_scale(key) * value):
+        _fail(key, f"must be finite in angular units, got {value!r}")
     if minimum is not None:
         if exclusive and value <= minimum:
             _fail(key, f"must be > {minimum}")
@@ -154,26 +167,26 @@ _REQUIRED = object()  # the default of a key that has none
 # are checked in Scenario.from_dict.
 #
 # A params key also names its SystemParams field, or its [left, right]
-# fields, and the factor from file units to angular ones.  "flux" is not a
-# field: it is applied last, through SystemParams.with_flux.  Keys are checked
+# fields, set to the key's value times _scale(key).  "flux" is not a field:
+# it is applied last, through SystemParams.with_flux.  Keys are checked
 # in this order, so a missing inline field reports the first key that would
 # have set it.
 _SECTIONS = {
     "params": (MODES, {
-        "preset": (PRESETS, None, None, (), None),
-        "mechanical_hop_hz": (_number, 0.0, None, ("mechanical_hop",), TWO_PI),
-        "mech_frequency_hz": (_positive_pair, 0.0, None, ("omega_mL", "omega_mR"), TWO_PI),
-        "optical_external_decay_hz": (_pair, 0.0, None, ("kappa_eL", "kappa_eR"), TWO_PI),
-        "optical_internal_decay_hz": (_pair, 0.0, None, ("kappa_iL", "kappa_iR"), TWO_PI),
-        "mech_external_decay_hz": (_pair, 0.0, None, ("gamma_eL", "gamma_eR"), TWO_PI),
-        "mech_internal_decay_hz": (_pair, 0.0, None, ("gamma_iL", "gamma_iR"), TWO_PI),
-        "optical_hop_hz": (_number, 0.0, None, ("optical_hop",), TWO_PI),
-        "enhanced_coupling_hz": (_pair, 0.0, None, ("G_L", "G_R"), TWO_PI),
-        "enhanced_coupling_angular": (_pair, 0.0, None, ("G_L", "G_R"), 1.0),
-        "detuning_hz": (_pair, None, None, ("detuning_L", "detuning_R"), TWO_PI),
-        "vacuum_coupling_hz": (_pair, 0.0, None, ("g_L", "g_R"), TWO_PI),
-        "flux_pi": (_number, None, None, ("flux",), math.pi),
-        "drive_phase_pi": (_pair, None, None, ("phi_L", "phi_R"), math.pi),
+        "preset": (PRESETS, None, None, ()),
+        "mechanical_hop_hz": (_number, 0.0, None, ("mechanical_hop",)),
+        "mech_frequency_hz": (_positive_pair, 0.0, None, ("omega_mL", "omega_mR")),
+        "optical_external_decay_hz": (_pair, 0.0, None, ("kappa_eL", "kappa_eR")),
+        "optical_internal_decay_hz": (_pair, 0.0, None, ("kappa_iL", "kappa_iR")),
+        "mech_external_decay_hz": (_pair, 0.0, None, ("gamma_eL", "gamma_eR")),
+        "mech_internal_decay_hz": (_pair, 0.0, None, ("gamma_iL", "gamma_iR")),
+        "optical_hop_hz": (_number, 0.0, None, ("optical_hop",)),
+        "enhanced_coupling_hz": (_pair, 0.0, None, ("G_L", "G_R")),
+        "enhanced_coupling_angular": (_pair, 0.0, None, ("G_L", "G_R")),
+        "detuning_hz": (_pair, None, None, ("detuning_L", "detuning_R")),
+        "vacuum_coupling_hz": (_pair, 0.0, None, ("g_L", "g_R")),
+        "flux_pi": (_number, None, None, ("flux",)),
+        "drive_phase_pi": (_pair, None, None, ("phi_L", "phi_R")),
     }),
     "frequency_grid": (("spectrum", "fluxmap", "tune"), {
         "start_hz": (_number, None, model.DEFAULT_FREQ_START_HZ),
@@ -282,16 +295,25 @@ class Scenario:
                 if any(f in model.TABLE1_HZ and f not in given for f in entry[3]):
                     _fail(f"params.{key}", "required when no preset is used")
 
+        # a span stop - start must be finite in angular units too, for the
+        # grid's or the search's steps
         for name, start, stop in (("frequency_grid", "start_hz", "stop_hz"),
                                   ("flux_grid", "start_pi", "stop_pi")):
             grid = sections[name]
-            if grid is not None and grid[start] >= grid[stop]:
+            if grid is None:
+                continue
+            if grid[start] >= grid[stop]:
                 _fail(name, f"{start} must be < {stop}")
+            if math.isinf(_scale(stop) * grid[stop] - _scale(start) * grid[start]):
+                _fail(name, f"{stop} - {start} must be finite in angular units")
         tune = sections["tune"]
         if tune is not None:
             for key in ("flux_bounds_pi", "aux_bounds_hz"):
-                if key in tune and tune[key][0] > tune[key][1]:
+                lo, hi = tune.get(key, (0.0, 0.0))
+                if lo > hi:
                     _fail(f"tune.{key}", "lower bound exceeds upper bound")
+                if math.isinf(_scale(key) * hi - _scale(key) * lo):
+                    _fail(f"tune.{key}", "upper - lower bound must be finite in angular units")
             if ("aux" in tune) != ("aux_bounds_hz" in tune):
                 _fail("tune.aux_bounds_hz", "required when aux is set" if "aux" in tune
                       else "only applicable when aux is set")
@@ -337,7 +359,7 @@ class Scenario:
             values = {name: TWO_PI * value for name, value in model.TABLE1_HZ.items()}
         table = _SECTIONS["params"][1]
         for key, value in self.params.items():
-            fields, factor = table[key][3:]
+            fields, factor = table[key][3], _scale(key)
             for field, v in zip(fields, value if len(fields) == 2 else [value]):
                 values[field] = factor * v
         flux = values.pop("flux", None)
@@ -409,11 +431,11 @@ class _Text(NamedTuple):
 def _csv(header, table):
     """CSV text: the header row, then one line per row of ``table``.
 
-    ``table`` is a list of tuples of Python values, or float arrays with
-    one entry per row: a tuple of column blocks, each a 1-D array (one
+    ``table`` is a list of tuples of Python values, or a tuple of column
+    blocks: float arrays with one entry per row, each a 1-D array (one
     column) or a 2-D array or view with its columns side by side (such as a
-    map's transpose), or a single 2-D array.  The blocks are joined
-    _CSV_BLOCK_ROWS rows at a time, so no copy of the whole table is made.
+    map's transpose).  The blocks are joined _CSV_BLOCK_ROWS rows at a time,
+    so no copy of the whole table is made.
 
     Numbers carry 12 significant digits ("%.12g" prints non-finite values as
     inf, -inf and nan); the columns where the first row holds a string are
@@ -428,9 +450,8 @@ def _csv(header, table):
             for row in table[lo:hi]:
                 yield line % row
     else:
-        blocks = table if isinstance(table, tuple) else (table,)
-        rows = len(blocks[0])
-        width = sum(1 if block.ndim == 1 else block.shape[1] for block in blocks)
+        rows = len(table[0])
+        width = sum(1 if block.ndim == 1 else block.shape[1] for block in table)
         line = ",".join(["%.12g"] * width) + "\n"
         # an array means numpy is loaded: looked up, not imported, so that a
         # forked writer imports nothing
@@ -440,7 +461,7 @@ def _csv(header, table):
             for start in range(lo, hi, _CSV_BLOCK_ROWS):
                 stop = min(hi, start + _CSV_BLOCK_ROWS)
                 # row by row: a whole-block tolist() would hold every cell as an object
-                for row in column_stack([block[start:stop] for block in blocks]):
+                for row in column_stack([block[start:stop] for block in table]):
                     yield line % tuple(row.tolist())
 
     return _Text([",".join(header) + "\n"], rows, rows * width, body, [])
@@ -471,76 +492,53 @@ def _json_floats(cells):
     return (json.dumps(_sentinel(x)) for x in cells.tolist())
 
 
-def _json_rows(values, indent, lo, hi):
-    """JSON chunks of rows [lo, hi) of a float array nested at ``indent`` (a
-    newline plus spaces), each row after the "[" (row 0) or "," before it,
-    one innermost row per chunk; the closing ``indent + "]"`` is not included.
-
-    The rows of a 1-D record array (one with named fields) are JSON objects
-    of its fields, in order, a few thousand records per chunk."""
-    inner = indent + "  "
-    names = values.dtype.names
-    if names:
-        record = "{" + ",".join(f"{inner}  {json.dumps(name)}: %s" for name in names) + inner + "}"
-        step = 4096
-        for start in range(lo, hi, step):
-            cells = [_json_floats(values[name][start:min(hi, start + step)]) for name in names]
-            yield (("[" if start == 0 else ",") + inner
-                   + ("," + inner).join(record % texts for texts in zip(*cells)))
-        return
-    if values.ndim > 1:
-        for i in range(lo, hi):
-            yield ("[" if i == 0 else ",") + inner
-            yield from _json_array(values[i], inner)
-        return
-    yield ("[" if lo == 0 else ",") + inner + ("," + inner).join(_json_floats(values[lo:hi]))
-
-
-def _json_array(values, indent):
-    """JSON chunks of a whole float array nested at ``indent``."""
-    if not len(values):
-        yield "[]"
-        return
-    yield from _json_rows(values, indent, 0, len(values))
-    yield indent + "]"
-
-
-def _json(payload):
+def _json(payload, rows=None):
     """JSON text of the mapping ``payload``: the bytes of
     ``json.dumps(payload, indent=2)`` plus a final newline, with non-finite
     floats as the strings of :func:`_sentinel`.
 
-    An ndarray value is written one row at a time (a record array as a list
-    of objects), and the rows of the largest one are the text's rows; any
-    other value goes through ``json.dumps`` and is re-indented to its
+    The value at key ``rows`` is the text's rows.  It is either a 2-D float
+    array, written one row (a JSON list) at a time, as a flux map is, or a
+    mapping of equal-length 1-D float arrays, written as a list of objects
+    of their entries a few thousand at a time, as a spectrum's points are.
+    Every other value goes through ``json.dumps`` and is re-indented to its
     nesting level.
     """
-    # a payload can hold an ndarray only once numpy is loaded, so a payload
-    # of plain values is written without importing it
-    numpy = sys.modules.get("numpy")
-    arrays = [k for k, v in payload.items() if numpy is not None and isinstance(v, numpy.ndarray)]
-    split = max(arrays, key=lambda k: payload[k].size, default=None)
-    if split is not None and not len(payload[split]):
-        split = None  # written whole, as "[]"
     head, tail = [], []
     chunks, sep = head, "{"
     for key, value in payload.items():
         chunks.append(f"{sep}\n  {json.dumps(key)}: ")
-        if key == split:
+        if key == rows:
             chunks = tail
             chunks.append("\n  ]")
-        elif key in arrays:
-            chunks.extend(_json_array(value, "\n  "))
         else:
             # a JSON string never holds a raw newline, so every one is layout
             chunks.append(json.dumps(_plain(value), indent=2).replace("\n", "\n  "))
         sep = ","
     chunks.append("\n}\n")
-    if split is None:
+    if rows is None:
         return _Text(head, 0, 0, lambda lo, hi: (), [])
-    values = payload[split]
-    return _Text(head, len(values), values.nbytes // 8,  # every value is a float64
-                 lambda lo, hi: _json_rows(values, "\n  ", lo, hi), tail)
+    table = payload[rows]
+    if isinstance(table, dict):
+        columns = list(table.values())
+        record = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in table) + "\n    }"
+
+        def body(lo, hi):
+            step = 4096
+            for start in range(lo, hi, step):
+                texts = zip(*(_json_floats(column[start:min(hi, start + step)])
+                              for column in columns))
+                yield (("[" if start == 0 else ",") + "\n    "
+                       + ",\n    ".join(record % cells for cells in texts))
+
+        return _Text(head, len(columns[0]), len(columns[0]) * len(columns), body, tail)
+
+    def body(lo, hi):
+        for i in range(lo, hi):
+            yield (("[" if i == 0 else ",") + "\n    [\n      "
+                   + ",\n      ".join(_json_floats(table[i])) + "\n    ]")
+
+    return _Text(head, len(table), table.size, body, tail)
 
 
 def _append(part, out):
@@ -597,20 +595,15 @@ def _write(text, path):
 
 
 def _run_spectrum(scenario, params):
-    import numpy as np
-
     from . import sweep
 
     grid = scenario.build_frequency_grid()
-    freqs = grid.values() / TWO_PI
-    values = sweep.spectrum(params, scenario.quantity, grid)
+    points = {"frequency_hz": grid.values() / TWO_PI,
+              "isolation_db": sweep.spectrum(params, scenario.quantity, grid)}
     if scenario.output["format"] == "csv":
-        return _csv(["frequency_hz", "isolation_db"], (freqs, values))
-    return _json({
-        "mode": "spectrum",
-        "quantity": scenario.quantity,
-        "points": np.rec.fromarrays((freqs, values), names=("frequency_hz", "isolation_db")),
-    })
+        return _csv(points, tuple(points.values()))
+    return _json({"mode": "spectrum", "quantity": scenario.quantity, "points": points},
+                 rows="points")
 
 
 def _run_fluxmap(scenario, params):
@@ -618,18 +611,17 @@ def _run_fluxmap(scenario, params):
 
     fm = sweep.flux_map(params, scenario.quantity, scenario.build_flux_axis(),
                         scenario.build_frequency_grid())
-    flux_pi = fm.flux_axis / math.pi
+    flux_pi = (fm.flux_axis / math.pi).tolist()
     freqs = fm.freq_axis.values() / TWO_PI
     if scenario.output["format"] == "csv":
-        header = ["frequency_hz"] + ["%.12g" % f for f in flux_pi.tolist()]
-        return _csv(header, (freqs, fm.values.T))
+        return _csv(["frequency_hz"] + ["%.12g" % f for f in flux_pi], (freqs, fm.values.T))
     return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
         "flux_pi": flux_pi,
-        "frequency_hz": freqs,
+        "frequency_hz": freqs.tolist(),
         "isolation_db": fm.values,
-    })
+    }, rows="isolation_db")
 
 
 def _run_tune(scenario, params):
@@ -708,8 +700,8 @@ def run(scenario: Scenario) -> str:
     numpy and the numeric layers at this point, the steadystate runner
     never does.  CSV and JSON are then formatted from the computed arrays,
     a row or a block of rows at a time, by :func:`_write`, so neither the
-    file nor a nested-list or transposed copy of a map or spectrum is ever
-    held in memory whole.
+    file nor a nested-list, record or transposed copy of a map or spectrum
+    is ever held in memory whole.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel
@@ -753,7 +745,9 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
                 config = yaml.load(fh, Loader=_UniqueKeyLoader)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-        except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer beyond int()'s digit limit; RecursionError:
+        # collections nested deeper than the interpreter's stack
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot parse config {path!r}: {exc}") from None
         if config is None:  # an empty or null document
             config = {}
@@ -768,7 +762,7 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
             raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
         try:
             value = yaml.load(raw_value, Loader=_UniqueKeyLoader)
-        except (yaml.YAMLError, ValueError):  # ValueError: an integer beyond int()'s digit limit
+        except (yaml.YAMLError, ValueError, RecursionError):
             raise ConfigError(f"--set {key}: cannot parse value {raw_value!r}") from None
         _assign(config, key, value)
     if out is not None:

@@ -102,8 +102,9 @@ def interference_condition(params: SystemParams, omega: float) -> InterferenceSo
 
 def _finite_bounds(name, bounds):
     lo, hi = bounds
-    if not -math.inf < lo <= hi < math.inf:
-        raise ValueError(f"{name} must be finite with lo <= hi, got {bounds!r}")
+    # the span too: the coarse scan's step is (hi - lo) / (coarse_points - 1)
+    if not (-math.inf < lo <= hi < math.inf and float(hi) - float(lo) < math.inf):
+        raise ValueError(f"{name} must be finite with lo <= hi and hi - lo finite, got {bounds!r}")
     return lo, hi
 
 

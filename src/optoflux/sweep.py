@@ -32,8 +32,11 @@ class FrequencyGrid:
             operator.index(self.points)
         except TypeError:
             raise ValueError(f"grid points must be an integer, got {self.points!r}") from None
-        if not -math.inf < self.start < self.stop < math.inf:
-            raise ValueError(f"grid start {self.start!r} must be < stop {self.stop!r}, both finite")
+        # the span too: linspace's step is (stop - start) / (points - 1)
+        if not (-math.inf < self.start < self.stop < math.inf
+                and float(self.stop) - float(self.start) < math.inf):
+            raise ValueError(f"grid start {self.start!r} must be < stop {self.stop!r}, "
+                             "both finite and a finite span apart")
         if self.points < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.points}")
 

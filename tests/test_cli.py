@@ -4,7 +4,6 @@ import math
 import os
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +13,9 @@ import optoflux as of
 from optoflux import cli
 from optoflux.model import TWO_PI
 
+import goldens
+from goldens import DATA
 from helpers import force_scan_ranges, hook_scan
-
-DATA = Path(__file__).parent / "data"
 
 
 def _write(tmp_path, text, name="scenario.yaml"):
@@ -132,40 +131,10 @@ output: {{path: {out}, format: {fmt}}}
         assert out.read_bytes() == (DATA / f"fluxmap_small.{fmt}").read_bytes()
 
 
-# the arguments of the committed fluxmap goldens, without --out and --format
-FLUXMAP_GOLDENS = {
-    "fluxmap_small": [
-        "run", "--preset", "table1", "--set", "mode=fluxmap", "--set", "quantity=phonon",
-        "--set", "params.mechanical_hop_hz=520e3",
-        "--set", "flux_grid={start_pi: -1.0, stop_pi: 1.0, points: 5}",
-        "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 4}",
-    ],
-    # no optical bridge and no left coupling: every forward photon->phonon
-    # amplitude is identically zero, so every cell is -inf
-    "fluxmap_sentinel": [
-        "run", "--preset", "table1", "--set", "mode=fluxmap",
-        "--set", "quantity=photon_to_phonon",
-        "--set", "params.mechanical_hop_hz=1e6",
-        "--set", "params.optical_hop_hz=0",
-        "--set", "params.enhanced_coupling_hz=[0, 31e6]",
-        "--set", "flux_grid={start_pi: -1.0, stop_pi: 1.0, points: 3}",
-        "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
-    ],
-}
-
-
-def test_sentinel_fluxmap_matches_committed_golden(tmp_path):
-    for fmt in ("csv", "json"):
-        out = tmp_path / f"fm.{fmt}"
-        assert _run([*FLUXMAP_GOLDENS["fluxmap_sentinel"],
-                     "--out", str(out), "--format", fmt]) == 0
-        assert out.read_bytes() == (DATA / f"fluxmap_sentinel.{fmt}").read_bytes()
-
-
 @pytest.fixture
 def split(monkeypatch):
     """``split(n)`` makes the writer cut every output of at least n rows into
-    n ranges; it returns the list that collects the pids the writer forks."""
+    n ranges; it returns the list that collects the pids forked from then on."""
     forks = []
     fork = os.fork
 
@@ -184,35 +153,18 @@ def split(monkeypatch):
     return force
 
 
-@pytest.mark.parametrize("ranges", [2, 3])
-@pytest.mark.parametrize("fmt", cli.FORMATS)
-@pytest.mark.parametrize("name", sorted(FLUXMAP_GOLDENS))
-def test_split_fluxmap_matches_committed_golden(tmp_path, split, name, fmt, ranges):
-    forks = split(ranges)
-    out = tmp_path / f"{name}.{fmt}"
-    assert _run([*FLUXMAP_GOLDENS[name], "--out", str(out), "--format", fmt]) == 0
-    assert len(forks) == ranges - 1
-    assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
-    assert os.listdir(tmp_path) == [out.name]
-
-
-# the arguments of the committed spectrum goldens, without --out and --format
-SPECTRUM_GOLDEN = [
-    "run", "--preset", "table1", "--set", "mode=spectrum", "--set", "quantity=phonon",
-    "--set", "params.mechanical_hop_hz=515709.8644424447",
-    "--set", "params.flux_pi=-0.1585105713191547",
-    "--set", "frequency_grid={start_hz: 5.85e9, stop_hz: 5.95e9, points: 201}",
-]
-
-
 @pytest.mark.parametrize("ranges", [1, 2, 3])
-@pytest.mark.parametrize("fmt", cli.FORMATS)
-def test_spectrum_matches_committed_golden(tmp_path, split, fmt, ranges):
+@pytest.mark.parametrize("name", list(goldens.GOLDENS))
+def test_golden_matches_committed_bytes(tmp_path, monkeypatch, split, name, ranges):
+    # the writer and the coarse scan of a tune both cut their work into
+    # ``ranges``; a tune's output and a steady state are one range or none
     forks = split(ranges)
-    out = tmp_path / f"spectrum_small.{fmt}"
-    assert _run([*SPECTRUM_GOLDEN, "--out", str(out), "--format", fmt]) == 0
-    assert len(forks) == ranges - 1
-    assert out.read_bytes() == (DATA / f"spectrum_small.{fmt}").read_bytes()
+    monkeypatch.setattr(of.optimize, "MIN_POINTS_PER_PIECE", 1)
+    out = tmp_path / name
+    assert _run(goldens.argv(name, out)) == 0
+    assert len(forks) == (0 if name.startswith("steady_") else ranges - 1)
+    assert out.read_bytes() == (DATA / name).read_bytes()
+    assert os.listdir(tmp_path) == [name]
 
 
 def test_csv_fluxmap_is_not_copied_whole(tmp_path, split):
@@ -255,7 +207,7 @@ def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, split, 
     monkeypatch.setattr(cli, "_csv", failing_csv)
     out = tmp_path / "out.csv"
     out.write_text("previous\n")
-    args = [*FLUXMAP_GOLDENS["fluxmap_small"], "--out", str(out), "--format", "csv"]
+    args = goldens.argv("fluxmap_small.csv", out)
     if body is _child_fails:
         assert _run(args) == 1
         err = capsys.readouterr().err
@@ -277,66 +229,13 @@ def test_no_child_unwinds_into_the_caller(tmp_path, split):
     pids = tmp_path / "pids"
     out = tmp_path / "out.json"
     try:
-        code = _run([*FLUXMAP_GOLDENS["fluxmap_small"], "--out", str(out), "--format", "json"])
+        code = _run(goldens.argv("fluxmap_small.json", out))
     finally:
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
     assert code == 0
     assert len(forks) == 2
     assert pids.read_text() == f"{os.getpid()}\n"
-
-
-def _tune_args(flux_pi, aux=""):
-    """A photon->phonon tune with a short budget on a 501-point grid; ``aux``
-    is the tune section's aux keys, or empty for a flux-only search."""
-    return ["run", "--preset", "table1", "--set", "mode=tune",
-            "--set", "quantity=photon_to_phonon",
-            "--set", "params.mechanical_hop_hz=520e3",
-            "--set", f"tune={{flux_bounds_pi: {flux_pi}, {aux + ', ' if aux else ''}"
-                     "coarse_points: 9, golden_iterations: 12, descent_sweeps: 2}",
-            "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}"]
-
-
-TUNE_GOLDENS = {
-    # no aux: V stays the params' own, and the descent improves the flux twice
-    "tune_flux_small.json": _tune_args("[0.0, 2.0]"),
-    "tune_small.json": _tune_args("[1.0, 2.0]", "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]"),
-    "tune_search_small.json": _tune_args("[0.0, 0.5]",
-                                         "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]"),
-    "tune_aux_small.csv": _tune_args("[1.0, 2.0]", "aux: G_L, aux_bounds_hz: [10e6, 40e6]"),
-}
-
-
-def test_tune_matches_committed_golden(tmp_path):
-    # photon->phonon over flux and V with a short budget: the coarse scan,
-    # both descent coordinates and the shared kernel buffer all run
-    out = tmp_path / "tune.json"
-    assert _run([*TUNE_GOLDENS["tune_small.json"], "--out", str(out), "--format", "json"]) == 0
-    assert out.read_bytes() == (DATA / "tune_small.json").read_bytes()
-
-
-@pytest.mark.parametrize("name, flux_pi, aux, fmt", [
-    # a box the backward null curve misses at every grid frequency, so the
-    # search, not an exact null, decides the peak
-    ("tune_search_small", "[0.0, 0.5]", "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]",
-     "json"),
-    # a coupling that enters the amplitude terms: a kernel per candidate
-    ("tune_aux_small", "[1.0, 2.0]", "aux: G_L, aux_bounds_hz: [10e6, 40e6]", "csv"),
-])
-def test_tune_search_matches_committed_golden(tmp_path, name, flux_pi, aux, fmt):
-    out = tmp_path / f"{name}.{fmt}"
-    assert _run([*_tune_args(flux_pi, aux), "--out", str(out), "--format", fmt]) == 0
-    assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
-
-
-@pytest.mark.parametrize("ranges", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(TUNE_GOLDENS))
-def test_split_tune_matches_committed_golden(tmp_path, monkeypatch, name, ranges):
-    forks = force_scan_ranges(monkeypatch, ranges)
-    out = tmp_path / name
-    assert _run([*TUNE_GOLDENS[name], "--out", str(out), "--format", out.suffix[1:]]) == 0
-    assert len(forks) == ranges - 1  # the scan's children; the output is one range
-    assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 def test_failed_split_scan_exits_1(tmp_path, monkeypatch, capsys):
@@ -347,31 +246,12 @@ def test_failed_split_scan_exits_1(tmp_path, monkeypatch, capsys):
 
     hook_scan(monkeypatch, lambda: None, fail)
     out = tmp_path / "tune.json"
-    assert _run([*TUNE_GOLDENS["tune_small.json"], "--out", str(out), "--format", "json"]) == 1
+    assert _run(goldens.argv("tune_small.json", out)) == 1
     # 81 candidates, cut at 40
     assert "the coarse scan of candidates 40-81 failed (exit status 1)" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("name, section, fmt", [
-    ("steady_forward", "{drive_amplitude: [1e8, 1e8]}", "csv"),
-    ("steady_inverse", "{target_enhanced_coupling_hz: [33e6, 31e6]}", "json"),
-])
-def test_steadystate_matches_committed_golden(tmp_path, name, section, fmt):
-    # the benchmark's default-seed steady-state scenarios: one row of plain
-    # floats through the CSV writer, and a flat JSON mapping
-    out = tmp_path / f"{name}.{fmt}"
-    assert _run([
-        "run", "--preset", "table1", "--set", "mode=steadystate",
-        "--set", "params.mechanical_hop_hz=515709.8644424447",
-        "--set", "params.flux_pi=-0.1585105713191547",
-        "--set", "params.vacuum_coupling_hz=[1000, 1000]",
-        "--set", f"steadystate={section}",
-        "--out", str(out), "--format", fmt,
-    ]) == 0
-    assert out.read_bytes() == (DATA / f"{name}.{fmt}").read_bytes()
 
 
 def test_schema_defaults_match_numeric_layers():
@@ -404,17 +284,13 @@ _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999
 
 
 @pytest.mark.parametrize("values", [
-    pytest.param(_ORACLE_VALUES, id="1d"),
-    pytest.param([], id="1d empty"),
     pytest.param([_ORACLE_VALUES[:6], _ORACLE_VALUES[6:]], id="2 rows mixed"),
     pytest.param([[1.5, -2.0], [math.inf, math.nan]], id="finite row, sentinel row"),
     pytest.param([[x] for x in _ORACLE_VALUES], id="1 column"),
     pytest.param([[math.nan] * 3, [-math.inf] * 3, [math.inf] * 3], id="all sentinels"),
-    pytest.param([[[0.1, math.inf], [-0.0, 2.0]]] * 2, id="3d"),
-    # more cells than flux_pi: the 3-D array's rows are the ones cut
-    pytest.param([[[0.1, math.inf], [-0.0, 2.0], [1e22, 5e-324]]] * 3, id="3d, cut"),
 ])
 def test_json_writer_matches_stdlib_encoder(tmp_path, split, values):
+    # a flux map: its axes go through json.dumps, its 2-D array is the rows
     def plain(v):  # the nested lists json would need, with sentinel strings
         if isinstance(v, list):
             return [plain(x) for x in v]
@@ -422,7 +298,7 @@ def test_json_writer_matches_stdlib_encoder(tmp_path, split, values):
 
     payload = {"mode": "fluxmap", "best_aux_name": None, "peak_db": -math.inf,
                "points": [{"frequency_hz": 5.8e9, "isolation_db": math.nan}],
-               "flux_pi": np.array(_ORACLE_VALUES), "isolation_db": np.array(values, dtype=float),
+               "flux_pi": _ORACLE_VALUES, "isolation_db": np.array(values, dtype=float),
                "quantity": "phonon"}
     expected = {"mode": "fluxmap", "best_aux_name": None, "peak_db": "-inf",
                 "points": [{"frequency_hz": 5.8e9, "isolation_db": "nan"}],
@@ -431,7 +307,7 @@ def test_json_writer_matches_stdlib_encoder(tmp_path, split, values):
     out = tmp_path / "out.json"
     for ranges in (1, 2, 3, 4):  # up to more ranges than rows
         split(ranges)
-        cli._write(cli._json(payload), str(out))
+        cli._write(cli._json(payload, rows="isolation_db"), str(out))
         assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
 
@@ -442,23 +318,23 @@ def _records(n):
     return list(zip(values[::-1], values))
 
 
-@pytest.mark.parametrize("n", [0, 1, 12, 10_001])
+@pytest.mark.parametrize("n", [1, 12, 10_001])
 def test_json_records_match_stdlib_encoder(tmp_path, split, n):
-    # a spectrum's points: a record array written as a list of objects, its
-    # rows cut inside and across the chunks of a few thousand records
+    # a spectrum's points: a mapping of columns written as a list of objects,
+    # its rows cut inside and across the chunks of a few thousand records
     def plain(x):
         return x if math.isfinite(x) else {math.inf: "inf", -math.inf: "-inf"}.get(x, "nan")
 
     pairs = _records(n)
-    points = np.rec.fromarrays(np.array(pairs, dtype=float).reshape(n, 2).T,
-                               names=("frequency_hz", "isolation_db"))
-    payload = {"mode": "spectrum", "quantity": "phonon", "points": points}
+    freqs, values = np.array(pairs, dtype=float).T
+    payload = {"mode": "spectrum", "quantity": "phonon",
+               "points": {"frequency_hz": freqs, "isolation_db": values}}
     expected = json.dumps({"mode": "spectrum", "quantity": "phonon", "points": [
         {"frequency_hz": plain(f), "isolation_db": plain(v)} for f, v in pairs]}, indent=2)
     out = tmp_path / "out.json"
     for ranges in (1, 2, 3, 4):
         split(ranges)
-        cli._write(cli._json(payload), str(out))
+        cli._write(cli._json(payload, rows="points"), str(out))
         assert out.read_text(encoding="utf-8") == expected + "\n"
 
 
@@ -469,7 +345,7 @@ _BLOCKS_ROWS = 2 * cli._CSV_BLOCK_ROWS + 3
 def _csv_rows(table):
     """The rows of a table for cli._csv, each a list of its cells; the rows
     of column blocks are taken cell by cell from each block."""
-    if not isinstance(table, tuple):
+    if isinstance(table, list):
         return [list(row) for row in table]
     return [[x for block in table for x in np.atleast_1d(block[i])]
             for i in range(len(table[0]))]
@@ -477,10 +353,10 @@ def _csv_rows(table):
 
 @pytest.mark.parametrize("ranges", [1, 2, 3, 4])
 @pytest.mark.parametrize("table", [
-    pytest.param(np.array([_ORACLE_VALUES]), id="1 row"),
-    pytest.param(np.array([_ORACLE_VALUES]).T, id="1 column"),
-    pytest.param(np.array(_ORACLE_VALUES).reshape(4, 3), id="4 rows"),
-    pytest.param(np.empty((0, 3)), id="empty"),
+    pytest.param((np.array([_ORACLE_VALUES]),), id="1 row"),
+    pytest.param((np.array([_ORACLE_VALUES]).T,), id="1 column"),
+    pytest.param((np.array(_ORACLE_VALUES).reshape(4, 3),), id="4 rows"),
+    pytest.param((np.empty((0, 3)),), id="empty"),
     pytest.param([(1.5, "G_L", "", -math.inf)], id="strings"),
     # a frequency column and a map's transpose, as a flux map is written
     pytest.param((np.linspace(5.8e9, 5.9e9, _BLOCKS_ROWS),
@@ -489,7 +365,7 @@ def _csv_rows(table):
 def test_csv_writer_matches_cell_by_cell_format(tmp_path, split, table, ranges):
     split(ranges)
     rows = _csv_rows(table)
-    header = [f"c{i}" for i in range(len(rows[0]) if rows else np.shape(table)[1])]
+    header = [f"c{i}" for i in range(len(rows[0]) if rows else table[0].shape[1])]
     expected = ",".join(header) + "\n" + "".join(
         ",".join(x if isinstance(x, str) else "%.12g" % x for x in row) + "\n" for row in rows)
     out = tmp_path / "out.csv"
@@ -873,6 +749,25 @@ REJECTIONS = {
     "flux and drive phases": (_SPECTRUM, ["params.flux_pi=0.5", "params.drive_phase_pi=[0, 1]"],
                               "params.flux_pi"),
     "oversized spectrum": (_SPECTRUM, ["frequency_grid.points=100000001"], "frequency_grid.points"),
+    # finite in file units, infinite in angular ones
+    "detuning beyond rad/s": (_SPECTRUM, ["params.detuning_hz=[1e308, 1e308]"],
+                              "params.detuning_hz[0]"),
+    "mechanical hop beyond rad/s": (_SPECTRUM, ["params.mechanical_hop_hz=1e308"],
+                                    "params.mechanical_hop_hz"),
+    "flux beyond rad": (_SPECTRUM, ["params.flux_pi=1e308"], "params.flux_pi"),
+    "flux bounds beyond rad": (_TUNE, ["tune.flux_bounds_pi=[0, 1e308]"], "tune.flux_bounds_pi[1]"),
+    "aux bounds beyond rad/s": (_TUNE, ["tune.aux=G_L", "tune.aux_bounds_hz=[0, 1e308]"],
+                                "tune.aux_bounds_hz[1]"),
+    "target coupling beyond rad/s": (_INVERSE, ["steadystate.target_enhanced_coupling_hz=[1e308, 1]"],
+                                     "steadystate.target_enhanced_coupling_hz[0]"),
+    "drive phase beyond rad": (_FORWARD, ["steadystate.drive_phase_pi=[0, 1e308]"],
+                               "steadystate.drive_phase_pi[1]"),
+    "flux_grid stop beyond rad": (_FLUXMAP, ["flux_grid.stop_pi=1e308"], "flux_grid.stop_pi"),
+    # finite ends, a span beyond the float range in angular units
+    "frequency_grid span": (_SPECTRUM, ["frequency_grid={start_hz: -2e307, stop_hz: 2e307}"],
+                            "frequency_grid"),
+    "flux_grid span": (_FLUXMAP, ["flux_grid={start_pi: -4e307, stop_pi: 4e307}"], "flux_grid"),
+    "flux bounds span": (_TUNE, ["tune.flux_bounds_pi=[-4e307, 4e307]"], "tune.flux_bounds_pi"),
 }
 
 
@@ -906,6 +801,20 @@ def test_huge_integer_is_rejected_as_not_finite(tmp_path, capsys):
     assert "cannot parse config" in capsys.readouterr().err
     assert _run(["run", "--preset", "table1", "--set", f"params.mechanical_hop_hz={big}"]) == 2
     assert "--set params.mechanical_hop_hz: cannot parse value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["config", "--set"])
+def test_value_nested_beyond_the_stack_exits_2(tmp_path, capsys, route):
+    deep = "[" * 1000 + "]" * 1000
+    if route == "config":
+        assert _run(["run", _write(tmp_path, f"mode: spectrum\nparams: {deep}\n")]) == 2
+        expected = "error: cannot parse config "
+    else:
+        assert _run(["run", "--preset", "table1", "--set", f"params.flux_pi={deep}"]) == 2
+        expected = "error: --set params.flux_pi: cannot parse value "
+    err = capsys.readouterr().err
+    assert err.startswith(expected), err[:200]
+    assert "Traceback" not in err
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -105,7 +105,7 @@ def test_tune_creates_no_cycles(monkeypatch, aux):
 
 
 @pytest.mark.parametrize("ranges", [1, 3], ids=["one range", "split"])
-@pytest.mark.parametrize("form", ["csv", "csv blocks", "json"])
+@pytest.mark.parametrize("form", ["csv", "csv blocks", "json", "json points"])
 def test_write_creates_no_cycles(tmp_path, monkeypatch, form, ranges):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
     monkeypatch.setattr(cli, "MIN_CELLS_PER_PIECE", 1)
@@ -115,9 +115,13 @@ def test_write_creates_no_cycles(tmp_path, monkeypatch, form, ranges):
         rows *= cli._CSV_BLOCK_ROWS if form == "csv blocks" else 1
         table = np.arange(rows * 4, dtype=float).reshape(rows, 4)
         if form == "json":
-            text = cli._json({"mode": "fluxmap", "flux_pi": table[0], "isolation_db": table})
+            text = cli._json({"mode": "fluxmap", "flux_pi": table[0].tolist(),
+                              "isolation_db": table}, rows="isolation_db")
+        elif form == "json points":
+            text = cli._json({"mode": "spectrum", "points": {"a": table[:, 0], "b": table[:, 1]}},
+                             rows="points")
         else:
-            columns = (table[:, 0], table[:, 1:]) if form == "csv blocks" else table
+            columns = (table[:, 0], table[:, 1:]) if form == "csv blocks" else (table,)
             text = cli._csv(["a", "b", "c", "d"], columns)
         cli._write(text, str(tmp_path / "out"))
 

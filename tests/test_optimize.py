@@ -195,7 +195,9 @@ def test_tune_rejects_non_finite_bounds():
     p = of.from_table1(1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for flux_bounds in ((-math.inf, 0.0), (0.0, math.inf)):
+        # the last two: finite ends, a span that is not
+        for flux_bounds in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308),
+                            (np.float64(-9e307), 9e307)):
             with pytest.raises(ValueError, match="flux_bounds"):
                 of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=flux_bounds))
         for aux_name, aux_bounds in (("G_L", (0.0, math.inf)),
