@@ -167,6 +167,27 @@ def test_golden_matches_committed_bytes(tmp_path, monkeypatch, split, name, rang
     assert os.listdir(tmp_path) == [name]
 
 
+def test_tune_matches_committed_golden(tmp_path):
+    # unforced: the coarse scan is cut by this machine's CPUs and the
+    # default minimum piece, as a user's run is
+    out = tmp_path / "tune_small.json"
+    assert _run(goldens.argv("tune_small.json", out)) == 0
+    assert out.read_bytes() == (DATA / "tune_small.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, flux_pi, aux, fmt", [
+    ("tune_search_small", "[0.0, 0.5]", "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]",
+     "json"),
+    ("tune_aux_small", "[1.0, 2.0]", "aux: G_L, aux_bounds_hz: [10e6, 40e6]", "csv"),
+])
+def test_tune_search_matches_committed_golden(tmp_path, name, flux_pi, aux, fmt):
+    # unforced, as above; the table's entry is this search box
+    assert goldens.GOLDENS[f"{name}.{fmt}"] == goldens._tune(flux_pi, aux)
+    out = tmp_path / f"{name}.{fmt}"
+    assert _run(goldens.argv(out.name, out)) == 0
+    assert out.read_bytes() == (DATA / out.name).read_bytes()
+
+
 def test_csv_fluxmap_is_not_copied_whole(tmp_path, split):
     # the CSV's rows are the map's columns; joined a block of rows at a time,
     # the map is never copied whole (a transposed copy peaked at 2.05x its size)
