@@ -41,11 +41,11 @@ _SPECTRUM = [
 ]
 
 
-def _tune(flux_pi, aux=""):
-    """A photon->phonon tune with a short budget on a 501-point grid; ``aux``
-    is the tune section's aux keys, or empty for a flux-only search."""
+def _tune(flux_pi, aux="", quantity="photon_to_phonon"):
+    """A tune with a short budget on a 501-point grid; ``aux`` is the tune
+    section's aux keys, or empty for a flux-only search."""
     return ["run", "--preset", "table1", "--set", "mode=tune",
-            "--set", "quantity=photon_to_phonon", "--set", "params.mechanical_hop_hz=520e3",
+            "--set", f"quantity={quantity}", "--set", "params.mechanical_hop_hz=520e3",
             "--set", f"tune={{flux_bounds_pi: {flux_pi}, {aux + ', ' if aux else ''}"
                      "coarse_points: 9, golden_iterations: 12, descent_sweeps: 2}",
             "--set", "frequency_grid={start_hz: 5.6e9, stop_hz: 6.1e9, points: 501}"]
@@ -74,8 +74,14 @@ GOLDENS = {
     # search, not an exact null, decides the peak
     "tune_search_small.json": _tune("[0.0, 0.5]",
                                     "aux: mechanical_hop, aux_bounds_hz: [1e6, 60e6]"),
-    # a coupling that enters the amplitude terms: a kernel per candidate
+    # couplings that enter the amplitude terms: the terms are rebuilt for
+    # each new value, in each channel
     "tune_aux_small.csv": _tune("[1.0, 2.0]", "aux: G_L, aux_bounds_hz: [10e6, 40e6]"),
+    "tune_aux_optical_hop.json": _tune("[1.0, 2.0]",
+                                       "aux: optical_hop, aux_bounds_hz: [50e6, 160e6]",
+                                       "phonon"),
+    "tune_aux_G_R.csv": _tune("[1.0, 2.0]", "aux: G_R, aux_bounds_hz: [10e6, 40e6]",
+                              "phonon_to_photon"),
     # no aux: V stays the params' own, and the descent improves the flux twice
     "tune_flux_small.json": _tune("[0.0, 2.0]"),
     "steady_forward.csv": _steady("{drive_amplitude: [1e8, 1e8]}"),
