@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from array import array
 from dataclasses import dataclass, replace
 
@@ -103,7 +104,8 @@ def interference_condition(params: SystemParams, omega: float) -> InterferenceSo
 def _finite_bounds(name, bounds):
     lo, hi = bounds
     # the span too: the coarse scan's step is (hi - lo) / (coarse_points - 1)
-    if not (-math.inf < lo <= hi < math.inf and float(hi) - float(lo) < math.inf):
+    if not (-sys.float_info.max <= lo <= hi <= sys.float_info.max
+            and float(hi) - float(lo) < math.inf):
         raise ValueError(f"{name} must be finite with lo <= hi and hi - lo finite, got {bounds!r}")
     return lo, hi
 
@@ -182,24 +184,11 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     grid = search_space.frequency_grid or sweep.default_frequency_grid()
     omega = grid.values()
 
-    # the amplitude terms depend on neither the flux nor V, so one kernel
-    # serves every candidate unless the searched coupling enters the terms
-    shared = (response.amplitude_kernel(response.amplitude_terms(params, omega, quantity))
-              if aux_name == "mechanical_hop" else None)
-
-    def kernel(aux):
-        if shared is not None:
-            return shared
-        return response.amplitude_kernel(
-            response.amplitude_terms(replace(params, **{aux_name: aux}), omega, quantity))
-
-    def point(flux, aux):
-        hop = aux if aux_name == "mechanical_hop" else params.mechanical_hop
-        return hop, params.carried_flux(flux)
+    kernel = response.amplitude_kernel(params, omega, quantity, aux_name)
 
     def objective(flux, aux):
         # the peak skips nan cells; only a spectrum that is nan everywhere gives nan
-        peak = kernel(aux).peak(*point(flux, aux))
+        peak = kernel.peak(aux, params.carried_flux(flux))
         return -math.inf if math.isnan(peak) else peak
 
     def axis(lo, hi):
@@ -243,7 +232,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
                 best[k], best_obj = float(x), fx
                 trace.append((tuple(best), best_obj))
 
-    final = kernel(best[1])(*point(*best))
+    final = kernel(best[1], params.carried_flux(best[0]))
     masked = np.where(np.isnan(final), -math.inf, final)
     peak_index = int(np.argmax(masked))
     if search_space.aux_name is None:  # no aux was asked for, so none is reported

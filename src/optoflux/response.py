@@ -29,9 +29,10 @@ photon at flux phi is exactly minus photon -> phonon at -phi.
 
 These cleared-denominator forms are algebraically identical to the
 block-element ratios but remain finite for vanishing couplings and at
-undamped optical resonances.  Because the terms depend on neither phi nor
-V, sweeps and searches over those two build them once per frequency grid
-and rerun only :func:`amplitude_kernel` (a search, only its ``peak``).
+undamped optical resonances.  A sweep or search runs one
+:func:`amplitude_kernel` over the flux and one coupling (a search, only its
+``peak``), which computes the susceptibilities once per frequency grid and
+rebuilds the terms only for a new value of J, G_L or G_R.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,15 +98,11 @@ def _ratio_db(num, den, mask):
     return num
 
 
-def amplitude_terms(params: SystemParams, omega, quantity: str):
-    """The flux- and V-independent terms of one channel at ``omega``.
-
-    Returns ``((g, X, Y) forward, (g, X, Y) backward)`` for
-    :func:`amplitude_kernel`; X and Y broadcast like ``omega``.
+def amplitude_terms(params: SystemParams, chi, quantity: str):
+    """The flux- and V-independent terms of one channel, from the
+    susceptibilities ``chi`` of ``params``: ``((g, X, Y) forward,
+    (g, X, Y) backward)``, X and Y broadcast like ``chi``'s fields.
     """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
-    chi = susceptibilities(params, omega)
     J = params.optical_hop
     if quantity == PHONON:
         terms = (1.0, linsys.optical_det(chi, J), -(J * params.G_L * params.G_R))
@@ -116,27 +114,39 @@ def amplitude_terms(params: SystemParams, omega, quantity: str):
     return from_right, from_left
 
 
-def amplitude_kernel(terms):
-    """The isolation in dB of one set of :func:`amplitude_terms`.
+def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
+    """The isolation in dB of one channel at ``omega``, over the flux and the
+    field of ``params`` named ``coupling``, one of AUX_PARAMETERS.
 
-    Returns ``db(mechanical_hop, flux, out=None)``: |g V X + Y e^{-i flux}|
-    over |g V X + Y e^{+i flux}| in dB, written into ``out`` (a fresh array
-    when None) and returned.  ``db.peak(mechanical_hop, flux)`` is
-    ``float(np.fmax.reduce(db(...), axis=None))`` bit for bit, with the log
-    taken only where that maximum can be.  The scratch space is allocated
-    here, once, so a sweep or search that reruns the kernel allocates nothing
-    per call; e^{i flux} and Y e^{-+i flux} are recomputed only when the
-    flux's bits change.
+    Returns ``db(value, flux, out=None)``: the isolation with that field set
+    to ``value``, written into ``out`` (a fresh array when None) and returned.
+    ``db.peak(value, flux)`` is ``float(np.fmax.reduce(db(...), axis=None))``
+    bit for bit, with the log taken only where that maximum can be.  The
+    susceptibilities and scratch space are made here, once; the terms are
+    rebuilt only when the coupling's bits change (never for V, which enters
+    none), and Y e^{-+i flux} only when the terms or the flux's bits do.
     """
-    (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
-    shape = np.broadcast_shapes(*(np.shape(t) for t in (x_f, y_f, x_b, y_b)))
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
+    chi = susceptibilities(params, omega)
+    terms = amplitude_terms(params, chi, quantity)
+    if coupling == "mechanical_hop":  # no term to rebuild, so no chi to keep
+        chi = None
+    shape = np.broadcast_shapes(*(np.shape(t) for _, x, y in terms for t in (x, y)))
     hop_x, y_wf, y_wb = (np.empty(shape, complex) for _ in range(3))
     forward, backward, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
     ratio = np.ndarray(shape, buffer=hop_x)  # peak's ratio, once hop_x is free
+    built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the terms
     held = None  # the flux bits of Y_f e^{-i flux} in y_wf, Y_b e^{+i flux} in y_wb
 
-    def amplitudes(mechanical_hop, flux, out):
-        nonlocal held
+    def amplitudes(value, flux, out):
+        nonlocal terms, built, held
+        hop = value if chi is None else params.mechanical_hop
+        if chi is not None and (bits := struct.pack("d", value)) != built:
+            built = terms = None  # freed before the new terms are made
+            terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
+            built, held = bits, None
+        (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
         bits = struct.pack("d", flux)
         if bits != held:
             held = None
@@ -145,18 +155,18 @@ def amplitude_kernel(terms):
             np.multiply(y_b, z, out=y_wb)
             held = bits
         for g, x, y_w, amplitude in ((g_f, x_f, y_wf, out), (g_b, x_b, y_wb, backward)):
-            np.multiply(g * mechanical_hop, x, out=hop_x)
+            np.multiply(g * hop, x, out=hop_x)
             np.add(hop_x, y_w, out=hop_x)
             np.abs(hop_x, out=amplitude)
 
-    def db(mechanical_hop, flux, out=None):
+    def db(value, flux, out=None):
         if out is None:
             out = np.empty(shape)
-        amplitudes(mechanical_hop, flux, out)
+        amplitudes(value, flux, out)
         return _ratio_db(out, backward, mask)
 
-    def peak(mechanical_hop, flux):
-        amplitudes(mechanical_hop, flux, forward)
+    def peak(value, flux):
+        amplitudes(value, flux, forward)
         if forward.min() >= UNDERFLOW and backward.min() >= UNDERFLOW:
             with np.errstate(over="ignore", invalid="ignore"):
                 np.divide(forward, backward, out=ratio)
@@ -183,7 +193,7 @@ def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     ``omega`` may be a float or an ndarray of probe frequencies; the return
     matches.
     """
-    terms = amplitude_terms(params, np.asarray(omega, dtype=float), quantity)
-    db = amplitude_kernel(terms)(params.mechanical_hop, params.synthetic_flux)
+    db = amplitude_kernel(params, np.asarray(omega, dtype=float), quantity, "mechanical_hop")(
+        params.mechanical_hop, params.synthetic_flux)
     return float(db) if db.ndim == 0 else db
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class FrequencyGrid:
         except TypeError:
             raise ValueError(f"grid points must be an integer, got {self.points!r}") from None
         # the span too: linspace's step is (stop - start) / (points - 1)
-        if not (-math.inf < self.start < self.stop < math.inf
+        if not (-sys.float_info.max <= self.start < self.stop <= sys.float_info.max
                 and float(self.stop) - float(self.start) < math.inf):
             raise ValueError(f"grid start {self.start!r} must be < stop {self.stop!r}, "
                              "both finite and a finite span apart")
@@ -88,7 +89,7 @@ def flux_map(params: SystemParams, quantity: str, flux_grid, freq_grid: Frequenc
     if not np.all(np.isfinite(flux_axis)):
         raise ValueError("flux grid values must be finite")
     omega = freq_grid.values()
-    db = response.amplitude_kernel(response.amplitude_terms(params, omega, quantity))
+    db = response.amplitude_kernel(params, omega, quantity, "mechanical_hop")
     values = np.empty((flux_axis.size, omega.size), dtype=float)
     for i, flux in enumerate(params.carried_flux(flux_axis)):
         db(params.mechanical_hop, flux, out=values[i])

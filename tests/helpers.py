@@ -146,8 +146,8 @@ def hook_scan(monkeypatch, parent, child):
     pid = os.getpid()
     kernel = of.response.amplitude_kernel
 
-    def hooked_kernel(terms):
-        db = kernel(terms)
+    def hooked_kernel(*args):
+        db = kernel(*args)
         peak = db.peak
 
         def hooked_peak(*args):

@@ -195,9 +195,9 @@ def test_tune_rejects_non_finite_bounds():
     p = of.from_table1(1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the last two: finite ends, a span that is not
+        # then finite ends and a span that is not, and an int beyond the float range
         for flux_bounds in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308),
-                            (np.float64(-9e307), 9e307)):
+                            (np.float64(-9e307), 9e307), (0, 10**400)):
             with pytest.raises(ValueError, match="flux_bounds"):
                 of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=flux_bounds))
         for aux_name, aux_bounds in (("G_L", (0.0, math.inf)),
@@ -209,8 +209,9 @@ def test_tune_rejects_non_finite_bounds():
 
 
 def test_tune_peak_matches_isolation_db_exactly():
-    # candidates skip building SystemParams; the reported peak must still be
-    # exactly what isolation_db gives at the reported point
+    # candidates skip building SystemParams and share one kernel; every
+    # objective in the trace, and the reported peak, must still be exactly
+    # what isolation_db gives at that point
     p = replace(of.from_table1(2e6), phi_L=0.5, phi_R=0.37)
     grid = _small_grid()
     bounds = {"mechanical_hop": (TWO_PI * 0.1e6, TWO_PI * 20e6),
@@ -224,11 +225,12 @@ def test_tune_peak_matches_isolation_db_exactly():
                                    aux_bounds=aux_bounds, frequency_grid=grid,
                                    coarse_points=5, golden_iterations=6, descent_sweeps=1)
             result = of.tune(p, quantity, space)
-            best = p.with_flux(result.best_flux)
-            if aux_name is not None:
-                best = replace(best, **{aux_name: result.best_aux})
-            values = of.isolation_db(best, grid.values(), quantity)
-            assert result.peak_db == np.nanmax(values)
+            for (flux, aux), objective in result.trace:
+                point = p.with_flux(flux)
+                if aux_name is not None:
+                    point = replace(point, **{aux_name: aux})
+                assert objective == np.nanmax(of.isolation_db(point, grid.values(), quantity))
+            assert result.trace[-1][0] == (result.best_flux, result.best_aux)
             assert result.trace[-1][1] == result.peak_db
 
 
@@ -236,9 +238,9 @@ def test_all_nan_spectrum_scores_minus_inf(monkeypatch):
     # both amplitudes below UNDERFLOW and unequal: every cell is nan, so every
     # candidate scores -inf, the first coarse point is kept, and no all-nan
     # RuntimeWarning escapes
-    def tiny_terms(params, omega, quantity):
-        return ((1.0, np.full(omega.shape, 1e-320 + 0j), 0.0),
-                (1.0, np.full(omega.shape, 3e-320 + 0j), 0.0))
+    def tiny_terms(params, chi, quantity):
+        return ((1.0, np.full(chi.chi_aL_inv.shape, 1e-320 + 0j), 0.0),
+                (1.0, np.full(chi.chi_aL_inv.shape, 3e-320 + 0j), 0.0))
 
     monkeypatch.setattr(of.response, "amplitude_terms", tiny_terms)
     space = of.SearchSpace(flux_bounds=(0.0, 1.0), aux_name="mechanical_hop",
@@ -317,6 +319,21 @@ def _bits(result):
     return (hexed(result.best_flux), hexed(result.best_aux), hexed(result.peak_db),
             hexed(result.peak_frequency),
             [((hexed(flux), hexed(aux)), hexed(obj)) for (flux, aux), obj in result.trace])
+
+
+def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
+    kernels = []
+    kernel = of.response.amplitude_kernel
+
+    def counted_kernel(*args):
+        kernels.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(of.response, "amplitude_kernel", counted_kernel)
+    for aux in _AUX_BOUNDS_HZ:
+        kernels.clear()
+        of.tune(of.from_table1(520e3), of.PHONON_TO_PHOTON, _scan_space(aux))
+        assert kernels == [aux or "mechanical_hop"]
 
 
 @pytest.mark.parametrize("params, quantity, aux", [

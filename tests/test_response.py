@@ -45,8 +45,9 @@ def _ratio(terms):
 def test_gamma_terms_reference_point():
     p = _params_585()
     omega = TWO_PI * 5.85e9
-    phonon, _ = of.response.amplitude_terms(p, omega, of.PHONON)
-    forward, backward = of.response.amplitude_terms(p, omega, of.PHOTON_TO_PHONON)
+    chi = of.susceptibilities(p, omega)
+    phonon, _ = of.response.amplitude_terms(p, chi, of.PHONON)
+    forward, backward = of.response.amplitude_terms(p, chi, of.PHOTON_TO_PHONON)
     got = {
         "gamma_A": of.gamma_A(p, omega),
         "gamma_A_from_terms": -_ratio(phonon),
@@ -64,7 +65,7 @@ def test_gamma_terms_no_bridge():
     p = replace(of.from_table1(1e6), optical_hop=0.0)
     omega = TWO_PI * 5.85e9
     for quantity in of.QUANTITIES:
-        for _, _, y in of.response.amplitude_terms(p, omega, quantity):
+        for _, _, y in of.response.amplitude_terms(p, of.susceptibilities(p, omega), quantity):
             assert y == 0
     with pytest.raises(of.ZeroCoupling):
         of.gamma_A(p, omega)
@@ -79,7 +80,8 @@ def test_gamma_terms_lossless_on_resonance():
     assert gamma.real == pytest.approx(p.G_L * p.G_R / p.optical_hop, rel=1e-14)
     # gamma_plus and gamma_minus are poles there (X = chi_a_inv = 0), but the
     # cleared-denominator conversion amplitudes stay finite
-    for g, x, y in of.response.amplitude_terms(p, omega, of.PHOTON_TO_PHONON):
+    chi = of.susceptibilities(p, omega)
+    for g, x, y in of.response.amplitude_terms(p, chi, of.PHOTON_TO_PHONON):
         assert x == 0 and y != 0
     for quantity in (of.PHOTON_TO_PHONON, of.PHONON_TO_PHOTON):
         assert math.isfinite(of.isolation_db(p.with_flux(0.7), omega, quantity))
@@ -206,7 +208,7 @@ def test_amplitude_kernel_writes_only_its_output():
     p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
     omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 31)
     for quantity in of.QUANTITIES:
-        db = of.response.amplitude_kernel(of.response.amplitude_terms(p, omegas, quantity))
+        db = of.response.amplitude_kernel(p, omegas, quantity, "mechanical_hop")
         first = db(p.mechanical_hop, p.carried_flux(0.4))
         kept = first.copy()
         db.peak(p.mechanical_hop, -1.3)
@@ -223,25 +225,27 @@ def test_amplitude_kernel_writes_only_its_output():
 
 
 def test_amplitude_kernel_reuse_matches_fresh_kernels():
-    # Y e^{-+i flux} is kept while the flux's bits repeat: one kernel fed a
-    # sequence that repeats, alternates and changes the flux (0.0 and -0.0
-    # included) and V gives bitwise what a fresh kernel gives for each call
+    # the terms are kept while the coupling's bits repeat, and Y e^{-+i flux}
+    # while the terms and the flux's bits do: one kernel per channel and
+    # coupling, fed a sequence that repeats, alternates and changes both (0.0
+    # and -0.0 included), gives bitwise what a fresh kernel gives for each call
     p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
     omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 41)
-    hops = (p.mechanical_hop, 3.7 * p.mechanical_hop)
-    fluxes = (0.4, 0.4, -1.3, 0.4, 0.0, -0.0, 0.0, np.float64(-1.3), 2.2, 2.2)
-    calls = [(hops[i % 2], flux, i % 3 == 0) for i, flux in enumerate(fluxes)]
-    calls += [(hops[1], 2.2, False), (hops[0], 2.2, True), (hops[0], -0.0, False)]
-    for quantity in of.QUANTITIES:
-        terms = of.response.amplitude_terms(p, omegas, quantity)
-        kernel = of.response.amplitude_kernel(terms)
-        for hop, flux, peak in calls:
-            fresh = of.response.amplitude_kernel(terms)
-            if peak:
-                got, want = kernel.peak(hop, flux), fresh.peak(hop, flux)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            else:
-                assert kernel(hop, flux).tobytes() == fresh(hop, flux).tobytes()
+    for coupling in of.AUX_PARAMETERS:
+        own = getattr(p, coupling)
+        calls = [(own, 0.4), (own, 0.4), (3.7 * own, 0.4), (3.7 * own, -1.3), (own, -1.3),
+                 (3.7 * own, 0.4), (0.0, 0.4), (-0.0, 0.4), (0.0, 0.0), (-0.0, -0.0),
+                 (0.0, -0.0), (np.float64(3.7 * own), 2.2), (3.7 * own, 2.2), (own, 2.2)]
+        for quantity in of.QUANTITIES:
+            kernel = of.response.amplitude_kernel(p, omegas, quantity, coupling)
+            for i, (value, flux) in enumerate(calls):
+                want = of.isolation_db(replace(p, **{coupling: value}).with_flux(flux), omegas,
+                                       quantity)
+                if i % 3 == 0:
+                    got = kernel.peak(value, p.carried_flux(flux))
+                    assert np.float64(got).tobytes() == np.fmax.reduce(want).tobytes()
+                else:
+                    assert kernel(value, p.carried_flux(flux)).tobytes() == want.tobytes()
 
 
 def test_isolation_db_of_no_frequencies_is_empty():
