@@ -84,6 +84,8 @@ GOLDENS = {
                               "phonon_to_photon"),
     # no aux: V stays the params' own, and the descent improves the flux twice
     "tune_flux_small.json": _tune("[0.0, 2.0]"),
+    # the one file with empty best_aux_* cells
+    "tune_flux_small.csv": _tune("[0.0, 2.0]"),
     "steady_forward.csv": _steady("{drive_amplitude: [1e8, 1e8]}"),
     "steady_inverse.json": _steady("{target_enhanced_coupling_hz: [33e6, 31e6]}"),
 }
