@@ -21,16 +21,6 @@ plain Python.  The numeric layers (numpy, ``linsys``, ``response``, ``sweep``,
 modes when they run, so a steady-state run or a rejected file never loads
 them.
 
-No output is formatted from a whole copy of the computed arrays.  A CSV
-table is joined from its column blocks a few rows at a time, so a flux map's
-CSV rows come from a transposed view of the map.  A JSON file streams one
-table: a flux map one row at a time, a spectrum's points a few thousand at
-a time.
-
-An output of at least twice MIN_CELLS_PER_PIECE values, such as a default
-flux map, is formatted by the fan-out of :mod:`optoflux.fanout`, with the
-same bytes.
-
 Exit codes: 0 success, 1 i/o failure, 2 validation failure, 3 numerical
 degeneracy that aborts the scenario.
 """
@@ -330,6 +320,8 @@ class Scenario:
                          if k in tune)
             per_point = (tune["coarse_points"] ** opened + 1
                          + tune["descent_sweeps"] * opened * (tune["golden_iterations"] + 2))
+            if opened and tune["coarse_points"] < 2:
+                _fail("tune.coarse_points", "must be >= 2 when a bound pair is open")
         grid = sections["frequency_grid"]
         if grid is not None and grid["points"] * per_point > MAX_POINT_EVALUATIONS:
             _fail(", ".join(keys), "the scenario needs more than "
@@ -343,6 +335,12 @@ class Scenario:
             if "drive_phase_pi" in steady and "drive_amplitude" not in steady:
                 _fail("steadystate.drive_phase_pi",
                       "only applicable with drive_amplitude (phases come from params)")
+            pairs = zip(steady.get("target_enhanced_coupling_hz", ()),
+                        params.get("vacuum_coupling_hz", (0.0, 0.0)))
+            for i, (target, g) in enumerate(pairs):
+                if target > 0 and g == 0:
+                    _fail(f"steadystate.target_enhanced_coupling_hz[{i}]",
+                          f"must be 0 while params.vacuum_coupling_hz[{i}] is 0")
 
         output = sections["output"]
         output.setdefault("path", f"result.{output['format']}")
@@ -367,9 +365,6 @@ class Scenario:
         values.setdefault("detuning_R", -values["omega_mR"])
         params = SystemParams(**values)
         return params if flux is None else params.with_flux(flux)
-
-    # the builders below import the numeric layers, so only modes that use
-    # them load numpy
 
     def build_frequency_grid(self) -> sweep.FrequencyGrid:
         from . import sweep
@@ -428,43 +423,37 @@ class _Text(NamedTuple):
     tail: list
 
 
-def _csv(header, table):
-    """CSV text: the header row, then one line per row of ``table``.
-
-    ``table`` is a list of tuples of Python values, or a tuple of column
-    blocks: float arrays with one entry per row, each a 1-D array (one
+def _csv(header, blocks):
+    """CSV text: the header row, then one line per row of the column
+    ``blocks``: float arrays with one entry per row, each a 1-D array (one
     column) or a 2-D array or view with its columns side by side (such as a
     map's transpose).  The blocks are joined _CSV_BLOCK_ROWS rows at a time,
-    so no copy of the whole table is made.
-
-    Numbers carry 12 significant digits ("%.12g" prints non-finite values as
-    inf, -inf and nan); the columns where the first row holds a string are
-    written as they are.
+    so no copy of the whole table is made.  Numbers carry 12 significant
+    digits ("%.12g" prints non-finite values as inf, -inf and nan).
     """
-    if isinstance(table, list):
-        rows, width = len(table), len(header)
-        line = ",".join("%s" if isinstance(cell, str) else "%.12g"
-                        for cell in (table[0] if table else ())) + "\n"
+    rows = len(blocks[0])
+    width = sum(1 if block.ndim == 1 else block.shape[1] for block in blocks)
+    line = ",".join(["%.12g"] * width) + "\n"
+    # an array means numpy is loaded: looked up, not imported, so that a
+    # forked writer imports nothing
+    column_stack = sys.modules["numpy"].column_stack
 
-        def body(lo, hi):
-            for row in table[lo:hi]:
-                yield line % row
-    else:
-        rows = len(table[0])
-        width = sum(1 if block.ndim == 1 else block.shape[1] for block in table)
-        line = ",".join(["%.12g"] * width) + "\n"
-        # an array means numpy is loaded: looked up, not imported, so that a
-        # forked writer imports nothing
-        column_stack = sys.modules["numpy"].column_stack
-
-        def body(lo, hi):
-            for start in range(lo, hi, _CSV_BLOCK_ROWS):
-                stop = min(hi, start + _CSV_BLOCK_ROWS)
-                # row by row: a whole-block tolist() would hold every cell as an object
-                for row in column_stack([block[start:stop] for block in table]):
-                    yield line % tuple(row.tolist())
+    def body(lo, hi):
+        for start in range(lo, hi, _CSV_BLOCK_ROWS):
+            stop = min(hi, start + _CSV_BLOCK_ROWS)
+            # row by row: a whole-block tolist() would hold every cell as an object
+            for row in column_stack([block[start:stop] for block in blocks]):
+                yield line % tuple(row.tolist())
 
     return _Text([",".join(header) + "\n"], rows, rows * width, body, [])
+
+
+def _csv_row(fields):
+    """CSV text of one record: the keys of ``fields``, then its values, a
+    number as "%.12g", a string as it is and None as an empty cell."""
+    cells = ("" if v is None else v if isinstance(v, str) else "%.12g" % v
+             for v in fields.values())
+    return _Text([",".join(fields) + "\n" + ",".join(cells) + "\n"], 0, 0, lambda lo, hi: (), [])
 
 
 def _sentinel(x):
@@ -497,28 +486,19 @@ def _json(payload, rows=None):
     ``json.dumps(payload, indent=2)`` plus a final newline, with non-finite
     floats as the strings of :func:`_sentinel`.
 
-    The value at key ``rows`` is the text's rows.  It is either a 2-D float
-    array, written one row (a JSON list) at a time, as a flux map is, or a
-    mapping of equal-length 1-D float arrays, written as a list of objects
-    of their entries a few thousand at a time, as a spectrum's points are.
-    Every other value goes through ``json.dumps`` and is re-indented to its
-    nesting level.
+    The value at key ``rows`` is the text's rows, streamed between the head
+    and tail of that dump with a marker in their place.  It is either a 2-D
+    float array, written one row (a JSON list) at a time, as a flux map is,
+    or a mapping of equal-length 1-D float arrays, written as a list of
+    objects of their entries a few thousand at a time, as a spectrum's
+    points are.
     """
-    head, tail = [], []
-    chunks, sep = head, "{"
-    for key, value in payload.items():
-        chunks.append(f"{sep}\n  {json.dumps(key)}: ")
-        if key == rows:
-            chunks = tail
-            chunks.append("\n  ]")
-        else:
-            # a JSON string never holds a raw newline, so every one is layout
-            chunks.append(json.dumps(_plain(value), indent=2).replace("\n", "\n  "))
-        sep = ","
-    chunks.append("\n}\n")
+    mark = "\0rows"  # no payload string holds a NUL, so its JSON text is found once
+    text = json.dumps(_plain(payload if rows is None else {**payload, rows: mark}), indent=2)
+    head, _, tail = text.partition(json.dumps(mark))
     if rows is None:
-        return _Text(head, 0, 0, lambda lo, hi: (), [])
-    table = payload[rows]
+        return _Text([head, "\n"], 0, 0, lambda lo, hi: (), [])
+    head, tail, table = [head], ["\n  ]", tail, "\n"], payload[rows]
     if isinstance(table, dict):
         columns = list(table.values())
         record = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in table) + "\n    }"
@@ -590,8 +570,8 @@ def _write(text, path):
             os.remove(tmp)  # still there only if the write or rename failed
 
 
-# The runners of the array modes import the numeric layers when they run and
-# call them as module attributes, so a wrapper set on the module is honoured.
+# the runners call the numeric layers as module attributes, so that a wrapper
+# set on the module is honoured
 
 
 def _run_spectrum(scenario, params):
@@ -628,24 +608,22 @@ def _run_tune(scenario, params):
     from . import optimize
 
     result = optimize.tune(params, scenario.quantity, scenario.build_search_space())
-    aux = scenario.tune.get("aux")
-    aux_hz = None if result.best_aux is None else result.best_aux / TWO_PI
-    if scenario.output["format"] == "csv":
-        return _csv(["best_flux_rad", "best_flux_pi", "best_aux_name", "best_aux_hz",
-                     "peak_db", "peak_frequency_hz"],
-                    [(result.best_flux, result.best_flux / math.pi, aux or "",
-                      "" if aux_hz is None else aux_hz,
-                      result.peak_db, result.peak_frequency / TWO_PI)])
-    return _json({
-        "mode": "tune",
-        "quantity": scenario.quantity,
+    fields = {
         "best_flux_rad": result.best_flux,
         "best_flux_pi": result.best_flux / math.pi,
         "best_flux_wrapped_pi": wrap_phase(result.best_flux) / math.pi,
-        "best_aux_name": aux,
-        "best_aux_hz": aux_hz,
+        "best_aux_name": scenario.tune.get("aux"),
+        "best_aux_hz": None if result.best_aux is None else result.best_aux / TWO_PI,
         "peak_db": result.peak_db,
         "peak_frequency_hz": result.peak_frequency / TWO_PI,
+    }
+    if scenario.output["format"] == "csv":
+        del fields["best_flux_wrapped_pi"]
+        return _csv_row(fields)
+    return _json({
+        "mode": "tune",
+        "quantity": scenario.quantity,
+        **fields,
         "trace": [
             {"flux_rad": flux,
              "aux_hz": None if aux_value is None else aux_value / TWO_PI,
@@ -681,7 +659,7 @@ def _run_steadystate(scenario, params):
         "phi_R_rad": drives[3],
     }
     if scenario.output["format"] == "csv":
-        return _csv(fields, [tuple(fields.values())])
+        return _csv_row(fields)
     return _json({"mode": "steadystate", **fields})
 
 
@@ -696,12 +674,9 @@ _RUNNERS = {
 def run(scenario: Scenario) -> str:
     """Execute one scenario and write its output file atomically.
 
-    Every number is computed first; the runner of an array mode imports
-    numpy and the numeric layers at this point, the steadystate runner
-    never does.  CSV and JSON are then formatted from the computed arrays,
-    a row or a block of rows at a time, by :func:`_write`, so neither the
-    file nor a nested-list, record or transposed copy of a map or spectrum
-    is ever held in memory whole.
+    Every number is computed first.  CSV and JSON are then formatted from
+    the computed arrays, a row or a block of rows at a time, by
+    :func:`_write`, so the file is never held in memory whole.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel

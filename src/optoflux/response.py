@@ -67,34 +67,38 @@ def gamma_A(params: SystemParams, omega: float) -> complex:
     return complex(bridge / linsys.checked_optical_det(chi, params.optical_hop))
 
 
-def _ratio_db(num, den, mask):
-    """Overwrite ``num`` with 20*log10(num/den) and return it.
+def _ratio_db(num, den):
+    """Overwrite ``num`` with 20*log10(num/den) and return it; ``den`` is
+    scratch and is overwritten too.
 
-    Bitwise-equal amplitudes give exactly 0 dB.  A numerator or denominator
-    below UNDERFLOW reports -inf or +inf (+inf is the perfect-isolation
-    sentinel); both below gives nan.  ``den`` and the bool array ``mask``
-    are scratch and are overwritten too.
+    A numerator or denominator below UNDERFLOW reports -inf or +inf (+inf
+    is the perfect-isolation sentinel); both below gives nan, or 0 dB where
+    they are equal.  An infinite amplitude, one that overflowed, gives nan.
+    Equal amplitudes in between give exactly 0 dB through the logs.
 
-    One minimum per non-empty amplitude array decides whether any sentinel
-    can fire, and only then are the masks of tiny cells taken.  The guard is
-    negated because a nan minimum must fail it: a nan amplitude beside a
-    tiny one still needs the sentinels.
+    One minimum and maximum per non-empty amplitude array decide whether any
+    sentinel can fire, and only then are the masks taken.  The guard is
+    negated because a nan must fail it: a nan amplitude beside a tiny one
+    still needs the sentinels.
     """
-    tiny = num.size and not (num.min() >= UNDERFLOW and den.min() >= UNDERFLOW)
-    if tiny:
+    sentinel = num.size and not (num.min() >= UNDERFLOW and den.min() >= UNDERFLOW
+                                 and num.max() < math.inf and den.max() < math.inf)
+    if sentinel:
         tiny_n, tiny_d = num < UNDERFLOW, den < UNDERFLOW
-    np.equal(num, den, out=mask)
-    # log10(0) and inf - inf: the sentinels and the mask rewrite those cells
+        equal = tiny_n & (num == den)
+        over = np.isinf(num) | np.isinf(den)
+    # log10(0) and inf - inf: the sentinels rewrite those cells
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log10(num, out=num)
         np.log10(den, out=den)
         np.subtract(num, den, out=num)
         np.multiply(num, 20.0, out=num)
-    if tiny:
+    if sentinel:
         np.copyto(num, math.inf, where=tiny_d & ~tiny_n)
         np.copyto(num, -math.inf, where=tiny_n & ~tiny_d)
         np.copyto(num, math.nan, where=tiny_n & tiny_d)
-    np.copyto(num, 0.0, where=mask)
+        np.copyto(num, 0.0, where=equal)
+        np.copyto(num, math.nan, where=over)
     return num
 
 
@@ -129,9 +133,12 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
     chi = susceptibilities(params, omega)
-    terms = amplitude_terms(params, chi, quantity)
+    with np.errstate(over="ignore", invalid="ignore"):  # see amplitudes
+        terms = amplitude_terms(params, chi, quantity)
     if coupling == "mechanical_hop":  # no term to rebuild, so no chi to keep
         chi = None
+    elif quantity == PHONON:  # whose terms read only the optical fields
+        chi = replace(chi, chi_bL_inv=None, chi_bR_inv=None)
     shape = np.broadcast_shapes(*(np.shape(t) for _, x, y in terms for t in (x, y)))
     hop_x, y_wf, y_wb = (np.empty(shape, complex) for _ in range(3))
     forward, backward, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
@@ -142,28 +149,31 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     def amplitudes(value, flux, out):
         nonlocal terms, built, held
         hop = value if chi is None else params.mechanical_hop
-        if chi is not None and (bits := struct.pack("d", value)) != built:
-            built = terms = None  # freed before the new terms are made
-            terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
-            built, held = bits, None
-        (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
-        bits = struct.pack("d", flux)
-        if bits != held:
-            held = None
-            z = np.exp(1j * flux)
-            np.multiply(y_f, np.conj(z), out=y_wf)
-            np.multiply(y_b, z, out=y_wb)
-            held = bits
-        for g, x, y_w, amplitude in ((g_f, x_f, y_wf, out), (g_b, x_b, y_wb, backward)):
-            np.multiply(g * hop, x, out=hop_x)
-            np.add(hop_x, y_w, out=hop_x)
-            np.abs(hop_x, out=amplitude)
+        # a product beyond the float range makes an inf or nan term or
+        # amplitude, which _ratio_db turns into nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            if chi is not None and (bits := struct.pack("d", value)) != built:
+                built = terms = None  # freed before the new terms are made
+                terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
+                built, held = bits, None
+            (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
+            bits = struct.pack("d", flux)
+            if bits != held:
+                held = None
+                z = np.exp(1j * flux)
+                np.multiply(y_f, np.conj(z), out=y_wf)
+                np.multiply(y_b, z, out=y_wb)
+                held = bits
+            for g, x, y_w, amplitude in ((g_f, x_f, y_wf, out), (g_b, x_b, y_wb, backward)):
+                np.multiply(g * hop, x, out=hop_x)
+                np.add(hop_x, y_w, out=hop_x)
+                np.abs(hop_x, out=amplitude)
 
     def db(value, flux, out=None):
         if out is None:
             out = np.empty(shape)
         amplitudes(value, flux, out)
-        return _ratio_db(out, backward, mask)
+        return _ratio_db(out, backward)
 
     def peak(value, flux):
         amplitudes(value, flux, forward)
@@ -172,7 +182,7 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
                 np.divide(forward, backward, out=ratio)
             top = ratio.max()
             # Past the guard, _ratio_db is 20 (log10 f - log10 b) cell by cell
-            # (its mask only rewrites 0 as 0 where f == b is finite), within
+            # (nan where an amplitude is inf, whose ratio is inf, nan or 0), within
             # ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off
             # by a few ulp of at most ~310.  A cell whose ratio is below top
             # (1 - 1e-9) lies 8.7e-9 dB lower and cannot hold the maximum if top
@@ -181,7 +191,7 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
                 keep = np.greater_equal(ratio, top * (1.0 - 1e-9), out=mask).nonzero()
                 cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
                 return float(cells.max())
-        return float(np.fmax.reduce(_ratio_db(forward, backward, mask), axis=None))
+        return float(np.fmax.reduce(_ratio_db(forward, backward), axis=None))
 
     db.peak = peak
     return db

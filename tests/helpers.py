@@ -63,9 +63,9 @@ def oracle_isolation_db(params, omega, quantity):
 def ratio_db_reference(num, den):
     """20*log10(num/den) with the isolation sentinels, one np.where per rule.
 
-    The straightforward form of ``response._ratio_db``: bitwise-equal
-    amplitudes give 0 dB, a numerator (denominator) below UNDERFLOW gives
-    -inf (+inf), both below gives nan.
+    The straightforward form of ``response._ratio_db``: a numerator
+    (denominator) below UNDERFLOW gives -inf (+inf), both below gives nan
+    unless they are bitwise equal (0 dB), and an infinite amplitude gives nan.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
@@ -76,7 +76,8 @@ def ratio_db_reference(num, den):
     db = np.where(tiny_d & ~tiny_n, math.inf, db)
     db = np.where(tiny_n & ~tiny_d, -math.inf, db)
     db = np.where(tiny_n & tiny_d, math.nan, db)
-    return np.where(num == den, 0.0, db)
+    db = np.where(tiny_n & tiny_d & (num == den), 0.0, db)
+    return np.where(np.isinf(num) | np.isinf(den), math.nan, db)
 
 
 def max_entrywise_relative(a, b):

@@ -4,6 +4,7 @@ import math
 import os
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -363,13 +364,11 @@ def test_json_records_match_stdlib_encoder(tmp_path, split, n):
 _BLOCKS_ROWS = 2 * cli._CSV_BLOCK_ROWS + 3
 
 
-def _csv_rows(table):
-    """The rows of a table for cli._csv, each a list of its cells; the rows
-    of column blocks are taken cell by cell from each block."""
-    if isinstance(table, list):
-        return [list(row) for row in table]
-    return [[x for block in table for x in np.atleast_1d(block[i])]
-            for i in range(len(table[0]))]
+def _csv_rows(blocks):
+    """The rows of column blocks for cli._csv, each a list of its cells taken
+    cell by cell from each block."""
+    return [[x for block in blocks for x in np.atleast_1d(block[i])]
+            for i in range(len(blocks[0]))]
 
 
 @pytest.mark.parametrize("ranges", [1, 2, 3, 4])
@@ -378,7 +377,6 @@ def _csv_rows(table):
     pytest.param((np.array([_ORACLE_VALUES]).T,), id="1 column"),
     pytest.param((np.array(_ORACLE_VALUES).reshape(4, 3),), id="4 rows"),
     pytest.param((np.empty((0, 3)),), id="empty"),
-    pytest.param([(1.5, "G_L", "", -math.inf)], id="strings"),
     # a frequency column and a map's transpose, as a flux map is written
     pytest.param((np.linspace(5.8e9, 5.9e9, _BLOCKS_ROWS),
                   np.resize(_ORACLE_VALUES, (5, _BLOCKS_ROWS)).T), id="column blocks"),
@@ -388,10 +386,25 @@ def test_csv_writer_matches_cell_by_cell_format(tmp_path, split, table, ranges):
     rows = _csv_rows(table)
     header = [f"c{i}" for i in range(len(rows[0]) if rows else table[0].shape[1])]
     expected = ",".join(header) + "\n" + "".join(
-        ",".join(x if isinstance(x, str) else "%.12g" % x for x in row) + "\n" for row in rows)
+        ",".join("%.12g" % x for x in row) + "\n" for row in rows)
     out = tmp_path / "out.csv"
     cli._write(cli._csv(header, table), str(out))
     assert out.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3, 4])
+def test_csv_row_matches_cell_by_cell_format(tmp_path, split, ranges):
+    # one record, as a tune or a steady state is written: one range, whatever the CPUs
+    forks = split(ranges)
+    fields = {"c0": 1.5, "c1": "G_L", "c2": "", "c3": -math.inf, "c4": None,
+              **{f"c{i + 5}": x for i, x in enumerate(_ORACLE_VALUES)}}
+    expected = ",".join(fields) + "\n" + ",".join(
+        "" if x is None else x if isinstance(x, str) else "%.12g" % x
+        for x in fields.values()) + "\n"
+    out = tmp_path / "out.csv"
+    cli._write(cli._csv_row(fields), str(out))
+    assert out.read_text(encoding="utf-8") == expected
+    assert forks == []
 
 
 def test_output_is_deterministic(tmp_path):
@@ -407,6 +420,24 @@ def test_output_is_deterministic(tmp_path):
     assert _run(args + ["--out", str(a)]) == 0
     assert _run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["params.mechanical_hop_hz=1e300",
+                                   "params.optical_internal_decay_hz=[1e300, 1e300]"])
+def test_overflowed_amplitude_is_nan(tmp_path, value):
+    # every value is finite in rad/s, but V det_A, or det_A itself, is beyond
+    # the float range: both amplitudes overflow, so no ratio is known, and no
+    # warning is raised
+    out = tmp_path / "spectrum.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["run", "--preset", "table1", "--set", "mode=spectrum",
+                     "--set", "quantity=phonon", "--set", "params.mechanical_hop_hz=5e5",
+                     "--set", value, "--set", "frequency_grid.points=3",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "frequency_hz,isolation_db" and len(lines) == 4
+    assert all(line.endswith(",nan") for line in lines[1:])
 
 
 def test_perfect_isolation_serializes_as_inf(tmp_path):
@@ -737,6 +768,7 @@ REJECTIONS = {
     "negative aux bounds": (_TUNE, ["tune.aux=G_R", "tune.aux_bounds_hz=[-1, 2]"],
                             "tune.aux_bounds_hz"),
     "coarse_points below 1": (_TUNE, ["tune.coarse_points=0"], "tune.coarse_points"),
+    "one coarse point, open box": (_TUNE, ["tune.coarse_points=1"], "tune.coarse_points"),
     "golden_iterations below 0": (_TUNE, ["tune.golden_iterations=-1"], "tune.golden_iterations"),
     "descent_sweeps below 0": (_TUNE, ["tune.descent_sweeps=-1"], "tune.descent_sweeps"),
     "fractional descent_sweeps": (_TUNE, ["tune.descent_sweeps=1.5"], "tune.descent_sweeps"),
@@ -752,6 +784,12 @@ REJECTIONS = {
                                  "steadystate.target_enhanced_coupling_hz"),
     "drive phases with inverse": (_INVERSE, ["steadystate.drive_phase_pi=[0, 1]"],
                                   "steadystate.drive_phase_pi"),
+    # the default vacuum coupling is zero, so no drive makes G_L > 0
+    "target without vacuum coupling": (_STEADY[:2],
+                                       ["steadystate.target_enhanced_coupling_hz=[1e6, 1e6]"],
+                                       "steadystate.target_enhanced_coupling_hz[0]"),
+    "target without right vacuum coupling": (_INVERSE, ["params.vacuum_coupling_hz=[200, 0]"],
+                                             "steadystate.target_enhanced_coupling_hz[1]"),
     "bad output format": (_SPECTRUM, ["output.format=xml"], "output.format"),
     "empty output path": (_SPECTRUM, ["output.path=''"], "output.path"),
     "numeric output path": (_SPECTRUM, ["output.path=3"], "output.path"),

@@ -107,13 +107,15 @@ def amplitude_pairs(draw):
 @given(pair=amplitude_pairs())
 @example(pair=(np.array([math.nan, 1e-310]), np.array([1.0, 1.0])))
 @example(pair=(np.array([1.0, math.nan]), np.array([2.0, 0.0])))
-@example(pair=(np.array([2.0, math.inf, 3.0]), np.array([1.0, math.inf, 3.0])))
+# infinite amplitudes and no tiny one: the maximum alone sends these to the sentinels
+@example(pair=(np.array([2.0, math.inf, 3.0, math.inf, 1.0]),
+               np.array([1.0, math.inf, 3.0, 1.0, math.inf])))
 def test_ratio_db_matches_reference_bitwise(pair):
     # the in-place fast path must give exactly what one np.where per
     # sentinel rule gives, nan next to a tiny cell included
     num, den = pair
     expected = ratio_db_reference(num, den)
-    got = response._ratio_db(num.copy(), den.copy(), np.empty(num.shape, bool))
+    got = response._ratio_db(num.copy(), den.copy())
     assert got.tobytes() == expected.tobytes()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,23 @@ def test_amplitude_kernel_reuse_matches_fresh_kernels():
                     assert np.float64(got).tobytes() == np.fmax.reduce(want).tobytes()
                 else:
                     assert kernel(value, p.carried_flux(flux)).tobytes() == want.tobytes()
+
+
+def test_phonon_kernel_keeps_only_the_fields_its_terms_read():
+    # det_A reads chi_aL and chi_aR, so a phonon kernel that rebuilds its
+    # terms keeps those two of the four susceptibilities (4 KB for objects)
+    p = of.from_table1(520e3)
+    omegas = TWO_PI * np.linspace(5.6e9, 6.1e9, 20001)
+
+    def held(coupling):
+        tracemalloc.start()
+        try:
+            kernel = of.response.amplitude_kernel(p, omegas, of.PHONON, coupling)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert held("G_L") <= held("mechanical_hop") + 2 * omegas.size * 16 + 4096
 
 
 def test_isolation_db_of_no_frequencies_is_empty():
