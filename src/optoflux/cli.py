@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import yaml
 
-from . import model, steadystate
+from . import fanout, model, steadystate
 from .errors import ConfigError, OptofluxError
 from .model import TWO_PI, SystemParams, wrap_phase
 
@@ -533,29 +533,23 @@ def _append(part, out):
 
 def _write(text, path):
     """Write ``text`` to ``path`` atomically, its rows cut into ranges of at
-    least MIN_CELLS_PER_PIECE cells by the fan-out of :mod:`optoflux.fanout`.
+    least MIN_CELLS_PER_PIECE cells by :func:`optoflux.fanout.cut`.
 
-    The first range is formatted here into a temporary file beside ``path``;
+    The first range is formatted here into a temporary file beside ``path``,
     each later one by a forked child into an unnamed part file in the same
-    directory, appended once the child exits.  The temporary file is renamed
-    over ``path``, so an interrupted or failed run never leaves a truncated
-    output.
+    directory, appended once the child exits; one range forks and opens none.
+    The temporary file is renamed over ``path``, so an interrupted or failed
+    run never leaves a truncated output.
     """
-    bounds, pieces = [0, text.rows], contextlib.nullcontext(())
-    # under two pieces' worth of cells there is one range: spare the import
-    if text.cells // MIN_CELLS_PER_PIECE > 1:
-        from . import fanout
+    def piece(lo, hi, part):
+        with open(part.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+            fh.writelines(text.body(lo, hi))
 
-        def piece(lo, hi, part):
-            with open(part.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-                fh.writelines(text.body(lo, hi))
-
-        bounds = fanout.cut(text.rows, text.cells, MIN_CELLS_PER_PIECE)
-        pieces = fanout.forked(bounds, piece, f"{path}: the writer of rows",
-                               os.path.dirname(path) or ".")
+    bounds = fanout.cut(text.rows, text.cells, MIN_CELLS_PER_PIECE)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with pieces as parts:
+        with fanout.forked(bounds, piece, f"{path}: the writer of rows",
+                           os.path.dirname(path) or ".") as parts:
             # open() keeps the umask-derived file mode
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.writelines(text.head)

@@ -6,7 +6,9 @@ candidates to score.  :func:`cut` splits them into one contiguous range per
 usable CPU, the caller does the first range itself, and :func:`forked` has a
 child do each of the others into a file opened for it, to be read back in
 order.  The caller joins the results as if it had done every range, so the
-output does not depend on how many ranges there are.
+output does not depend on how many ranges there are.  A cut of one range
+forks nothing and opens no file, and loads neither ``signal`` nor
+``tempfile``.
 
 Standard library only.  A fork copies only the calling thread: on Python
 >= 3.12 a fork while numpy's BLAS threads exist raises a DeprecationWarning.
@@ -17,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-import tempfile
 
 
 def cut(items, cost, minimum):
@@ -100,6 +101,8 @@ def forked(bounds, work, what, directory=None):
         sys.stdout.flush()
         sys.stderr.flush()
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            import tempfile  # here, not at the top: only a split opens parts
+
             files.append(tempfile.TemporaryFile(dir=directory))
             children.append((_fork(work, lo, hi, files[-1], what), lo, hi, files[-1]))
         yield parts()

@@ -8,10 +8,11 @@ phi = phi_L - phi_R.
 
 Unit conventions
 ----------------
-All stored rates and frequencies are angular (rad/s).  Constructors whose
-argument names end in ``_hz`` take ordinary frequencies in Hz and multiply by
-2*pi exactly once; this is the only place that conversion happens.  Phases are
-radians, stored as given (wrap to (-pi, pi] only for display, see
+All stored rates and frequencies are angular (rad/s).  A frequency in Hz is
+multiplied by 2*pi exactly once, where it comes in: by a constructor whose
+argument names end in ``_hz``, or by the scenario front end
+(:mod:`~optoflux.cli`, whose ``_scale`` and builders convert the ``_hz`` keys).
+Phases are radians, stored as given (wrap to (-pi, pi] only for display, see
 :func:`wrap_phase`).
 """
 

@@ -150,12 +150,10 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     The coarse scan's candidates are scored in contiguous ranges of scan
     order, each worth at least MIN_POINTS_PER_PIECE kernel point
     evaluations, by the fan-out of :mod:`optoflux.fanout`.  The objectives
-    are joined in scan order before the strictly-better reduction, so the
+    are joined in scan order before the first maximum is taken, so the
     result does not depend on the cut.  A failed child makes this raise
     OSError naming its range and exit status.
     """
-    if quantity not in response.QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
         value = getattr(search_space, name)
         if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
@@ -211,10 +209,9 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         for part in parts:
             objectives.frombytes(part.read())
 
-    best, best_obj = None, -math.inf  # best: [flux, aux]
-    for i, obj in enumerate(objectives):
-        if best is None or obj > best_obj:
-            best, best_obj = [float(flux_axis[i // m]), float(aux_axis[i % m])], obj
+    i = int(np.argmax(objectives))  # the first maximum: no objective is nan
+    best = [float(flux_axis[i // m]), float(aux_axis[i % m])]  # [flux, aux]
+    best_obj = objectives[i]
 
     trace = [(tuple(best), best_obj)]
     # the open coordinates: (index in best, lo, hi, the coarse scan's step)

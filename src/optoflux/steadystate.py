@@ -33,6 +33,21 @@ class SteadyState:
     G_R: float
 
 
+def _finite(name, value):
+    """``value``, or NoSolution naming ``name`` when it is not finite."""
+    if not cmath.isfinite(value):
+        raise NoSolution(f"{name} = {value!r} is beyond the float range")
+    return value
+
+
+def _coupling(name, g, alpha):
+    """The enhanced coupling ``g |alpha|``, or NoSolution when it is not finite."""
+    try:
+        return _finite(name, g * abs(alpha))
+    except OverflowError:  # |alpha| beyond the float range, both its parts within
+        raise NoSolution(f"{name}: |alpha| is beyond the float range") from None
+
+
 def drive_response_matrix(params: SystemParams, phi_L: float, phi_R: float):
     """2x2 complex map T with (alpha_L, alpha_R) = T . (eps_L, eps_R).
 
@@ -61,16 +76,19 @@ def steady_amplitudes(params: SystemParams, drives) -> SteadyState:
     Drive amplitudes may be complex (a complex eps is the same drive with an
     extra phase folded in); phases are radians.  Enhanced couplings use the
     vacuum couplings stored on ``params``.
+
+    Raises :class:`NoSolution` naming a field or coupling that passes the
+    float range.
     """
     eps_L, eps_R, phi_L, phi_R = drives
     t = drive_response_matrix(params, phi_L, phi_R)
-    alpha_L = t[0][0] * eps_L + t[0][1] * eps_R
-    alpha_R = t[1][0] * eps_L + t[1][1] * eps_R
+    alpha_L = _finite("alpha_L", t[0][0] * eps_L + t[0][1] * eps_R)
+    alpha_R = _finite("alpha_R", t[1][0] * eps_L + t[1][1] * eps_R)
     return SteadyState(
         alpha_L=alpha_L,
         alpha_R=alpha_R,
-        G_L=params.g_L * abs(alpha_L),
-        G_R=params.g_R * abs(alpha_R),
+        G_L=_coupling("G_L", params.g_L, alpha_L),
+        G_R=_coupling("G_R", params.g_R, alpha_R),
     )
 
 
@@ -84,7 +102,8 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     decoupled cavities (J = 0) and complex in general.
 
     Raises :class:`NoSolution` when the drive map is singular (for example a
-    zero external coupling) and a nonzero target makes that matter.
+    zero external coupling) and a nonzero target makes that matter, or when
+    a field or drive passes the float range.
     """
     target_L, target_R = target
     # written negated so that NaN fails too
@@ -107,9 +126,9 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     unit_R = t[1][0] + t[1][1]
     phase_L = cmath.exp(1j * cmath.phase(unit_L)) if unit_L != 0 else 1.0
     phase_R = cmath.exp(1j * cmath.phase(unit_R)) if unit_R != 0 else 1.0
-    alpha_L = (target_L / params.g_L) * phase_L if target_L > 0.0 else 0j
-    alpha_R = (target_R / params.g_R) * phase_R if target_R > 0.0 else 0j
+    alpha_L = _finite("alpha_L", (target_L / params.g_L) * phase_L if target_L > 0.0 else 0j)
+    alpha_R = _finite("alpha_R", (target_R / params.g_R) * phase_R if target_R > 0.0 else 0j)
 
-    eps_L = (t[1][1] * alpha_L - t[0][1] * alpha_R) / det
-    eps_R = (t[0][0] * alpha_R - t[1][0] * alpha_L) / det
+    eps_L = _finite("eps_L", (t[1][1] * alpha_L - t[0][1] * alpha_R) / det)
+    eps_R = _finite("eps_R", (t[0][0] * alpha_R - t[1][0] * alpha_L) / det)
     return (eps_L, eps_R)

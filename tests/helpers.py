@@ -1,6 +1,6 @@
 """Shared test utilities: randomized parameter draws, the dense oracle, the
-exact rational inverse, the reference dB ratio and the hooks that split and
-break the coarse scan of a tune."""
+exact rational inverse, the reference dB ratio, the hook that forces the
+fan-out's ranges and the one that breaks the coarse scan of a tune."""
 
 import math
 import os
@@ -123,10 +123,11 @@ def exact_inverse(m):
 _FORK = os.fork
 
 
-def force_scan_ranges(monkeypatch, n):
-    """Make the coarse scan of every later tune cut its candidates into n
-    ranges (fewer only with fewer candidates); return the list that collects
-    the pids forked from then on."""
+def force_ranges(monkeypatch, n):
+    """Make every later cut of :mod:`optoflux.fanout`, the writer's and the
+    coarse scan's, give n ranges (fewer only with fewer items): n usable CPUs
+    and a minimum of one cell or point per range.  Returns the list that
+    collects the pids forked from then on."""
     forks = []
 
     def counted_fork():
@@ -136,6 +137,7 @@ def force_scan_ranges(monkeypatch, n):
         return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(of.cli, "MIN_CELLS_PER_PIECE", 1)
     monkeypatch.setattr(of.optimize, "MIN_POINTS_PER_PIECE", 1)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks

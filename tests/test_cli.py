@@ -16,7 +16,7 @@ from optoflux.model import TWO_PI
 
 import goldens
 from goldens import DATA
-from helpers import force_scan_ranges, hook_scan
+from helpers import force_ranges, hook_scan
 
 
 def _write(tmp_path, text, name="scenario.yaml"):
@@ -132,35 +132,12 @@ output: {{path: {out}, format: {fmt}}}
         assert out.read_bytes() == (DATA / f"fluxmap_small.{fmt}").read_bytes()
 
 
-@pytest.fixture
-def split(monkeypatch):
-    """``split(n)`` makes the writer cut every output of at least n rows into
-    n ranges; it returns the list that collects the pids forked from then on."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    def force(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        monkeypatch.setattr(cli, "MIN_CELLS_PER_PIECE", 1)
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return forks
-
-    return force
-
-
 @pytest.mark.parametrize("ranges", [1, 2, 3])
 @pytest.mark.parametrize("name", list(goldens.GOLDENS))
-def test_golden_matches_committed_bytes(tmp_path, monkeypatch, split, name, ranges):
+def test_golden_matches_committed_bytes(tmp_path, monkeypatch, name, ranges):
     # the writer and the coarse scan of a tune both cut their work into
     # ``ranges``; a tune's output and a steady state are one range or none
-    forks = split(ranges)
-    monkeypatch.setattr(of.optimize, "MIN_POINTS_PER_PIECE", 1)
+    forks = force_ranges(monkeypatch, ranges)
     out = tmp_path / name
     assert _run(goldens.argv(name, out)) == 0
     assert len(forks) == (0 if name.startswith("steady_") else ranges - 1)
@@ -189,10 +166,10 @@ def test_tune_search_matches_committed_golden(tmp_path, name, flux_pi, aux, fmt)
     assert out.read_bytes() == (DATA / out.name).read_bytes()
 
 
-def test_csv_fluxmap_is_not_copied_whole(tmp_path, split):
+def test_csv_fluxmap_is_not_copied_whole(tmp_path, monkeypatch):
     # the CSV's rows are the map's columns; joined a block of rows at a time,
     # the map is never copied whole (a transposed copy peaked at 2.05x its size)
-    split(1)  # one range, formatted here, where tracemalloc sees it
+    force_ranges(monkeypatch, 1)  # one range, formatted here, where tracemalloc sees it
     scenario = cli.load_scenario(preset="table1", out=str(tmp_path / "fm.csv"), overrides=[
         "mode=fluxmap", "quantity=phonon", "params.mechanical_hop_hz=520e3",
         "flux_grid.points=51", "frequency_grid.points=4001"])
@@ -218,8 +195,8 @@ def _parent_interrupted(text, lo, hi):
 
 
 @pytest.mark.parametrize("body", [_child_fails, _parent_interrupted])
-def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, split, capsys, body):
-    split(2)
+def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, capsys, body):
+    force_ranges(monkeypatch, 2)
     csv = cli._csv
 
     def failing_csv(header, table):
@@ -246,8 +223,8 @@ def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, split, 
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_no_child_unwinds_into_the_caller(tmp_path, split):
-    forks = split(3)
+def test_no_child_unwinds_into_the_caller(tmp_path, monkeypatch):
+    forks = force_ranges(monkeypatch, 3)
     pids = tmp_path / "pids"
     out = tmp_path / "out.json"
     try:
@@ -261,7 +238,7 @@ def test_no_child_unwinds_into_the_caller(tmp_path, split):
 
 
 def test_failed_split_scan_exits_1(tmp_path, monkeypatch, capsys):
-    force_scan_ranges(monkeypatch, 2)
+    force_ranges(monkeypatch, 2)
 
     def fail():
         raise RuntimeError("scoring failed")
@@ -311,7 +288,7 @@ _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999
     pytest.param([[x] for x in _ORACLE_VALUES], id="1 column"),
     pytest.param([[math.nan] * 3, [-math.inf] * 3, [math.inf] * 3], id="all sentinels"),
 ])
-def test_json_writer_matches_stdlib_encoder(tmp_path, split, values):
+def test_json_writer_matches_stdlib_encoder(tmp_path, monkeypatch, values):
     # a flux map: its axes go through json.dumps, its 2-D array is the rows
     def plain(v):  # the nested lists json would need, with sentinel strings
         if isinstance(v, list):
@@ -328,7 +305,7 @@ def test_json_writer_matches_stdlib_encoder(tmp_path, split, values):
                 "quantity": "phonon"}
     out = tmp_path / "out.json"
     for ranges in (1, 2, 3, 4):  # up to more ranges than rows
-        split(ranges)
+        force_ranges(monkeypatch, ranges)
         cli._write(cli._json(payload, rows="isolation_db"), str(out))
         assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
@@ -341,7 +318,7 @@ def _records(n):
 
 
 @pytest.mark.parametrize("n", [1, 12, 10_001])
-def test_json_records_match_stdlib_encoder(tmp_path, split, n):
+def test_json_records_match_stdlib_encoder(tmp_path, monkeypatch, n):
     # a spectrum's points: a mapping of columns written as a list of objects,
     # its rows cut inside and across the chunks of a few thousand records
     def plain(x):
@@ -355,7 +332,7 @@ def test_json_records_match_stdlib_encoder(tmp_path, split, n):
         {"frequency_hz": plain(f), "isolation_db": plain(v)} for f, v in pairs]}, indent=2)
     out = tmp_path / "out.json"
     for ranges in (1, 2, 3, 4):
-        split(ranges)
+        force_ranges(monkeypatch, ranges)
         cli._write(cli._json(payload, rows="points"), str(out))
         assert out.read_text(encoding="utf-8") == expected + "\n"
 
@@ -381,8 +358,8 @@ def _csv_rows(blocks):
     pytest.param((np.linspace(5.8e9, 5.9e9, _BLOCKS_ROWS),
                   np.resize(_ORACLE_VALUES, (5, _BLOCKS_ROWS)).T), id="column blocks"),
 ])
-def test_csv_writer_matches_cell_by_cell_format(tmp_path, split, table, ranges):
-    split(ranges)
+def test_csv_writer_matches_cell_by_cell_format(tmp_path, monkeypatch, table, ranges):
+    force_ranges(monkeypatch, ranges)
     rows = _csv_rows(table)
     header = [f"c{i}" for i in range(len(rows[0]) if rows else table[0].shape[1])]
     expected = ",".join(header) + "\n" + "".join(
@@ -393,9 +370,9 @@ def test_csv_writer_matches_cell_by_cell_format(tmp_path, split, table, ranges):
 
 
 @pytest.mark.parametrize("ranges", [1, 2, 3, 4])
-def test_csv_row_matches_cell_by_cell_format(tmp_path, split, ranges):
+def test_csv_row_matches_cell_by_cell_format(tmp_path, monkeypatch, ranges):
     # one record, as a tune or a steady state is written: one range, whatever the CPUs
-    forks = split(ranges)
+    forks = force_ranges(monkeypatch, ranges)
     fields = {"c0": 1.5, "c1": "G_L", "c2": "", "c3": -math.inf, "c4": None,
               **{f"c{i + 5}": x for i, x in enumerate(_ORACLE_VALUES)}}
     expected = ",".join(fields) + "\n" + ",".join(
@@ -585,6 +562,23 @@ steadystate:
 """)
     assert _run(["run", config]) == 3
     assert "degenerate" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("vacuum, steady, field", [
+    # a target over a tiny vacuum coupling asks for a field past the float range
+    pytest.param("[1e-300, 1e-300]", "{target_enhanced_coupling_hz: [1e300, 1e300]}",
+                 "alpha_L", id="inverse"),
+    # a finite field times a huge vacuum coupling is a coupling past it
+    pytest.param("[1e300, 1e300]", "{drive_amplitude: [1e307, 1e307]}", "G_L", id="forward"),
+])
+def test_steadystate_beyond_the_float_range_exits_3(tmp_path, capsys, vacuum, steady, field):
+    out = tmp_path / "ss.csv"
+    assert _run(["run", "--preset", "table1", "--set", "mode=steadystate",
+                 "--set", "params.mechanical_hop_hz=5e5",
+                 "--set", f"params.vacuum_coupling_hz={vacuum}",
+                 "--set", f"steadystate={steady}", "--out", str(out)]) == 3
+    assert f"{field} = " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_scenario_round_trip():
@@ -934,6 +928,48 @@ def test_tune_coarse_row_counts_toward_grid_cap():
         "frequency_grid.points=20001"])
     cli.load_scenario(preset="table1", overrides=base + [
         "tune.coarse_points=9000", "frequency_grid.points=10000"])
+
+
+@pytest.mark.parametrize("tune, evaluations", [
+    pytest.param({"flux_bounds_pi": [1.0, 1.0]}, 1 + 1, id="collapsed"),
+    pytest.param({"flux_bounds_pi": [1.0, 2.0], "coarse_points": 3, "golden_iterations": 2,
+                  "descent_sweeps": 1}, 3 + 1 + 1 * (2 + 2), id="flux only"),
+    pytest.param({"flux_bounds_pi": [1.0, 2.0], "aux": "G_L", "aux_bounds_hz": [10e6, 40e6],
+                  "coarse_points": 3, "golden_iterations": 1, "descent_sweeps": 1},
+                 3**2 + 1 + 1 * 2 * (1 + 2), id="two coordinates"),
+])
+def test_grid_cap_counts_what_tune_evaluates(monkeypatch, tune, evaluations):
+    # the kernel evaluations of a tune: a peak per objective, then the final spectrum
+    calls = []
+    kernel = of.response.amplitude_kernel
+
+    def counted_kernel(*args):
+        db = kernel(*args)
+
+        def counted_db(*args):
+            calls.append("spectrum")
+            return db(*args)
+
+        def counted_peak(*args):
+            calls.append("peak")
+            return db.peak(*args)
+
+        counted_db.peak = counted_peak
+        return counted_db
+
+    monkeypatch.setattr(of.response, "amplitude_kernel", counted_kernel)
+    raw = {"mode": "tune", "quantity": "photon_to_phonon", "tune": tune,
+           "params": {"preset": "table1", "mechanical_hop_hz": 520e3}}
+    scenario = cli.Scenario.from_dict({**raw, "frequency_grid": {"points": 41}})
+    of.tune(scenario.build_params(), scenario.quantity, scenario.build_search_space())
+    assert calls == ["peak"] * (evaluations - 1) + ["spectrum"]
+    # each evaluation is one per frequency point: the cap takes a grid of
+    # exactly MAX_POINT_EVALUATIONS and rejects one point more
+    points = cli.MAX_POINT_EVALUATIONS // evaluations
+    assert points * evaluations == cli.MAX_POINT_EVALUATIONS
+    cli.Scenario.from_dict({**raw, "frequency_grid": {"points": points}})
+    with pytest.raises(cli.ConfigError, match="kernel point evaluations$"):
+        cli.Scenario.from_dict({**raw, "frequency_grid": {"points": points + 1}})
 
 
 @pytest.mark.parametrize("flag", [["--out", "x.csv"], ["--format", "json"],

@@ -19,7 +19,7 @@ import optoflux as of
 from optoflux import cli
 from optoflux.model import TWO_PI
 
-from helpers import force_scan_ranges
+from helpers import force_ranges
 
 _STEADY = ["--preset", "table1", "--set", "mode=steadystate",
            "--set", "params.vacuum_coupling_hz=[200, 200]",
@@ -92,7 +92,7 @@ _AUX = {
 
 @pytest.mark.parametrize("aux", list(_AUX))
 def test_tune_creates_no_cycles(monkeypatch, aux):
-    force_scan_ranges(monkeypatch, 2)  # the scan's fork and join run too
+    force_ranges(monkeypatch, 2)  # the scan's fork and join run too
 
     def tune(candidates):
         flux = (math.pi, 2 * math.pi) if aux is None else (1.5 * math.pi,) * 2
@@ -107,8 +107,7 @@ def test_tune_creates_no_cycles(monkeypatch, aux):
 @pytest.mark.parametrize("ranges", [1, 3], ids=["one range", "split"])
 @pytest.mark.parametrize("form", ["csv", "csv blocks", "json", "json points"])
 def test_write_creates_no_cycles(tmp_path, monkeypatch, form, ranges):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
-    monkeypatch.setattr(cli, "MIN_CELLS_PER_PIECE", 1)
+    force_ranges(monkeypatch, ranges)
 
     def write(rows):
         # "csv blocks": a column and a 2-D view, over several blocks of rows

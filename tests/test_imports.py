@@ -9,6 +9,7 @@ exits through the interpreter's normal shutdown.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -44,8 +45,8 @@ EXPORTED = {
 SUBMODULES = sorted(path.stem for path in (SRC / "optoflux").glob("*.py")
                     if not path.stem.startswith("__"))
 
-# the module that forks and the stdlib module only a fork needs
-FORKING = ("optoflux.fanout", "signal")
+# the module that forks and the stdlib modules only a split needs
+FORKING = ("optoflux.fanout", "signal", "tempfile")
 
 
 def _report(modules):
@@ -76,10 +77,10 @@ _CLI = ("import runpy\n"
         "    print(exc.code)\n")
 
 
-def _loaded_by_cli(config, cwd, modules=NUMERIC):
-    """Exit code of ``python -m optoflux run config`` and which of
-    ``modules`` it left in ``sys.modules``."""
-    proc = _python(["-c", _CLI + _report(modules), "run", str(config)], cwd)
+def _loaded_by_cli(config, cwd, modules=NUMERIC, flags=(), before=""):
+    """Exit code of ``python [flags] -m optoflux run config``, run after the
+    code ``before``, and which of ``modules`` it left in ``sys.modules``."""
+    proc = _python([*flags, "-c", before + _CLI + _report(modules), "run", str(config)], cwd)
     assert proc.returncode == 0, proc.stderr
     *_, code, loaded = proc.stdout.splitlines()
     return int(code), json.loads(loaded)
@@ -137,13 +138,24 @@ def test_spectrum_run_imports_the_numeric_layers(configs, tmp_path):
     assert _loaded_by_cli(configs["spectrum"], tmp_path) == (0, list(NUMERIC[:-1]))
 
 
+# for a run under -S, which adds no site directory (a site hook may import
+# tempfile at startup): numpy and PyYAML where this interpreter finds them,
+# and an os.fork that fails the run
+_SITE = sorted({str(Path(importlib.util.find_spec(name).origin).parents[1])
+                for name in ("numpy", "yaml")})
+_ISOLATED = (f"import os, sys\nsys.path += {_SITE!r}\n"
+             "def fork():\n    raise AssertionError('forked')\nos.fork = fork\n")
+
+
 @pytest.mark.parametrize("name, loaded", [
-    ("steady_forward", []), ("steady_inverse", []),
-    ("spectrum", []),  # a one-range write
+    ("steady_forward", ["optoflux.fanout"]), ("steady_inverse", ["optoflux.fanout"]),
+    ("spectrum", ["optoflux.fanout"]),  # a one-range write
     ("tune", ["optoflux.fanout"]),  # a one-range scan
 ])
 def test_run_without_a_split_loads_no_fork_code(configs, tmp_path, name, loaded):
-    assert _loaded_by_cli(configs[name], tmp_path, FORKING) == (0, loaded)
+    # every output goes through the fan-out; one range forks nothing, opens
+    # no part file and loads neither signal nor tempfile
+    assert _loaded_by_cli(configs[name], tmp_path, FORKING, ["-S"], _ISOLATED) == (0, loaded)
 
 
 def test_setup_stages_import_no_numeric_layer(configs, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 import optoflux as of
 from optoflux.model import TWO_PI
 
-from helpers import force_scan_ranges, hook_scan, random_omega, random_params
+from helpers import force_ranges, hook_scan, random_omega, random_params
 
 # scripted closed-form solution at omega/2pi = 5.85 GHz on the reference set
 FLUX_STAR_585 = -0.2885137506677201
@@ -256,7 +256,7 @@ def test_all_nan_spectrum_scores_minus_inf(monkeypatch):
 
 def test_tune_validates_inputs():
     p = of.from_table1(1e6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown quantity 'bogus'"):
         of.tune(p, "bogus", of.SearchSpace(flux_bounds=(0, 1)))
     with pytest.raises(ValueError):
         of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=(1, 0)))
@@ -347,7 +347,7 @@ def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
 def test_split_scan_gives_the_same_bits(monkeypatch, params, quantity, aux):
     results = []
     for ranges in (1, 2, 3):
-        forks = force_scan_ranges(monkeypatch, ranges)
+        forks = force_ranges(monkeypatch, ranges)
         results.append(_bits(of.tune(params, quantity, _scan_space(aux))))
         assert len(forks) == ranges - 1
     assert results[1] == results[0]
@@ -372,7 +372,7 @@ def _fail():
                          ids=["child fails", "parent interrupted"])
 def test_failed_split_scan_leaves_nothing_behind(monkeypatch, tmp_path, parent, child):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    force_scan_ranges(monkeypatch, 2)
+    force_ranges(monkeypatch, 2)
     hook_scan(monkeypatch, parent, child)
     space = _scan_space("mechanical_hop", coarse_points=9)
     started = time.monotonic()

@@ -115,6 +115,25 @@ def test_singular_drive_map_raises_no_solution():
         of.drives_for_target_G(p, (TWO_PI * 1e6, TWO_PI * 1e6))
 
 
+def test_state_beyond_the_float_range_raises_no_solution():
+    p = of.from_table1(1e6)
+    # the field a target asks for, the drive that field needs, the coupling a
+    # field makes: each passes the float range and is named
+    with pytest.raises(of.NoSolution, match="^alpha_L = "):
+        of.drives_for_target_G(_with_vacuum_coupling(p, (1e-300, 1e-300)), (1e300, 1e300))
+    with pytest.raises(of.NoSolution, match="^eps_L = "):
+        of.drives_for_target_G(_with_vacuum_coupling(p, (1.0, 1.0)), (1e307, 1e307))
+    with pytest.raises(of.NoSolution, match="^alpha_L = "):
+        of.steady_amplitudes(p, (math.inf, 0.0, 0.0, 0.0))
+    with pytest.raises(of.NoSolution, match="^G_L = "):
+        of.steady_amplitudes(_with_vacuum_coupling(p, (1e300, 1e300)), (1e307, 1e307, 0.0, 0.0))
+    # a field of 1.3e308 (1 + i), whose magnitude is past the float range
+    # although both of its parts are within
+    p = replace(p, optical_hop=0.0, kappa_eL=1.0, kappa_iL=0.0, detuning_L=0.5)
+    with pytest.raises(of.NoSolution, match="^G_L: "):
+        of.steady_amplitudes(_with_vacuum_coupling(p), (1.3e308, 0.0, 0.0, 0.0))
+
+
 def test_degenerate_denominator_raises():
     # kappa = 0, detuning 0, J = 0: the response denominator vanishes
     p = of.SystemParams(
