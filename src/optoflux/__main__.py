@@ -7,16 +7,24 @@ during the run nor the final one at interpreter exit walk the numpy and
 PyYAML objects.  The forked writer and scan children inherit the disabled
 collector.  Atexit handlers, stdio flushing and module teardown still run.
 :func:`optoflux.cli.main` leaves the collector alone, for in-process callers.
+
+Before numpy can load, :func:`main` also gives its BLAS one thread, unless
+the caller's environment sets the count: a run multiplies no matrix large
+enough for more threads to help, and its writer and scan ranges are then
+forked from a process of one thread.
 """
 
 import gc
+import os
 import sys
 
 
 def main():
     """Run ``optoflux.cli.main()`` on ``sys.argv`` without the cyclic
-    collector; return its exit code."""
+    collector and with one BLAS thread; return its exit code."""
     gc.disable()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     from .cli import main as cli_main
 
     try:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -132,10 +133,6 @@ def _pair(key, value, minimum=None, exclusive=False):
     ]
 
 
-def _positive_pair(key, value, minimum):
-    return _pair(key, value, minimum, exclusive=True)
-
-
 def _integer(key, value, minimum):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(key, f"must be an integer, got {value!r}")
@@ -165,7 +162,8 @@ _SECTIONS = {
     "params": (MODES, {
         "preset": (PRESETS, None, None, ()),
         "mechanical_hop_hz": (_number, 0.0, None, ("mechanical_hop",)),
-        "mech_frequency_hz": (_positive_pair, 0.0, None, ("omega_mL", "omega_mR")),
+        "mech_frequency_hz": (functools.partial(_pair, exclusive=True), 0.0, None,
+                              ("omega_mL", "omega_mR")),
         "optical_external_decay_hz": (_pair, 0.0, None, ("kappa_eL", "kappa_eR")),
         "optical_internal_decay_hz": (_pair, 0.0, None, ("kappa_iL", "kappa_iR")),
         "mech_external_decay_hz": (_pair, 0.0, None, ("gamma_eL", "gamma_eR")),
@@ -401,10 +399,11 @@ class Scenario:
 # (CSV) or 0.7-1.1 us (JSON) to format; cutting an output in two began to pay
 # between 20,000 and 80,000 cells in all
 MIN_CELLS_PER_PIECE = 50_000
-# the rows that _csv joins from its column blocks at a time.  On the default
-# 401x2001 map as CSV, the bench's peak RSS read 36.6 MB with blocks of 8 or
-# 16 rows (51 KB), 36.7 with 32, 36.9 with 64, 38.1 with 256 and 39.6 with
-# whole ranges; the formatting time did not move measurably from 8 to 256
+# the rows that _csv joins from its column blocks at a time, and so the
+# frequencies at which a flux map's CSV range computes every flux at a time.
+# On the default 401x2001 map as CSV (2-CPU x86 host, one BLAS thread), peak
+# RSS read 30.7 MB with blocks of 8 rows, 30.9 with 16, 31.2 with 32 and 31.6
+# with 64; CPU time read 0.67 s with 8 and 0.62-0.67 s from 16 to 64
 _CSV_BLOCK_ROWS = 16
 
 
@@ -583,18 +582,20 @@ def _run_spectrum(scenario, params):
 def _run_fluxmap(scenario, params):
     from . import sweep
 
-    fm = sweep.flux_map(params, scenario.quantity, scenario.build_flux_axis(),
-                        scenario.build_frequency_grid())
-    flux_pi = (fm.flux_axis / math.pi).tolist()
-    freqs = fm.freq_axis.values() / TWO_PI
+    # computed by the writer's ranges as they format them: flux rows for JSON,
+    # _CSV_BLOCK_ROWS frequencies at every flux for CSV
+    values = sweep.MapValues(params, scenario.quantity, scenario.build_flux_axis(),
+                             scenario.build_frequency_grid())
+    flux_pi = (values.flux_axis / math.pi).tolist()
+    freqs = values.freq_axis.values() / TWO_PI
     if scenario.output["format"] == "csv":
-        return _csv(["frequency_hz"] + ["%.12g" % f for f in flux_pi], (freqs, fm.values.T))
+        return _csv(["frequency_hz"] + ["%.12g" % f for f in flux_pi], (freqs, values.T))
     return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
         "flux_pi": flux_pi,
         "frequency_hz": freqs.tolist(),
-        "isolation_db": fm.values,
+        "isolation_db": values,
     }, rows="isolation_db")
 
 
@@ -668,9 +669,12 @@ _RUNNERS = {
 def run(scenario: Scenario) -> str:
     """Execute one scenario and write its output file atomically.
 
-    Every number is computed first.  CSV and JSON are then formatted from
-    the computed arrays, a row or a block of rows at a time, by
-    :func:`_write`, so the file is never held in memory whole.
+    Every check that can reject the scenario runs first, and every number
+    is computed before the file opens but a flux map's: for a map, the axes
+    are checked and the amplitude terms built first, and each range of the
+    writer computes the rows it formats, a few at a time, just before it
+    formats them.  :func:`_write` formats CSV and JSON a row or a block of
+    rows at a time, so neither the file nor a map is ever held whole.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel
@@ -678,8 +682,9 @@ def run(scenario: Scenario) -> str:
     """
     try:
         params = scenario.build_params()
-        # a runner does all numerical work here and returns text that only
-        # formats it, so value-level rejections from the model or search layers
+        # a runner does every check and all numerical work here, but for the
+        # rows of a flux map, which its text computes from the terms built
+        # here; so value-level rejections from the model or search layers
         # surface before the file is opened, as scenario problems
         text = _RUNNERS[scenario.mode](scenario, params)
     except ValueError as exc:

@@ -125,10 +125,14 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     Returns ``db(value, flux, out=None)``: the isolation with that field set
     to ``value``, written into ``out`` (a fresh array when None) and returned.
     ``db.peak(value, flux)`` is ``float(np.fmax.reduce(db(...), axis=None))``
-    bit for bit, with the log taken only where that maximum can be.  The
-    susceptibilities and scratch space are made here, once; the terms are
-    rebuilt only when the coupling's bits change (never for V, which enters
-    none), and Y e^{-+i flux} only when the terms or the flux's bits do.
+    bit for bit, with the log taken only where that maximum can be.  For a
+    1-D ``omega``, ``db.grid(value, flux, columns)`` takes a 1-D array of
+    fluxes and a slice of the frequencies, and returns a new array whose row
+    i is ``db(value, flux[i])[columns]`` bit for bit, computed in one
+    broadcast call.  The susceptibilities and
+    scratch space are made here, once; the terms are rebuilt only when the
+    coupling's bits change (never for V, which enters none), and
+    Y e^{-+i flux} only when the terms or the flux's bits do.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
@@ -146,7 +150,9 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the terms
     held = None  # the flux bits of Y_f e^{-i flux} in y_wf, Y_b e^{+i flux} in y_wb
 
-    def amplitudes(value, flux, out):
+    def amplitudes(value, flux, out, back=backward, columns=None):
+        """The forward amplitudes into ``out`` and the backward into ``back``;
+        with ``columns``, at a column of fluxes and those frequencies."""
         nonlocal terms, built, held
         hop = value if chi is None else params.mechanical_hop
         # a product beyond the float range makes an inf or nan term or
@@ -157,23 +163,35 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
                 terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
                 built, held = bits, None
             (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
-            bits = struct.pack("d", flux)
-            if bits != held:
-                held = None
+            if columns is None:
+                bits = struct.pack("d", flux)
+                if bits != held:
+                    held = None
+                    z = np.exp(1j * flux)
+                    np.multiply(y_f, np.conj(z), out=y_wf)
+                    np.multiply(y_b, z, out=y_wb)
+                    held = bits
+                sums, w_f, w_b = hop_x, y_wf, y_wb
+            else:  # a term that is one number at every frequency is not sliced
+                x_f, y_f, x_b, y_b = (t[columns] if np.ndim(t) else t for t in (x_f, y_f, x_b, y_b))
                 z = np.exp(1j * flux)
-                np.multiply(y_f, np.conj(z), out=y_wf)
-                np.multiply(y_b, z, out=y_wb)
-                held = bits
-            for g, x, y_w, amplitude in ((g_f, x_f, y_wf, out), (g_b, x_b, y_wb, backward)):
-                np.multiply(g * hop, x, out=hop_x)
-                np.add(hop_x, y_w, out=hop_x)
-                np.abs(hop_x, out=amplitude)
+                sums, w_f, w_b = np.empty(out.shape, complex), y_f * np.conj(z), y_b * z
+            for g, x, y_w, amplitude in ((g_f, x_f, w_f, out), (g_b, x_b, w_b, back)):
+                np.multiply(g * hop, x, out=sums)
+                np.add(sums, y_w, out=sums)
+                np.abs(sums, out=amplitude)
 
     def db(value, flux, out=None):
         if out is None:
             out = np.empty(shape)
         amplitudes(value, flux, out)
         return _ratio_db(out, backward)
+
+    def grid(value, flux, columns):
+        flux = np.reshape(flux, (-1, 1))
+        out, back = (np.empty((flux.size, len(range(shape[0])[columns]))) for _ in range(2))
+        amplitudes(value, flux, out, back, columns)
+        return _ratio_db(out, back)
 
     def peak(value, flux):
         amplitudes(value, flux, forward)
@@ -193,7 +211,7 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
                 return float(cells.max())
         return float(np.fmax.reduce(_ratio_db(forward, backward), axis=None))
 
-    db.peak = peak
+    db.peak, db.grid = peak, grid
     return db
 
 

@@ -8,6 +8,7 @@ mechanical linewidths produce inside the 5.6-6.1 GHz band.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import sys
@@ -77,23 +78,67 @@ def spectrum(params: SystemParams, quantity: str, grid: FrequencyGrid) -> np.nda
     return response.isolation_db(params, grid.values(), quantity)
 
 
+class MapValues:
+    """The values of a flux map, ``values[i, j]`` at (``flux_axis[i]``,
+    frequency j), computed when they are read.
+
+    Making it checks the axes and builds the flux-independent amplitude
+    terms once, so that a bad axis or scenario fails there; it then holds one
+    kernel's terms and scratch, never the map.  It reads as the read-only
+    (flux, frequency) array it stands for does, each read a new array:
+    ``values[i]`` and ``values[lo:hi]`` are flux rows, one kernel call each,
+    and ``values.T[lo:hi]`` are rows of the transpose, frequencies lo:hi at
+    every flux in one broadcast call, with the same bits.
+    """
+
+    ndim = 2
+
+    def __init__(self, params: SystemParams, quantity: str, flux_grid, freq_grid: FrequencyGrid):
+        flux_axis = np.array(flux_grid, dtype=float)
+        if flux_axis.ndim != 1 or flux_axis.size < 1:
+            raise ValueError("flux grid must be a non-empty 1D array of radians")
+        if not np.all(np.isfinite(flux_axis)):
+            raise ValueError("flux grid values must be finite")
+        flux_axis.setflags(write=False)
+        self.flux_axis, self.freq_axis = flux_axis, freq_grid
+        self.shape = (flux_axis.size, freq_grid.points)
+        self.size = flux_axis.size * freq_grid.points
+        self._transposed = False
+        self._hop, self._flux = params.mechanical_hop, params.carried_flux(flux_axis)
+        self._db = response.amplitude_kernel(params, freq_grid.values(), quantity,
+                                             "mechanical_hop")
+
+    @property
+    def T(self) -> "MapValues":
+        view = copy.copy(self)
+        view.shape, view._transposed = self.shape[::-1], not self._transposed
+        return view
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        """Row ``key`` (an int) or the rows of the slice ``key``."""
+        rows = range(len(self))[key]
+        if isinstance(rows, int):
+            return self[rows:rows + 1][0]
+        if self._transposed:
+            return self._db.grid(self._hop, self._flux, key).T
+        values = np.empty((len(rows), self.shape[1]))
+        for row, i in zip(values, rows):
+            self._db(self._hop, self._flux[i], out=row)
+        return values
+
+
 def flux_map(params: SystemParams, quantity: str, flux_grid, freq_grid: FrequencyGrid) -> FluxMap:
     """Evaluate one quantity over a full (flux, frequency) product grid.
 
-    The flux-independent amplitude terms are built once; each row then
-    costs one kernel evaluation, written straight into the map.
+    The rows of :class:`MapValues`, read into one array: the flux-independent
+    amplitude terms are built once, and each row then costs one kernel
+    evaluation, written straight into the map.
     """
-    flux_axis = np.asarray(flux_grid, dtype=float)
-    if flux_axis.ndim != 1 or flux_axis.size < 1:
-        raise ValueError("flux grid must be a non-empty 1D array of radians")
-    if not np.all(np.isfinite(flux_axis)):
-        raise ValueError("flux grid values must be finite")
-    omega = freq_grid.values()
-    db = response.amplitude_kernel(params, omega, quantity, "mechanical_hop")
-    values = np.empty((flux_axis.size, omega.size), dtype=float)
-    for i, flux in enumerate(params.carried_flux(flux_axis)):
-        db(params.mechanical_hop, flux, out=values[i])
+    map_values = MapValues(params, quantity, flux_grid, freq_grid)
+    values = map_values[:]
     values.setflags(write=False)
-    flux_axis = flux_axis.copy()
-    flux_axis.setflags(write=False)
-    return FluxMap(flux_axis=flux_axis, freq_axis=freq_grid, values=values, quantity=quantity)
+    return FluxMap(flux_axis=map_values.flux_axis, freq_axis=freq_grid, values=values,
+                   quantity=quantity)

@@ -254,3 +254,27 @@ def test_entry_runs_without_the_collector_and_exits_cleanly(configs, tmp_path, e
         assert (tmp_path / "result.csv").read_bytes() == (DATA / "steady_forward.csv").read_bytes()
     else:
         assert "frequency_grid.points" in proc.stderr
+
+
+# the entry run of a fluxmap split over two ranges, with the BLAS thread
+# variables removed from its environment: each fork prints how many threads
+# the forking process has
+_THREADS = ("import os\n"
+            "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+            "    os.environ.pop(name, None)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork = os.fork\n"
+            "def counted_fork():\n"
+            "    print('threads', len(os.listdir('/proc/self/task')), flush=True)\n"
+            "    return fork()\n"
+            "os.fork = counted_fork\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_entry_forks_a_process_of_one_thread(tmp_path):
+    proc = _python(["-c", _THREADS + _CLI, "run", "--preset", "table1",
+                    "--set", "mode=fluxmap", "--set", "quantity=phonon",
+                    "--set", "params.mechanical_hop_hz=520e3", "--set", "flux_grid.points=51",
+                    "--out", "map.csv"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["threads 1", "wrote map.csv (fluxmap, phonon)", "0"]

@@ -249,6 +249,26 @@ def test_amplitude_kernel_reuse_matches_fresh_kernels():
                     assert kernel(value, p.carried_flux(flux)).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("coupling", of.AUX_PARAMETERS)
+def test_kernel_grid_rows_are_its_rows_bitwise(coupling):
+    # db.grid is one broadcast call over a column of fluxes and a slice of
+    # the frequencies: each of its rows has the bits of db at that flux, for
+    # every slice (a term that is one number at every frequency is not
+    # sliced), also where every cell is a sentinel (no bridge, G_L = 0)
+    for p in (replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9),
+              replace(of.from_table1(2e6), optical_hop=0.0, G_L=0.0)):
+        omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 41)
+        flux = p.carried_flux(np.linspace(-2 * math.pi, 2 * math.pi, 13))
+        for quantity in of.QUANTITIES:
+            db = of.response.amplitude_kernel(p, omegas, quantity, coupling)
+            for value in (getattr(p, coupling), 3.7 * getattr(p, coupling) + 1.0):
+                rows = np.array([db(value, f) for f in flux])
+                for columns in (slice(None), slice(0, 16), slice(16, 32), slice(32, 41),
+                                slice(40, 41), slice(3, 30, 7)):
+                    grid = db.grid(value, flux, columns)
+                    assert grid.tobytes() == rows[:, columns].tobytes()
+
+
 def test_phonon_kernel_keeps_only_the_fields_its_terms_read():
     # det_A reads chi_aL and chi_aR, so a phonon kernel that rebuilds its
     # terms keeps those two of the four susceptibilities (4 KB for objects)

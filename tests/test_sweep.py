@@ -132,6 +132,25 @@ def test_flux_map_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
+def test_map_values_read_the_bits_of_the_flux_map():
+    # computed where they are read: flux rows one kernel call each, rows of
+    # the transpose one broadcast call each, with the bits of the whole map
+    p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 6.0e9, 37)
+    flux_axis = np.linspace(-2 * math.pi, 2 * math.pi, 11)
+    for q in of.QUANTITIES:
+        whole = of.flux_map(p, q, flux_axis, grid).values
+        values = of.sweep.MapValues(p, q, flux_axis, grid)
+        assert (len(values), values.shape, values.size, values.ndim) == (11, (11, 37), 407, 2)
+        assert (len(values.T), values.T.shape, values.T.T.shape) == (37, (37, 11), (11, 37))
+        assert not values.flux_axis.flags.writeable
+        assert np.array_equal(values.flux_axis, flux_axis)
+        for got, want in ((values[:], whole), (values[3:7], whole[3:7]), (values[-1], whole[-1]),
+                          (values.T[5], whole[:, 5]), (values.T.T[2], whole[2]),
+                          *((values.T[lo:lo + 16], whole.T[lo:lo + 16]) for lo in (0, 16, 32))):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_flux_map_rejects_bad_axis():
     p = of.from_table1(1e6)
     grid = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 4)
