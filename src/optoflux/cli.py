@@ -582,20 +582,20 @@ def _run_spectrum(scenario, params):
 def _run_fluxmap(scenario, params):
     from . import sweep
 
-    # computed by the writer's ranges as they format them: flux rows for JSON,
-    # _CSV_BLOCK_ROWS frequencies at every flux for CSV
-    values = sweep.MapValues(params, scenario.quantity, scenario.build_flux_axis(),
-                             scenario.build_frequency_grid())
-    flux_pi = (values.flux_axis / math.pi).tolist()
-    freqs = values.freq_axis.values() / TWO_PI
+    # never .values: each writer range computes the rows it reads, flux rows
+    # for JSON and _CSV_BLOCK_ROWS frequencies at every flux for CSV
+    fm = sweep.flux_map(params, scenario.quantity, scenario.build_flux_axis(),
+                        scenario.build_frequency_grid())
+    flux_pi = (fm.flux_axis / math.pi).tolist()
+    freqs = fm.freq_axis.values() / TWO_PI
     if scenario.output["format"] == "csv":
-        return _csv(["frequency_hz"] + ["%.12g" % f for f in flux_pi], (freqs, values.T))
+        return _csv(["frequency_hz"] + ["%.12g" % f for f in flux_pi], (freqs, fm.T))
     return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
         "flux_pi": flux_pi,
         "frequency_hz": freqs.tolist(),
-        "isolation_db": values,
+        "isolation_db": fm,
     }, rows="isolation_db")
 
 
@@ -670,11 +670,11 @@ def run(scenario: Scenario) -> str:
     """Execute one scenario and write its output file atomically.
 
     Every check that can reject the scenario runs first, and every number
-    is computed before the file opens but a flux map's: for a map, the axes
-    are checked and the amplitude terms built first, and each range of the
-    writer computes the rows it formats, a few at a time, just before it
-    formats them.  :func:`_write` formats CSV and JSON a row or a block of
-    rows at a time, so neither the file nor a map is ever held whole.
+    is computed before the file opens but a flux map's: :func:`sweep.flux_map`
+    checks the axes and builds the amplitude terms first, and each range of
+    the writer reads from the map the rows it formats, a few at a time, just
+    before it formats them.  :func:`_write` formats CSV and JSON a row or a
+    block of rows at a time, so neither the file nor a map is ever held whole.
 
     Returns the path written.  Degeneracy errors propagate to the caller;
     sweeps never abort on per-point degeneracies (those become sentinel
@@ -683,9 +683,9 @@ def run(scenario: Scenario) -> str:
     try:
         params = scenario.build_params()
         # a runner does every check and all numerical work here, but for the
-        # rows of a flux map, which its text computes from the terms built
-        # here; so value-level rejections from the model or search layers
-        # surface before the file is opened, as scenario problems
+        # rows of a flux map, which its text reads from the map made here; so
+        # value-level rejections from the model or search layers surface
+        # before the file is opened, as scenario problems
         text = _RUNNERS[scenario.mode](scenario, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -1,14 +1,16 @@
 """Spectra and flux-frequency maps of the isolation quantities.
 
 Reproduces the data products behind the standard figures: 1D isolation
-spectra at fixed synthetic flux and 2D maps over (flux, frequency).  The
-default grids resolve the MHz-wide interference features the reference
-mechanical linewidths produce inside the 5.6-6.1 GHz band.
+spectra at fixed synthetic flux and 2D maps over (flux, frequency), whose
+rows are computed when they are read.  The default grids resolve the
+MHz-wide interference features the reference mechanical linewidths produce
+inside the 5.6-6.1 GHz band.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import operator
 import sys
@@ -59,16 +61,6 @@ def default_flux_grid() -> np.ndarray:
     return np.linspace(-2.0 * math.pi, 2.0 * math.pi, DEFAULT_FLUX_POINTS)
 
 
-@dataclass(frozen=True, eq=False)
-class FluxMap:
-    """2D isolation map: values[i, j] at (flux_axis[i], frequency j)."""
-
-    flux_axis: np.ndarray
-    freq_axis: FrequencyGrid
-    values: np.ndarray
-    quantity: str
-
-
 def spectrum(params: SystemParams, quantity: str, grid: FrequencyGrid) -> np.ndarray:
     """Isolation in dB at every grid frequency, in grid order.
 
@@ -78,17 +70,17 @@ def spectrum(params: SystemParams, quantity: str, grid: FrequencyGrid) -> np.nda
     return response.isolation_db(params, grid.values(), quantity)
 
 
-class MapValues:
-    """The values of a flux map, ``values[i, j]`` at (``flux_axis[i]``,
-    frequency j), computed when they are read.
+class FluxMap:
+    """2D isolation map of one quantity: ``values[i, j]`` at (``flux_axis[i]``,
+    frequency j), computed when it is read.
 
     Making it checks the axes and builds the flux-independent amplitude
     terms once, so that a bad axis or scenario fails there; it then holds one
-    kernel's terms and scratch, never the map.  It reads as the read-only
-    (flux, frequency) array it stands for does, each read a new array:
-    ``values[i]`` and ``values[lo:hi]`` are flux rows, one kernel call each,
-    and ``values.T[lo:hi]`` are rows of the transpose, frequencies lo:hi at
-    every flux in one broadcast call, with the same bits.
+    kernel's terms and scratch.  It reads as the read-only array ``values``
+    does, each read a new array: ``fm[i]`` and ``fm[lo:hi]`` are flux rows,
+    one kernel call each, and ``fm.T[lo:hi]`` are rows of the transpose,
+    frequencies lo:hi at every flux in one broadcast call, with the same
+    bits.  ``values`` itself is ``fm[:]``, read on first use and then kept.
     """
 
     ndim = 2
@@ -100,7 +92,7 @@ class MapValues:
         if not np.all(np.isfinite(flux_axis)):
             raise ValueError("flux grid values must be finite")
         flux_axis.setflags(write=False)
-        self.flux_axis, self.freq_axis = flux_axis, freq_grid
+        self.flux_axis, self.freq_axis, self.quantity = flux_axis, freq_grid, quantity
         self.shape = (flux_axis.size, freq_grid.points)
         self.size = flux_axis.size * freq_grid.points
         self._transposed = False
@@ -108,9 +100,16 @@ class MapValues:
         self._db = response.amplitude_kernel(params, freq_grid.values(), quantity,
                                              "mechanical_hop")
 
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = self[:]
+        values.setflags(write=False)
+        return values
+
     @property
-    def T(self) -> "MapValues":
+    def T(self) -> "FluxMap":
         view = copy.copy(self)
+        view.__dict__.pop("values", None)  # the kept values are this map's, untransposed
         view.shape, view._transposed = self.shape[::-1], not self._transposed
         return view
 
@@ -131,14 +130,6 @@ class MapValues:
 
 
 def flux_map(params: SystemParams, quantity: str, flux_grid, freq_grid: FrequencyGrid) -> FluxMap:
-    """Evaluate one quantity over a full (flux, frequency) product grid.
-
-    The rows of :class:`MapValues`, read into one array: the flux-independent
-    amplitude terms are built once, and each row then costs one kernel
-    evaluation, written straight into the map.
-    """
-    map_values = MapValues(params, quantity, flux_grid, freq_grid)
-    values = map_values[:]
-    values.setflags(write=False)
-    return FluxMap(flux_axis=map_values.flux_axis, freq_axis=freq_grid, values=values,
-                   quantity=quantity)
+    """One quantity over a full (flux, frequency) product grid, as a
+    :class:`FluxMap`: checked and set up here, computed when read."""
+    return FluxMap(params, quantity, flux_grid, freq_grid)

@@ -190,6 +190,24 @@ def test_csv_fluxmap_is_not_copied_whole(tmp_path, monkeypatch):
     assert peak < 1.5 * 51 * 4001 * 8
 
 
+@pytest.mark.parametrize("name", ["fluxmap_small.csv", "fluxmap_small.json"])
+def test_fluxmap_run_makes_its_map_with_flux_map(tmp_path, monkeypatch, name):
+    # the CLI makes a map as the library does, once, and never reads its
+    # whole values: the writer reads the rows it formats
+    maps = []
+    flux_map = of.sweep.flux_map
+
+    def counted(*args):
+        maps.append(flux_map(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(of.sweep, "flux_map", counted)
+    out = tmp_path / name
+    assert _run(goldens.argv(name, out)) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+    assert len(maps) == 1 and "values" not in vars(maps[0])
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_fluxmap_peak_does_not_grow_with_the_map(tmp_path, monkeypatch, fmt):
     # each range computes its rows just before it formats them, so the
@@ -232,7 +250,7 @@ def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, capsys,
 
     def failing_csv(header, table):
         # the map's block is computed by each range as it formats its rows
-        assert isinstance(table[-1], of.sweep.MapValues)
+        assert isinstance(table[-1], of.sweep.FluxMap)
         text = csv(header, table)
         return text._replace(body=lambda lo, hi: body(text, lo, hi))
 

@@ -75,8 +75,14 @@ _GRID = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 11)
 
 
 def test_flux_map_creates_no_cycles():
-    _does_not_grow(lambda rows: of.flux_map(_PARAMS, of.PHONON,
-                                            np.linspace(-math.pi, math.pi, rows), _GRID))
+    def read(rows):
+        # a map computes only what is read: its kept values and a block of
+        # its transpose, through the kernel's row and broadcast calls
+        fm = of.flux_map(_PARAMS, of.PHONON, np.linspace(-math.pi, math.pi, rows), _GRID)
+        fm.values
+        fm.T[2:6]
+
+    _does_not_grow(read)
 
 
 # the searched coupling, its bounds in Hz; the aux ones collapse the flux

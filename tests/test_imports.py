@@ -278,3 +278,15 @@ def test_entry_forks_a_process_of_one_thread(tmp_path):
                     "--out", "map.csv"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["threads 1", "wrote map.csv (fluxmap, phonon)", "0"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_tier1_forks_from_a_process_of_one_thread():
+    # conftest.py pins BLAS to one thread before numpy loads, unless the
+    # environment chose another count
+    if any(os.environ[name] != "1"
+           for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+        pytest.skip("the environment sets another BLAS thread count")
+    import numpy  # noqa: F401
+
+    assert len(os.listdir("/proc/self/task")) == 1

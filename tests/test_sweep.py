@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import optoflux as of
+from optoflux import response
 from optoflux.model import TWO_PI
 
 
@@ -140,7 +141,7 @@ def test_map_values_read_the_bits_of_the_flux_map():
     flux_axis = np.linspace(-2 * math.pi, 2 * math.pi, 11)
     for q in of.QUANTITIES:
         whole = of.flux_map(p, q, flux_axis, grid).values
-        values = of.sweep.MapValues(p, q, flux_axis, grid)
+        values = of.flux_map(p, q, flux_axis, grid)
         assert (len(values), values.shape, values.size, values.ndim) == (11, (11, 37), 407, 2)
         assert (len(values.T), values.T.shape, values.T.T.shape) == (37, (37, 11), (11, 37))
         assert not values.flux_axis.flags.writeable
@@ -149,6 +150,62 @@ def test_map_values_read_the_bits_of_the_flux_map():
                           (values.T[5], whole[:, 5]), (values.T.T[2], whole[2]),
                           *((values.T[lo:lo + 16], whole.T[lo:lo + 16]) for lo in (0, 16, 32))):
             assert got.tobytes() == want.tobytes()
+
+
+def test_flux_map_values_are_kept_and_read_only():
+    p = of.from_table1(0.52e6)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 5.95e9, 16)
+    fm = of.flux_map(p, of.PHONON, np.linspace(-1.0, 1.0, 5), grid)
+    assert fm.values is fm.values
+    assert not fm.values.flags.writeable
+    with pytest.raises(ValueError):
+        fm.values[0, 0] = 0.0
+
+
+def test_flux_map_transpose_values_are_the_transposed_values():
+    p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 6.0e9, 23)
+    flux_axis = np.linspace(-2 * math.pi, 2 * math.pi, 9)
+    for q in of.QUANTITIES:
+        # the transpose taken before and after the map's values are kept
+        fresh = of.flux_map(p, q, flux_axis, grid)
+        transposed = fresh.T.values
+        read = of.flux_map(p, q, flux_axis, grid)
+        values = read.values
+        for got in (transposed, read.T.values):
+            assert got.shape == (23, 9) and not got.flags.writeable
+            assert got.tobytes() == values.T.tobytes()
+        assert read.T.T.values.tobytes() == values.tobytes()
+
+
+def test_flux_map_computes_nothing_until_read(monkeypatch):
+    calls = []
+    kernel = response.amplitude_kernel
+
+    def counted_kernel(*args):
+        db = kernel(*args)
+
+        def counted(*args, **kwargs):
+            calls.append("row")
+            return db(*args, **kwargs)
+
+        def grid(*args):
+            calls.append("grid")
+            return db.grid(*args)
+
+        counted.grid = grid
+        return counted
+
+    monkeypatch.setattr(response, "amplitude_kernel", counted_kernel)
+    grid = of.FrequencyGrid.from_hz(5.8e9, 5.95e9, 16)
+    fm = of.flux_map(of.from_table1(0.52e6), of.PHONON, np.linspace(-1.0, 1.0, 5), grid)
+    assert calls == []
+    fm[3]
+    fm.T[2:6]
+    assert calls == ["row", "grid"]
+    fm.values
+    fm.values
+    assert calls == ["row", "grid"] + ["row"] * 5
 
 
 def test_flux_map_rejects_bad_axis():
