@@ -12,16 +12,23 @@ Before numpy can load, :func:`main` also gives its BLAS one thread, unless
 the caller's environment sets the count: a run multiplies no matrix large
 enough for more threads to help, and its writer and scan ranges are then
 forked from a process of one thread.
+
+SIGTERM becomes ``SystemExit(143)``, so that a terminated run unwinds like
+an interrupted one: the writer removes its temporary file and the fan-out
+kills and reaps its children.
 """
 
 import gc
 import os
+import signal
 import sys
 
 
 def main():
     """Run ``optoflux.cli.main()`` on ``sys.argv`` without the cyclic
-    collector and with one BLAS thread; return its exit code."""
+    collector, with one BLAS thread and SIGTERM raising SystemExit(143);
+    return its exit code."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
     gc.disable()
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")

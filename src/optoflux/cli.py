@@ -142,8 +142,8 @@ def _integer(key, value, minimum):
 
 
 def _path(key, value, minimum=None):
-    if not isinstance(value, str) or not value:
-        _fail(key, "must be a non-empty string")
+    if not isinstance(value, str) or not value or "\0" in value:
+        _fail(key, "must be a non-empty string without NUL characters")
     return value
 
 

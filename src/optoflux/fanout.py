@@ -35,19 +35,21 @@ def cut(items, cost, minimum):
     return [items * k // n for k in range(n + 1)]
 
 
-def _fork(work, lo, hi, part, what):
-    """Fork a child that runs ``work(lo, hi, part)``; return its pid.
+def _fork(work, lo, hi, part, what, children):
+    """Fork a child that runs ``work(lo, hi, part)``; append
+    ``(pid, lo, hi, part)`` to ``children``.
 
     The child leaves only by os._exit, 0 once ``part`` is flushed and 1
     after printing its error, so nothing of the caller's stack (finally
-    blocks, exception handlers, atexit hooks) runs in it.  SIGINT stays
-    blocked from before the fork until the child is inside the try that ends
-    in os._exit, so that an interrupt cannot unwind a child into the caller
-    either.
+    blocks, exception handlers, atexit hooks) runs in it.  SIGINT and
+    SIGTERM stay blocked from before the fork until the child is inside the
+    try that ends in os._exit, so that a signal cannot unwind a child into
+    the caller either, and in the caller until the pid is recorded, so that
+    a signal cannot lose the child before it is reaped.
     """
     import signal  # here, not at the top: only a split needs it
 
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
     try:
         pid = os.fork()
         if pid == 0:
@@ -63,9 +65,9 @@ def _fork(work, lo, hi, part, what):
                 sys.stderr.flush()
             finally:
                 os._exit(status)
+        children.append((pid, lo, hi, part))
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return pid
 
 
 @contextlib.contextmanager
@@ -104,7 +106,7 @@ def forked(bounds, work, what, directory=None):
             import tempfile  # here, not at the top: only a split opens parts
 
             files.append(tempfile.TemporaryFile(dir=directory))
-            children.append((_fork(work, lo, hi, files[-1], what), lo, hi, files[-1]))
+            _fork(work, lo, hi, files[-1], what, children)
         yield parts()
     finally:
         for pid, _, _, _ in children[reaped:]:

@@ -19,6 +19,7 @@ Phases are radians, stored as given (wrap to (-pi, pi] only for display, see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 TWO_PI = 2.0 * math.pi
@@ -104,18 +105,19 @@ class SystemParams:
     g_R: float = 0.0
 
     def __post_init__(self):
-        # chained comparisons are False for NaN, so NaN fails every check
+        # chained comparisons are False for NaN, so NaN fails every check; an
+        # int beyond the float range is below math.inf but not float_info.max
         for name in _NONNEGATIVE:
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
+            if not 0.0 <= value <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         for name in _POSITIVE:
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
+            if not 0.0 < value <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         for name in _FINITE:
             value = getattr(self, name)
-            if not -math.inf < value < math.inf:
+            if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
     @classmethod

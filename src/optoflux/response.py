@@ -75,30 +75,21 @@ def _ratio_db(num, den):
     is the perfect-isolation sentinel); both below gives nan, or 0 dB where
     they are equal.  An infinite amplitude, one that overflowed, gives nan.
     Equal amplitudes in between give exactly 0 dB through the logs.
-
-    One minimum and maximum per non-empty amplitude array decide whether any
-    sentinel can fire, and only then are the masks taken.  The guard is
-    negated because a nan must fail it: a nan amplitude beside a tiny one
-    still needs the sentinels.
     """
-    sentinel = num.size and not (num.min() >= UNDERFLOW and den.min() >= UNDERFLOW
-                                 and num.max() < math.inf and den.max() < math.inf)
-    if sentinel:
-        tiny_n, tiny_d = num < UNDERFLOW, den < UNDERFLOW
-        equal = tiny_n & (num == den)
-        over = np.isinf(num) | np.isinf(den)
+    tiny_n, tiny_d = num < UNDERFLOW, den < UNDERFLOW
+    equal = tiny_n & (num == den)
+    over = np.isinf(num) | np.isinf(den)
     # log10(0) and inf - inf: the sentinels rewrite those cells
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log10(num, out=num)
         np.log10(den, out=den)
         np.subtract(num, den, out=num)
         np.multiply(num, 20.0, out=num)
-    if sentinel:
-        np.copyto(num, math.inf, where=tiny_d & ~tiny_n)
-        np.copyto(num, -math.inf, where=tiny_n & ~tiny_d)
-        np.copyto(num, math.nan, where=tiny_n & tiny_d)
-        np.copyto(num, 0.0, where=equal)
-        np.copyto(num, math.nan, where=over)
+    np.copyto(num, math.inf, where=tiny_d & ~tiny_n)
+    np.copyto(num, -math.inf, where=tiny_n & ~tiny_d)
+    np.copyto(num, math.nan, where=tiny_n & tiny_d)
+    np.copyto(num, 0.0, where=equal)
+    np.copyto(num, math.nan, where=over)
     return num
 
 

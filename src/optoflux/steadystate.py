@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateBlock, NoSolution
@@ -106,8 +107,8 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     a field or drive passes the float range.
     """
     target_L, target_R = target
-    # written negated so that NaN fails too
-    if not (0.0 <= target_L < math.inf and 0.0 <= target_R < math.inf):
+    # written negated so that NaN fails too, and an int beyond the float range
+    if not (0.0 <= target_L <= sys.float_info.max and 0.0 <= target_R <= sys.float_info.max):
         raise ValueError(f"target couplings must be finite and >= 0, got {target!r}")
     if target_L == 0.0 and target_R == 0.0:
         return (0j, 0j)

@@ -86,7 +86,10 @@ class FluxMap:
     ndim = 2
 
     def __init__(self, params: SystemParams, quantity: str, flux_grid, freq_grid: FrequencyGrid):
-        flux_axis = np.array(flux_grid, dtype=float)
+        try:
+            flux_axis = np.array(flux_grid, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("flux grid values must be finite") from None
         if flux_axis.ndim != 1 or flux_axis.size < 1:
             raise ValueError("flux grid must be a non-empty 1D array of radians")
         if not np.all(np.isfinite(flux_axis)):

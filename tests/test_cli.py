@@ -1,7 +1,11 @@
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -274,6 +278,34 @@ def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, capsys,
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("signum, raised", [(signal.SIGINT, KeyboardInterrupt),
+                                            (signal.SIGTERM, SystemExit)])
+def test_signal_right_after_a_fork_still_reaps_the_child(tmp_path, monkeypatch, signum, raised):
+    # the signal is pending from the fork on and fires once the mask is
+    # restored; the child's pid must be recorded by then.  SIGTERM is handled
+    # as the process entry handles it.
+    forks = force_ranges(monkeypatch, 2)
+    fork = os.fork
+
+    def signalled_fork():
+        pid = fork()
+        if pid:
+            os.kill(os.getpid(), signum)
+        return pid
+
+    monkeypatch.setattr(os, "fork", signalled_fork)
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
+    try:
+        with pytest.raises(raised):
+            _run(goldens.argv("fluxmap_small.csv", tmp_path / "out.csv"))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(forks) == 1
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_no_child_unwinds_into_the_caller(tmp_path, monkeypatch):
     forks = force_ranges(monkeypatch, 3)
     pids = tmp_path / "pids"
@@ -286,6 +318,33 @@ def test_no_child_unwinds_into_the_caller(tmp_path, monkeypatch):
     assert code == 0
     assert len(forks) == 2
     assert pids.read_text() == f"{os.getpid()}\n"
+
+
+def test_terminated_run_leaves_no_file_or_process(tmp_path):
+    # a 1601x2001 map takes seconds to write; SIGTERM it once its temporary
+    # file exists, in a session of its own so that a surviving child shows
+    out = tmp_path / "map.json"
+    src = os.path.dirname(os.path.dirname(of.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "optoflux", "run", "--preset", "table1", "--set", "mode=fluxmap",
+         "--set", "quantity=phonon", "--set", "params.mechanical_hop_hz=515709.8644424447",
+         "--set", "flux_grid.points=1601", "--format", "json", "--out", str(out)],
+        env=env, start_new_session=True, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not any(name.endswith(".tmp") for name in os.listdir(tmp_path)):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+        with pytest.raises(ProcessLookupError):  # no child outlived the run
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_split_scan_exits_1(tmp_path, monkeypatch, capsys):
@@ -838,6 +897,7 @@ REJECTIONS = {
     "bad output format": (_SPECTRUM, ["output.format=xml"], "output.format"),
     "empty output path": (_SPECTRUM, ["output.path=''"], "output.path"),
     "numeric output path": (_SPECTRUM, ["output.path=3"], "output.path"),
+    "NUL in output path": (_SPECTRUM, ['output.path="a\\0b"'], "output.path"),
     "unknown preset": (_SPECTRUM, ["params.preset=table2"], "params.preset"),
     "null preset": (_SPECTRUM, ["params.preset=null"], "params.preset"),
     "dotted key through a scalar": (_SPECTRUM, ["mode.typo=1"], "mode"),

@@ -147,14 +147,18 @@ _ISOLATED = (f"import os, sys\nsys.path += {_SITE!r}\n"
              "def fork():\n    raise AssertionError('forked')\nos.fork = fork\n")
 
 
+# the process entry loads signal itself, to turn SIGTERM into SystemExit
+_ENTRY = ["optoflux.fanout", "signal"]
+
+
 @pytest.mark.parametrize("name, loaded", [
-    ("steady_forward", ["optoflux.fanout"]), ("steady_inverse", ["optoflux.fanout"]),
-    ("spectrum", ["optoflux.fanout"]),  # a one-range write
-    ("tune", ["optoflux.fanout"]),  # a one-range scan
+    ("steady_forward", _ENTRY), ("steady_inverse", _ENTRY),
+    ("spectrum", _ENTRY),  # a one-range write
+    ("tune", _ENTRY),  # a one-range scan
 ])
 def test_run_without_a_split_loads_no_fork_code(configs, tmp_path, name, loaded):
     # every output goes through the fan-out; one range forks nothing, opens
-    # no part file and loads neither signal nor tempfile
+    # no part file and loads no tempfile
     assert _loaded_by_cli(configs[name], tmp_path, FORKING, ["-S"], _ISOLATED) == (0, loaded)
 
 

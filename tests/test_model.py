@@ -123,18 +123,24 @@ def test_copy_helpers():
         p.optical_hop = 7.0
 
 
-# "field" sets -1.0; "field=value" sets value.  Covers the sign and strictness
-# rules of every field group, and NaN / +-inf, which the model must reject.
+# "field" sets -1.0; "field=value" sets float(value); a (field, value) pair
+# sets value as it is.  Covers the sign and strictness rules of every field
+# group, NaN / +-inf and an int beyond the float range, which the model must
+# reject.
 @pytest.mark.parametrize("field", [
     "optical_hop", "mechanical_hop", "G_L", "G_R",
     "kappa_eL=-1", "kappa_iL=-1", "g_L=-2", "omega_mL=0", "gamma_eL=-1",
     "G_L=nan", "kappa_eL=nan", "omega_mL=nan", "optical_hop=inf", "gamma_iR=-inf",
     "g_R=inf", "detuning_L=nan", "phi_L=inf",
+    pytest.param(("optical_hop", 10**400), id="optical_hop=10**400"),
 ])
 def test_system_params_rejects_negative_magnitudes(field):
-    name, _, value = field.partition("=")
+    if isinstance(field, str):
+        name, _, value = field.partition("=")
+        field = name, float(value or -1.0)
+    name, value = field
     with pytest.raises(ValueError):
-        replace(of.from_table1(1e6), **{name: float(value or -1.0)})
+        replace(of.from_table1(1e6), **{name: value})
 
 
 def test_wrap_phase():

@@ -83,7 +83,7 @@ def test_closed_forms_match_dense_oracle_over_draws(exponents, phi_L, phi_R, ome
 
 
 # amplitudes at and around the sentinel thresholds, with ordinary values so
-# that whole arrays also clear the guard and take the in-place path
+# that whole arrays also hold no sentinel cell
 TINY = np.nextafter(response.UNDERFLOW, 0.0)
 amplitude_cells = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-310, TINY, response.UNDERFLOW, math.nan,
@@ -94,8 +94,8 @@ amplitude_cells = st.one_of(
 
 
 @st.composite
-def amplitude_pairs(draw):
-    n = draw(st.integers(1, 8))
+def amplitude_pairs(draw, min_size=0):
+    n = draw(st.integers(min_size, 8))
     num = draw(st.lists(amplitude_cells, min_size=n, max_size=n))
     den = draw(st.lists(amplitude_cells, min_size=n, max_size=n))
     same = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -107,12 +107,13 @@ def amplitude_pairs(draw):
 @given(pair=amplitude_pairs())
 @example(pair=(np.array([math.nan, 1e-310]), np.array([1.0, 1.0])))
 @example(pair=(np.array([1.0, math.nan]), np.array([2.0, 0.0])))
-# infinite amplitudes and no tiny one: the maximum alone sends these to the sentinels
+@example(pair=(np.array([]), np.array([])))
+# infinite amplitudes and no tiny one
 @example(pair=(np.array([2.0, math.inf, 3.0, math.inf, 1.0]),
                np.array([1.0, math.inf, 3.0, 1.0, math.inf])))
 def test_ratio_db_matches_reference_bitwise(pair):
-    # the in-place fast path must give exactly what one np.where per
-    # sentinel rule gives, nan next to a tiny cell included
+    # the in-place path must give exactly what one np.where per sentinel
+    # rule gives, nan next to a tiny cell and empty arrays included
     num, den = pair
     expected = ratio_db_reference(num, den)
     got = response._ratio_db(num.copy(), den.copy())
@@ -149,7 +150,9 @@ SUBNORMAL_PAIR = (np.array([1.1536763811861124e-44, 5.450091716805555e-118]),
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(pair=amplitude_pairs(), scalar=st.sampled_from([None, "numerator", "denominator"]),
+# a kernel's grid has a cell, so its peak always has a maximum
+@given(pair=amplitude_pairs(min_size=1),
+       scalar=st.sampled_from([None, "numerator", "denominator"]),
        flux=st.sampled_from([0.0, -0.0, 1.1]))
 @example(pair=ULP_PAIR, scalar=None, flux=0.0)
 @example(pair=SUBNORMAL_PAIR, scalar=None, flux=0.0)

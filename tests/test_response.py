@@ -287,7 +287,7 @@ def test_phonon_kernel_keeps_only_the_fields_its_terms_read():
 
 
 def test_isolation_db_of_no_frequencies_is_empty():
-    # the sentinel guard takes a minimum, which an empty array does not have
+    # an empty grid gives an empty spectrum, with no sentinel to apply
     p = of.from_table1(1e6)
     for quantity in of.QUANTITIES:
         db = of.isolation_db(p, np.array([]), quantity)

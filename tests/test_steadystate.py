@@ -62,7 +62,8 @@ def test_drives_for_target_trivial_zero():
 
 def test_drives_for_target_rejects_bad_targets():
     p = _with_vacuum_coupling(of.from_table1(1e6))
-    for target in ((math.nan, 1e6), (1e6, math.nan), (-1.0, 1e6), (math.inf, 1e6)):
+    for target in ((math.nan, 1e6), (1e6, math.nan), (-1.0, 1e6), (math.inf, 1e6),
+                   (10**400, 1.0)):
         with pytest.raises(ValueError, match="target couplings"):
             of.drives_for_target_G(p, target)
 

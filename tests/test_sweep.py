@@ -220,7 +220,7 @@ def test_flux_map_rejects_bad_axis():
 def test_flux_map_rejects_non_finite_flux():
     p = of.from_table1(1e6)
     grid = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 4)
-    for bad in (math.inf, -math.inf, math.nan):
+    for bad in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite"):
             of.flux_map(p, of.PHONON, [0.0, bad], grid)
 
