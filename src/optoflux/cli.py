@@ -33,6 +33,7 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -520,25 +521,15 @@ def _json(payload, rows=None):
     return _Text(head, len(table), table.size, body, tail)
 
 
-def _append(part, out):
-    """Append the open file ``part`` to the open file descriptor ``out``."""
-    size, offset = os.fstat(part.fileno()).st_size, 0
-    while offset < size:
-        sent = os.sendfile(out, part.fileno(), offset, size - offset)
-        if not sent:
-            raise OSError("a part of the output is shorter than its size")
-        offset += sent
-
-
 def _write(text, path):
     """Write ``text`` to ``path`` atomically, its rows cut into ranges of at
     least MIN_CELLS_PER_PIECE cells by :func:`optoflux.fanout.cut`.
 
     The first range is formatted here into a temporary file beside ``path``,
-    each later one by a forked child into an unnamed part file in the same
-    directory, appended once the child exits; one range forks and opens none.
-    The temporary file is renamed over ``path``, so an interrupted or failed
-    run never leaves a truncated output.
+    each later one by a forked child into an unnamed part file beside it,
+    copied into the output in order once the child exits; one range forks and
+    opens none.  The temporary file is renamed over ``path``, so an
+    interrupted or failed run never leaves a truncated output.
     """
     def piece(lo, hi, part):
         with open(part.fileno(), "w", encoding="utf-8", closefd=False) as fh:
@@ -555,7 +546,7 @@ def _write(text, path):
                 fh.writelines(text.body(0, bounds[1]))
                 for part in parts:
                     fh.flush()
-                    _append(part, fh.fileno())
+                    shutil.copyfileobj(part, fh.buffer)
                 fh.writelines(text.tail)
         os.replace(tmp, path)
     finally:

@@ -147,7 +147,11 @@ class SystemParams:
 
     def with_flux(self, flux: float) -> "SystemParams":
         """Copy with phi_L moved so that phi_L - phi_R equals ``flux``."""
-        return replace(self, phi_L=self.phi_R + flux)
+        try:
+            phi_L = self.phi_R + flux
+        except OverflowError:  # an int beyond the float range
+            raise ValueError("flux must be within the float range") from None
+        return replace(self, phi_L=phi_L)
 
     def carried_flux(self, flux):
         """``with_flux(flux).synthetic_flux``, rounded as phi_L rounds it;
@@ -179,12 +183,15 @@ def susceptibilities(params: SystemParams, omega) -> Susceptibilities:
     ``omega`` may be a float or an ndarray; the result broadcasts.  Total
     function of its inputs, no side effects.
     """
-    return Susceptibilities(
-        chi_aL_inv=-1j * (omega + params.detuning_L) + params.kappa_L / 2.0,
-        chi_aR_inv=-1j * (omega + params.detuning_R) + params.kappa_R / 2.0,
-        chi_bL_inv=-1j * (omega - params.omega_mL) + params.gamma_L / 2.0,
-        chi_bR_inv=-1j * (omega - params.omega_mR) + params.gamma_R / 2.0,
-    )
+    try:
+        return Susceptibilities(
+            chi_aL_inv=-1j * (omega + params.detuning_L) + params.kappa_L / 2.0,
+            chi_aR_inv=-1j * (omega + params.detuning_R) + params.kappa_R / 2.0,
+            chi_bL_inv=-1j * (omega - params.omega_mL) + params.gamma_L / 2.0,
+            chi_bR_inv=-1j * (omega - params.omega_mR) + params.gamma_R / 2.0,
+        )
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("omega must be within the float range") from None
 
 
 # Reference parameter set (the "table1" preset of the CLI): rates in Hz as
@@ -217,5 +224,8 @@ def from_table1(mechanical_hop_hz: float, flux: float = 0.0) -> SystemParams:
     phi_R = 0.
     """
     fields = {name: TWO_PI * value for name, value in TABLE1_HZ.items()}
-    return SystemParams.red_detuned(mechanical_hop=TWO_PI * mechanical_hop_hz,
-                                    phi_L=flux, **fields)
+    try:
+        hop = TWO_PI * mechanical_hop_hz
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("mechanical_hop_hz must be within the float range") from None
+    return SystemParams.red_detuned(mechanical_hop=hop, phi_L=flux, **fields)

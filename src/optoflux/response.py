@@ -212,7 +212,11 @@ def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     ``omega`` may be a float or an ndarray of probe frequencies; the return
     matches.
     """
-    db = amplitude_kernel(params, np.asarray(omega, dtype=float), quantity, "mechanical_hop")(
+    try:
+        omega = np.asarray(omega, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("omega must be within the float range") from None
+    db = amplitude_kernel(params, omega, quantity, "mechanical_hop")(
         params.mechanical_hop, params.synthetic_flux)
     return float(db) if db.ndim == 0 else db
 

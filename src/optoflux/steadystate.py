@@ -79,12 +79,16 @@ def steady_amplitudes(params: SystemParams, drives) -> SteadyState:
     vacuum couplings stored on ``params``.
 
     Raises :class:`NoSolution` naming a field or coupling that passes the
-    float range.
+    float range, and ValueError for a drive that is an int beyond it.
     """
     eps_L, eps_R, phi_L, phi_R = drives
-    t = drive_response_matrix(params, phi_L, phi_R)
-    alpha_L = _finite("alpha_L", t[0][0] * eps_L + t[0][1] * eps_R)
-    alpha_R = _finite("alpha_R", t[1][0] * eps_L + t[1][1] * eps_R)
+    try:
+        t = drive_response_matrix(params, phi_L, phi_R)
+        alpha_L = t[0][0] * eps_L + t[0][1] * eps_R
+        alpha_R = t[1][0] * eps_L + t[1][1] * eps_R
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("drives must be within the float range") from None
+    alpha_L, alpha_R = _finite("alpha_L", alpha_L), _finite("alpha_R", alpha_R)
     return SteadyState(
         alpha_L=alpha_L,
         alpha_R=alpha_R,

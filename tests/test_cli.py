@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -445,6 +446,25 @@ def test_json_records_match_stdlib_encoder(tmp_path, monkeypatch, n):
         force_ranges(monkeypatch, ranges)
         cli._write(cli._json(payload, rows="points"), str(out))
         assert out.read_text(encoding="utf-8") == expected + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_parts_larger_than_a_copy_buffer_join_to_the_same_bytes(tmp_path, monkeypatch, fmt):
+    # a 64x2001 phonon map: cut in three, each part is still over 8 of the
+    # buffers that copy a part into the output
+    argv = ["run", "--preset", "table1", "--set", "mode=fluxmap", "--set", "quantity=phonon",
+            "--set", "params.mechanical_hop_hz=515709.8644424447",
+            "--set", "flux_grid.points=64", "--format", fmt]
+    outputs = []
+    for ranges in (1, 2, 3):
+        forks = force_ranges(monkeypatch, ranges)
+        out = tmp_path / f"map_{ranges}.{fmt}"
+        assert _run([*argv, "--out", str(out)]) == 0
+        assert len(forks) == ranges - 1
+        outputs.append(out.read_bytes())
+    assert len(outputs[0]) > 3 * 8 * shutil.COPY_BUFSIZE
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert sorted(os.listdir(tmp_path)) == [f"map_{ranges}.{fmt}" for ranges in (1, 2, 3)]
 
 
 # two blocks of rows and 3 more: ranges end inside blocks and across them

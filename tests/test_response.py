@@ -94,6 +94,13 @@ def test_gamma_terms_rejects_zero_enhanced_coupling():
         of.gamma_A(p, TWO_PI * 5.85e9)
 
 
+def test_isolation_db_rejects_an_omega_beyond_the_float_range():
+    p = of.from_table1(5e5)
+    for omega in (10**400, [TWO_PI * 5.8e9, 10**400]):
+        with pytest.raises(ValueError, match="^omega must be within the float range"):
+            of.isolation_db(p, omega)
+
+
 def test_isolations_reference_point():
     p = _params_585()
     omega = TWO_PI * 5.85e9
