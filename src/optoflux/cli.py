@@ -103,25 +103,11 @@ def _scale(key):
 def _number(key, value, minimum=None, exclusive=False):
     if isinstance(value, str):
         # YAML 1.1 reads "5.6e9" (no exponent sign) as a string; accept it anyway
-        try:
+        with contextlib.suppress(ValueError):
             value = float(value)
-        except ValueError:
-            _fail(key, f"must be a number, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(key, f"must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        _fail(key, "must be finite")
+    value = model.real(f"{key}:", value, minimum, above=exclusive)
     if not math.isfinite(_scale(key) * value):
         _fail(key, f"must be finite in angular units, got {value!r}")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            _fail(key, f"must be > {minimum}")
-        if not exclusive and value < minimum:
-            _fail(key, f"must be >= {minimum}")
     return value
 
 
@@ -135,11 +121,7 @@ def _pair(key, value, minimum=None, exclusive=False):
 
 
 def _integer(key, value, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(key, f"must be an integer, got {value!r}")
-    if value < minimum:
-        _fail(key, f"must be >= {minimum}")
-    return value
+    return model.real(f"{key}:", value, minimum, integer=True)
 
 
 def _path(key, value, minimum=None):
@@ -222,7 +204,10 @@ def _section(name, mode, raw):
         if key in section:
             value = section[key]
             if not isinstance(kind, tuple):
-                value = kind(f"{name}.{key}", value, minimum)
+                try:
+                    value = kind(f"{name}.{key}", value, minimum)
+                except ValueError as exc:  # from model.real, which names "key:"
+                    raise ConfigError(str(exc)) from None
             elif value not in kind:
                 _fail(f"{name}.{key}", f"must be one of {kind}, got {value!r}")
         elif default is _REQUIRED:

@@ -19,6 +19,7 @@ Phases are radians, stored as given (wrap to (-pi, pi] only for display, see
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -60,6 +61,60 @@ def wrap_phase(phi: float) -> float:
     return w
 
 
+def _shown(value):
+    """``repr(value)``, cut to 40 characters; an int past the float range by
+    its size, as the repr of one past 4,300 digits raises."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    try:
+        text = repr(value)
+    except ValueError:  # a container that holds such an int
+        text = f"<{type(value).__name__}>"
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def real(name, value, minimum=None, *, above=False, integer=False, array=False):
+    """``value`` checked where it enters the library: a float (one such as
+    numpy.float64 comes back as it is), an int if ``integer`` is set, or if
+    ``array`` is set a float ndarray from an ndarray, list or tuple, numpy
+    being loaded (this module never imports it).  A ValueError that begins
+    with ``name`` rejects a bool, a non-number or an array not asked for, a
+    non-integer if ``integer`` is set, nan, +-inf, an int beyond the float
+    range (any int is an integer), and a value below ``minimum``, or at it
+    if ``above`` is set.
+    """
+    if isinstance(value, float) and not integer:  # the common case first
+        number = value
+    elif array and (numpy := sys.modules.get("numpy")) and isinstance(value, (list, tuple)):
+        # entry by entry, so a bool, a string or a huge int is named as one
+        return numpy.array([real(name, v, minimum, above=above, array=True) for v in value])
+    elif array and numpy and isinstance(value, numpy.ndarray) and value.dtype.kind in "fiu":
+        values = value.astype(float, copy=False)
+        good = numpy.isfinite(values)
+        if minimum is not None:
+            good &= values > minimum if above else values >= minimum
+        if good.all():
+            return values
+        value = number = float(values[~good][0])  # the first bad entry, rejected below
+    elif isinstance(value, bool) or not isinstance(value, numbers.Integral if integer
+                                                   else numbers.Real):
+        number = None
+    else:
+        try:
+            number = int(value) if integer else float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+    if number is not None and not (integer or math.isfinite(number)):
+        raise ValueError(f"{name} must be within the float range and must be finite, "
+                         f"got {_shown(value)}")
+    if number is None or (minimum is not None
+                          and (number <= minimum if above else number < minimum)):
+        bound = "" if minimum is None else f" {'>' if above else '>='} {minimum}"
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}{bound}, "
+                         f"got {_shown(value)}")
+    return number
+
+
 # validated in SystemParams.__post_init__; every field is in exactly one tuple
 _NONNEGATIVE = ("kappa_eL", "kappa_eR", "kappa_iL", "kappa_iR",
                 "gamma_eL", "gamma_eR", "gamma_iL", "gamma_iR",
@@ -79,8 +134,9 @@ class SystemParams:
     magnitudes (>= 0); all phase information lives in the drive phases.
     Detunings are laser-relative (delta_j = omega_drive - omega_cavity) and
     are stored explicitly so that non-red-detuned setups remain expressible.
-    Every value must be finite.  Override a field with
-    ``dataclasses.replace``.
+    Each field holds the float :func:`real` makes of its value: a bool, a
+    non-number, nan, +-inf or an int beyond the float range is a ValueError
+    naming the field.  Override a field with ``dataclasses.replace``.
     """
 
     omega_mL: float
@@ -105,20 +161,10 @@ class SystemParams:
     g_R: float = 0.0
 
     def __post_init__(self):
-        # chained comparisons are False for NaN, so NaN fails every check; an
-        # int beyond the float range is below math.inf but not float_info.max
-        for name in _NONNEGATIVE:
-            value = getattr(self, name)
-            if not 0.0 <= value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        for name in _POSITIVE:
-            value = getattr(self, name)
-            if not 0.0 < value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name in _FINITE:
-            value = getattr(self, name)
-            if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for names, low, above in ((_NONNEGATIVE, 0.0, False), (_POSITIVE, 0.0, True),
+                                  (_FINITE, None, False)):
+            for name in names:
+                object.__setattr__(self, name, real(name, getattr(self, name), low, above=above))
 
     @classmethod
     def red_detuned(cls, **fields) -> "SystemParams":
@@ -147,11 +193,7 @@ class SystemParams:
 
     def with_flux(self, flux: float) -> "SystemParams":
         """Copy with phi_L moved so that phi_L - phi_R equals ``flux``."""
-        try:
-            phi_L = self.phi_R + flux
-        except OverflowError:  # an int beyond the float range
-            raise ValueError("flux must be within the float range") from None
-        return replace(self, phi_L=phi_L)
+        return replace(self, phi_L=self.phi_R + real("flux", flux))
 
     def carried_flux(self, flux):
         """``with_flux(flux).synthetic_flux``, rounded as phi_L rounds it;
@@ -183,15 +225,13 @@ def susceptibilities(params: SystemParams, omega) -> Susceptibilities:
     ``omega`` may be a float or an ndarray; the result broadcasts.  Total
     function of its inputs, no side effects.
     """
-    try:
-        return Susceptibilities(
-            chi_aL_inv=-1j * (omega + params.detuning_L) + params.kappa_L / 2.0,
-            chi_aR_inv=-1j * (omega + params.detuning_R) + params.kappa_R / 2.0,
-            chi_bL_inv=-1j * (omega - params.omega_mL) + params.gamma_L / 2.0,
-            chi_bR_inv=-1j * (omega - params.omega_mR) + params.gamma_R / 2.0,
-        )
-    except OverflowError:  # an int beyond the float range
-        raise ValueError("omega must be within the float range") from None
+    omega = real("omega", omega, array=True)
+    return Susceptibilities(
+        chi_aL_inv=-1j * (omega + params.detuning_L) + params.kappa_L / 2.0,
+        chi_aR_inv=-1j * (omega + params.detuning_R) + params.kappa_R / 2.0,
+        chi_bL_inv=-1j * (omega - params.omega_mL) + params.gamma_L / 2.0,
+        chi_bR_inv=-1j * (omega - params.omega_mR) + params.gamma_R / 2.0,
+    )
 
 
 # Reference parameter set (the "table1" preset of the CLI): rates in Hz as
@@ -224,8 +264,5 @@ def from_table1(mechanical_hop_hz: float, flux: float = 0.0) -> SystemParams:
     phi_R = 0.
     """
     fields = {name: TWO_PI * value for name, value in TABLE1_HZ.items()}
-    try:
-        hop = TWO_PI * mechanical_hop_hz
-    except OverflowError:  # an int beyond the float range
-        raise ValueError("mechanical_hop_hz must be within the float range") from None
-    return SystemParams.red_detuned(mechanical_hop=hop, phi_L=flux, **fields)
+    hop = TWO_PI * real("mechanical_hop_hz", mechanical_hop_hz, 0.0)
+    return SystemParams.red_detuned(mechanical_hop=hop, phi_L=real("flux", flux), **fields)

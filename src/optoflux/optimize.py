@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
-import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fanout, response, sweep
 from .model import (AUX_PARAMETERS, DEFAULT_COARSE_POINTS, DEFAULT_DESCENT_SWEEPS,
-                    DEFAULT_GOLDEN_ITERATIONS, SystemParams)
+                    DEFAULT_GOLDEN_ITERATIONS, SystemParams, real)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # the fewest kernel point evaluations (one isolation value at one frequency)
@@ -101,12 +99,11 @@ def interference_condition(params: SystemParams, omega: float) -> InterferenceSo
     )
 
 
-def _finite_bounds(name, bounds):
-    lo, hi = bounds
+def _finite_bounds(name, bounds, minimum=None):
+    lo, hi = (real(f"{name}[{i}]", bound, minimum) for i, bound in enumerate(bounds))
     # the span too: the coarse scan's step is (hi - lo) / (coarse_points - 1)
-    if not (-sys.float_info.max <= lo <= hi <= sys.float_info.max
-            and float(hi) - float(lo) < math.inf):
-        raise ValueError(f"{name} must be finite with lo <= hi and hi - lo finite, got {bounds!r}")
+    if not (lo <= hi and float(hi) - float(lo) < math.inf):
+        raise ValueError(f"{name} must have lo <= hi and hi - lo finite, got {(lo, hi)!r}")
     return lo, hi
 
 
@@ -155,9 +152,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     OSError naming its range and exit status.
     """
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
-        value = getattr(search_space, name)
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= minimum):
-            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        real(name, getattr(search_space, name), minimum, integer=True)
     flux_bounds = _finite_bounds("flux_bounds", search_space.flux_bounds)
     aux_name, aux_bounds = search_space.aux_name, search_space.aux_bounds
     if aux_name is None:
@@ -170,12 +165,7 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         )
     elif aux_bounds is None:
         raise ValueError("aux_bounds required when aux_name is set")
-    aux_bounds = _finite_bounds("aux_bounds", aux_bounds)
-    for bound in aux_bounds:
-        try:
-            replace(params, **{aux_name: bound})
-        except ValueError as exc:
-            raise ValueError(f"aux_bounds: {exc}") from None
+    aux_bounds = _finite_bounds("aux_bounds", aux_bounds, 0.0)  # each aux is a magnitude
     box = (flux_bounds, aux_bounds)  # the coordinates, flux then aux
     if any(lo < hi for lo, hi in box) and search_space.coarse_points < 2:
         raise ValueError("coarse_points must be >= 2 for a non-collapsed search space")

@@ -48,7 +48,7 @@ from . import linsys
 from .errors import ZeroCoupling
 # the channel names stay importable from here
 from .model import (PHONON, PHONON_TO_PHOTON, PHOTON_TO_PHONON,  # noqa: F401
-                    QUANTITIES, SystemParams, susceptibilities)
+                    QUANTITIES, SystemParams, real, susceptibilities)
 
 #: amplitudes below this count as an exact null (perfect isolation sentinel)
 UNDERFLOW = 1e-300
@@ -212,10 +212,7 @@ def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     ``omega`` may be a float or an ndarray of probe frequencies; the return
     matches.
     """
-    try:
-        omega = np.asarray(omega, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError("omega must be within the float range") from None
+    omega = np.asarray(real("omega", omega, array=True))
     db = amplitude_kernel(params, omega, quantity, "mechanical_hop")(
         params.mechanical_hop, params.synthetic_flux)
     return float(db) if db.ndim == 0 else db

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateBlock, NoSolution
-from .model import DEGENERACY_RTOL, SystemParams
+from .model import DEGENERACY_RTOL, SystemParams, real
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,17 @@ def steady_amplitudes(params: SystemParams, drives) -> SteadyState:
     vacuum couplings stored on ``params``.
 
     Raises :class:`NoSolution` naming a field or coupling that passes the
-    float range, and ValueError for a drive that is an int beyond it.
+    float range, and ValueError naming ``drives`` for a phase that is not a
+    finite real number.  A float or complex amplitude goes into the fields as
+    it is (an infinite one makes a field beyond the float range); any other
+    amplitude must be a real number within the float range.
     """
     eps_L, eps_R, phi_L, phi_R = drives
-    try:
-        t = drive_response_matrix(params, phi_L, phi_R)
-        alpha_L = t[0][0] * eps_L + t[0][1] * eps_R
-        alpha_R = t[1][0] * eps_L + t[1][1] * eps_R
-    except OverflowError:  # an int beyond the float range
-        raise ValueError("drives must be within the float range") from None
-    alpha_L, alpha_R = _finite("alpha_L", alpha_L), _finite("alpha_R", alpha_R)
+    eps_L, eps_R = (eps if isinstance(eps, (float, complex)) else real("drives", eps)
+                    for eps in (eps_L, eps_R))
+    t = drive_response_matrix(params, real("drives", phi_L), real("drives", phi_R))
+    alpha_L = _finite("alpha_L", t[0][0] * eps_L + t[0][1] * eps_R)
+    alpha_R = _finite("alpha_R", t[1][0] * eps_L + t[1][1] * eps_R)
     return SteadyState(
         alpha_L=alpha_L,
         alpha_R=alpha_R,
@@ -110,10 +110,7 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     zero external coupling) and a nonzero target makes that matter, or when
     a field or drive passes the float range.
     """
-    target_L, target_R = target
-    # written negated so that NaN fails too, and an int beyond the float range
-    if not (0.0 <= target_L <= sys.float_info.max and 0.0 <= target_R <= sys.float_info.max):
-        raise ValueError(f"target couplings must be finite and >= 0, got {target!r}")
+    target_L, target_R = (real(f"target couplings[{i}]", g, 0.0) for i, g in enumerate(target))
     if target_L == 0.0 and target_R == 0.0:
         return (0j, 0j)
     if target_L > 0.0 and params.g_L == 0.0:

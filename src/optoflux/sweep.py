@@ -12,15 +12,13 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import response
 from .model import (DEFAULT_FLUX_POINTS, DEFAULT_FREQ_POINTS, DEFAULT_FREQ_START_HZ,
-                    DEFAULT_FREQ_STOP_HZ, TWO_PI, SystemParams)
+                    DEFAULT_FREQ_STOP_HZ, TWO_PI, SystemParams, real)
 
 
 @dataclass(frozen=True)
@@ -32,21 +30,16 @@ class FrequencyGrid:
     points: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.points)
-        except TypeError:
-            raise ValueError(f"grid points must be an integer, got {self.points!r}") from None
+        object.__setattr__(self, "start", real("start", self.start))
+        object.__setattr__(self, "stop", real("stop", self.stop))
+        object.__setattr__(self, "points", real("points", self.points, 2, integer=True))
         # the span too: linspace's step is (stop - start) / (points - 1)
-        if not (-sys.float_info.max <= self.start < self.stop <= sys.float_info.max
-                and float(self.stop) - float(self.start) < math.inf):
-            raise ValueError(f"grid start {self.start!r} must be < stop {self.stop!r}, "
-                             "both finite and a finite span apart")
-        if self.points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {self.points}")
+        if not (self.start < self.stop and float(self.stop) - float(self.start) < math.inf):
+            raise ValueError(f"start {self.start!r} must be < stop {self.stop!r} by a finite span")
 
     @classmethod
     def from_hz(cls, start_hz: float, stop_hz: float, points: int) -> "FrequencyGrid":
-        return cls(start=TWO_PI * start_hz, stop=TWO_PI * stop_hz, points=points)
+        return cls(TWO_PI * real("start_hz", start_hz), TWO_PI * real("stop_hz", stop_hz), points)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -86,14 +79,9 @@ class FluxMap:
     ndim = 2
 
     def __init__(self, params: SystemParams, quantity: str, flux_grid, freq_grid: FrequencyGrid):
-        try:
-            flux_axis = np.array(flux_grid, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            raise ValueError("flux grid values must be finite") from None
+        flux_axis = np.array(real("flux_grid", flux_grid, array=True))
         if flux_axis.ndim != 1 or flux_axis.size < 1:
-            raise ValueError("flux grid must be a non-empty 1D array of radians")
-        if not np.all(np.isfinite(flux_axis)):
-            raise ValueError("flux grid values must be finite")
+            raise ValueError("flux_grid must be a non-empty 1D array of radians")
         flux_axis.setflags(write=False)
         self.flux_axis, self.freq_axis, self.quantity = flux_axis, freq_grid, quantity
         self.shape = (flux_axis.size, freq_grid.points)
