@@ -29,12 +29,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateBlock, SingularMatrix
-from .model import DEGENERACY_RTOL, SystemParams, susceptibilities
+from .model import DEGENERACY_RTOL, SystemParams, real, susceptibilities
 
 
 def build_matrix(params: SystemParams, omega: float) -> np.ndarray:
     """M(omega) for one probe frequency, as a read-only complex 4x4 array."""
-    chi = susceptibilities(params, omega)
+    chi = susceptibilities(params, real("omega", omega))
     J = params.optical_hop
     V = params.mechanical_hop
     cL = 1j * params.G_L * np.exp(-1j * params.phi_L)

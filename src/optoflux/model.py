@@ -169,7 +169,8 @@ class SystemParams:
     @classmethod
     def red_detuned(cls, **fields) -> "SystemParams":
         """Build with the red-detuned operating point delta_j = -omega_mj."""
-        return cls(detuning_L=-fields["omega_mL"], detuning_R=-fields["omega_mR"], **fields)
+        return cls(detuning_L=-real("omega_mL", fields["omega_mL"]),
+                   detuning_R=-real("omega_mR", fields["omega_mR"]), **fields)
 
     @property
     def kappa_L(self) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -56,7 +57,8 @@ class SearchSpace:
 
     Collapsed bounds (lo == hi) pin that coordinate.  ``aux_name`` must be a
     name in AUX_PARAMETERS when given, with ``aux_bounds`` in angular units;
-    without one, the mechanical hop stays at the params' own value.
+    without one, ``aux_bounds`` must be None and the mechanical hop stays at
+    the params' own value.  Each count must be at most sys.maxsize.
     """
 
     flux_bounds: tuple
@@ -152,10 +154,15 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     OSError naming its range and exit status.
     """
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
-        real(name, getattr(search_space, name), minimum, integer=True)
+        count = real(name, getattr(search_space, name), minimum, integer=True)
+        if count > sys.maxsize:  # past the size of any array or loop that spends it
+            raise ValueError(f"{name} must be an integer <= sys.maxsize, "
+                             f"got an int of {count.bit_length()} bits")
     flux_bounds = _finite_bounds("flux_bounds", search_space.flux_bounds)
     aux_name, aux_bounds = search_space.aux_name, search_space.aux_bounds
     if aux_name is None:
+        if aux_bounds is not None:
+            raise ValueError("aux_bounds only applicable when aux_name is set")
         # no aux is a mechanical hop collapsed to the params' own value
         aux_name, aux_bounds = "mechanical_hop", (params.mechanical_hop,) * 2
     elif aux_name not in AUX_PARAMETERS:

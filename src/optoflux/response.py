@@ -63,7 +63,7 @@ def gamma_A(params: SystemParams, omega: float) -> complex:
     bridge = params.optical_hop * params.G_L * params.G_R
     if bridge == 0.0:
         raise ZeroCoupling("Gamma_A = 0: no optical bridge to interfere with")
-    chi = susceptibilities(params, omega)
+    chi = susceptibilities(params, real("omega", omega))
     return complex(bridge / linsys.checked_optical_det(chi, params.optical_hop))
 
 
@@ -212,7 +212,6 @@ def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     ``omega`` may be a float or an ndarray of probe frequencies; the return
     matches.
     """
-    omega = np.asarray(real("omega", omega, array=True))
     db = amplitude_kernel(params, omega, quantity, "mechanical_hop")(
         params.mechanical_hop, params.synthetic_flux)
     return float(db) if db.ndim == 0 else db

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,11 @@ class FrequencyGrid:
     def __post_init__(self):
         object.__setattr__(self, "start", real("start", self.start))
         object.__setattr__(self, "stop", real("stop", self.stop))
-        object.__setattr__(self, "points", real("points", self.points, 2, integer=True))
+        points = real("points", self.points, 2, integer=True)
+        if points > sys.maxsize:  # past the size of any numpy array
+            raise ValueError("points must be an integer <= sys.maxsize, "
+                             f"got an int of {points.bit_length()} bits")
+        object.__setattr__(self, "points", points)
         # the span too: linspace's step is (stop - start) / (points - 1)
         if not (self.start < self.stop and float(self.stop) - float(self.start) < math.inf):
             raise ValueError(f"start {self.start!r} must be < stop {self.stop!r} by a finite span")

