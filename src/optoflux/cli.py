@@ -294,7 +294,7 @@ class Scenario:
 
         # kernel point evaluations per frequency point: one per flux point, or
         # one per objective of the search (the coarse scan, golden_iterations
-        # + 2 per sweep and open coordinate, and the final spectrum)
+        # + 2 per sweep and open coordinate, and the final peak)
         keys, per_point = ["frequency_grid.points"], 1
         if mode == "fluxmap":
             keys, per_point = [*keys, "flux_grid.points"], sections["flux_grid"]["points"]

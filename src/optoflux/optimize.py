@@ -6,8 +6,9 @@ V - Gamma_A(omega) e^{i flux} = 0.  :func:`interference_condition` solves
 that condition in closed form; :func:`tune` is a derivative-free search
 (coarse scan plus golden-section coordinate descent with a fixed budget)
 that maximises the grid-peak isolation of any quantity over flux and,
-optionally, one auxiliary coupling, scoring each candidate with the
-amplitude kernel's ``peak``.  Both are fully deterministic.
+optionally, one auxiliary coupling.  One call of the amplitude kernel's
+``peak`` scores each candidate, and one more gives the result's peak and
+its frequency.  Both are fully deterministic.
 
 A call to :func:`tune` may fork: the coarse scan of a large search is scored
 by the fan-out of :mod:`optoflux.fanout`, with the same result bit for bit.
@@ -179,12 +180,12 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     grid = search_space.frequency_grid or sweep.default_frequency_grid()
     omega = grid.values()
 
-    kernel = response.amplitude_kernel(params, omega, quantity, aux_name)
+    peak = response.amplitude_kernel(params, omega, quantity, aux_name)
 
     def objective(flux, aux):
         # the peak skips nan cells; only a spectrum that is nan everywhere gives nan
-        peak = kernel.peak(aux, params.carried_flux(flux))
-        return -math.inf if math.isnan(peak) else peak
+        db, _ = peak(aux, params.carried_flux(flux))
+        return -math.inf if math.isnan(db) else db
 
     def axis(lo, hi):
         if lo == hi:
@@ -226,16 +227,14 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
                 best[k], best_obj = float(x), fx
                 trace.append((tuple(best), best_obj))
 
-    final = kernel(best[1], params.carried_flux(best[0]))
-    masked = np.where(np.isnan(final), -math.inf, final)
-    peak_index = int(np.argmax(masked))
+    peak_db, peak_index = peak(best[1], params.carried_flux(best[0]))
     if search_space.aux_name is None:  # no aux was asked for, so none is reported
         trace = [((flux, None), obj) for (flux, _), obj in trace]
     (best_flux, best_aux), _ = trace[-1]
     return TuneResult(
         best_flux=best_flux,
         best_aux=best_aux,
-        peak_db=float(final[peak_index]),
+        peak_db=peak_db,
         peak_frequency=float(omega[peak_index]),
         trace=tuple(trace),
     )

@@ -29,10 +29,10 @@ photon at flux phi is exactly minus photon -> phonon at -phi.
 
 These cleared-denominator forms are algebraically identical to the
 block-element ratios but remain finite for vanishing couplings and at
-undamped optical resonances.  A sweep or search runs one
-:func:`amplitude_kernel` over the flux and one coupling (a search, only its
-``peak``), which computes the susceptibilities once per frequency grid and
-rebuilds the terms only for a new value of J, G_L or G_R.
+undamped optical resonances.  A spectrum or map reads the stateless
+:func:`amplitude_db` of terms it builds once.  A search scores its candidates
+through one :func:`amplitude_kernel`, which computes the susceptibilities
+once per frequency grid and rebuilds the terms only for a new J, G_L or G_R.
 """
 
 from __future__ import annotations
@@ -98,38 +98,55 @@ def amplitude_terms(params: SystemParams, chi, quantity: str):
     susceptibilities ``chi`` of ``params``: ``((g, X, Y) forward,
     (g, X, Y) backward)``, X and Y broadcast like ``chi``'s fields.
     """
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
     J = params.optical_hop
-    if quantity == PHONON:
-        terms = (1.0, linsys.optical_det(chi, J), -(J * params.G_L * params.G_R))
-        return terms, terms
-    from_left = (params.G_L, chi.chi_aR_inv, J * params.G_R * chi.chi_bL_inv)
-    from_right = (params.G_R, chi.chi_aL_inv, J * params.G_L * chi.chi_bR_inv)
+    # a product beyond the float range makes an inf or nan term or
+    # amplitude, which _ratio_db turns into nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        if quantity == PHONON:
+            terms = (1.0, linsys.optical_det(chi, J), -(J * params.G_L * params.G_R))
+            return terms, terms
+        from_left = (params.G_L, chi.chi_aR_inv, J * params.G_R * chi.chi_bL_inv)
+        from_right = (params.G_R, chi.chi_aL_inv, J * params.G_L * chi.chi_bR_inv)
     if quantity == PHOTON_TO_PHONON:
         return from_left, from_right
     return from_right, from_left
 
 
-def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
-    """The isolation in dB of one channel at ``omega``, over the flux and the
-    field of ``params`` named ``coupling``, one of AUX_PARAMETERS.
-
-    Returns ``db(value, flux, out=None)``: the isolation with that field set
-    to ``value``, written into ``out`` (a fresh array when None) and returned.
-    ``db.peak(value, flux)`` is ``float(np.fmax.reduce(db(...), axis=None))``
-    bit for bit, with the log taken only where that maximum can be.  For a
-    1-D ``omega``, ``db.grid(value, flux, columns)`` takes a 1-D array of
-    fluxes and a slice of the frequencies, and returns a new array whose row
-    i is ``db(value, flux[i])[columns]`` bit for bit, computed in one
-    broadcast call.  The susceptibilities and
-    scratch space are made here, once; the terms are rebuilt only when the
-    coupling's bits change (never for V, which enters none), and
-    Y e^{-+i flux} only when the terms or the flux's bits do.
+def amplitude_db(terms, hop, flux, columns=slice(None)):
+    """The isolation in dB from the ``terms`` of :func:`amplitude_terms`, at
+    mechanical hop ``hop`` and ``flux``, as a new array (0-d for scalar
+    terms).  A column of fluxes broadcasts against the frequencies
+    ``columns`` of 1-D terms; a term that is one number at every frequency
+    is not sliced.
     """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
+    z = np.exp(1j * flux)
+    with np.errstate(over="ignore", invalid="ignore"):  # see amplitude_terms
+        sums = []
+        for (g, x, y), w in zip(terms, (np.conj(z), z)):
+            x, y = (t[columns] if np.ndim(t) else t for t in (x, y))
+            sums.append(np.add(np.multiply(g * hop, x), np.multiply(y, w)))
+        shape = np.broadcast_shapes(*map(np.shape, sums))
+        amplitudes = [np.abs(s, out=np.empty(shape)) for s in sums]
+    return _ratio_db(*amplitudes)
+
+
+def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
+    """The search's kernel over a 1-D ``omega``: ``peak(value, flux)`` is
+    ``(db, index)``, the peak isolation of one channel with the field of
+    ``params`` named ``coupling`` (one of AUX_PARAMETERS) set to ``value``,
+    and the first frequency holding it (0 where every cell is nan).
+
+    The pair is, bit for bit, ``np.fmax.reduce`` and the nan-masked
+    ``np.argmax`` of :func:`amplitude_db` at that point, with the log taken
+    only where that maximum can be.  The susceptibilities and scratch space
+    are made here, once; the terms are rebuilt only when the coupling's bits
+    change (never for V, which enters none), and Y e^{-+i flux} only when the
+    terms or the flux's bits do.
+    """
     chi = susceptibilities(params, omega)
-    with np.errstate(over="ignore", invalid="ignore"):  # see amplitudes
-        terms = amplitude_terms(params, chi, quantity)
+    terms = amplitude_terms(params, chi, quantity)
     if coupling == "mechanical_hop":  # no term to rebuild, so no chi to keep
         chi = None
     elif quantity == PHONON:  # whose terms read only the optical fields
@@ -141,69 +158,45 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the terms
     held = None  # the flux bits of Y_f e^{-i flux} in y_wf, Y_b e^{+i flux} in y_wb
 
-    def amplitudes(value, flux, out, back=backward, columns=None):
-        """The forward amplitudes into ``out`` and the backward into ``back``;
-        with ``columns``, at a column of fluxes and those frequencies."""
+    def peak(value, flux):
         nonlocal terms, built, held
         hop = value if chi is None else params.mechanical_hop
-        # a product beyond the float range makes an inf or nan term or
-        # amplitude, which _ratio_db turns into nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            if chi is not None and (bits := struct.pack("d", value)) != built:
-                built = terms = None  # freed before the new terms are made
-                terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
-                built, held = bits, None
-            (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
-            if columns is None:
-                bits = struct.pack("d", flux)
-                if bits != held:
-                    held = None
-                    z = np.exp(1j * flux)
-                    np.multiply(y_f, np.conj(z), out=y_wf)
-                    np.multiply(y_b, z, out=y_wb)
-                    held = bits
-                sums, w_f, w_b = hop_x, y_wf, y_wb
-            else:  # a term that is one number at every frequency is not sliced
-                x_f, y_f, x_b, y_b = (t[columns] if np.ndim(t) else t for t in (x_f, y_f, x_b, y_b))
+        if chi is not None and (bits := struct.pack("d", value)) != built:
+            built = terms = None  # freed before the new terms are made
+            terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
+            built, held = bits, None
+        (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
+        with np.errstate(over="ignore", invalid="ignore"):  # see amplitude_terms
+            if (bits := struct.pack("d", flux)) != held:
+                held = None
                 z = np.exp(1j * flux)
-                sums, w_f, w_b = np.empty(out.shape, complex), y_f * np.conj(z), y_b * z
-            for g, x, y_w, amplitude in ((g_f, x_f, w_f, out), (g_b, x_b, w_b, back)):
-                np.multiply(g * hop, x, out=sums)
-                np.add(sums, y_w, out=sums)
-                np.abs(sums, out=amplitude)
-
-    def db(value, flux, out=None):
-        if out is None:
-            out = np.empty(shape)
-        amplitudes(value, flux, out)
-        return _ratio_db(out, backward)
-
-    def grid(value, flux, columns):
-        flux = np.reshape(flux, (-1, 1))
-        out, back = (np.empty((flux.size, len(range(shape[0])[columns]))) for _ in range(2))
-        amplitudes(value, flux, out, back, columns)
-        return _ratio_db(out, back)
-
-    def peak(value, flux):
-        amplitudes(value, flux, forward)
-        if forward.min() >= UNDERFLOW and backward.min() >= UNDERFLOW:
-            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(y_f, np.conj(z), out=y_wf)
+                np.multiply(y_b, z, out=y_wb)
+                held = bits
+            for g, x, y_w, amplitude in ((g_f, x_f, y_wf, forward), (g_b, x_b, y_wb, backward)):
+                np.multiply(g * hop, x, out=hop_x)
+                np.add(hop_x, y_w, out=hop_x)
+                np.abs(hop_x, out=amplitude)
+            if forward.min() >= UNDERFLOW and backward.min() >= UNDERFLOW:
                 np.divide(forward, backward, out=ratio)
-            top = ratio.max()
-            # Past the guard, _ratio_db is 20 (log10 f - log10 b) cell by cell
-            # (nan where an amplitude is inf, whose ratio is inf, nan or 0), within
-            # ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off
-            # by a few ulp of at most ~310.  A cell whose ratio is below top
-            # (1 - 1e-9) lies 8.7e-9 dB lower and cannot hold the maximum if top
-            # is normal; a subnormal ratio can be off by half, inf or nan by all.
-            if sys.float_info.min <= top < math.inf:
-                keep = np.greater_equal(ratio, top * (1.0 - 1e-9), out=mask).nonzero()
-                cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
-                return float(cells.max())
-        return float(np.fmax.reduce(_ratio_db(forward, backward), axis=None))
+                top = ratio.max()
+                # Past the guard, _ratio_db is 20 (log10 f - log10 b) cell by cell
+                # (nan where an amplitude is inf, whose ratio is inf, nan or 0), within
+                # ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off
+                # by a few ulp of at most ~310.  A cell whose ratio is below top
+                # (1 - 1e-9) lies 8.7e-9 dB lower and cannot hold the maximum if top
+                # is normal; a subnormal ratio can be off by half, inf or nan by all.
+                if sys.float_info.min <= top < math.inf:
+                    keep = np.flatnonzero(np.greater_equal(ratio, top * (1.0 - 1e-9), out=mask))
+                    cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
+                    i = int(cells.argmax())
+                    return float(cells[i]), int(keep[i])
+        cells = _ratio_db(forward, backward)
+        top = float(np.fmax.reduce(cells, axis=None))
+        np.copyto(cells, -math.inf, where=np.isnan(cells, out=mask))
+        return top, int(cells.argmax())
 
-    db.peak, db.grid = peak, grid
-    return db
+    return peak
 
 
 def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
@@ -212,7 +205,7 @@ def isolation_db(params: SystemParams, omega, quantity: str = PHONON):
     ``omega`` may be a float or an ndarray of probe frequencies; the return
     matches.
     """
-    db = amplitude_kernel(params, omega, quantity, "mechanical_hop")(
-        params.mechanical_hop, params.synthetic_flux)
+    db = amplitude_db(amplitude_terms(params, susceptibilities(params, omega), quantity),
+                      params.mechanical_hop, params.synthetic_flux)
     return float(db) if db.ndim == 0 else db
 

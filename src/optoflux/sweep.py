@@ -72,13 +72,13 @@ class FluxMap:
     """2D isolation map of one quantity: ``values[i, j]`` at (``flux_axis[i]``,
     frequency j), computed when it is read.
 
-    Making it checks the axes and builds the flux-independent amplitude
-    terms once, so that a bad axis or scenario fails there; it then holds one
-    kernel's terms and scratch.  It reads as the read-only array ``values``
-    does, each read a new array: ``fm[i]`` and ``fm[lo:hi]`` are flux rows,
-    one kernel call each, and ``fm.T[lo:hi]`` are rows of the transpose,
-    frequencies lo:hi at every flux in one broadcast call, with the same
-    bits.  ``values`` itself is ``fm[:]``, read on first use and then kept.
+    Making it checks the axes and builds and holds the flux-independent
+    amplitude terms, so that a bad axis or scenario fails there.  It reads
+    as the read-only array ``values`` does, each read a new array: ``fm[i]``
+    and ``fm[lo:hi]`` are flux rows, one ``response.amplitude_db`` call
+    each, and ``fm.T[lo:hi]`` are rows of the transpose, frequencies lo:hi
+    at every flux in one broadcast call, with the same bits.  ``values``
+    itself is ``fm[:]``, read on first use and then kept.
     """
 
     ndim = 2
@@ -93,8 +93,9 @@ class FluxMap:
         self.size = flux_axis.size * freq_grid.points
         self._transposed = False
         self._hop, self._flux = params.mechanical_hop, params.carried_flux(flux_axis)
-        self._db = response.amplitude_kernel(params, freq_grid.values(), quantity,
-                                             "mechanical_hop")
+        # response's susceptibilities, the name bench/shim.py times
+        self._terms = response.amplitude_terms(
+            params, response.susceptibilities(params, freq_grid.values()), quantity)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -118,10 +119,10 @@ class FluxMap:
         if isinstance(rows, int):
             return self[rows:rows + 1][0]
         if self._transposed:
-            return self._db.grid(self._hop, self._flux, key).T
+            return response.amplitude_db(self._terms, self._hop, self._flux[:, None], key).T
         values = np.empty((len(rows), self.shape[1]))
         for row, i in zip(values, rows):
-            self._db(self._hop, self._flux[i], out=row)
+            row[:] = response.amplitude_db(self._terms, self._hop, self._flux[i])
         return values
 
 

@@ -150,14 +150,12 @@ def hook_scan(monkeypatch, parent, child):
     kernel = of.response.amplitude_kernel
 
     def hooked_kernel(*args):
-        db = kernel(*args)
-        peak = db.peak
+        peak = kernel(*args)
 
         def hooked_peak(*args):
             (parent if os.getpid() == pid else child)()
             return peak(*args)
 
-        db.peak = hooked_peak
-        return db
+        return hooked_peak
 
     monkeypatch.setattr(of.response, "amplitude_kernel", hooked_kernel)

@@ -1070,30 +1070,25 @@ def test_tune_coarse_row_counts_toward_grid_cap():
                  3**2 + 1 + 1 * 2 * (1 + 2), id="two coordinates"),
 ])
 def test_grid_cap_counts_what_tune_evaluates(monkeypatch, tune, evaluations):
-    # the kernel evaluations of a tune: a peak per objective, then the final spectrum
+    # the kernel evaluations of a tune: a peak per objective, then the final peak
     calls = []
     kernel = of.response.amplitude_kernel
 
     def counted_kernel(*args):
-        db = kernel(*args)
-
-        def counted_db(*args):
-            calls.append("spectrum")
-            return db(*args)
+        peak = kernel(*args)
 
         def counted_peak(*args):
             calls.append("peak")
-            return db.peak(*args)
+            return peak(*args)
 
-        counted_db.peak = counted_peak
-        return counted_db
+        return counted_peak
 
     monkeypatch.setattr(of.response, "amplitude_kernel", counted_kernel)
     raw = {"mode": "tune", "quantity": "photon_to_phonon", "tune": tune,
            "params": {"preset": "table1", "mechanical_hop_hz": 520e3}}
     scenario = cli.Scenario.from_dict({**raw, "frequency_grid": {"points": 41}})
     of.tune(scenario.build_params(), scenario.quantity, scenario.build_search_space())
-    assert calls == ["peak"] * (evaluations - 1) + ["spectrum"]
+    assert calls == ["peak"] * evaluations
     # each evaluation is one per frequency point: the cap takes a grid of
     # exactly MAX_POINT_EVALUATIONS and rejects one point more
     points = cli.MAX_POINT_EVALUATIONS // evaluations

@@ -112,16 +112,6 @@ def test_synthetic_flux_and_with_flux():
     assert p.carried_flux(-1.3) == p.with_flux(-1.3).synthetic_flux
 
 
-def test_with_flux_rejects_an_int_beyond_the_float_range():
-    with pytest.raises(ValueError, match="^flux must be within the float range"):
-        of.from_table1(1e6).with_flux(10**400)
-
-
-def test_from_table1_rejects_an_int_beyond_the_float_range():
-    with pytest.raises(ValueError, match="^mechanical_hop_hz must be within the float range"):
-        of.from_table1(10**400)
-
-
 # every entry that takes one probe frequency reaches it through susceptibilities
 @pytest.mark.parametrize("entry", ["susceptibilities", "gamma_A", "interference_condition",
                                    "build_matrix", "effective_blocks"])

@@ -181,16 +181,6 @@ def test_tune_flux_only_search():
     assert all(it[1] is None for it, _ in result.trace)
 
 
-def test_tune_rejects_nan_bounds():
-    p = of.from_table1(1e6)
-    for flux_bounds in ((math.nan, 1.0), (0.0, math.nan)):
-        with pytest.raises(ValueError):
-            of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=flux_bounds))
-    with pytest.raises(ValueError):
-        of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=(0, 1), aux_name="G_L",
-                                             aux_bounds=(math.nan, 1.0)))
-
-
 def test_tune_rejects_non_finite_bounds():
     p = of.from_table1(1e6)
     with warnings.catch_warnings():
@@ -245,6 +235,24 @@ def test_all_nan_spectrum_scores_minus_inf(monkeypatch):
         result = of.tune(of.from_table1(1e6), of.PHOTON_TO_PHONON, space)
     assert result.trace == (((0.0, TWO_PI * 1e5), -math.inf),)
     assert math.isnan(result.peak_db)
+
+
+def test_peak_of_a_nan_and_minus_inf_spectrum_is_minus_inf(monkeypatch):
+    # a forward amplitude below UNDERFLOW makes -inf cells, and one tiny
+    # backward amplitude a nan first cell: the peak is the spectrum's
+    # maximum, -inf, as its trace says, at the first frequency
+    def tiny_terms(params, chi, quantity):
+        backward = np.full(chi.chi_aL_inv.shape, 2.0 + 0j)
+        backward[0] = 3e-320
+        return ((1.0, np.full(chi.chi_aL_inv.shape, 1e-320 + 0j), 0.0), (1.0, backward, 0.0))
+
+    monkeypatch.setattr(of.response, "amplitude_terms", tiny_terms)
+    space = of.SearchSpace(flux_bounds=(0.0, 1.0), frequency_grid=_small_grid(),
+                           coarse_points=3, golden_iterations=1, descent_sweeps=1)
+    result = of.tune(of.from_table1(1e6), of.PHOTON_TO_PHONON, space)
+    assert result.trace == (((0.0, None), -math.inf),)
+    assert result.peak_db == -math.inf
+    assert result.peak_frequency == _small_grid().values()[0]
 
 
 def test_tune_validates_inputs():
@@ -312,6 +320,7 @@ def _bits(result):
 
 
 def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
+    # and reads no full spectrum: the final point is one more peak
     kernels = []
     kernel = of.response.amplitude_kernel
 
@@ -320,6 +329,7 @@ def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(of.response, "amplitude_kernel", counted_kernel)
+    monkeypatch.delattr(of.response, "amplitude_db")
     for aux in _AUX_BOUNDS_HZ:
         kernels.clear()
         of.tune(of.from_table1(520e3), of.PHONON_TO_PHOTON, _scan_space(aux))

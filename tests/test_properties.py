@@ -6,7 +6,11 @@ derandomized, so each run checks the same examples.
 """
 
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -121,15 +125,14 @@ def test_ratio_db_matches_reference_bitwise(pair):
 
 
 def _assert_peak_is_full_max(params, quantity, hop, flux):
-    # a fresh kernel for the full spectrum, so that neither call sees the
-    # other's scratch
-    def kernel():
-        return response.amplitude_kernel(params, BAND, quantity, "mechanical_hop")
-
-    expected = np.fmax.reduce(kernel()(hop, flux), axis=None)
-    got = kernel().peak(hop, flux)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == expected.tobytes()
+    # the kernel's pair against the stateless spectrum: its maximum, and the
+    # first frequency holding it, nan cells masked (0 where all are nan)
+    terms = response.amplitude_terms(params, of.susceptibilities(params, BAND), quantity)
+    spectrum = response.amplitude_db(terms, hop, flux)
+    got, index = response.amplitude_kernel(params, BAND, quantity, "mechanical_hop")(hop, flux)
+    assert (type(got), type(index)) == (float, int)
+    assert np.float64(got).tobytes() == np.fmax.reduce(spectrum, axis=None).tobytes()
+    assert index == np.argmax(np.where(np.isnan(spectrum), -math.inf, spectrum))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -164,6 +167,9 @@ SUBNORMAL_PAIR = (np.array([1.1536763811861124e-44, 5.450091716805555e-118]),
 @example(pair=(np.full(4, 3.0), np.full(4, 3.0)), scalar="denominator", flux=1.1)
 @example(pair=(np.array([math.inf, 2.0]), np.array([math.inf, 1.0])), scalar=None, flux=0.0)
 @example(pair=(np.array([math.nan, 2.0]), np.array([1.0, 1.0])), scalar=None, flux=0.0)
+# every cell nan: both amplitudes tiny and unequal, one infinite, or one nan
+@example(pair=(np.array([1e-320, math.inf, math.nan]), np.array([3e-320, 2.0, 1.0])),
+         scalar=None, flux=0.0)
 def test_kernel_peak_matches_full_spectrum_on_sentinels(pair, scalar, flux):
     # hand-built terms g = 1, X = amplitude, Y = 0, standing in for
     # amplitude_terms, at V = 1 give each cell its drawn amplitude: 0,
@@ -175,7 +181,31 @@ def test_kernel_peak_matches_full_spectrum_on_sentinels(pair, scalar, flux):
     elif scalar == "denominator":
         den = den[:1].reshape(())
     terms = ((1.0, num + 0j, 0.0), (1.0, den + 0j, 0.0))
-    # an infinite term makes the complex products warn, in db as in peak
+    # an infinite term makes the complex products warn, in amplitude_db as in peak
     with np.errstate(invalid="ignore", over="ignore"), \
             mock.patch.object(response, "amplitude_terms", lambda *args: terms):
         _assert_peak_is_full_max(of.from_table1(1e6), of.PHONON, 1.0, flux)
+
+
+def test_a_failing_property_ends_only_its_test(tmp_path):
+    # reporting a falsifying example imports libcst, which warns a
+    # DeprecationWarning; pyproject.toml's filters must let the session go on
+    pytest.importorskip("libcst")
+    drawn = tmp_path / "test_drawn.py"
+    drawn.write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 5
+
+        def test_passes():
+            pass
+    """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(config), "--rootdir", str(tmp_path), str(drawn)],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -94,13 +94,6 @@ def test_gamma_terms_rejects_zero_enhanced_coupling():
         of.gamma_A(p, TWO_PI * 5.85e9)
 
 
-def test_isolation_db_rejects_an_omega_beyond_the_float_range():
-    p = of.from_table1(5e5)
-    for omega in (10**400, [TWO_PI * 5.8e9, 10**400]):
-        with pytest.raises(ValueError, match="^omega must be within the float range"):
-            of.isolation_db(p, omega)
-
-
 def test_isolations_reference_point():
     p = _params_585()
     omega = TWO_PI * 5.85e9
@@ -210,25 +203,25 @@ def test_perfect_isolation_sentinels():
 
 
 def test_amplitude_kernel_writes_only_its_output():
-    # the kernel reuses its scratch between calls; what it returns is the
-    # caller's out or a fresh array, never that scratch, and peak writes
-    # only scratch
+    # the kernel reuses its scratch between calls and returns two numbers;
+    # amplitude_db returns a fresh array each call and writes none of its
+    # terms, so neither call changes what the other gave or reads
     p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
     omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 31)
     for quantity in of.QUANTITIES:
-        db = of.response.amplitude_kernel(p, omegas, quantity, "mechanical_hop")
-        first = db(p.mechanical_hop, p.carried_flux(0.4))
+        peak = of.response.amplitude_kernel(p, omegas, quantity, "mechanical_hop")
+        terms = of.response.amplitude_terms(p, of.susceptibilities(p, omegas), quantity)
+        kept_terms = [np.array(t) for term in terms for t in term]
+        first = of.response.amplitude_db(terms, p.mechanical_hop, p.carried_flux(0.4))
         kept = first.copy()
-        db.peak(p.mechanical_hop, -1.3)
-        second = db(p.mechanical_hop, -1.3)
-        db.peak(3.0 * p.mechanical_hop, p.carried_flux(0.4))
-        out = np.empty_like(omegas)
-        assert db(2.0 * p.mechanical_hop, 2.2, out=out) is out
-        out_kept = out.copy()
-        db.peak(2.0 * p.mechanical_hop, 0.1)
+        db, index = peak(p.mechanical_hop, -1.3)
+        assert (type(db), type(index)) == (float, int)
+        second = of.response.amplitude_db(terms, p.mechanical_hop, -1.3)
+        peak(3.0 * p.mechanical_hop, p.carried_flux(0.4))
         assert second is not first
         assert np.array_equal(first, kept)
-        assert np.array_equal(out, out_kept)
+        assert all(np.array_equal(t, k) for t, k in
+                   zip((t for term in terms for t in term), kept_terms))
         assert np.array_equal(first, of.isolation_db(p.with_flux(0.4), omegas, quantity))
 
 
@@ -245,34 +238,37 @@ def test_amplitude_kernel_reuse_matches_fresh_kernels():
                  (3.7 * own, 0.4), (0.0, 0.4), (-0.0, 0.4), (0.0, 0.0), (-0.0, -0.0),
                  (0.0, -0.0), (np.float64(3.7 * own), 2.2), (3.7 * own, 2.2), (own, 2.2)]
         for quantity in of.QUANTITIES:
-            kernel = of.response.amplitude_kernel(p, omegas, quantity, coupling)
-            for i, (value, flux) in enumerate(calls):
+            peak = of.response.amplitude_kernel(p, omegas, quantity, coupling)
+            for value, flux in calls:
                 want = of.isolation_db(replace(p, **{coupling: value}).with_flux(flux), omegas,
                                        quantity)
-                if i % 3 == 0:
-                    got = kernel.peak(value, p.carried_flux(flux))
-                    assert np.float64(got).tobytes() == np.fmax.reduce(want).tobytes()
-                else:
-                    assert kernel(value, p.carried_flux(flux)).tobytes() == want.tobytes()
+                db, index = peak(value, p.carried_flux(flux))
+                assert np.float64(db).tobytes() == np.fmax.reduce(want).tobytes()
+                assert index == np.argmax(np.where(np.isnan(want), -math.inf, want))
 
 
 @pytest.mark.parametrize("coupling", of.AUX_PARAMETERS)
 def test_kernel_grid_rows_are_its_rows_bitwise(coupling):
-    # db.grid is one broadcast call over a column of fluxes and a slice of
-    # the frequencies: each of its rows has the bits of db at that flux, for
-    # every slice (a term that is one number at every frequency is not
-    # sliced), also where every cell is a sentinel (no bridge, G_L = 0)
+    # amplitude_db at a column of fluxes and a slice of the frequencies is
+    # one broadcast call: each of its rows has the bits of the call at that
+    # flux, for every slice (a term that is one number at every frequency is
+    # not sliced), for the terms of each value of the coupling, also where
+    # every cell is a sentinel (no bridge, G_L = 0)
     for p in (replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9),
               replace(of.from_table1(2e6), optical_hop=0.0, G_L=0.0)):
         omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 41)
+        chi = of.susceptibilities(p, omegas)
         flux = p.carried_flux(np.linspace(-2 * math.pi, 2 * math.pi, 13))
         for quantity in of.QUANTITIES:
-            db = of.response.amplitude_kernel(p, omegas, quantity, coupling)
             for value in (getattr(p, coupling), 3.7 * getattr(p, coupling) + 1.0):
-                rows = np.array([db(value, f) for f in flux])
+                point = replace(p, **{coupling: value})
+                terms = of.response.amplitude_terms(point, chi, quantity)
+                rows = np.array([of.response.amplitude_db(terms, point.mechanical_hop, f)
+                                 for f in flux])
                 for columns in (slice(None), slice(0, 16), slice(16, 32), slice(32, 41),
                                 slice(40, 41), slice(3, 30, 7)):
-                    grid = db.grid(value, flux, columns)
+                    grid = of.response.amplitude_db(terms, point.mechanical_hop,
+                                                    flux[:, None], columns)
                     assert grid.tobytes() == rows[:, columns].tobytes()
 
 

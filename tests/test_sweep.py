@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -176,24 +177,17 @@ def test_flux_map_transpose_values_are_the_transposed_values():
 
 
 def test_flux_map_computes_nothing_until_read(monkeypatch):
+    # a row is one stateless call at one flux, a transposed read one call at
+    # a column of fluxes; neither a map nor a spectrum builds a search kernel
     calls = []
-    kernel = response.amplitude_kernel
+    amplitude_db = response.amplitude_db
 
-    def counted_kernel(*args):
-        db = kernel(*args)
+    def counted(terms, hop, flux, *args):
+        calls.append("grid" if np.ndim(flux) else "row")
+        return amplitude_db(terms, hop, flux, *args)
 
-        def counted(*args, **kwargs):
-            calls.append("row")
-            return db(*args, **kwargs)
-
-        def grid(*args):
-            calls.append("grid")
-            return db.grid(*args)
-
-        counted.grid = grid
-        return counted
-
-    monkeypatch.setattr(response, "amplitude_kernel", counted_kernel)
+    monkeypatch.setattr(response, "amplitude_db", counted)
+    monkeypatch.delattr(response, "amplitude_kernel")
     grid = of.FrequencyGrid.from_hz(5.8e9, 5.95e9, 16)
     fm = of.flux_map(of.from_table1(0.52e6), of.PHONON, np.linspace(-1.0, 1.0, 5), grid)
     assert calls == []
@@ -203,6 +197,8 @@ def test_flux_map_computes_nothing_until_read(monkeypatch):
     fm.values
     fm.values
     assert calls == ["row", "grid"] + ["row"] * 5
+    of.spectrum(of.from_table1(0.52e6), of.PHONON, grid)
+    assert calls == ["row", "grid"] + ["row"] * 6
 
 
 def test_flux_map_rejects_bad_axis():
@@ -220,6 +216,23 @@ def test_flux_map_rejects_non_finite_flux():
     for bad in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite"):
             of.flux_map(p, of.PHONON, [0.0, bad], grid)
+
+
+def test_flux_map_values_peak_near_their_own_size():
+    # values are read a row at a time into one array: the default 401x2001
+    # map's 6.4 MB plus a row's temporaries, where one broadcast call over
+    # the whole map would peak above 40 MB
+    for quantity in of.QUANTITIES:
+        fm = of.flux_map(of.from_table1(520e3), quantity, of.sweep.default_flux_grid(),
+                         of.sweep.default_frequency_grid())
+        tracemalloc.start()
+        try:
+            fm.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.values.nbytes == 401 * 2001 * 8
+        assert peak < 7.5e6
 
 
 def test_flux_map_rows_match_isolation_db_exactly():
