@@ -294,7 +294,8 @@ class Scenario:
 
         # kernel point evaluations per frequency point: one per flux point, or
         # one per objective of the search (the coarse scan, golden_iterations
-        # + 2 per sweep and open coordinate, and the final peak)
+        # + 2 per sweep and open coordinate, and the final peak); for a tune
+        # this is the worst case, as peak may score a candidate from a few cells
         keys, per_point = ["frequency_grid.points"], 1
         if mode == "fluxmap":
             keys, per_point = [*keys, "flux_grid.points"], sections["flux_grid"]["points"]

@@ -8,7 +8,10 @@ that condition in closed form; :func:`tune` is a derivative-free search
 that maximises the grid-peak isolation of any quantity over flux and,
 optionally, one auxiliary coupling.  One call of the amplitude kernel's
 ``peak`` scores each candidate, and one more gives the result's peak and
-its frequency.  Both are fully deterministic.
+its frequency.  The coarse scan walks the coupling outer and the flux inner,
+so that the kernel bounds each coupling value once, and hands ``peak`` its
+running best as the floor below which a candidate need not be scored
+exactly.  Both are fully deterministic.
 
 A call to :func:`tune` may fork: the coarse scan of a large search is scored
 by the fan-out of :mod:`optoflux.fanout`, with the same result bit for bit.
@@ -34,7 +37,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # candidate took 27 us plus 10.6 ns per point, and forking and reaping a 45 MB
 # process 3-4 ms.  A scan of 1,089 candidates over 1,001 points (1.09M) took
 # 40 ms in one process and 29 ms in two, or 6 ms longer in two when the other
-# CPU was busy, so each process gets at least ~10 ms of work
+# CPU was busy, so each process gets at least ~10 ms of work.  Each candidate
+# counts as if every cell were scored, though the kernel now scores most from
+# a few cells (~50 us each on the same host)
 MIN_POINTS_PER_PIECE = 1_000_000
 
 
@@ -148,11 +153,15 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     trace are reproducible bit for bit.
 
     The coarse scan's candidates are scored in contiguous ranges of scan
-    order, each worth at least MIN_POINTS_PER_PIECE kernel point
-    evaluations, by the fan-out of :mod:`optoflux.fanout`.  The objectives
-    are joined in scan order before the first maximum is taken, so the
-    result does not depend on the cut.  A failed child makes this raise
-    OSError naming its range and exit status.
+    order (coupling outer, flux inner), each worth at least
+    MIN_POINTS_PER_PIECE kernel point evaluations, by the fan-out of
+    :mod:`optoflux.fanout`.  Each range passes the kernel its running best
+    as the floor, so a candidate below it may score anything lower, and
+    every candidate that holds the maximum is scored exactly.  The
+    objectives are joined in scan order and put back in flux-major order
+    before the first maximum is taken, so the result does not depend on the
+    cut.  A failed child makes this raise OSError naming its range and exit
+    status.  The descent and the final peak pass no floor.
     """
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
         count = real(name, getattr(search_space, name), minimum, integer=True)
@@ -182,9 +191,9 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
 
     peak = response.amplitude_kernel(params, omega, quantity, aux_name)
 
-    def objective(flux, aux):
+    def objective(flux, aux, floor=-math.inf):
         # the peak skips nan cells; only a spectrum that is nan everywhere gives nan
-        db, _ = peak(aux, params.carried_flux(flux))
+        db, _ = peak(aux, params.carried_flux(flux), floor)
         return -math.inf if math.isnan(db) else db
 
     def axis(lo, hi):
@@ -192,13 +201,19 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
             return np.array([lo])
         return np.linspace(lo, hi, search_space.coarse_points)
 
-    # candidate i of the scan is (flux_axis[i // m], aux_axis[i % m])
+    # candidate k of the scan is (flux_axis[k % n], aux_axis[k // n]): each aux
+    # value's kernel bounds serve its whole row of fluxes
     flux_axis, aux_axis = (axis(lo, hi) for lo, hi in box)
-    m = len(aux_axis)
-    candidates = len(flux_axis) * m
+    n, m = len(flux_axis), len(aux_axis)
+    candidates = n * m
 
     def scores(lo, hi):
-        return array("d", (objective(flux_axis[i // m], aux_axis[i % m]) for i in range(lo, hi)))
+        # a candidate that cannot beat the range's running best scores below it
+        best, out = -math.inf, array("d")
+        for k in range(lo, hi):
+            out.append(objective(flux_axis[k % n], aux_axis[k // n], best))
+            best = max(best, out[-1])
+        return out
 
     bounds = fanout.cut(candidates, candidates * len(omega), MIN_POINTS_PER_PIECE)
     with fanout.forked(bounds, lambda lo, hi, part: part.write(scores(lo, hi)),
@@ -207,9 +222,13 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
         for part in parts:
             objectives.frombytes(part.read())
 
-    i = int(np.argmax(objectives))  # the first maximum: no objective is nan
+    # back to flux-major order, where candidate i is (flux_axis[i // m],
+    # aux_axis[i % m]), for the first maximum: no objective is nan, and every
+    # candidate holding the maximum was scored exactly
+    objectives = np.frombuffer(objectives).reshape(m, n).T.ravel()
+    i = int(np.argmax(objectives))
     best = [float(flux_axis[i // m]), float(aux_axis[i % m])]  # [flux, aux]
-    best_obj = objectives[i]
+    best_obj = float(objectives[i])
 
     trace = [(tuple(best), best_obj)]
     # the open coordinates: (index in best, lo, hi, the coarse scan's step)

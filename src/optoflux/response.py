@@ -33,6 +33,10 @@ undamped optical resonances.  A spectrum or map reads the stateless
 :func:`amplitude_db` of terms it builds once.  A search scores its candidates
 through one :func:`amplitude_kernel`, which computes the susceptibilities
 once per frequency grid and rebuilds the terms only for a new J, G_L or G_R.
+By the triangle inequality, without the flux, the forward amplitude is at
+most |g V||X_f| + |Y_f| and the backward one at least ||g V||X_b| - |Y_b||:
+the kernel computes the amplitudes only at the cells where these bounds let
+the ratio reach a floor the caller gives, or the ratio at the last peak.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ from .model import (PHONON, PHONON_TO_PHOTON, PHOTON_TO_PHONON,  # noqa: F401
 
 #: amplitudes below this count as an exact null (perfect isolation sentinel)
 UNDERFLOW = 1e-300
+# the relative slack of the search kernel's flux-free bounds, 64 ulp of 1.0;
+# see amplitude_kernel
+_SLACK = 64 * sys.float_info.epsilon
 
 
 def gamma_A(params: SystemParams, omega: float) -> complex:
@@ -114,6 +121,21 @@ def amplitude_terms(params: SystemParams, chi, quantity: str):
     return from_right, from_left
 
 
+def _amplitudes(terms, hop, flux, cells=slice(None)):
+    """The forward and backward amplitudes of the ``terms`` of
+    :func:`amplitude_terms` at ``hop`` and ``flux``, new arrays broadcast
+    together, at the frequencies ``cells`` (a slice or an index array) of 1-D
+    terms; a term that is one number at every frequency is not sliced."""
+    z = np.exp(1j * flux)
+    with np.errstate(over="ignore", invalid="ignore"):  # see amplitude_terms
+        sums = []
+        for (g, x, y), w in zip(terms, (np.conj(z), z)):
+            x, y = (t[cells] if np.ndim(t) else t for t in (x, y))
+            sums.append(np.add(np.multiply(g * hop, x), np.multiply(y, w)))
+        shape = np.broadcast_shapes(*map(np.shape, sums))
+        return [np.abs(s, out=np.empty(shape)) for s in sums]
+
+
 def amplitude_db(terms, hop, flux, columns=slice(None)):
     """The isolation in dB from the ``terms`` of :func:`amplitude_terms`, at
     mechanical hop ``hop`` and ``flux``, as a new array (0-d for scalar
@@ -121,29 +143,90 @@ def amplitude_db(terms, hop, flux, columns=slice(None)):
     ``columns`` of 1-D terms; a term that is one number at every frequency
     is not sliced.
     """
-    z = np.exp(1j * flux)
-    with np.errstate(over="ignore", invalid="ignore"):  # see amplitude_terms
-        sums = []
-        for (g, x, y), w in zip(terms, (np.conj(z), z)):
-            x, y = (t[columns] if np.ndim(t) else t for t in (x, y))
-            sums.append(np.add(np.multiply(g * hop, x), np.multiply(y, w)))
-        shape = np.broadcast_shapes(*map(np.shape, sums))
-        amplitudes = [np.abs(s, out=np.empty(shape)) for s in sums]
-    return _ratio_db(*amplitudes)
+    return _ratio_db(*_amplitudes(terms, hop, flux, columns))
+
+
+def _peak_of(forward, backward, level=0.0, ratio=None):
+    """``(db, i)``: the peak isolation of the cells whose amplitudes are
+    ``forward`` and ``backward``, and the first cell holding it; ``(-inf,
+    0)`` when every ratio lies below ``level (1 - 2e-9)``; None where only
+    :func:`_ratio_db`'s sentinels can tell.  ``ratio`` is scratch, or None.
+
+    Past the guards, _ratio_db is 20 (log10 f - log10 b) cell by cell, within
+    ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off by a
+    few ulp of at most ~310.  A cell whose ratio is below top (1 - 1e-9) lies
+    8.7e-9 dB lower and cannot hold the maximum if top is normal; a subnormal
+    ratio can be off by half, inf or nan by all.
+    """
+    if not (forward.min(initial=math.inf) >= UNDERFLOW
+            and backward.min(initial=math.inf) >= UNDERFLOW):  # nan fails too
+        return None
+    ratio = np.divide(forward, backward, out=ratio)
+    top = ratio.max(initial=0.0)
+    if top < level * (1.0 - 2e-9):
+        return -math.inf, 0
+    if not sys.float_info.min <= top < math.inf:
+        return None
+    keep = np.flatnonzero(ratio >= top * (1.0 - 1e-9))
+    cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
+    i = int(cells.argmax())
+    return float(cells[i]), int(keep[i])
+
+
+def _bounds(terms, sizes, hop, q, fub, blb):
+    """Write into ``q``, per cell, an upper bound of the forward amplitude at
+    mechanical hop ``hop`` over a lower bound of the backward one (+inf where
+    the lower bound is 0 or less or nan; nan where both bounds are 0, which
+    makes the least forward bound 0), from the magnitudes ``sizes`` = (|X_f|,
+    |Y_f|, |X_b|, |Y_b|) of ``terms``; return the least forward bound, or
+    None where g V is not finite.  ``fub`` and ``blb`` are scratch.  See
+    amplitude_kernel for the rounding."""
+    (g_f, _, _), (g_b, _, _) = terms
+    gv_f, gv_b = abs(g_f * hop), abs(g_b * hop)
+    if not math.isfinite(gv_f + gv_b):
+        return None
+    x_f, y_f, x_b, y_b = sizes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.multiply(x_f, gv_f, out=fub)
+        np.add(fub, y_f, out=fub)
+        np.multiply(fub, 1.0 + _SLACK, out=fub)  # |gV||X_f| + |Y_f|, raised
+        np.multiply(x_b, gv_b, out=q)
+        np.subtract(q, y_b, out=blb)
+        np.abs(blb, out=blb)
+        np.add(q, y_b, out=q)
+        np.multiply(q, _SLACK, out=q)
+        np.subtract(blb, q, out=blb)  # ||gV||X_b| - |Y_b||, lowered; nan for inf - inf
+        np.fmax(blb, 0.0, out=blb)
+        np.divide(fub, blb, out=q)
+    return float(fub.min())
+
+
+def _scalar_amplitude(gv, x, y, w):
+    """``|gv x + y w|`` at one cell in scalar arithmetic, and a slack that
+    covers its rounding and that of the same operations in a ufunc."""
+    return abs(gv * x + y * w), _SLACK * (abs(gv) * abs(x) + abs(y))
 
 
 def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
-    """The search's kernel over a 1-D ``omega``: ``peak(value, flux)`` is
-    ``(db, index)``, the peak isolation of one channel with the field of
-    ``params`` named ``coupling`` (one of AUX_PARAMETERS) set to ``value``,
-    and the first frequency holding it (0 where every cell is nan).
+    """The search's kernel over a 1-D ``omega``: ``peak(value, flux,
+    floor=-inf)`` is ``(db, index)``, the peak isolation of one channel with
+    the field of ``params`` named ``coupling`` (one of AUX_PARAMETERS) set to
+    ``value``, and the first frequency holding it (0 where every cell is nan).
 
-    The pair is, bit for bit, ``np.fmax.reduce`` and the nan-masked
-    ``np.argmax`` of :func:`amplitude_db` at that point, with the log taken
-    only where that maximum can be.  The susceptibilities and scratch space
-    are made here, once; the terms are rebuilt only when the coupling's bits
-    change (never for V, which enters none), and Y e^{-+i flux} only when the
-    terms or the flux's bits do.
+    Whenever that peak is at least ``floor``, the pair is, bit for bit,
+    ``np.fmax.reduce`` and the nan-masked ``np.argmax`` of
+    :func:`amplitude_db` at that point; otherwise (a peak below ``floor``, or
+    nan) it is that pair or one whose ``db`` is below ``floor``, (-inf, 0).
+    Flux-free bounds rule out every cell whose ratio cannot reach the floor
+    or the ratio at the last peak's cell; the amplitudes are computed only
+    at the others (the survivors), and the log only where the maximum can
+    be.  Every cell is scored where the bounds cannot tell.  The
+    susceptibilities and scratch space are made here, once; the terms are
+    rebuilt only when the coupling's bits change (never for V, which enters
+    none), their magnitudes and bounds at the second call of a value (of a
+    new V at its first while the last call was pruned), and Y e^{-+i flux}
+    at every cell only when every cell is scored and the terms or the
+    flux's bits have changed.
     """
     chi = susceptibilities(params, omega)
     terms = amplitude_terms(params, chi, quantity)
@@ -154,17 +237,99 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     shape = np.broadcast_shapes(*(np.shape(t) for _, x, y in terms for t in (x, y)))
     hop_x, y_wf, y_wb = (np.empty(shape, complex) for _ in range(3))
     forward, backward, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-    ratio = np.ndarray(shape, buffer=hop_x)  # peak's ratio, once hop_x is free
-    built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the terms
+    ratio = np.ndarray(shape, buffer=hop_x)  # the full pass's ratio, once hop_x is free
+    built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the last call
     held = None  # the flux bits of Y_f e^{-i flux} in y_wf, Y_b e^{+i flux} in y_wb
+    sizes = None  # |X_f|, |Y_f|, |X_b|, |Y_b| of the terms, () if one is not finite
+    q = np.empty(shape)  # _bounds at the coupling value
+    bounded = None  # (the coupling bits, the least forward bound) of q
+    last = None  # the cell of the last exact peak
+    pruning = False  # whether the last call was pruned
 
-    def peak(value, flux):
-        nonlocal terms, built, held
+    # Why a pruned peak has the full pass's bits.  With u = 2^-53, peak makes
+    # an amplitude as |fl(fl(gV X) + fl(Y w))|, w = e^{-+i flux} as rounded
+    # (|w| within 4u of 1): gV X rounds each component once, the complex
+    # product Y w is within sqrt(2) 2u |Y||w| (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 3.6), the add within
+    # u of the sum of magnitudes and abs within 2u.  So a forward amplitude
+    # is at most (|gV||X_f| + |Y_f|)(1 + 10u) and a backward one at least
+    # ||gV||X_b| - |Y_b|| - 12u (|gV||X_b| + |Y_b|).  The magnitudes (2u
+    # each) and the bounds' own operations add a few u, ~20u in all, and
+    # _SLACK is 128u: fub >= forward and blb <= backward.  Underflow adds at
+    # most ~1e-322 to an amplitude, inside the slack wherever the amplitude
+    # or the bound is above UNDERFLOW; an amplitude below it reads -inf
+    # (forward) or +inf (backward), and the second cannot be pruned (below).
+    # The survivors' amplitudes come from the same ufuncs on gathered cells,
+    # which give each cell the bits the full pass gives it.
+    #   The level L is 10^(floor / 20) (1 - 1e-9), raised to a lower bound
+    # of the ratio at the last peak's cell (scalar arithmetic rounds unlike
+    # a ufunc, by up to 1e-8 of a ratio near a null, hence its slack): a
+    # cell whose dB reaches the floor has a ratio above L, as its dB is
+    # within ~1e-11 dB of 20 log10 of its ratio.  A pruned cell, fl(fub /
+    # blb) < fl(L (1 - 4e-9)), has a ratio below L (1 - 4e-9 + 3u) and, as
+    # min(fub) / L >= UNDERFLOW, a backward amplitude above UNDERFLOW: its
+    # dB is not +inf, nor nan unless the backward amplitude is inf.
+    # _peak_of sees every survivor at least UNDERFLOW and a normal top
+    # ratio, or peak takes the full pass.  If top >= L (1 - 2e-9), every
+    # pruned ratio is below top (1 - 1e-9), outside the full pass's
+    # shortlist, so the full pass, in either branch, gives these bits.
+    # Otherwise no ratio reaches L (1 - 2e-9) and the peak is below the
+    # floor, which is the caller's: the last peak's cell has a ratio of at
+    # least L and survives.  A non-finite magnitude or g V, or a quarter of
+    # the cells surviving, also sends peak to the full pass.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def pruned(bits, hop, flux, floor):
+        nonlocal sizes, bounded, last
+        level = 10.0 ** (min(floor, 6000.0) / 20.0) if floor >= -6000.0 else 0.0  # nan too
+        if last is not None:
+            z = np.exp(1j * flux)
+            (f, e_f), (b, e_b) = (_scalar_amplitude(g * hop, x[last] if np.ndim(x) else x,
+                                                    y[last] if np.ndim(y) else y, w)
+                                  for (g, x, y), w in zip(terms, (np.conj(z), z)))
+            if (prior := (f - e_f) / (b + e_b)) < math.inf:
+                level = max(level, prior)
+        level *= 1.0 - 1e-9
+        if not level >= UNDERFLOW:
+            return None
+        if sizes is None:
+            sizes = [np.abs(t) for _, x, y in terms for t in (x, y)]
+            if not all(np.isfinite(s).all() for s in sizes):
+                sizes = ()
+        if not sizes:
+            return None
+        if bounded is None or bounded[0] != bits:
+            bounded = None  # q is rewritten
+            bounded = bits, _bounds(terms, sizes, hop, q, forward, backward)
+        least = bounded[1]
+        if least is None:
+            return None
+        cells = np.flatnonzero(np.greater_equal(q, level * (1.0 - 4e-9), out=mask))
+        if 4 * cells.size > mask.size or least / level < UNDERFLOW:
+            return None
+        found = _peak_of(*_amplitudes(terms, hop, flux, cells), level)
+        if found is None or found[0] == -math.inf:
+            return found
+        last = int(cells[found[1]])
+        return found[0], last
+
+    def peak(value, flux, floor=-math.inf):
+        nonlocal terms, built, held, sizes, bounded, last, pruning
         hop = value if chi is None else params.mechanical_hop
-        if chi is not None and (bits := struct.pack("d", value)) != built:
-            built = terms = None  # freed before the new terms are made
+        bits = struct.pack("d", value)
+        again = bits == built
+        if chi is not None and not again:
+            built = terms = sizes = bounded = None  # freed before the new terms are made
             terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
-            built, held = bits, None
+            held = None
+        built = bits
+        # new terms wait for a second call, where their magnitudes tend to
+        # pay; a new V's bounds (a third of a full pass) tend to pay while the
+        # last call was pruned
+        if again or (chi is None and pruning):
+            if (found := pruned(bits, hop, flux, floor)) is not None:
+                pruning = True
+                return found
+        pruning = False
         (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
         with np.errstate(over="ignore", invalid="ignore"):  # see amplitude_terms
             if (bits := struct.pack("d", flux)) != held:
@@ -177,24 +342,14 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
                 np.multiply(g * hop, x, out=hop_x)
                 np.add(hop_x, y_w, out=hop_x)
                 np.abs(hop_x, out=amplitude)
-            if forward.min() >= UNDERFLOW and backward.min() >= UNDERFLOW:
-                np.divide(forward, backward, out=ratio)
-                top = ratio.max()
-                # Past the guard, _ratio_db is 20 (log10 f - log10 b) cell by cell
-                # (nan where an amplitude is inf, whose ratio is inf, nan or 0), within
-                # ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off
-                # by a few ulp of at most ~310.  A cell whose ratio is below top
-                # (1 - 1e-9) lies 8.7e-9 dB lower and cannot hold the maximum if top
-                # is normal; a subnormal ratio can be off by half, inf or nan by all.
-                if sys.float_info.min <= top < math.inf:
-                    keep = np.flatnonzero(np.greater_equal(ratio, top * (1.0 - 1e-9), out=mask))
-                    cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
-                    i = int(cells.argmax())
-                    return float(cells[i]), int(keep[i])
-        cells = _ratio_db(forward, backward)
-        top = float(np.fmax.reduce(cells, axis=None))
-        np.copyto(cells, -math.inf, where=np.isnan(cells, out=mask))
-        return top, int(cells.argmax())
+        found = _peak_of(forward, backward, ratio=ratio)
+        if found is None:
+            cells = _ratio_db(forward, backward)
+            top = float(np.fmax.reduce(cells, axis=None))
+            np.copyto(cells, -math.inf, where=np.isnan(cells, out=mask))
+            found = top, int(cells.argmax())
+        last = found[1]
+        return found
 
     return peak
 

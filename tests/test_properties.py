@@ -124,23 +124,35 @@ def test_ratio_db_matches_reference_bitwise(pair):
     assert got.tobytes() == expected.tobytes()
 
 
-def _assert_peak_is_full_max(params, quantity, hop, flux):
+def _assert_peak_is_full_max(params, quantity, hop, flux, floor=None):
     # the kernel's pair against the stateless spectrum: its maximum, and the
-    # first frequency holding it, nan cells masked (0 where all are nan)
+    # first frequency holding it, nan cells masked (0 where all are nan); then
+    # a second call at the same point, which the kernel may prune, with a
+    # floor ("peak" is the exact peak, "peak+" the next float above it): the
+    # same pair, or, for a peak below the floor or nan, a dB below the floor
     terms = response.amplitude_terms(params, of.susceptibilities(params, BAND), quantity)
     spectrum = response.amplitude_db(terms, hop, flux)
-    got, index = response.amplitude_kernel(params, BAND, quantity, "mechanical_hop")(hop, flux)
-    assert (type(got), type(index)) == (float, int)
-    assert np.float64(got).tobytes() == np.fmax.reduce(spectrum, axis=None).tobytes()
-    assert index == np.argmax(np.where(np.isnan(spectrum), -math.inf, spectrum))
+    want = np.fmax.reduce(spectrum, axis=None)
+    first = np.argmax(np.where(np.isnan(spectrum), -math.inf, spectrum))
+    peak = response.amplitude_kernel(params, BAND, quantity, "mechanical_hop")
+    floors = [-math.inf] if floor is None else [-math.inf, {
+        "peak": want, "peak+": np.nextafter(want, math.inf)}.get(floor, floor)]
+    for floor in floors:
+        got, index = peak(hop, flux, float(floor))
+        assert (type(got), type(index)) == (float, int)
+        if not (want >= floor) and got < floor:
+            continue
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert index == first
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), quantity=quantities, hop_scale=st.floats(0.0, 40.0),
-       flux=fluxes)
-def test_kernel_peak_matches_full_spectrum_over_draws(seed, quantity, hop_scale, flux):
+       flux=fluxes, floor=st.sampled_from(["peak", "peak+", -math.inf, -30.0, 0.0, 30.0,
+                                           math.inf]))
+def test_kernel_peak_matches_full_spectrum_over_draws(seed, quantity, hop_scale, flux, floor):
     p = random_params(np.random.default_rng(seed))
-    _assert_peak_is_full_max(p, quantity, hop_scale * p.mechanical_hop, flux)
+    _assert_peak_is_full_max(p, quantity, hop_scale * p.mechanical_hop, flux, floor)
 
 
 # forward over backward: one ulp apart in ratio, the lower ratio with the
@@ -156,21 +168,33 @@ SUBNORMAL_PAIR = (np.array([1.1536763811861124e-44, 5.450091716805555e-118]),
 # a kernel's grid has a cell, so its peak always has a maximum
 @given(pair=amplitude_pairs(min_size=1),
        scalar=st.sampled_from([None, "numerator", "denominator"]),
-       flux=st.sampled_from([0.0, -0.0, 1.1]))
-@example(pair=ULP_PAIR, scalar=None, flux=0.0)
-@example(pair=SUBNORMAL_PAIR, scalar=None, flux=0.0)
-@example(pair=(np.array([1e-305, 2.0]), np.array([1e-306, 1.0])), scalar=None, flux=0.0)
+       flux=st.sampled_from([0.0, -0.0, 1.1]),
+       floor=st.sampled_from(["peak", "peak+", -math.inf, -6000.0, 0.0, 6000.0, math.inf]))
+@example(pair=ULP_PAIR, scalar=None, flux=0.0, floor="peak")
+@example(pair=SUBNORMAL_PAIR, scalar=None, flux=0.0, floor="peak")
+@example(pair=(np.array([1e-305, 2.0]), np.array([1e-306, 1.0])), scalar=None, flux=0.0,
+         floor="peak")
 @example(pair=(np.array([1e-300, 3.0, 1e300]), np.array([1e300, 3.0, 1e-300])), scalar=None,
-         flux=0.0)
-@example(pair=(np.array([1e-300, 1e-290]), np.array([1e300, 1e300])), scalar=None, flux=0.0)
-@example(pair=(np.full(5, 7.0), np.full(5, 2.0)), scalar=None, flux=0.0)
-@example(pair=(np.full(4, 3.0), np.full(4, 3.0)), scalar="denominator", flux=1.1)
-@example(pair=(np.array([math.inf, 2.0]), np.array([math.inf, 1.0])), scalar=None, flux=0.0)
-@example(pair=(np.array([math.nan, 2.0]), np.array([1.0, 1.0])), scalar=None, flux=0.0)
+         flux=0.0, floor="peak")
+@example(pair=(np.array([1e-300, 1e-290]), np.array([1e300, 1e300])), scalar=None, flux=0.0,
+         floor="peak")
+@example(pair=(np.full(5, 7.0), np.full(5, 2.0)), scalar=None, flux=0.0, floor="peak+")
+@example(pair=(np.full(4, 3.0), np.full(4, 3.0)), scalar="denominator", flux=1.1, floor="peak")
+@example(pair=(np.array([math.inf, 2.0]), np.array([math.inf, 1.0])), scalar=None, flux=0.0,
+         floor="peak")
+@example(pair=(np.array([math.nan, 2.0]), np.array([1.0, 1.0])), scalar=None, flux=0.0,
+         floor="peak")
 # every cell nan: both amplitudes tiny and unequal, one infinite, or one nan
 @example(pair=(np.array([1e-320, math.inf, math.nan]), np.array([3e-320, 2.0, 1.0])),
-         scalar=None, flux=0.0)
-def test_kernel_peak_matches_full_spectrum_on_sentinels(pair, scalar, flux):
+         scalar=None, flux=0.0, floor=0.0)
+# one cell in nine a bound can keep, the others far below the floor
+@example(pair=(np.array([5.0] + [1.0] * 8), np.array([1.0] + [3.0] * 8)), scalar=None,
+         flux=0.0, floor="peak")
+@example(pair=(np.array([5.0] + [1e-310] * 8), np.array([1.0] + [3.0] * 8)), scalar=None,
+         flux=0.0, floor=0.0)
+@example(pair=(np.array([5.0] + [1.0] * 8), np.array([1.0] + [1e-290] * 8)), scalar=None,
+         flux=0.0, floor=6000.0)
+def test_kernel_peak_matches_full_spectrum_on_sentinels(pair, scalar, flux, floor):
     # hand-built terms g = 1, X = amplitude, Y = 0, standing in for
     # amplitude_terms, at V = 1 give each cell its drawn amplitude: 0,
     # subnormal, just below UNDERFLOW, nan, +-inf, plateaus and ratios that
@@ -184,7 +208,7 @@ def test_kernel_peak_matches_full_spectrum_on_sentinels(pair, scalar, flux):
     # an infinite term makes the complex products warn, in amplitude_db as in peak
     with np.errstate(invalid="ignore", over="ignore"), \
             mock.patch.object(response, "amplitude_terms", lambda *args: terms):
-        _assert_peak_is_full_max(of.from_table1(1e6), of.PHONON, 1.0, flux)
+        _assert_peak_is_full_max(of.from_table1(1e6), of.PHONON, 1.0, flux, floor)
 
 
 def test_a_failing_property_ends_only_its_test(tmp_path):

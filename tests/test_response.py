@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
@@ -270,6 +271,107 @@ def test_kernel_grid_rows_are_its_rows_bitwise(coupling):
                     grid = of.response.amplitude_db(terms, point.mechanical_hop,
                                                     flux[:, None], columns)
                     assert grid.tobytes() == rows[:, columns].tobytes()
+
+
+def _full_peak(spectrum):
+    """The pair a kernel's peak gives when it scores every cell."""
+    masked = np.where(np.isnan(spectrum), -math.inf, spectrum)
+    return float(np.fmax.reduce(spectrum)), int(np.argmax(masked))
+
+
+def _ulps(x, k):
+    """x moved by k units in the last place (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@pytest.mark.parametrize("coupling", of.AUX_PARAMETERS)
+@pytest.mark.parametrize("quantity", of.QUANTITIES)
+def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantity, coupling):
+    # Random sequences of calls, so that the last peak's cell, the bounds and
+    # the magnitudes carry over between calls, at points a few ulps from
+    # interference_condition's null, or from the channel's own backward null,
+    # at a grid frequency (a dB of ~200 and more: the backward amplitude
+    # cancels to ~1e-12 of its terms, where the SIMD arithmetic of a ufunc
+    # and scalar arithmetic differ in the 9th digit) and far from them, with
+    # floors at the exact peak, within 1e-9 dB of it, far below it and far
+    # above it.  The pair is bitwise the full spectrum's, or, for a peak
+    # below the floor or nan, a dB below the floor.
+    rng = np.random.default_rng([7, of.QUANTITIES.index(quantity),
+                                 of.AUX_PARAMETERS.index(coupling)])
+    gathered = []
+    amplitudes = of.response._amplitudes
+
+    def counted(terms, hop, flux, cells=slice(None)):
+        gathered.append(isinstance(cells, np.ndarray))
+        return amplitudes(terms, hop, flux, cells)
+
+    monkeypatch.setattr(of.response, "_amplitudes", counted)
+    omegas = TWO_PI * np.linspace(5.7e9, 5.9e9, 257)
+    exact = below = 0
+    for trial in range(4):
+        p = random_params(rng) if trial > 1 else of.from_table1(1e6)
+        cell = float(omegas[rng.integers(40, 217)])
+        if trial % 2:  # the null of this channel's backward amplitude
+            g, x, y = of.response.amplitude_terms(p, of.susceptibilities(p, cell), quantity)[1]
+            hop, null_flux = abs(y) / abs(g * x), cmath.phase(-g * x / y)
+        else:  # the null of backward phonon transport
+            null = of.interference_condition(p, cell)
+            hop, null_flux = null.mechanical_hop, null.flux
+        p = replace(p, mechanical_hop=hop)
+        own = getattr(p, coupling)
+        values = [_ulps(own, int(k)) for k in rng.integers(-6, 7, size=4)]
+        values += [1.7 * own, 0.4 * own]
+        fluxes = [_ulps(null_flux, int(k)) for k in rng.integers(-6, 7, size=4)]
+        fluxes += list(rng.uniform(-math.pi, math.pi, size=2))
+        peak = of.response.amplitude_kernel(p, omegas, quantity, coupling)
+        chi = of.susceptibilities(p, omegas)
+        # runs of one value, as a coarse scan has, and single calls, as a descent has
+        calls = [(values[int(i)], fluxes[int(j)])
+                 for i, n in zip(rng.integers(0, len(values), size=30), rng.integers(1, 5, size=30))
+                 for j in rng.integers(0, len(fluxes), size=int(n))]
+        for value, flux in calls:
+            point = replace(p, **{coupling: value})
+            terms = of.response.amplitude_terms(point, chi, quantity)
+            db, index = _full_peak(of.response.amplitude_db(terms, point.mechanical_hop, flux))
+            floor = rng.choice([-math.inf, db, db + rng.uniform(-1e-9, 1e-9), db - 40.0,
+                                db + 40.0, math.inf, float(np.nextafter(db, math.inf))])
+            got = peak(value, flux, floor)
+            assert (type(got[0]), type(got[1])) == (float, int)
+            if not (db >= floor) and got[0] < floor:
+                below += 1
+                continue
+            exact += 1
+            assert np.float64(got[0]).tobytes() == np.float64(db).tobytes()
+            assert got[1] == index
+    # both sides of the contract, and cells gathered past the bounds, were seen
+    assert exact and below and any(gathered)
+
+
+def test_gathered_cells_give_the_full_arrays_bits():
+    # a pruned peak applies np.multiply, np.add and np.abs to gathered cells
+    # (as new arrays) where the full pass applies them to every cell (into
+    # scratch): each cell's bits must not depend on its neighbours, length,
+    # alignment or the SIMD lane it falls in
+    rng = np.random.default_rng(11)
+    n = 20001
+    mags = 10.0 ** rng.uniform(-300, 300, size=(2, n))
+    x, y = (m * np.exp(1j * rng.uniform(-math.pi, math.pi, size=n)) for m in mags)
+    x[:5] = [0.0, 5e-324 + 3e-320j, math.inf, complex(math.nan, 1.0), -0.0]
+    gv, w = 3.7e7, np.exp(1j * 2.1)
+    full, amp = np.empty(n, complex), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf and nan cells
+        np.multiply(gv, x, out=full)
+        np.add(full, np.multiply(y, w), out=full)
+        np.abs(full, out=amp)
+        picks = [np.arange(n), np.arange(1, 40), np.arange(3, n, 7), np.array([n - 1]),
+                 np.sort(rng.choice(n, 70, replace=False)), np.arange(n - 13, n)]
+        picks += [np.sort(rng.choice(n, k, replace=False)) for k in range(1, 20)]
+        for cells in picks:
+            sums = np.add(np.multiply(gv, x[cells]), np.multiply(y[cells], w))
+            assert sums.tobytes() == full[cells].tobytes()
+            assert np.abs(sums).tobytes() == amp[cells].tobytes()
 
 
 def test_phonon_kernel_keeps_only_the_fields_its_terms_read():
