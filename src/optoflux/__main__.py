@@ -4,14 +4,14 @@ A CLI run is a batch job whose hot paths create no reference cycles, so
 :func:`main` turns the cyclic collector off before it imports the CLI and
 freezes the objects still alive once the CLI returns: neither collections
 during the run nor the final one at interpreter exit walk the numpy and
-PyYAML objects.  The forked writer and scan children inherit the disabled
+PyYAML objects.  The forked writer children inherit the disabled
 collector.  Atexit handlers, stdio flushing and module teardown still run.
 :func:`optoflux.cli.main` leaves the collector alone, for in-process callers.
 
 Before numpy can load, :func:`main` also gives its BLAS one thread, unless
 the caller's environment sets the count: a run multiplies no matrix large
-enough for more threads to help, and its writer and scan ranges are then
-forked from a process of one thread.
+enough for more threads to help, and its writer's ranges are then forked
+from a process of one thread.
 
 SIGTERM becomes ``SystemExit(143)``, so that a terminated run unwinds like
 an interrupted one: the writer removes its temporary file and the fan-out

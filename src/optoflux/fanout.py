@@ -1,8 +1,7 @@
 """Independent work cut into contiguous ranges, run by forked processes.
 
-Both users of this module, the output writer and the coarse scan of the tune
-search, have items that do not depend on each other: rows to format or
-candidates to score.  :func:`cut` splits them into one contiguous range per
+The user of this module, the output writer, has rows to format that do not
+depend on each other.  :func:`cut` splits them into one contiguous range per
 usable CPU, the caller does the first range itself, and :func:`forked` has a
 child do each of the others into a file opened for it, to be read back in
 order.  The caller joins the results as if it had done every range, so the
@@ -71,13 +70,13 @@ def _fork(work, lo, hi, part, what, children):
 
 
 @contextlib.contextmanager
-def forked(bounds, work, what, directory=None):
+def forked(bounds, work, what, directory):
     """Run ``work(lo, hi, part)`` for every range after the first of
     ``bounds`` (see :func:`cut`), each in a forked child of its own.
 
     ``part`` is a binary file opened here, before the fork, in
-    ``directory`` (the system's temporary directory when None); it has no
-    name, so it vanishes once closed, even if this process is killed.
+    ``directory``; it has no name, so it vanishes once closed, even if this
+    process is killed.
     Yields an iterator over the parts in range order: each is rewound and
     handed over once its child has exited with status 0, and a child that
     failed raises OSError naming ``what``, its range and its exit status.

@@ -6,15 +6,13 @@ V - Gamma_A(omega) e^{i flux} = 0.  :func:`interference_condition` solves
 that condition in closed form; :func:`tune` is a derivative-free search
 (coarse scan plus golden-section coordinate descent with a fixed budget)
 that maximises the grid-peak isolation of any quantity over flux and,
-optionally, one auxiliary coupling.  One call of the amplitude kernel's
-``peak`` scores each candidate, and one more gives the result's peak and
-its frequency.  The coarse scan walks the coupling outer and the flux inner,
-so that the kernel bounds each coupling value once, and hands ``peak`` its
-running best as the floor below which a candidate need not be scored
-exactly.  Both are fully deterministic.
-
-A call to :func:`tune` may fork: the coarse scan of a large search is scored
-by the fan-out of :mod:`optoflux.fanout`, with the same result bit for bit.
+optionally, one auxiliary coupling.  The coarse scan walks the coupling
+outer and scores each coupling value's row of fluxes with one call of the
+amplitude kernel's ``peak``, so that the kernel bounds each value once, and
+hands it the running best at the start of the row as the floor below which
+a candidate need not be scored exactly.  Each candidate of the descent is
+one more call, and one more gives the result's peak and its frequency.  Both
+are fully deterministic and run in the calling process.
 """
 
 from __future__ import annotations
@@ -22,25 +20,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fanout, response, sweep
+from . import response, sweep
 from .model import (AUX_PARAMETERS, DEFAULT_COARSE_POINTS, DEFAULT_DESCENT_SWEEPS,
                     DEFAULT_GOLDEN_ITERATIONS, SystemParams, real)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# the fewest kernel point evaluations (one isolation value at one frequency)
-# one process is given to score in a coarse scan.  On a 2-CPU x86 host a
-# candidate took 27 us plus 10.6 ns per point, and forking and reaping a 45 MB
-# process 3-4 ms.  A scan of 1,089 candidates over 1,001 points (1.09M) took
-# 40 ms in one process and 29 ms in two, or 6 ms longer in two when the other
-# CPU was busy, so each process gets at least ~10 ms of work.  Each candidate
-# counts as if every cell were scored, though the kernel now scores most from
-# a few cells (~50 us each on the same host)
-MIN_POINTS_PER_PIECE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -152,16 +140,15 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     are accepted only when strictly better, so the returned result and its
     trace are reproducible bit for bit.
 
-    The coarse scan's candidates are scored in contiguous ranges of scan
-    order (coupling outer, flux inner), each worth at least
-    MIN_POINTS_PER_PIECE kernel point evaluations, by the fan-out of
-    :mod:`optoflux.fanout`.  Each range passes the kernel its running best
-    as the floor, so a candidate below it may score anything lower, and
-    every candidate that holds the maximum is scored exactly.  The
-    objectives are joined in scan order and put back in flux-major order
-    before the first maximum is taken, so the result does not depend on the
-    cut.  A failed child makes this raise OSError naming its range and exit
-    status.  The descent and the final peak pass no floor.
+    The coarse scan scores each row of candidates, one coupling value over
+    every flux, with one kernel call (coupling outer, flux inner).  Each row
+    passes the kernel the running best at its start as the floor, so a
+    candidate below it may score anything lower, and every candidate that
+    holds the maximum is scored exactly; the scan's first candidate, which
+    has no floor yet, is scored alone and gives one to the rest of its row.
+    The objectives are put back in flux-major order before the first
+    maximum is taken, so the result is that of scoring every candidate
+    exactly.  The descent and the final peak pass no floor.
     """
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
         count = real(name, getattr(search_space, name), minimum, integer=True)
@@ -191,9 +178,9 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
 
     peak = response.amplitude_kernel(params, omega, quantity, aux_name)
 
-    def objective(flux, aux, floor=-math.inf):
+    def objective(flux, aux):
         # the peak skips nan cells; only a spectrum that is nan everywhere gives nan
-        db, _ = peak(aux, params.carried_flux(flux), floor)
+        db, _ = peak(aux, params.carried_flux(flux))
         return -math.inf if math.isnan(db) else db
 
     def axis(lo, hi):
@@ -201,34 +188,28 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
             return np.array([lo])
         return np.linspace(lo, hi, search_space.coarse_points)
 
-    # candidate k of the scan is (flux_axis[k % n], aux_axis[k // n]): each aux
-    # value's kernel bounds serve its whole row of fluxes
+    # the scan walks the coupling outer: each row of fluxes, one coupling
+    # value, is one kernel call, so that the value's bounds serve the whole
+    # row, with the running best at the start of the row as its floor
     flux_axis, aux_axis = (axis(lo, hi) for lo, hi in box)
-    n, m = len(flux_axis), len(aux_axis)
-    candidates = n * m
+    fluxes = params.carried_flux(flux_axis)
+    objectives = np.empty((len(aux_axis), len(flux_axis)))
+    floor = -math.inf
+    for aux, row in zip(aux_axis, objectives):
+        first = int(floor == -math.inf)  # no floor yet: the row's first candidate sets one
+        if first:
+            row[0] = floor = objective(flux_axis[0], aux)
+        # nan to -inf, as in objective
+        np.fmax([db for db, _ in peak(aux, fluxes[first:], floor)], -math.inf, out=row[first:])
+        floor = max(floor, float(row.max()))
 
-    def scores(lo, hi):
-        # a candidate that cannot beat the range's running best scores below it
-        best, out = -math.inf, array("d")
-        for k in range(lo, hi):
-            out.append(objective(flux_axis[k % n], aux_axis[k // n], best))
-            best = max(best, out[-1])
-        return out
-
-    bounds = fanout.cut(candidates, candidates * len(omega), MIN_POINTS_PER_PIECE)
-    with fanout.forked(bounds, lambda lo, hi, part: part.write(scores(lo, hi)),
-                       "the coarse scan of candidates") as parts:
-        objectives = scores(0, bounds[1])
-        for part in parts:
-            objectives.frombytes(part.read())
-
-    # back to flux-major order, where candidate i is (flux_axis[i // m],
-    # aux_axis[i % m]), for the first maximum: no objective is nan, and every
-    # candidate holding the maximum was scored exactly
-    objectives = np.frombuffer(objectives).reshape(m, n).T.ravel()
-    i = int(np.argmax(objectives))
-    best = [float(flux_axis[i // m]), float(aux_axis[i % m])]  # [flux, aux]
-    best_obj = float(objectives[i])
+    # the first maximum in flux-major order, where candidate (i, j) is
+    # (flux_axis[i], aux_axis[j]): no objective is nan, and every candidate
+    # holding the maximum was scored exactly
+    objectives = objectives.T
+    i, j = np.unravel_index(np.argmax(objectives), objectives.shape)
+    best = [float(flux_axis[i]), float(aux_axis[j])]  # [flux, aux]
+    best_obj = float(objectives[i, j])
 
     trace = [(tuple(best), best_obj)]
     # the open coordinates: (index in best, lo, hi, the coarse scan's step)

@@ -36,7 +36,9 @@ once per frequency grid and rebuilds the terms only for a new J, G_L or G_R.
 By the triangle inequality, without the flux, the forward amplitude is at
 most |g V||X_f| + |Y_f| and the backward one at least ||g V||X_b| - |Y_b||:
 the kernel computes the amplitudes only at the cells where these bounds let
-the ratio reach a floor the caller gives, or the ratio at the last peak.
+the ratio reach a floor the caller gives, or the ratio at the last peak.  A
+row of fluxes at one coupling value, as a scan makes them, shares one set of
+such cells, whose amplitudes are one broadcast per block of its fluxes.
 """
 
 from __future__ import annotations
@@ -150,27 +152,41 @@ def _peak_of(forward, backward, level=0.0, ratio=None):
     """``(db, i)``: the peak isolation of the cells whose amplitudes are
     ``forward`` and ``backward``, and the first cell holding it; ``(-inf,
     0)`` when every ratio lies below ``level (1 - 2e-9)``; None where only
-    :func:`_ratio_db`'s sentinels can tell.  ``ratio`` is scratch, or None.
+    :func:`_ratio_db`'s sentinels can tell.  For 2-D amplitudes, each row
+    (the last axis) is scored so, into two arrays of a pair per row, and
+    None is for some row.  ``ratio`` is scratch, or None.
 
     Past the guards, _ratio_db is 20 (log10 f - log10 b) cell by cell, within
     ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off by a
-    few ulp of at most ~310.  A cell whose ratio is below top (1 - 1e-9) lies
-    8.7e-9 dB lower and cannot hold the maximum if top is normal; a subnormal
-    ratio can be off by half, inf or nan by all.
+    few ulp of at most ~310.  A cell whose ratio is below its row's top (1 -
+    1e-9) lies 8.7e-9 dB lower and cannot hold the row's maximum if top is
+    normal; a subnormal ratio can be off by half, inf or nan by all.
     """
     if not (forward.min(initial=math.inf) >= UNDERFLOW
             and backward.min(initial=math.inf) >= UNDERFLOW):  # nan fails too
         return None
     ratio = np.divide(forward, backward, out=ratio)
-    top = ratio.max(initial=0.0)
-    if top < level * (1.0 - 2e-9):
-        return -math.inf, 0
-    if not sys.float_info.min <= top < math.inf:
+    if ratio.ndim == 1:  # one row, in scalar steps
+        top = ratio.max(initial=0.0)
+        if top < level * (1.0 - 2e-9):
+            return -math.inf, 0
+        if not sys.float_info.min <= top < math.inf:
+            return None
+        keep = np.flatnonzero(ratio >= top * (1.0 - 1e-9))
+        cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
+        i = int(cells.argmax())
+        return float(cells[i]), int(keep[i])
+    top = ratio.max(axis=-1, initial=0.0)
+    low = top < level * (1.0 - 2e-9)
+    if low.all():
+        return np.full(low.shape, -math.inf), np.zeros(low.shape, int)
+    if not (low | (sys.float_info.min <= top) & (top < math.inf)).all():
         return None
-    keep = np.flatnonzero(ratio >= top * (1.0 - 1e-9))
-    cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
-    i = int(cells.argmax())
-    return float(cells[i]), int(keep[i])
+    keep = np.flatnonzero(ratio >= np.where(low, math.inf, top * (1.0 - 1e-9))[..., None])
+    cells = 20.0 * (np.log10(forward.take(keep)) - np.log10(backward.take(keep)))
+    ratio.fill(-math.inf)  # now the rows' dB, finite only on the shortlist
+    ratio.put(keep, cells)
+    return ratio.max(axis=-1), ratio.argmax(axis=-1)
 
 
 def _bounds(terms, sizes, hop, q, fub, blb):
@@ -211,22 +227,26 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     """The search's kernel over a 1-D ``omega``: ``peak(value, flux,
     floor=-inf)`` is ``(db, index)``, the peak isolation of one channel with
     the field of ``params`` named ``coupling`` (one of AUX_PARAMETERS) set to
-    ``value``, and the first frequency holding it (0 where every cell is nan).
+    ``value``, and the first frequency holding it (0 where every cell is nan);
+    for a 1-D array of fluxes, a row of a scan, it is a list of those pairs,
+    one per flux.
 
     Whenever that peak is at least ``floor``, the pair is, bit for bit,
     ``np.fmax.reduce`` and the nan-masked ``np.argmax`` of
     :func:`amplitude_db` at that point; otherwise (a peak below ``floor``, or
     nan) it is that pair or one whose ``db`` is below ``floor``, (-inf, 0).
     Flux-free bounds rule out every cell whose ratio cannot reach the floor
-    or the ratio at the last peak's cell; the amplitudes are computed only
-    at the others (the survivors), and the log only where the maximum can
-    be.  Every cell is scored where the bounds cannot tell.  The
-    susceptibilities and scratch space are made here, once; the terms are
-    rebuilt only when the coupling's bits change (never for V, which enters
-    none), their magnitudes and bounds at the second call of a value (of a
-    new V at its first while the last call was pruned), and Y e^{-+i flux}
-    at every cell only when every cell is scored and the terms or the
-    flux's bits have changed.
+    or, for one flux, the ratio at the last peak's cell; the amplitudes are
+    computed only at the others (the survivors), and the log only where the
+    maximum can be.  A row finds its survivors once and computes their
+    amplitudes one broadcast per block of its fluxes; a row the bounds cannot
+    serve is scored one flux at a time, and every cell is scored where the
+    bounds cannot tell.  The susceptibilities and scratch space are made
+    here, once; the terms are rebuilt only when the coupling's bits change
+    (never for V, which enters none), their magnitudes and bounds at a row or
+    the second call of a value (of a new V at its first while the last call
+    was pruned), and Y e^{-+i flux} at every cell only when every cell is
+    scored and the terms or the flux's bits have changed.
     """
     chi = susceptibilities(params, omega)
     terms = amplitude_terms(params, chi, quantity)
@@ -260,28 +280,32 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     # or the bound is above UNDERFLOW; an amplitude below it reads -inf
     # (forward) or +inf (backward), and the second cannot be pruned (below).
     # The survivors' amplitudes come from the same ufuncs on gathered cells,
-    # which give each cell the bits the full pass gives it.
-    #   The level L is 10^(floor / 20) (1 - 1e-9), raised to a lower bound
-    # of the ratio at the last peak's cell (scalar arithmetic rounds unlike
-    # a ufunc, by up to 1e-8 of a ratio near a null, hence its slack): a
-    # cell whose dB reaches the floor has a ratio above L, as its dB is
-    # within ~1e-11 dB of 20 log10 of its ratio.  A pruned cell, fl(fub /
-    # blb) < fl(L (1 - 4e-9)), has a ratio below L (1 - 4e-9 + 3u) and, as
-    # min(fub) / L >= UNDERFLOW, a backward amplitude above UNDERFLOW: its
-    # dB is not +inf, nor nan unless the backward amplitude is inf.
-    # _peak_of sees every survivor at least UNDERFLOW and a normal top
-    # ratio, or peak takes the full pass.  If top >= L (1 - 2e-9), every
-    # pruned ratio is below top (1 - 1e-9), outside the full pass's
-    # shortlist, so the full pass, in either branch, gives these bits.
-    # Otherwise no ratio reaches L (1 - 2e-9) and the peak is below the
-    # floor, which is the caller's: the last peak's cell has a ratio of at
-    # least L and survives.  A non-finite magnitude or g V, or a quarter of
-    # the cells surviving, also sends peak to the full pass.
+    # broadcast against a column of a row's fluxes, which give each cell the
+    # bits the full pass gives it at each flux.
+    #   The level L is 10^(floor / 20) (1 - 1e-9), for one flux raised to a
+    # lower bound of the ratio at the last peak's cell (scalar arithmetic
+    # rounds unlike a ufunc, by up to 1e-8 of a ratio near a null, hence its
+    # slack): a cell whose dB reaches the floor has a ratio above L, as its
+    # dB is within ~1e-11 dB of 20 log10 of its ratio.  A pruned cell,
+    # fl(fub / blb) < fl(L (1 - 4e-9)), has a ratio below L (1 - 4e-9 + 3u)
+    # at every flux and, as min(fub) / L >= UNDERFLOW, a backward amplitude
+    # above UNDERFLOW: its dB is not +inf, nor nan unless the backward
+    # amplitude is inf.  _peak_of sees every survivor at least UNDERFLOW and
+    # a normal top ratio in each flux's row that reaches L (1 - 2e-9), or
+    # peak scores each flux with the full pass.  If a row's top >= L (1 -
+    # 2e-9), every pruned ratio is below top (1 - 1e-9), outside the full
+    # pass's shortlist, so the full pass, in either branch, gives these
+    # bits.  Otherwise no ratio of the row reaches L (1 - 2e-9) and its peak
+    # is below the floor, which is the caller's: the last peak's cell has a
+    # ratio of at least L and survives.  A non-finite magnitude or g V, or a
+    # quarter of the cells surviving, also sends peak to the full pass.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def pruned(bits, hop, flux, floor):
+        # [(db, index)], a pair per flux of a row or one for a scalar flux,
+        # or None where the bounds cannot serve
         nonlocal sizes, bounded, last
         level = 10.0 ** (min(floor, 6000.0) / 20.0) if floor >= -6000.0 else 0.0  # nan too
-        if last is not None:
+        if last is not None and np.ndim(flux) == 0:  # a row's level is its floor's
             z = np.exp(1j * flux)
             (f, e_f), (b, e_b) = (_scalar_amplitude(g * hop, x[last] if np.ndim(x) else x,
                                                     y[last] if np.ndim(y) else y, w)
@@ -303,14 +327,28 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
         least = bounded[1]
         if least is None:
             return None
+        fluxes = np.ravel(flux)
         cells = np.flatnonzero(np.greater_equal(q, level * (1.0 - 4e-9), out=mask))
-        if 4 * cells.size > mask.size or least / level < UNDERFLOW:
+        if not fluxes.size or 4 * cells.size > mask.size or least / level < UNDERFLOW:
             return None
-        found = _peak_of(*_amplitudes(terms, hop, flux, cells), level)
-        if found is None or found[0] == -math.inf:
-            return found
-        last = int(cells[found[1]])
-        return found[0], last
+        # a block of fluxes by survivors holds about an eighth of the grid's
+        # cells, so that its temporaries (~48 bytes a cell) take no more
+        # memory than a float array over the grid.  One flux stays a scalar:
+        # numpy multiplies a 1 x 1 block of complex numbers with its loop for
+        # two contiguous operands, whose bits can differ from those of the
+        # full pass's loop for an array by a scalar
+        step = max(1, mask.size // max(8 * cells.size, 1))
+        pairs = []
+        for lo in range(0, fluxes.size, step):
+            block = fluxes[lo:lo + step]
+            found = _peak_of(*_amplitudes(terms, hop, block[:, None] if block.size > 1
+                                          else block[0], cells), level)
+            if found is None:
+                return None
+            pairs += zip(*(a.tolist() for a in found)) if block.size > 1 else [found]
+        pairs = [(db, int(cells[i]) if db > -math.inf else 0) for db, i in pairs]
+        last = next((i for db, i in reversed(pairs) if db > -math.inf), last)
+        return pairs
 
     def peak(value, flux, floor=-math.inf):
         nonlocal terms, built, held, sizes, bounded, last, pruning
@@ -322,13 +360,18 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
             terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
             held = None
         built = bits
+        if np.ndim(flux):  # a row, over which the bounds pay at once
+            if (found := pruned(bits, hop, flux, floor)) is None:
+                return [peak(value, f, floor) for f in flux]
+            pruning = True
+            return found
         # new terms wait for a second call, where their magnitudes tend to
         # pay; a new V's bounds (a third of a full pass) tend to pay while the
         # last call was pruned
         if again or (chi is None and pruning):
             if (found := pruned(bits, hop, flux, floor)) is not None:
                 pruning = True
-                return found
+                return found[0]
         pruning = False
         (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
         with np.errstate(over="ignore", invalid="ignore"):  # see amplitude_terms

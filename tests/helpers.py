@@ -1,6 +1,6 @@
 """Shared test utilities: randomized parameter draws, the dense oracle, the
-exact rational inverse, the reference dB ratio, the hook that forces the
-fan-out's ranges and the one that breaks the coarse scan of a tune."""
+exact rational inverse, the reference dB ratio and the hook that forces the
+fan-out's ranges."""
 
 import math
 import os
@@ -124,10 +124,10 @@ _FORK = os.fork
 
 
 def force_ranges(monkeypatch, n):
-    """Make every later cut of :mod:`optoflux.fanout`, the writer's and the
-    coarse scan's, give n ranges (fewer only with fewer items): n usable CPUs
-    and a minimum of one cell or point per range.  Returns the list that
-    collects the pids forked from then on."""
+    """Make every later cut of :mod:`optoflux.fanout`, the writer's, give n
+    ranges (fewer only with fewer items): n usable CPUs and a minimum of one
+    cell per range.  Returns the list that collects the pids forked from then
+    on."""
     forks = []
 
     def counted_fork():
@@ -138,24 +138,6 @@ def force_ranges(monkeypatch, n):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     monkeypatch.setattr(of.cli, "MIN_CELLS_PER_PIECE", 1)
-    monkeypatch.setattr(of.optimize, "MIN_POINTS_PER_PIECE", 1)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
 
-
-def hook_scan(monkeypatch, parent, child):
-    """Make every later tune call ``parent()`` before it scores a candidate
-    in this process, and ``child()`` before it does so in a forked one."""
-    pid = os.getpid()
-    kernel = of.response.amplitude_kernel
-
-    def hooked_kernel(*args):
-        peak = kernel(*args)
-
-        def hooked_peak(*args):
-            (parent if os.getpid() == pid else child)()
-            return peak(*args)
-
-        return hooked_peak
-
-    monkeypatch.setattr(of.response, "amplitude_kernel", hooked_kernel)

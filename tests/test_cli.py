@@ -21,7 +21,7 @@ from optoflux.model import TWO_PI
 
 import goldens
 from goldens import DATA
-from helpers import force_ranges, hook_scan
+from helpers import force_ranges
 
 
 def _write(tmp_path, text, name="scenario.yaml"):
@@ -137,18 +137,18 @@ output: {{path: {out}, format: {fmt}}}
         assert out.read_bytes() == (DATA / f"fluxmap_small.{fmt}").read_bytes()
 
 
-# the items a golden's split stage cuts, where they are fewer than 4: the
-# sentinel map's 3 rows, and a steady state, which has no such stage
+# the items a golden's writer cuts, where they are fewer than 4: the
+# sentinel map's 3 rows, and the one record of a tune or a steady state
 _FEW_ITEMS = {"fluxmap_sentinel.csv": 3, "fluxmap_sentinel.json": 3,
-              "steady_forward.csv": 1, "steady_inverse.json": 1}
+              **{name: 1 for name in goldens.GOLDENS if name.startswith(("tune_", "steady_"))}}
 
 
 @pytest.mark.parametrize("ranges", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", list(goldens.GOLDENS))
 def test_golden_matches_committed_bytes(tmp_path, monkeypatch, name, ranges):
-    # the writer and the coarse scan of a tune both cut their work into
-    # ``ranges``, no more than their items; a tune's output and a steady
-    # state are one range or none.  4 ranges cut the small map's CSV, whose
+    # the writer cuts its rows into ``ranges``, no more than its items; a
+    # tune's output and a steady state are one range, and a tune forks
+    # nothing to score its scan.  4 ranges cut the small map's CSV, whose
     # ranges compute the map too, at each of its rows
     forks = force_ranges(monkeypatch, ranges)
     out = tmp_path / name
@@ -159,8 +159,7 @@ def test_golden_matches_committed_bytes(tmp_path, monkeypatch, name, ranges):
 
 
 def test_tune_matches_committed_golden(tmp_path):
-    # unforced: the coarse scan is cut by this machine's CPUs and the
-    # default minimum piece, as a user's run is
+    # unforced, with this machine's CPUs, as a user's run is
     out = tmp_path / "tune_small.json"
     assert _run(goldens.argv("tune_small.json", out)) == 0
     assert out.read_bytes() == (DATA / "tune_small.json").read_bytes()
@@ -346,22 +345,6 @@ def test_terminated_run_leaves_no_file_or_process(tmp_path):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
     assert os.listdir(tmp_path) == []
-
-
-def test_failed_split_scan_exits_1(tmp_path, monkeypatch, capsys):
-    force_ranges(monkeypatch, 2)
-
-    def fail():
-        raise RuntimeError("scoring failed")
-
-    hook_scan(monkeypatch, lambda: None, fail)
-    out = tmp_path / "tune.json"
-    assert _run(goldens.argv("tune_small.json", out)) == 1
-    # 81 candidates, cut at 40
-    assert "the coarse scan of candidates 40-81 failed (exit status 1)" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
-    with pytest.raises(ChildProcessError):  # every child was reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_schema_defaults_match_numeric_layers():
@@ -1070,16 +1053,17 @@ def test_tune_coarse_row_counts_toward_grid_cap():
                  3**2 + 1 + 1 * 2 * (1 + 2), id="two coordinates"),
 ])
 def test_grid_cap_counts_what_tune_evaluates(monkeypatch, tune, evaluations):
-    # the kernel evaluations of a tune: a peak per objective, then the final peak
-    calls = []
+    # the kernel evaluations of a tune: a peak per objective, then the final
+    # peak; a call with a row of fluxes scores one objective per flux
+    fluxes = []
     kernel = of.response.amplitude_kernel
 
     def counted_kernel(*args):
         peak = kernel(*args)
 
-        def counted_peak(*args):
-            calls.append("peak")
-            return peak(*args)
+        def counted_peak(value, flux, *floor):
+            fluxes.append(np.size(flux))
+            return peak(value, flux, *floor)
 
         return counted_peak
 
@@ -1088,7 +1072,7 @@ def test_grid_cap_counts_what_tune_evaluates(monkeypatch, tune, evaluations):
            "params": {"preset": "table1", "mechanical_hop_hz": 520e3}}
     scenario = cli.Scenario.from_dict({**raw, "frequency_grid": {"points": 41}})
     of.tune(scenario.build_params(), scenario.quantity, scenario.build_search_space())
-    assert calls == ["peak"] * evaluations
+    assert sum(fluxes) == evaluations
     # each evaluation is one per frequency point: the cap takes a grid of
     # exactly MAX_POINT_EVALUATIONS and rejects one point more
     points = cli.MAX_POINT_EVALUATIONS // evaluations

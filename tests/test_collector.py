@@ -86,8 +86,8 @@ def test_flux_map_creates_no_cycles():
 
 
 # the searched coupling, its bounds in Hz; the aux ones collapse the flux
-# bounds, so each coarse candidate sets the coupling, rebuilding the terms
-# for G_L and optical_hop
+# bounds, so each row of the coarse scan is one candidate at a new value of
+# the coupling, whose terms the kernel rebuilds for G_L and optical_hop
 _AUX = {
     None: None,
     "mechanical_hop": (1e6, 60e6),
@@ -97,9 +97,7 @@ _AUX = {
 
 
 @pytest.mark.parametrize("aux", list(_AUX))
-def test_tune_creates_no_cycles(monkeypatch, aux):
-    force_ranges(monkeypatch, 2)  # the scan's fork and join run too
-
+def test_tune_creates_no_cycles(aux):
     def tune(candidates):
         flux = (math.pi, 2 * math.pi) if aux is None else (1.5 * math.pi,) * 2
         bounds = None if aux is None else tuple(TWO_PI * b for b in _AUX[aux])

@@ -154,7 +154,7 @@ _ENTRY = ["optoflux.fanout", "signal"]
 @pytest.mark.parametrize("name, loaded", [
     ("steady_forward", _ENTRY), ("steady_inverse", _ENTRY),
     ("spectrum", _ENTRY),  # a one-range write
-    ("tune", _ENTRY),  # a one-range scan
+    ("tune", _ENTRY),  # a one-range write, after a scan in this process
 ])
 def test_run_without_a_split_loads_no_fork_code(configs, tmp_path, name, loaded):
     # every output goes through the fan-out; one range forks nothing, opens
@@ -180,7 +180,7 @@ report = {}
 report["submodule_before_import"] = "optoflux.response" not in sys.modules
 report["amplitude_terms"] = of.response.amplitude_terms is \\
     importlib.import_module("optoflux.response").amplitude_terms
-# before the exported names import optimize, which imports fanout
+# before the exported names import optimize and what it imports
 report["submodules_unresolved"] = [
     name for name in json.loads(sys.argv[2])
     if name not in dir(of) or getattr(of, name) is not importlib.import_module("optoflux." + name)

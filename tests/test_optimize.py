@@ -1,8 +1,7 @@
 import cmath
+import hashlib
 import math
-import os
-import tempfile
-import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,7 +11,7 @@ import pytest
 import optoflux as of
 from optoflux.model import TWO_PI
 
-from helpers import force_ranges, hook_scan, random_omega, random_params
+from helpers import force_ranges, random_omega, random_params
 
 # scripted closed-form solution at omega/2pi = 5.85 GHz on the reference set
 FLUX_STAR_585 = -0.2885137506677201
@@ -336,6 +335,28 @@ def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
         assert kernels == [aux or "mechanical_hop"]
 
 
+# sha256 of repr(_bits(...)) of each case's tune, as one process scored it
+# when the coarse scan could still be cut into forked ranges
+_ONE_RANGE_BITS = {
+    "phonon-None": "ea26149eda8eac4e",
+    "phonon-mechanical_hop": "0d1094b6b7b503e6",
+    "phonon-optical_hop": "f11f39e2fc8adb69",
+    "phonon-G_L": "fab6edc9e8e208f9",
+    "phonon-G_R": "ace99d9d57c0a8ea",
+    "photon_to_phonon-None": "8a81d65d2a7678c5",
+    "photon_to_phonon-mechanical_hop": "fb6fca8c32482ed7",
+    "photon_to_phonon-optical_hop": "fe00b22e56b12569",
+    "photon_to_phonon-G_L": "6db941d88f869ddc",
+    "photon_to_phonon-G_R": "a072e9c4ac782539",
+    "phonon_to_photon-None": "9b25c54388da9e7f",
+    "phonon_to_photon-mechanical_hop": "aa0e6b6bebdc267a",
+    "phonon_to_photon-optical_hop": "4e471ddd12943a26",
+    "phonon_to_photon-G_L": "ba2397fdee8b6a2e",
+    "phonon_to_photon-G_R": "df8e039f9c45b417",
+    "infinite peak": "b36a013edfdbb1a7",
+}
+
+
 @pytest.mark.parametrize("params, quantity, aux", [
     *(pytest.param(of.from_table1(520e3), quantity, aux, id=f"{quantity}-{aux}")
       for quantity in of.QUANTITIES for aux in _AUX_BOUNDS_HZ),
@@ -344,47 +365,34 @@ def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
     pytest.param(replace(of.from_table1(520e3), optical_hop=0.0, G_L=0.0),
                  of.PHONON_TO_PHOTON, "mechanical_hop", id="infinite peak"),
 ])
-def test_split_scan_gives_the_same_bits(monkeypatch, params, quantity, aux):
-    results = []
-    for ranges in (1, 2, 3):
-        forks = force_ranges(monkeypatch, ranges)
-        results.append(_bits(of.tune(params, quantity, _scan_space(aux))))
-        assert len(forks) == ranges - 1
-    assert results[1] == results[0]
-    assert results[2] == results[0]
+def test_tune_forks_nothing_and_keeps_the_one_range_bits(request, monkeypatch, params,
+                                                         quantity, aux):
+    # with three usable CPUs and a fan-out minimum of one, tune still scores
+    # its whole scan, a row of fluxes per kernel call, in this process
+    forks = force_ranges(monkeypatch, 3)
+    bits = _bits(of.tune(params, quantity, _scan_space(aux)))
+    assert forks == []
+    assert hashlib.sha256(repr(bits).encode()).hexdigest()[:16] == \
+        _ONE_RANGE_BITS[request.node.callspec.id]
     if params.optical_hop == 0.0:
-        assert results[0][2] == "inf"
+        assert bits[2] == "inf"
 
 
-def _interrupt():
-    raise KeyboardInterrupt
-
-
-def _sleep():
-    time.sleep(60)  # until the parent kills this child
-
-
-def _fail():
-    raise RuntimeError("scoring failed")
-
-
-@pytest.mark.parametrize("parent, child", [(lambda: None, _fail), (_interrupt, _sleep)],
-                         ids=["child fails", "parent interrupted"])
-def test_failed_split_scan_leaves_nothing_behind(monkeypatch, tmp_path, parent, child):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    force_ranges(monkeypatch, 2)
-    hook_scan(monkeypatch, parent, child)
-    space = _scan_space("mechanical_hop", coarse_points=9)
-    started = time.monotonic()
-    if child is _fail:
-        # 81 candidates, cut at 40
-        with pytest.raises(OSError, match=r"^the coarse scan of candidates 40-81 failed "
-                                          r"\(exit status 1\)$"):
-            of.tune(of.from_table1(520e3), of.PHOTON_TO_PHONON, space)
-    else:
-        with pytest.raises(KeyboardInterrupt):
-            of.tune(of.from_table1(520e3), of.PHOTON_TO_PHONON, space)
-    assert time.monotonic() - started < 30  # a sleeping child was killed
-    with pytest.raises(ChildProcessError):  # every child was reaped
-        os.waitpid(-1, os.WNOHANG)
-    assert os.listdir(tmp_path) == []
+def test_scan_peaks_near_the_kernel_scratch():
+    # a 33 x 33 tune over V on 20,001 points: past the kernel's scratch, a
+    # block of a row's fluxes by survivors holds about an eighth of the grid's
+    # cells.  The traced peak read 3.71 MB with one kernel call per candidate
+    # and 3.73 MB with one per row; a block of a row's fluxes by the whole
+    # grid, 10.6 MB of complex numbers alone, would be far above
+    p = of.from_table1(520e3)
+    space = of.SearchSpace(flux_bounds=(math.pi, TWO_PI), aux_name="mechanical_hop",
+                           aux_bounds=(TWO_PI * 1e6, TWO_PI * 60e6),
+                           frequency_grid=of.FrequencyGrid.from_hz(5.6e9, 6.1e9, 20001))
+    of.tune(p, of.PHOTON_TO_PHONON, space)  # first-call costs, such as imports, happen here
+    tracemalloc.start()
+    try:
+        of.tune(p, of.PHOTON_TO_PHONON, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (3.71 + 1.0) * 1e6

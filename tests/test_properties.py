@@ -126,30 +126,42 @@ def test_ratio_db_matches_reference_bitwise(pair):
 
 def _assert_peak_is_full_max(params, quantity, hop, flux, floor=None):
     # the kernel's pair against the stateless spectrum: its maximum, and the
-    # first frequency holding it, nan cells masked (0 where all are nan); then
-    # a second call at the same point, which the kernel may prune, with a
-    # floor ("peak" is the exact peak, "peak+" the next float above it): the
-    # same pair, or, for a peak below the floor or nan, a dB below the floor
+    # first frequency holding it, nan cells masked (0 where all are nan), at
+    # one flux or at each of a row (a list) of fluxes; then a second call at
+    # the same point, which the kernel may prune, with a floor ("peak" is the
+    # exact peak, a row's largest, "peak+" the next float above it, "entry"
+    # the peak of a row's middle flux): the same pairs, or, for a peak below
+    # the floor or nan, a dB below the floor
     terms = response.amplitude_terms(params, of.susceptibilities(params, BAND), quantity)
-    spectrum = response.amplitude_db(terms, hop, flux)
-    want = np.fmax.reduce(spectrum, axis=None)
-    first = np.argmax(np.where(np.isnan(spectrum), -math.inf, spectrum))
+    wants = []
+    for f in np.atleast_1d(flux):
+        spectrum = response.amplitude_db(terms, hop, f)
+        wants.append((np.fmax.reduce(spectrum, axis=None),
+                      np.argmax(np.where(np.isnan(spectrum), -math.inf, spectrum))))
+    want = np.fmax.reduce([db for db, _ in wants])
     peak = response.amplitude_kernel(params, BAND, quantity, "mechanical_hop")
     floors = [-math.inf] if floor is None else [-math.inf, {
-        "peak": want, "peak+": np.nextafter(want, math.inf)}.get(floor, floor)]
+        "peak": want, "peak+": np.nextafter(want, math.inf),
+        "entry": wants[len(wants) // 2][0]}.get(floor, floor)]
     for floor in floors:
-        got, index = peak(hop, flux, float(floor))
-        assert (type(got), type(index)) == (float, int)
-        if not (want >= floor) and got < floor:
-            continue
-        assert np.float64(got).tobytes() == want.tobytes()
-        assert index == first
+        got = peak(hop, np.array(flux) if np.ndim(flux) else flux, float(floor))
+        if np.ndim(flux):
+            assert type(got) is list and len(got) == len(wants)
+        else:
+            got = [got]
+        for (db, index), (want, first) in zip(got, wants):
+            assert (type(db), type(index)) == (float, int)
+            if not (want >= floor) and db < floor:
+                continue
+            assert np.float64(db).tobytes() == want.tobytes()
+            assert index == first
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), quantity=quantities, hop_scale=st.floats(0.0, 40.0),
-       flux=fluxes, floor=st.sampled_from(["peak", "peak+", -math.inf, -30.0, 0.0, 30.0,
-                                           math.inf]))
+       flux=st.one_of(fluxes, st.lists(fluxes, min_size=1, max_size=33)),
+       floor=st.sampled_from(["peak", "peak+", "entry", -math.inf, -30.0, 0.0, 30.0,
+                              math.inf]))
 def test_kernel_peak_matches_full_spectrum_over_draws(seed, quantity, hop_scale, flux, floor):
     p = random_params(np.random.default_rng(seed))
     _assert_peak_is_full_max(p, quantity, hop_scale * p.mechanical_hop, flux, floor)
@@ -168,10 +180,15 @@ SUBNORMAL_PAIR = (np.array([1.1536763811861124e-44, 5.450091716805555e-118]),
 # a kernel's grid has a cell, so its peak always has a maximum
 @given(pair=amplitude_pairs(min_size=1),
        scalar=st.sampled_from([None, "numerator", "denominator"]),
-       flux=st.sampled_from([0.0, -0.0, 1.1]),
-       floor=st.sampled_from(["peak", "peak+", -math.inf, -6000.0, 0.0, 6000.0, math.inf]))
+       flux=st.one_of(st.sampled_from([0.0, -0.0, 1.1]),
+                      st.lists(st.sampled_from([0.0, -0.0, 1.1]), min_size=1, max_size=33)),
+       floor=st.sampled_from(["peak", "peak+", "entry", -math.inf, -6000.0, 0.0, 6000.0,
+                              math.inf]))
 @example(pair=ULP_PAIR, scalar=None, flux=0.0, floor="peak")
 @example(pair=SUBNORMAL_PAIR, scalar=None, flux=0.0, floor="peak")
+# the ulp pair above 30 cells at a third, for a row of two fluxes: one block
+@example(pair=(np.r_[ULP_PAIR[0], np.ones(30)], np.r_[ULP_PAIR[1], np.full(30, 3.0)]),
+         scalar=None, flux=[0.0, 1.1], floor="peak")
 @example(pair=(np.array([1e-305, 2.0]), np.array([1e-306, 1.0])), scalar=None, flux=0.0,
          floor="peak")
 @example(pair=(np.array([1e-300, 3.0, 1e300]), np.array([1e300, 3.0, 1e-300])), scalar=None,

@@ -296,20 +296,23 @@ def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantit
     # cancels to ~1e-12 of its terms, where the SIMD arithmetic of a ufunc
     # and scalar arithmetic differ in the 9th digit) and far from them, with
     # floors at the exact peak, within 1e-9 dB of it, far below it and far
-    # above it.  The pair is bitwise the full spectrum's, or, for a peak
-    # below the floor or nan, a dB below the floor.
+    # above it.  Rows of 1 to 33 fluxes, as a coarse scan makes them, take
+    # floors at the row's largest peak, near it, far from it, at one of its
+    # entries' peaks and +-inf.  Each pair is bitwise the full spectrum's,
+    # or, for a peak below the floor or nan, a dB below the floor.
     rng = np.random.default_rng([7, of.QUANTITIES.index(quantity),
                                  of.AUX_PARAMETERS.index(coupling)])
     gathered = []
     amplitudes = of.response._amplitudes
 
     def counted(terms, hop, flux, cells=slice(None)):
-        gathered.append(isinstance(cells, np.ndarray))
+        if isinstance(cells, np.ndarray):  # the survivors of the bounds
+            gathered.append(np.ndim(flux))  # 2 for a row's block
         return amplitudes(terms, hop, flux, cells)
 
     monkeypatch.setattr(of.response, "_amplitudes", counted)
     omegas = TWO_PI * np.linspace(5.7e9, 5.9e9, 257)
-    exact = below = 0
+    exact = below = pruned = blocks = per_flux = 0
     for trial in range(4):
         p = random_params(rng) if trial > 1 else of.from_table1(1e6)
         cell = float(omegas[rng.integers(40, 217)])
@@ -331,22 +334,93 @@ def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantit
         calls = [(values[int(i)], fluxes[int(j)])
                  for i, n in zip(rng.integers(0, len(values), size=30), rng.integers(1, 5, size=30))
                  for j in rng.integers(0, len(fluxes), size=int(n))]
-        for value, flux in calls:
+        calls += [(values[int(i)], rng.choice(fluxes + list(rng.uniform(-math.pi, math.pi, 8)),
+                                              size=int(n)))
+                  for i, n in zip(rng.integers(0, len(values), size=12),
+                                  rng.integers(1, 34, size=12))]
+        for k in rng.permutation(len(calls)):
+            value, flux = calls[k]
             point = replace(p, **{coupling: value})
             terms = of.response.amplitude_terms(point, chi, quantity)
-            db, index = _full_peak(of.response.amplitude_db(terms, point.mechanical_hop, flux))
+            wants = [_full_peak(of.response.amplitude_db(terms, point.mechanical_hop, f))
+                     for f in np.atleast_1d(flux)]
+            db = np.fmax.reduce([want for want, _ in wants])
             floor = rng.choice([-math.inf, db, db + rng.uniform(-1e-9, 1e-9), db - 40.0,
-                                db + 40.0, math.inf, float(np.nextafter(db, math.inf))])
+                                db + 40.0, math.inf, float(np.nextafter(db, math.inf)),
+                                wants[int(rng.integers(len(wants)))][0]])
+            del gathered[:]
             got = peak(value, flux, floor)
-            assert (type(got[0]), type(got[1])) == (float, int)
-            if not (db >= floor) and got[0] < floor:
-                below += 1
-                continue
-            exact += 1
-            assert np.float64(got[0]).tobytes() == np.float64(db).tobytes()
-            assert got[1] == index
-    # both sides of the contract, and cells gathered past the bounds, were seen
-    assert exact and below and any(gathered)
+            pruned += bool(gathered)
+            if np.ndim(flux):
+                assert type(got) is list and len(got) == len(wants)
+                blocks += 2 in gathered
+                per_flux += 2 not in gathered
+            else:
+                got = [got]
+            for (db, index), want in zip(got, wants):
+                assert (type(db), type(index)) == (float, int)
+                if not (want[0] >= floor) and db < floor:
+                    below += 1
+                    continue
+                exact += 1
+                assert np.float64(db).tobytes() == np.float64(want[0]).tobytes()
+                assert index == want[1]
+    # both sides of the contract, cells gathered past the bounds, and rows
+    # scored as one block and one flux at a time were seen
+    assert exact and below and pruned and blocks and per_flux
+
+
+def _row_paths(monkeypatch, db, fluxes, floor, infinite=False):
+    """Score a row of ``fluxes`` at ``floor`` by hand-built terms: at V = 1,
+    g = 1, X_f is 10^(db/20) a cell, X_b 1 and Y 0.01 in both directions,
+    so that a cell's ratio stays within 0.2 dB of its ``db`` at every flux;
+    ``infinite`` makes one X_f infinite.  Check every entry's contract;
+    return the shape of the flux at each computation of gathered cells."""
+    x_f = 10.0 ** (np.asarray(db) / 20.0) + 0j
+    if infinite:
+        x_f[5] = math.inf
+    terms = ((1.0, x_f, 0.01), (1.0, np.ones_like(x_f), 0.01))
+    shapes = []
+    amplitudes = of.response._amplitudes
+
+    def counted(terms, hop, flux, cells=slice(None)):
+        if isinstance(cells, np.ndarray):
+            shapes.append(np.shape(flux))
+        return amplitudes(terms, hop, flux, cells)
+
+    monkeypatch.setattr(of.response, "_amplitudes", counted)
+    monkeypatch.setattr(of.response, "amplitude_terms", lambda *args: terms)
+    omegas = np.linspace(1.0, 2.0, len(x_f))
+    with np.errstate(invalid="ignore", over="ignore"):  # the infinite term
+        got = of.response.amplitude_kernel(of.from_table1(1.0), omegas, of.PHONON,
+                                           "mechanical_hop")(1.0, fluxes, floor)
+        wants = [_full_peak(of.response.amplitude_db(terms, 1.0, f)) for f in fluxes]
+    assert len(got) == len(fluxes)
+    for (db, index), want in zip(got, wants):
+        assert (type(db), type(index)) == (float, int)
+        if want[0] >= floor or db >= floor:
+            assert (np.float64(db).tobytes(), index) == (np.float64(want[0]).tobytes(), want[1])
+    return shapes
+
+
+def test_kernel_row_is_blocks_or_one_peak_per_flux(monkeypatch):
+    # a row's survivors are found once, at its floor, and their amplitudes
+    # computed at its fluxes in blocks of at most about an eighth of the
+    # grid's cells (16 here), a lone flux as a scalar; a row that trips a
+    # guard is scored one flux at a time, each a scalar flux or no gathered
+    # cells, at the same floor.  128 cells at 0 to 127 dB, in a shuffled order
+    db = (37 * np.arange(128)) % 128
+    row, pair = np.linspace(-3.0, 3.0, 33), np.array([0.4, -1.1])
+    # the 127 dB cell alone survives
+    assert _row_paths(monkeypatch, db, row, 126.5) == [(16, 1), (16, 1), ()]
+    assert _row_paths(monkeypatch, db, pair, 126.5) == [(2, 1)]
+    # three cells survive: blocks of 5 fluxes, 15 cells
+    assert _row_paths(monkeypatch, db, row, 124.5) == [(5, 1)] * 6 + [(3, 1)]
+    # 37 cells survive, more than a quarter of the grid; no floor, as for the
+    # first candidate of a scan; an infinite term, which leaves no bounds
+    for fluxes, floor, infinite in ((pair, 90.5, False), (row, -math.inf, False),
+                                    (row, 126.5, True)):
+        assert all(shape == () for shape in _row_paths(monkeypatch, db, fluxes, floor, infinite))
 
 
 def test_gathered_cells_give_the_full_arrays_bits():
