@@ -11,8 +11,10 @@ outer and scores each coupling value's row of fluxes with one call of the
 amplitude kernel's ``peak``, so that the kernel bounds each value once, and
 hands it the running best at the start of the row as the floor below which
 a candidate need not be scored exactly.  Each candidate of the descent is
-one more call, and one more gives the result's peak and its frequency.  Both
-are fully deterministic and run in the calling process.
+one more call, floored by the golden section's other interior point, which
+a candidate below it loses to; one more call, floored by the best score,
+which it repeats, gives the result's peak and its frequency.  Both are
+fully deterministic and run in the calling process.
 """
 
 from __future__ import annotations
@@ -104,12 +106,18 @@ def _finite_bounds(name, bounds, minimum=None):
 
 
 def _golden_section_max(fn, lo, hi, iterations):
-    """Deterministic golden-section maximiser; returns the best sampled point."""
+    """Deterministic golden-section maximiser; returns the best sampled point.
+
+    ``fn(x, floor)`` is f(x), or any value below ``floor`` where f(x) is:
+    each new point's floor is the other interior point's value (the first
+    point's is -inf), which a point below it loses to and is dropped for,
+    so the points visited and the result are those of f.
+    """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = fn(c)
-    fd = fn(d)
+    fc = fn(c, -math.inf)
+    fd = fn(d, fc)
     if fc >= fd:
         best_x, best_f = c, fc
     else:
@@ -118,13 +126,13 @@ def _golden_section_max(fn, lo, hi, iterations):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = fn(c)
+            fc = fn(c, fd)
             if fc > best_f:
                 best_x, best_f = c, fc
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = fn(d)
+            fd = fn(d, fc)
             if fd > best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
@@ -148,7 +156,10 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     has no floor yet, is scored alone and gives one to the rest of its row.
     The objectives are put back in flux-major order before the first
     maximum is taken, so the result is that of scoring every candidate
-    exactly.  The descent and the final peak pass no floor.
+    exactly.  Each candidate of the descent passes the golden section's
+    other interior point as its floor, which a candidate below it loses to,
+    so the descent too takes the steps of exact scores; the final peak
+    passes the best score, which is its own.
     """
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
         count = real(name, getattr(search_space, name), minimum, integer=True)
@@ -178,9 +189,9 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
 
     peak = response.amplitude_kernel(params, omega, quantity, aux_name)
 
-    def objective(flux, aux):
+    def objective(flux, aux, floor=-math.inf):
         # the peak skips nan cells; only a spectrum that is nan everywhere gives nan
-        db, _ = peak(aux, params.carried_flux(flux))
+        db, _ = peak(aux, params.carried_flux(flux), floor)
         return -math.inf if math.isnan(db) else db
 
     def axis(lo, hi):
@@ -220,14 +231,15 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     for sweep_index in range(search_space.descent_sweeps if coords else 0):
         for k, lo, hi, half in coords:
             width = half * 0.25 ** sweep_index
-            x, fx = _golden_section_max(lambda v: objective(*best[:k], v, *best[k + 1:]),
-                                        max(lo, best[k] - width), min(hi, best[k] + width),
-                                        search_space.golden_iterations)
+            x, fx = _golden_section_max(
+                lambda v, floor: objective(*best[:k], v, *best[k + 1:], floor),
+                max(lo, best[k] - width), min(hi, best[k] + width), search_space.golden_iterations)
             if fx > best_obj:
                 best[k], best_obj = float(x), fx
                 trace.append((tuple(best), best_obj))
 
-    peak_db, peak_index = peak(best[1], params.carried_flux(best[0]))
+    # best_obj is this point's exact score, so the pair comes back exact
+    peak_db, peak_index = peak(best[1], params.carried_flux(best[0]), best_obj)
     if search_space.aux_name is None:  # no aux was asked for, so none is reported
         trace = [((flux, None), obj) for (flux, _), obj in trace]
     (best_flux, best_aux), _ = trace[-1]

@@ -36,9 +36,10 @@ once per frequency grid and rebuilds the terms only for a new J, G_L or G_R.
 By the triangle inequality, without the flux, the forward amplitude is at
 most |g V||X_f| + |Y_f| and the backward one at least ||g V||X_b| - |Y_b||:
 the kernel computes the amplitudes only at the cells where these bounds let
-the ratio reach a floor the caller gives, or the ratio at the last peak.  A
-row of fluxes at one coupling value, as a scan makes them, shares one set of
-such cells, whose amplitudes are one broadcast per block of its fluxes.
+the ratio reach a floor the caller gives: the scan's running best, or the
+descent's other interior point.  A row of fluxes at one coupling value, as a
+scan makes them, shares one set of such cells, whose amplitudes are one
+broadcast per block of its fluxes.
 """
 
 from __future__ import annotations
@@ -148,13 +149,13 @@ def amplitude_db(terms, hop, flux, columns=slice(None)):
     return _ratio_db(*_amplitudes(terms, hop, flux, columns))
 
 
-def _peak_of(forward, backward, level=0.0, ratio=None):
+def _peak_of(forward, backward, level=0.0):
     """``(db, i)``: the peak isolation of the cells whose amplitudes are
     ``forward`` and ``backward``, and the first cell holding it; ``(-inf,
     0)`` when every ratio lies below ``level (1 - 2e-9)``; None where only
     :func:`_ratio_db`'s sentinels can tell.  For 2-D amplitudes, each row
     (the last axis) is scored so, into two arrays of a pair per row, and
-    None is for some row.  ``ratio`` is scratch, or None.
+    None is for some row.
 
     Past the guards, _ratio_db is 20 (log10 f - log10 b) cell by cell, within
     ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off by a
@@ -165,7 +166,7 @@ def _peak_of(forward, backward, level=0.0, ratio=None):
     if not (forward.min(initial=math.inf) >= UNDERFLOW
             and backward.min(initial=math.inf) >= UNDERFLOW):  # nan fails too
         return None
-    ratio = np.divide(forward, backward, out=ratio)
+    ratio = forward / backward
     if ratio.ndim == 1:  # one row, in scalar steps
         top = ratio.max(initial=0.0)
         if top < level * (1.0 - 2e-9):
@@ -217,12 +218,6 @@ def _bounds(terms, sizes, hop, q, fub, blb):
     return float(fub.min())
 
 
-def _scalar_amplitude(gv, x, y, w):
-    """``|gv x + y w|`` at one cell in scalar arithmetic, and a slack that
-    covers its rounding and that of the same operations in a ufunc."""
-    return abs(gv * x + y * w), _SLACK * (abs(gv) * abs(x) + abs(y))
-
-
 def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     """The search's kernel over a 1-D ``omega``: ``peak(value, flux,
     floor=-inf)`` is ``(db, index)``, the peak isolation of one channel with
@@ -235,18 +230,18 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     ``np.fmax.reduce`` and the nan-masked ``np.argmax`` of
     :func:`amplitude_db` at that point; otherwise (a peak below ``floor``, or
     nan) it is that pair or one whose ``db`` is below ``floor``, (-inf, 0).
-    Flux-free bounds rule out every cell whose ratio cannot reach the floor
-    or, for one flux, the ratio at the last peak's cell; the amplitudes are
-    computed only at the others (the survivors), and the log only where the
-    maximum can be.  A row finds its survivors once and computes their
-    amplitudes one broadcast per block of its fluxes; a row the bounds cannot
-    serve is scored one flux at a time, and every cell is scored where the
-    bounds cannot tell.  The susceptibilities and scratch space are made
-    here, once; the terms are rebuilt only when the coupling's bits change
-    (never for V, which enters none), their magnitudes and bounds at a row or
-    the second call of a value (of a new V at its first while the last call
-    was pruned), and Y e^{-+i flux} at every cell only when every cell is
-    scored and the terms or the flux's bits have changed.
+    Flux-free bounds rule out every cell whose ratio cannot reach the floor;
+    the amplitudes are computed only at the others (the survivors), and the
+    log only where the maximum can be.  A row finds its survivors once and
+    computes their amplitudes one broadcast per block of its fluxes; a row
+    the bounds cannot serve is scored one flux at a time.  Without a floor,
+    or where the bounds cannot tell, every cell is scored, by the
+    :func:`_amplitudes` that :func:`amplitude_db` reads.  The
+    susceptibilities and the bounds' scratch space are made here, once; the
+    terms are rebuilt only when the coupling's bits change (never for V,
+    which enters none), and their magnitudes and bounds at a row or at a
+    floored call that repeats the value (at a new V's first while the last
+    try of the bounds paid).
     """
     chi = susceptibilities(params, omega)
     terms = amplitude_terms(params, chi, quantity)
@@ -255,16 +250,12 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     elif quantity == PHONON:  # whose terms read only the optical fields
         chi = replace(chi, chi_bL_inv=None, chi_bR_inv=None)
     shape = np.broadcast_shapes(*(np.shape(t) for _, x, y in terms for t in (x, y)))
-    hop_x, y_wf, y_wb = (np.empty(shape, complex) for _ in range(3))
-    forward, backward, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-    ratio = np.ndarray(shape, buffer=hop_x)  # the full pass's ratio, once hop_x is free
+    fub, blb, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
     built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the last call
-    held = None  # the flux bits of Y_f e^{-i flux} in y_wf, Y_b e^{+i flux} in y_wb
     sizes = None  # |X_f|, |Y_f|, |X_b|, |Y_b| of the terms, () if one is not finite
     q = np.empty(shape)  # _bounds at the coupling value
     bounded = None  # (the coupling bits, the least forward bound) of q
-    last = None  # the cell of the last exact peak
-    pruning = False  # whether the last call was pruned
+    pruning = False  # whether the last try of the bounds paid
 
     # Why a pruned peak has the full pass's bits.  With u = 2^-53, peak makes
     # an amplitude as |fl(fl(gV X) + fl(Y w))|, w = e^{-+i flux} as rounded
@@ -279,39 +270,28 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     # most ~1e-322 to an amplitude, inside the slack wherever the amplitude
     # or the bound is above UNDERFLOW; an amplitude below it reads -inf
     # (forward) or +inf (backward), and the second cannot be pruned (below).
-    # The survivors' amplitudes come from the same ufuncs on gathered cells,
-    # broadcast against a column of a row's fluxes, which give each cell the
+    # The survivors' amplitudes come from _amplitudes on gathered cells,
+    # broadcast against a column of a row's fluxes, which gives each cell the
     # bits the full pass gives it at each flux.
-    #   The level L is 10^(floor / 20) (1 - 1e-9), for one flux raised to a
-    # lower bound of the ratio at the last peak's cell (scalar arithmetic
-    # rounds unlike a ufunc, by up to 1e-8 of a ratio near a null, hence its
-    # slack): a cell whose dB reaches the floor has a ratio above L, as its
-    # dB is within ~1e-11 dB of 20 log10 of its ratio.  A pruned cell,
-    # fl(fub / blb) < fl(L (1 - 4e-9)), has a ratio below L (1 - 4e-9 + 3u)
-    # at every flux and, as min(fub) / L >= UNDERFLOW, a backward amplitude
-    # above UNDERFLOW: its dB is not +inf, nor nan unless the backward
-    # amplitude is inf.  _peak_of sees every survivor at least UNDERFLOW and
-    # a normal top ratio in each flux's row that reaches L (1 - 2e-9), or
-    # peak scores each flux with the full pass.  If a row's top >= L (1 -
-    # 2e-9), every pruned ratio is below top (1 - 1e-9), outside the full
-    # pass's shortlist, so the full pass, in either branch, gives these
-    # bits.  Otherwise no ratio of the row reaches L (1 - 2e-9) and its peak
-    # is below the floor, which is the caller's: the last peak's cell has a
-    # ratio of at least L and survives.  A non-finite magnitude or g V, or a
-    # quarter of the cells surviving, also sends peak to the full pass.
+    #   The level L is 10^(floor / 20) (1 - 1e-9): a cell whose dB reaches
+    # the floor has a ratio above L, as its dB is within ~1e-11 dB of 20
+    # log10 of its ratio.  A pruned cell, fl(fub / blb) < fl(L (1 - 4e-9)),
+    # has a ratio below L (1 - 4e-9 + 3u) at every flux and, as min(fub) / L
+    # >= UNDERFLOW, a backward amplitude above UNDERFLOW: its dB is not +inf,
+    # nor nan unless the backward amplitude is inf.  _peak_of sees every
+    # survivor at least UNDERFLOW and a normal top ratio in each flux's row
+    # that reaches L (1 - 2e-9), or peak scores each flux with the full pass.
+    # If a row's top >= L (1 - 2e-9), every pruned ratio is below top (1 -
+    # 1e-9), outside the full pass's shortlist, so the full pass, in either
+    # branch, gives these bits.  Otherwise no ratio of the row reaches L (1 -
+    # 2e-9) and its peak is below the floor.  A non-finite magnitude or g V,
+    # or a quarter of the cells surviving, also sends peak to the full pass.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def pruned(bits, hop, flux, floor):
         # [(db, index)], a pair per flux of a row or one for a scalar flux,
         # or None where the bounds cannot serve
-        nonlocal sizes, bounded, last
+        nonlocal sizes, bounded
         level = 10.0 ** (min(floor, 6000.0) / 20.0) if floor >= -6000.0 else 0.0  # nan too
-        if last is not None and np.ndim(flux) == 0:  # a row's level is its floor's
-            z = np.exp(1j * flux)
-            (f, e_f), (b, e_b) = (_scalar_amplitude(g * hop, x[last] if np.ndim(x) else x,
-                                                    y[last] if np.ndim(y) else y, w)
-                                  for (g, x, y), w in zip(terms, (np.conj(z), z)))
-            if (prior := (f - e_f) / (b + e_b)) < math.inf:
-                level = max(level, prior)
         level *= 1.0 - 1e-9
         if not level >= UNDERFLOW:
             return None
@@ -323,7 +303,7 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
             return None
         if bounded is None or bounded[0] != bits:
             bounded = None  # q is rewritten
-            bounded = bits, _bounds(terms, sizes, hop, q, forward, backward)
+            bounded = bits, _bounds(terms, sizes, hop, q, fub, blb)
         least = bounded[1]
         if least is None:
             return None
@@ -346,52 +326,36 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
             if found is None:
                 return None
             pairs += zip(*(a.tolist() for a in found)) if block.size > 1 else [found]
-        pairs = [(db, int(cells[i]) if db > -math.inf else 0) for db, i in pairs]
-        last = next((i for db, i in reversed(pairs) if db > -math.inf), last)
-        return pairs
+        return [(db, int(cells[i]) if db > -math.inf else 0) for db, i in pairs]
 
     def peak(value, flux, floor=-math.inf):
-        nonlocal terms, built, held, sizes, bounded, last, pruning
+        nonlocal terms, built, sizes, bounded, pruning
         hop = value if chi is None else params.mechanical_hop
         bits = struct.pack("d", value)
         again = bits == built
         if chi is not None and not again:
             built = terms = sizes = bounded = None  # freed before the new terms are made
             terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
-            held = None
         built = bits
-        if np.ndim(flux):  # a row, over which the bounds pay at once
-            if (found := pruned(bits, hop, flux, floor)) is None:
+        # a row tries the bounds at once, as they pay over its fluxes; a lone
+        # flux only with a floor, and new terms at their second call, where
+        # their magnitudes tend to pay, or a new V (its bounds are a third of
+        # a full pass) while the last try paid
+        row = np.ndim(flux) > 0
+        if row or floor > -math.inf and (again or chi is None and pruning):
+            found = pruned(bits, hop, flux, floor)
+            pruning = found is not None
+            if pruning:
+                return found if row else found[0]
+            if row:
                 return [peak(value, f, floor) for f in flux]
-            pruning = True
-            return found
-        # new terms wait for a second call, where their magnitudes tend to
-        # pay; a new V's bounds (a third of a full pass) tend to pay while the
-        # last call was pruned
-        if again or (chi is None and pruning):
-            if (found := pruned(bits, hop, flux, floor)) is not None:
-                pruning = True
-                return found[0]
-        pruning = False
-        (g_f, x_f, y_f), (g_b, x_b, y_b) = terms
-        with np.errstate(over="ignore", invalid="ignore"):  # see amplitude_terms
-            if (bits := struct.pack("d", flux)) != held:
-                held = None
-                z = np.exp(1j * flux)
-                np.multiply(y_f, np.conj(z), out=y_wf)
-                np.multiply(y_b, z, out=y_wb)
-                held = bits
-            for g, x, y_w, amplitude in ((g_f, x_f, y_wf, forward), (g_b, x_b, y_wb, backward)):
-                np.multiply(g * hop, x, out=hop_x)
-                np.add(hop_x, y_w, out=hop_x)
-                np.abs(hop_x, out=amplitude)
-        found = _peak_of(forward, backward, ratio=ratio)
+        forward, backward = _amplitudes(terms, hop, flux)
+        found = _peak_of(forward, backward)
         if found is None:
             cells = _ratio_db(forward, backward)
             top = float(np.fmax.reduce(cells, axis=None))
-            np.copyto(cells, -math.inf, where=np.isnan(cells, out=mask))
+            np.copyto(cells, -math.inf, where=np.isnan(cells))
             found = top, int(cells.argmax())
-        last = found[1]
         return found
 
     return peak

@@ -379,6 +379,8 @@ _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999
 @pytest.mark.parametrize("values", [
     pytest.param([_ORACLE_VALUES[:6], _ORACLE_VALUES[6:]], id="2 rows mixed"),
     pytest.param([[1.5, -2.0], [math.inf, math.nan]], id="finite row, sentinel row"),
+    # a row that is finite until its last cell
+    pytest.param([[1 / 3, -0.0, 1e22], [5e-324, 1e16, math.nan]], id="nan last cell"),
     pytest.param([[x] for x in _ORACLE_VALUES], id="1 column"),
     pytest.param([[math.nan] * 3, [-math.inf] * 3, [math.inf] * 3], id="all sentinels"),
 ])

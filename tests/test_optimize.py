@@ -295,6 +295,44 @@ def test_tune_survives_long_descent_budgets():
     assert of.tune(p, of.PHONON, collapsed).best_flux == 0.5
 
 
+def test_golden_section_takes_the_exact_steps_below_its_floors():
+    # each new point is passed the other interior point's value as its
+    # floor: a function that answers any value below the floor wherever its
+    # value lies below it must visit the same points and return the same
+    # (x, f) as the exact function.  Seeded step functions on a grid of few
+    # levels have many maxima, ties, plateaus and -inf cells
+    levels = [-math.inf, -3.0, 0.0, 0.5, 2.0, 7.25]
+    answered_below = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        cells = rng.choice(levels[:int(rng.integers(1, 7))], size=int(rng.integers(1, 60)))
+        lo, hi = sorted(rng.uniform(-5.0, 5.0, size=2))
+        iterations = int(rng.integers(0, 30))
+
+        def f(x):
+            return float(cells[min(max(int((x - lo) / (hi - lo) * cells.size), 0),
+                                   cells.size - 1)])
+
+        def exact(x, floor):
+            visits[0].append(x)
+            return f(x)
+
+        def floored(x, floor):
+            nonlocal answered_below
+            visits[1].append(x)
+            if not f(x) < floor:
+                return f(x)
+            answered_below += 1
+            return float(rng.choice([-math.inf, f(x) - rng.uniform(0.0, 9.0),
+                                     np.nextafter(floor, -math.inf), floor - 100.0]))
+
+        visits = [], []
+        want = of.optimize._golden_section_max(exact, lo, hi, iterations)
+        assert of.optimize._golden_section_max(floored, lo, hi, iterations) == want
+        assert visits[0] == visits[1]
+    assert answered_below
+
+
 # every searched coupling from 0 up: a candidate can switch a channel off
 _AUX_BOUNDS_HZ = {None: None, "mechanical_hop": (0.0, 3e6), "optical_hop": (0.0, 160e6),
                   "G_L": (0.0, 40e6), "G_R": (0.0, 40e6)}
@@ -333,6 +371,41 @@ def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
         kernels.clear()
         of.tune(of.from_table1(520e3), of.PHONON_TO_PHOTON, _scan_space(aux))
         assert kernels == [aux or "mechanical_hop"]
+
+
+@pytest.mark.parametrize("aux", [None, "mechanical_hop", "G_L", "optical_hop"])
+@pytest.mark.parametrize("quantity", of.QUANTITIES)
+def test_tune_matches_a_kernel_without_floors(monkeypatch, quantity, aux):
+    # the scan's rows and the descent's candidates pass the kernel floors,
+    # below which it may answer any lower value; a kernel whose every call
+    # drops its floor scores each candidate exactly, and must give an equal
+    # result, trace included, bit for bit.  Some descent candidate must have
+    # scored below the floor it was passed, or no floor was tested
+    params = of.from_table1(520e3)
+    kernel = of.response.amplitude_kernel
+    below = []  # per scalar call, whether it scored below its floor
+
+    def kernel_without_floors(*args):
+        peak = kernel(*args)
+        return lambda value, flux, floor=-math.inf: peak(value, flux)
+
+    def kernel_with_floors(*args):
+        peak = kernel(*args)
+
+        def recorded(value, flux, floor=-math.inf):
+            got = peak(value, flux, floor)
+            if np.ndim(flux) == 0:
+                below.append(got[0] < floor)
+            return got
+
+        return recorded
+
+    monkeypatch.setattr(of.response, "amplitude_kernel", kernel_without_floors)
+    exact = of.tune(params, quantity, _scan_space(aux))
+    monkeypatch.setattr(of.response, "amplitude_kernel", kernel_with_floors)
+    result = of.tune(params, quantity, _scan_space(aux))
+    assert result == exact and _bits(result) == _bits(exact)
+    assert any(below)
 
 
 # sha256 of repr(_bits(...)) of each case's tune, as one process scored it

@@ -227,10 +227,10 @@ def test_amplitude_kernel_writes_only_its_output():
 
 
 def test_amplitude_kernel_reuse_matches_fresh_kernels():
-    # the terms are kept while the coupling's bits repeat, and Y e^{-+i flux}
-    # while the terms and the flux's bits do: one kernel per channel and
-    # coupling, fed a sequence that repeats, alternates and changes both (0.0
-    # and -0.0 included), gives bitwise what a fresh kernel gives for each call
+    # the terms are kept while the coupling's bits repeat: one kernel per
+    # channel and coupling, fed a sequence that repeats, alternates and
+    # changes the coupling and the flux (0.0 and -0.0 included), gives
+    # bitwise what a fresh kernel gives for each call
     p = replace(of.from_table1(0.7e6), phi_L=0.9, phi_R=2.9)
     omegas = TWO_PI * np.linspace(5.8e9, 6.0e9, 41)
     for coupling in of.AUX_PARAMETERS:
@@ -289,17 +289,17 @@ def _ulps(x, k):
 @pytest.mark.parametrize("coupling", of.AUX_PARAMETERS)
 @pytest.mark.parametrize("quantity", of.QUANTITIES)
 def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantity, coupling):
-    # Random sequences of calls, so that the last peak's cell, the bounds and
-    # the magnitudes carry over between calls, at points a few ulps from
-    # interference_condition's null, or from the channel's own backward null,
-    # at a grid frequency (a dB of ~200 and more: the backward amplitude
-    # cancels to ~1e-12 of its terms, where the SIMD arithmetic of a ufunc
-    # and scalar arithmetic differ in the 9th digit) and far from them, with
-    # floors at the exact peak, within 1e-9 dB of it, far below it and far
-    # above it.  Rows of 1 to 33 fluxes, as a coarse scan makes them, take
-    # floors at the row's largest peak, near it, far from it, at one of its
-    # entries' peaks and +-inf.  Each pair is bitwise the full spectrum's,
-    # or, for a peak below the floor or nan, a dB below the floor.
+    # Random sequences of calls, so that the bounds, the magnitudes and
+    # whether the last try of the bounds paid carry over between calls, at
+    # points a few ulps from interference_condition's null, or from the
+    # channel's own backward null, at a grid frequency (a dB of ~200 and
+    # more: the backward amplitude cancels to ~1e-12 of its terms) and far
+    # from them, with floors at the exact peak, within 1e-9 dB of it, far
+    # below it and far above it.  Rows of 1 to 33 fluxes, as a coarse scan
+    # makes them, take floors at the row's largest peak, near it, far from
+    # it, at one of its entries' peaks and +-inf.  Each pair is bitwise the
+    # full spectrum's, or, for a peak below the floor or nan, a dB below the
+    # floor.
     rng = np.random.default_rng([7, of.QUANTITIES.index(quantity),
                                  of.AUX_PARAMETERS.index(coupling)])
     gathered = []
@@ -425,9 +425,9 @@ def test_kernel_row_is_blocks_or_one_peak_per_flux(monkeypatch):
 
 def test_gathered_cells_give_the_full_arrays_bits():
     # a pruned peak applies np.multiply, np.add and np.abs to gathered cells
-    # (as new arrays) where the full pass applies them to every cell (into
-    # scratch): each cell's bits must not depend on its neighbours, length,
-    # alignment or the SIMD lane it falls in
+    # where the full pass applies them to every cell: each cell's bits must
+    # not depend on its neighbours, length, alignment or the SIMD lane it
+    # falls in
     rng = np.random.default_rng(11)
     n = 20001
     mags = 10.0 ** rng.uniform(-300, 300, size=(2, n))
