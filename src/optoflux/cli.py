@@ -153,7 +153,6 @@ _SECTIONS = {
         "mech_internal_decay_hz": (_pair, 0.0, None, ("gamma_iL", "gamma_iR")),
         "optical_hop_hz": (_number, 0.0, None, ("optical_hop",)),
         "enhanced_coupling_hz": (_pair, 0.0, None, ("G_L", "G_R")),
-        "enhanced_coupling_angular": (_pair, 0.0, None, ("G_L", "G_R")),
         "detuning_hz": (_pair, None, None, ("detuning_L", "detuning_R")),
         "vacuum_coupling_hz": (_pair, 0.0, None, ("g_L", "g_R")),
         "flux_pi": (_number, None, None, ("flux",)),
@@ -179,7 +178,6 @@ _SECTIONS = {
     }),
     "steadystate": (("steadystate",), {
         "drive_amplitude": (_pair, 0.0, None),
-        "drive_phase_pi": (_pair, None, None),
         "target_enhanced_coupling_hz": (_pair, 0.0, None),
     }),
     "output": (MODES, {
@@ -256,9 +254,6 @@ class Scenario:
         if "mechanical_hop_hz" not in params:
             _fail("params.mechanical_hop_hz", "the mechanical hop V is required "
                   "(the preset does not pin it; see the tune mode for picking one)")
-        if "enhanced_coupling_hz" in params and "enhanced_coupling_angular" in params:
-            _fail("params.enhanced_coupling_angular",
-                  "give enhanced_coupling_hz or enhanced_coupling_angular, not both")
         if "flux_pi" in params and "drive_phase_pi" in params:
             _fail("params.flux_pi", "give flux_pi or drive_phase_pi, not both")
         if "preset" not in params:
@@ -317,9 +312,6 @@ class Scenario:
             if ("drive_amplitude" in steady) == ("target_enhanced_coupling_hz" in steady):
                 _fail("steadystate", "give exactly one of drive_amplitude "
                       "or target_enhanced_coupling_hz")
-            if "drive_phase_pi" in steady and "drive_amplitude" not in steady:
-                _fail("steadystate.drive_phase_pi",
-                      "only applicable with drive_amplitude (phases come from params)")
             pairs = zip(steady.get("target_enhanced_coupling_hz", ()),
                         params.get("vacuum_coupling_hz", (0.0, 0.0)))
             for i, (target, g) in enumerate(pairs):
@@ -608,13 +600,10 @@ def _run_tune(scenario, params):
 def _run_steadystate(scenario, params):
     section = scenario.steadystate
     if "drive_amplitude" in section:
-        amplitudes = section["drive_amplitude"]
+        drives = section["drive_amplitude"]
     else:
         gl_hz, gr_hz = section["target_enhanced_coupling_hz"]
-        amplitudes = steadystate.drives_for_target_G(params, (TWO_PI * gl_hz, TWO_PI * gr_hz))
-    phases_pi = section.get("drive_phase_pi")
-    phases = [math.pi * x for x in phases_pi] if phases_pi else (params.phi_L, params.phi_R)
-    drives = (*amplitudes, *phases)
+        drives = steadystate.drives_for_target_G(params, (TWO_PI * gl_hz, TWO_PI * gr_hz))
     state = steadystate.steady_amplitudes(params, drives)
     fields = {
         "alpha_L_re": state.alpha_L.real,
@@ -627,8 +616,8 @@ def _run_steadystate(scenario, params):
         "eps_L_im": complex(drives[0]).imag,
         "eps_R_re": complex(drives[1]).real,
         "eps_R_im": complex(drives[1]).imag,
-        "phi_L_rad": drives[2],
-        "phi_R_rad": drives[3],
+        "phi_L_rad": params.phi_L,
+        "phi_R_rad": params.phi_R,
     }
     if scenario.output["format"] == "csv":
         return _csv_row(fields)

@@ -115,6 +115,15 @@ def real(name, value, minimum=None, *, above=False, integer=False, array=False):
     return number
 
 
+def pair(name, value):
+    """The two items of ``value``; a ValueError that begins with ``name`` if not two."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ValueError(f"{name} must be a pair, got {_shown(value)}") from None
+    return first, second
+
+
 # validated in SystemParams.__post_init__; every field is in exactly one tuple
 _NONNEGATIVE = ("kappa_eL", "kappa_eR", "kappa_iL", "kappa_iR",
                 "gamma_eL", "gamma_eR", "gamma_iL", "gamma_iR",

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import response, sweep
 from .model import (AUX_PARAMETERS, DEFAULT_COARSE_POINTS, DEFAULT_DESCENT_SWEEPS,
-                    DEFAULT_GOLDEN_ITERATIONS, SystemParams, real)
+                    DEFAULT_GOLDEN_ITERATIONS, SystemParams, pair, real)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -98,7 +98,7 @@ def interference_condition(params: SystemParams, omega: float) -> InterferenceSo
 
 
 def _finite_bounds(name, bounds, minimum=None):
-    lo, hi = (real(f"{name}[{i}]", bound, minimum) for i, bound in enumerate(bounds))
+    lo, hi = (real(f"{name}[{i}]", bound, minimum) for i, bound in enumerate(pair(name, bounds)))
     # the span too: the coarse scan's step is (hi - lo) / (coarse_points - 1)
     if not (lo <= hi and float(hi) - float(lo) < math.inf):
         raise ValueError(f"{name} must have lo <= hi and hi - lo finite, got {(lo, hi)!r}")

@@ -234,14 +234,14 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     the amplitudes are computed only at the others (the survivors), and the
     log only where the maximum can be.  A row finds its survivors once and
     computes their amplitudes one broadcast per block of its fluxes; a row
-    the bounds cannot serve is scored one flux at a time.  Without a floor,
-    or where the bounds cannot tell, every cell is scored, by the
-    :func:`_amplitudes` that :func:`amplitude_db` reads.  The
-    susceptibilities and the bounds' scratch space are made here, once; the
-    terms are rebuilt only when the coupling's bits change (never for V,
-    which enters none), and their magnitudes and bounds at a row or at a
-    floored call that repeats the value (at a new V's first while the last
-    try of the bounds paid).
+    the bounds cannot serve is scored one full pass per flux, without trying
+    them again.  Without a floor, or where the bounds cannot tell, every
+    cell is scored, by the :func:`_amplitudes` that :func:`amplitude_db`
+    reads.  The susceptibilities and the bounds' scratch space are made
+    here, once; the terms are rebuilt only when the coupling's bits change
+    (never for V, which enters none), and their magnitudes and bounds at a
+    row or at a floored call that repeats the value (at a new V's first
+    while the last try of the bounds paid).
     """
     chi = susceptibilities(params, omega)
     terms = amplitude_terms(params, chi, quantity)
@@ -348,7 +348,7 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
             if pruning:
                 return found if row else found[0]
             if row:
-                return [peak(value, f, floor) for f in flux]
+                return [peak(value, f) for f in flux]  # no floor: the bounds failed at it
         forward, backward = _amplitudes(terms, hop, flux)
         found = _peak_of(forward, backward)
         if found is None:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateBlock, NoSolution
-from .model import DEGENERACY_RTOL, SystemParams, real
+from .model import DEGENERACY_RTOL, SystemParams, pair, real
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ def _coupling(name, g, alpha):
         raise NoSolution(f"{name}: |alpha| is beyond the float range") from None
 
 
-def drive_response_matrix(params: SystemParams, phi_L: float, phi_R: float):
-    """2x2 complex map T with (alpha_L, alpha_R) = T . (eps_L, eps_R).
+def drive_response_matrix(params: SystemParams):
+    """2x2 complex map T with (alpha_L, alpha_R) = T . (eps_L, eps_R) at the
+    drive phases of ``params``.
 
     Raises :class:`DegenerateBlock` when the common denominator vanishes,
     which needs both optical decays zero with on-resonance drives.
@@ -61,32 +62,32 @@ def drive_response_matrix(params: SystemParams, phi_L: float, phi_R: float):
     scale = abs(d_L) * abs(d_R) + J * J
     if scale == 0.0 or abs(den) < DEGENERACY_RTOL * scale:
         raise DegenerateBlock(f"steady-state denominator {den!r} vanishes")
-    cross = -1j * J * cmath.exp(1j * (phi_L + phi_R))
+    cross = -1j * J * cmath.exp(1j * (params.phi_L + params.phi_R))
     root_eL = math.sqrt(params.kappa_eL)
     root_eR = math.sqrt(params.kappa_eR)
     return (
-        (d_R * root_eL * cmath.exp(2j * phi_L) / den, cross * root_eR / den),
-        (cross * root_eL / den, d_L * root_eR * cmath.exp(2j * phi_R) / den),
+        (d_R * root_eL * cmath.exp(2j * params.phi_L) / den, cross * root_eR / den),
+        (cross * root_eL / den, d_L * root_eR * cmath.exp(2j * params.phi_R) / den),
     )
 
 
 def steady_amplitudes(params: SystemParams, drives) -> SteadyState:
-    """Mean fields for given drives ``(eps_L, eps_R, phi_L, phi_R)``.
+    """Mean fields for drive amplitudes ``drives = (eps_L, eps_R)`` at the
+    drive phases ``phi_L`` and ``phi_R`` of ``params``.
 
     Drive amplitudes may be complex (a complex eps is the same drive with an
-    extra phase folded in); phases are radians.  Enhanced couplings use the
-    vacuum couplings stored on ``params``.
+    extra phase folded in).  Enhanced couplings use the vacuum couplings
+    stored on ``params``.
 
     Raises :class:`NoSolution` naming a field or coupling that passes the
-    float range, and ValueError naming ``drives`` for a phase that is not a
-    finite real number.  A float or complex amplitude goes into the fields as
-    it is (an infinite one makes a field beyond the float range); any other
-    amplitude must be a real number within the float range.
+    float range, and ValueError naming ``drives`` where it is not a pair.  A
+    float or complex amplitude goes into the fields as it is (an infinite
+    one makes a field beyond the float range); any other amplitude must be a
+    real number within the float range.
     """
-    eps_L, eps_R, phi_L, phi_R = drives
     eps_L, eps_R = (eps if isinstance(eps, (float, complex)) else real("drives", eps)
-                    for eps in (eps_L, eps_R))
-    t = drive_response_matrix(params, real("drives", phi_L), real("drives", phi_R))
+                    for eps in pair("drives", drives))
+    t = drive_response_matrix(params)
     alpha_L = _finite("alpha_L", t[0][0] * eps_L + t[0][1] * eps_R)
     alpha_R = _finite("alpha_R", t[1][0] * eps_L + t[1][1] * eps_R)
     return SteadyState(
@@ -110,7 +111,8 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     zero external coupling) and a nonzero target makes that matter, or when
     a field or drive passes the float range.
     """
-    target_L, target_R = (real(f"target couplings[{i}]", g, 0.0) for i, g in enumerate(target))
+    target_L, target_R = (real(f"target couplings[{i}]", g, 0.0)
+                          for i, g in enumerate(pair("target couplings", target)))
     if target_L == 0.0 and target_R == 0.0:
         return (0j, 0j)
     if target_L > 0.0 and params.g_L == 0.0:
@@ -118,7 +120,7 @@ def drives_for_target_G(params: SystemParams, target) -> tuple:
     if target_R > 0.0 and params.g_R == 0.0:
         raise ValueError("right vacuum coupling is zero but target G_R > 0")
 
-    t = drive_response_matrix(params, params.phi_L, params.phi_R)
+    t = drive_response_matrix(params)
     det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
     scale = abs(t[0][0] * t[1][1]) + abs(t[0][1] * t[1][0])
     if scale == 0.0 or abs(det) < DEGENERACY_RTOL * scale:

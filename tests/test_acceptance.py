@@ -205,8 +205,7 @@ def test_criterion_09_steady_state_round_trip():
         g = 10.0 ** rng.uniform(1, 4, size=2)
         p = replace(p, g_L=TWO_PI * g[0], g_R=TWO_PI * g[1])
         target = tuple(TWO_PI * 10.0 ** rng.uniform(4, 8, size=2))
-        eps_L, eps_R = of.drives_for_target_G(p, target)
-        state = of.steady_amplitudes(p, (eps_L, eps_R, p.phi_L, p.phi_R))
+        state = of.steady_amplitudes(p, of.drives_for_target_G(p, target))
         worst = max(worst,
                     abs(state.G_L - target[0]) / target[0],
                     abs(state.G_R - target[1]) / target[1])

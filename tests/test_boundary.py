@@ -2,7 +2,8 @@
 through ``model.real``, which rejects a bool, a non-number, nan, +-inf, an int
 beyond the float range and a value below the entry's bound with a ValueError
 whose message begins with the argument's name; a count above sys.maxsize is
-rejected where it is spent.  The table asserts each whole message.
+rejected where it is spent, and a pair argument that is not a pair by
+``model.pair``.  The table asserts each whole message.
 """
 
 import math
@@ -45,7 +46,7 @@ ROWS = {"G_L": "SystemParams", "omega_mL": "SystemParams positive", "phi_R": "Sy
 
 
 def _steady(i, value):
-    drives = [1.0, 1.0, 0.0, 0.0]
+    drives = [1.0, 1.0]
     drives[i] = value
     return of.steady_amplitudes(P, tuple(drives))
 
@@ -94,8 +95,13 @@ ENTRIES = {
     "steady_amplitudes amplitude": (lambda v: _steady(0, v), "drives", "", None, AMPLITUDES),
     "steady_amplitudes amplitude [1]": (lambda v: _steady(1, v), "drives", "", None,
                                         AMPLITUDES),
-    "steady_amplitudes phase": (lambda v: _steady(2, v), "drives", "", None, REALS),
-    "steady_amplitudes phase [3]": (lambda v: _steady(3, v), "drives", "", None, REALS),
+    # a steady state's drive phases are SystemParams fields; these rows keep
+    # the ids of the phases' old places in drives
+    "steady_amplitudes phase": (lambda v: of.steady_amplitudes(replace(P, phi_L=v), (1.0, 1.0)),
+                                "phi_L", "", None, REALS),
+    "steady_amplitudes phase [3]": (lambda v: of.steady_amplitudes(replace(P, phi_R=v),
+                                                                   (1.0, 1.0)),
+                                    "phi_R", "", None, REALS),
     "drives_for_target_G": (lambda v: of.drives_for_target_G(P_G, (1.0, v)),
                             "target couplings[1]", ">= 0.0", -1.0, REALS),
     "drives_for_target_G [0]": (lambda v: of.drives_for_target_G(P_G, (v, 1.0)),
@@ -130,15 +136,14 @@ def test_every_entry_rejects_a_hostile_number_by_name(call, message, value):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("phase", [2, 3])
+# ids are the phases' old places in drives, before they moved to SystemParams
+@pytest.mark.parametrize("phase", ["phi_L", "phi_R"], ids=["2", "3"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_a_non_finite_drive_phase_is_invalid_input(phase, bad):
     # not NoSolution: the input is invalid, the field is never computed
-    drives = [1.0, 1.0, 0.0, 0.0]
-    drives[phase] = bad
-    with pytest.raises(ValueError, match="^drives must be within the float range and must be "
+    with pytest.raises(ValueError, match=f"^{phase} must be within the float range and must be "
                                          f"finite, got {bad!r}$"):
-        of.steady_amplitudes(P, tuple(drives))
+        of.steady_amplitudes(replace(P, **{phase: bad}), (1.0, 1.0))
 
 
 @pytest.mark.parametrize("call, name, bits", [
@@ -204,7 +209,7 @@ def test_real_returns_the_checked_number():
     (lambda v: P.with_flux(v), "flux"),
     (lambda v: of.FrequencyGrid(0.0, v, 3), "stop"),
     (lambda v: of.tune(P, of.PHONON, of.SearchSpace(flux_bounds=(v, 1.0))), "flux_bounds[0]"),
-    (lambda v: of.steady_amplitudes(P, (1.0, 1.0, v, 0.0)), "drives"),
+    (lambda v: of.steady_amplitudes(P, (v, 1.0)), "drives"),
     (lambda v: of.drives_for_target_G(P_G, (v, 1.0)), "target couplings[0]"),
     *((lambda v, entry=entry: getattr(of, entry)(P, v), "omega")
       for entry in ("gamma_A", "interference_condition", "build_matrix", "effective_blocks")),
@@ -215,6 +220,22 @@ def test_real_returns_the_checked_number():
 def test_a_scalar_argument_rejects_a_sequence(call, name, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a number"):
         call(value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: _tune(v), "flux_bounds"),
+    (lambda v: _tune(aux_name="G_L", aux_bounds=v), "aux_bounds"),
+    (lambda v: of.drives_for_target_G(P_G, v), "target couplings"),
+    (lambda v: of.steady_amplitudes(P, v), "drives"),
+], ids=["flux_bounds", "aux_bounds", "target couplings", "drives"])
+@pytest.mark.parametrize("value", [0.0, (0.0,), (1, 2, 3), (1.0, 1.0, 0.0, 0.0)],
+                         ids=["number", "one", "three", "old drives"])
+def test_a_pair_argument_rejects_a_non_pair(call, name, value):
+    # the old drives (eps_L, eps_R, phi_L, phi_R) too, now that the phases
+    # are the params'
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a pair, got {value!r}"
 
 
 @pytest.mark.parametrize("value, shown", [

@@ -706,8 +706,10 @@ def test_scenario_round_trip():
     }
     tune = {"mode": "tune", "quantity": "phonon", "params": raw["params"],
             "tune": {"flux_bounds_pi": [-0.5, 0.0], "aux": "G_L", "aux_bounds_hz": [1e7, 4e7]}}
-    steady = {"mode": "steadystate", "params": raw["params"],
-              "steadystate": {"drive_amplitude": [1e6, 2e6], "drive_phase_pi": [0.5, 0.0]}}
+    steady = {"mode": "steadystate",
+              "params": {"preset": "table1", "mechanical_hop_hz": 5.2e5,
+                         "drive_phase_pi": [0.5, 0.0]},
+              "steadystate": {"drive_amplitude": [1e6, 2e6]}}
     for case in (raw, tune, steady):
         scenario = cli.Scenario.from_dict(case)
         assert cli.Scenario.from_dict(scenario.to_dict()) == scenario
@@ -762,24 +764,6 @@ def test_run_requires_config_or_preset(capsys):
 def test_set_validation(tmp_path, capsys):
     assert _run(["run", "--preset", "table1", "--set", "novalue"]) == 2
     assert "--set" in capsys.readouterr().err
-
-
-def test_enhanced_coupling_angular_override(tmp_path):
-    # angular override bypasses the 2*pi conversion applied to the _hz form
-    out = tmp_path / "g.csv"
-    base = [
-        "run", "--preset", "table1",
-        "--set", "mode=spectrum", "--set", "quantity=phonon",
-        "--set", "params.mechanical_hop_hz=520e3",
-        "--set", "params.flux_pi=0.5",
-        "--set", "frequency_grid={start_hz: 5.88e9, stop_hz: 5.9e9, points: 2}",
-        "--out", str(out),
-    ]
-    angular = [f"params.enhanced_coupling_angular=[{TWO_PI * 33e6}, {TWO_PI * 31e6}]"]
-    assert _run(base + ["--set"] + angular) == 0
-    with_angular = out.read_text()
-    assert _run(base + ["--set", "params.enhanced_coupling_hz=[33e6, 31e6]"]) == 0
-    assert out.read_text() == with_angular
 
 
 def test_tune_budget_defaults_and_minima(capsys):
@@ -884,7 +868,9 @@ REJECTIONS = {
     "both steady directions": (_FORWARD, ["steadystate.target_enhanced_coupling_hz=[1, 1]"],
                                "steadystate"),
     "neither steady direction": (_STEADY, ["steadystate={}"], "steadystate"),
-    "only drive phases": (_STEADY, ["steadystate.drive_phase_pi=[0, 1]"], "steadystate"),
+    # each setting has one key: the drive phases are params.drive_phase_pi's
+    "only drive phases": (_STEADY, ["steadystate.drive_phase_pi=[0, 1]"],
+                          "steadystate.drive_phase_pi: unknown key"),
     "negative drive amplitude": (_STEADY, ["steadystate.drive_amplitude=[-1, 1]"],
                                  "steadystate.drive_amplitude"),
     "drive amplitude not a pair": (_STEADY, ["steadystate.drive_amplitude=[1, 2, 3]"],
@@ -892,7 +878,7 @@ REJECTIONS = {
     "negative target coupling": (_STEADY, ["steadystate.target_enhanced_coupling_hz=[1, -1]"],
                                  "steadystate.target_enhanced_coupling_hz"),
     "drive phases with inverse": (_INVERSE, ["steadystate.drive_phase_pi=[0, 1]"],
-                                  "steadystate.drive_phase_pi"),
+                                  "steadystate.drive_phase_pi: unknown key"),
     # the default vacuum coupling is zero, so no drive makes G_L > 0
     "target without vacuum coupling": (_STEADY[:2],
                                        ["steadystate.target_enhanced_coupling_hz=[1e6, 1e6]"],
@@ -912,9 +898,12 @@ REJECTIONS = {
     "negative params value": (_SPECTRUM, ["params.optical_hop_hz=-1"], "params.optical_hop_hz"),
     "zero mechanical frequency": (_SPECTRUM, ["params.mech_frequency_hz=[0, 1e9]"],
                                   "params.mech_frequency_hz"),
+    # and the enhanced couplings enhanced_coupling_hz's
     "both coupling forms": (_SPECTRUM, ["params.enhanced_coupling_hz=[1, 1]",
                                         "params.enhanced_coupling_angular=[1, 1]"],
-                            "params.enhanced_coupling_angular"),
+                            "params.enhanced_coupling_angular: unknown key"),
+    "angular coupling": (_SPECTRUM, ["params.enhanced_coupling_angular=[1, 1]"],
+                         "params.enhanced_coupling_angular: unknown key"),
     "flux and drive phases": (_SPECTRUM, ["params.flux_pi=0.5", "params.drive_phase_pi=[0, 1]"],
                               "params.flux_pi"),
     "oversized spectrum": (_SPECTRUM, ["frequency_grid.points=100000001"], "frequency_grid.points"),
@@ -929,8 +918,8 @@ REJECTIONS = {
                                 "tune.aux_bounds_hz[1]"),
     "target coupling beyond rad/s": (_INVERSE, ["steadystate.target_enhanced_coupling_hz=[1e308, 1]"],
                                      "steadystate.target_enhanced_coupling_hz[0]"),
-    "drive phase beyond rad": (_FORWARD, ["steadystate.drive_phase_pi=[0, 1e308]"],
-                               "steadystate.drive_phase_pi[1]"),
+    "drive phase beyond rad": (_FORWARD, ["params.drive_phase_pi=[0, 1e308]"],
+                               "params.drive_phase_pi[1]"),
     "flux_grid stop beyond rad": (_FLUXMAP, ["flux_grid.stop_pi=1e308"], "flux_grid.stop_pi"),
     # finite ends, a span beyond the float range in angular units
     "frequency_grid span": (_SPECTRUM, ["frequency_grid={start_hz: -2e307, stop_hz: 2e307}"],

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -407,8 +408,8 @@ def test_kernel_row_is_blocks_or_one_peak_per_flux(monkeypatch):
     # a row's survivors are found once, at its floor, and their amplitudes
     # computed at its fluxes in blocks of at most about an eighth of the
     # grid's cells (16 here), a lone flux as a scalar; a row that trips a
-    # guard is scored one flux at a time, each a scalar flux or no gathered
-    # cells, at the same floor.  128 cells at 0 to 127 dB, in a shuffled order
+    # guard is scored by a full pass per flux, which gathers no cells.  128
+    # cells at 0 to 127 dB, in a shuffled order
     db = (37 * np.arange(128)) % 128
     row, pair = np.linspace(-3.0, 3.0, 33), np.array([0.4, -1.1])
     # the 127 dB cell alone survives
@@ -420,7 +421,26 @@ def test_kernel_row_is_blocks_or_one_peak_per_flux(monkeypatch):
     # first candidate of a scan; an infinite term, which leaves no bounds
     for fluxes, floor, infinite in ((pair, 90.5, False), (row, -math.inf, False),
                                     (row, 126.5, True)):
-        assert all(shape == () for shape in _row_paths(monkeypatch, db, fluxes, floor, infinite))
+        assert _row_paths(monkeypatch, db, fluxes, floor, infinite) == []
+
+
+def test_kernel_row_past_the_quarter_guard_searches_for_survivors_once(monkeypatch):
+    # 37 of 128 cells reach a floor of 90.5 dB, more than a quarter: the
+    # row's one search for survivors finds that, and its 33 fluxes are then
+    # scored by full passes, with no new search at the same floor for each
+    searches = []
+    counting = types.ModuleType("numpy")
+    counting.__dict__.update(vars(np))
+
+    def greater_equal(*args, **kwargs):  # the test of the bounds against the level
+        searches.append(args)
+        return np.greater_equal(*args, **kwargs)
+
+    counting.greater_equal = greater_equal
+    monkeypatch.setattr(of.response, "np", counting)
+    db = (37 * np.arange(128)) % 128
+    assert _row_paths(monkeypatch, db, np.linspace(-3.0, 3.0, 33), 90.5) == []
+    assert len(searches) == 1
 
 
 def test_gathered_cells_give_the_full_arrays_bits():

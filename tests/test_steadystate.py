@@ -21,7 +21,7 @@ def test_single_driven_cavity_closed_form():
     p = _with_vacuum_coupling(replace(of.from_table1(1e6), optical_hop=0.0))
     eps_L = 2.5e6
     phi_L = 0.4
-    state = of.steady_amplitudes(p, (eps_L, 0.0, phi_L, 0.0))
+    state = of.steady_amplitudes(replace(p, phi_L=phi_L), (eps_L, 0.0))
     expected = (math.sqrt(p.kappa_eL) * eps_L * cmath.exp(2j * phi_L)
                 / (p.kappa_L / 2 - 1j * p.detuning_L))
     assert state.alpha_L == pytest.approx(expected, rel=1e-12)
@@ -32,25 +32,26 @@ def test_single_driven_cavity_closed_form():
 
 
 def test_zero_drives_give_zero_fields():
-    p = _with_vacuum_coupling(of.from_table1(1e6))
-    state = of.steady_amplitudes(p, (0.0, 0.0, 0.1, 0.2))
+    p = replace(_with_vacuum_coupling(of.from_table1(1e6)), phi_L=0.1, phi_R=0.2)
+    state = of.steady_amplitudes(p, (0.0, 0.0))
     assert state.alpha_L == 0 and state.alpha_R == 0
     assert state.G_L == 0.0 and state.G_R == 0.0
 
 
 def test_fields_are_linear_in_drives():
-    p = _with_vacuum_coupling(of.from_table1(1e6))
-    one = of.steady_amplitudes(p, (1.1e6, 0.7e6, 0.3, -0.2))
-    two = of.steady_amplitudes(p, (2.2e6, 1.4e6, 0.3, -0.2))
+    p = replace(_with_vacuum_coupling(of.from_table1(1e6)), phi_L=0.3, phi_R=-0.2)
+    one = of.steady_amplitudes(p, (1.1e6, 0.7e6))
+    two = of.steady_amplitudes(p, (2.2e6, 1.4e6))
     assert two.alpha_L == pytest.approx(2 * one.alpha_L, rel=1e-14)
     assert two.alpha_R == pytest.approx(2 * one.alpha_R, rel=1e-14)
 
 
 def test_common_phase_shift_preserves_magnitudes():
     p = _with_vacuum_coupling(of.from_table1(1e6))
-    base = of.steady_amplitudes(p, (1.5e6, 0.8e6, 0.3, -0.2))
+    base = of.steady_amplitudes(replace(p, phi_L=0.3, phi_R=-0.2), (1.5e6, 0.8e6))
     for shift in (0.7, -1.9, 4.4):
-        shifted = of.steady_amplitudes(p, (1.5e6, 0.8e6, 0.3 + shift, -0.2 + shift))
+        shifted = of.steady_amplitudes(replace(p, phi_L=0.3 + shift, phi_R=-0.2 + shift),
+                                       (1.5e6, 0.8e6))
         assert abs(shifted.alpha_L) == pytest.approx(abs(base.alpha_L), rel=1e-9)
         assert abs(shifted.alpha_R) == pytest.approx(abs(base.alpha_R), rel=1e-9)
 
@@ -58,14 +59,6 @@ def test_common_phase_shift_preserves_magnitudes():
 def test_drives_for_target_trivial_zero():
     p = _with_vacuum_coupling(of.from_table1(1e6))
     assert of.drives_for_target_G(p, (0.0, 0.0)) == (0j, 0j)
-
-
-def test_drives_for_target_rejects_bad_targets():
-    p = _with_vacuum_coupling(of.from_table1(1e6))
-    for target in ((math.nan, 1e6), (1e6, math.nan), (-1.0, 1e6), (math.inf, 1e6),
-                   (10**400, 1.0)):
-        with pytest.raises(ValueError, match="target couplings"):
-            of.drives_for_target_G(p, target)
 
 
 def test_drives_for_target_decoupled_closed_form():
@@ -84,8 +77,7 @@ def test_drives_for_target_decoupled_closed_form():
 def test_round_trip_reproduces_reference_targets():
     p = _with_vacuum_coupling(of.from_table1(1e6, flux=0.35))
     target = (TWO_PI * 33e6, TWO_PI * 31e6)
-    eps = of.drives_for_target_G(p, target)
-    state = of.steady_amplitudes(p, (eps[0], eps[1], p.phi_L, p.phi_R))
+    state = of.steady_amplitudes(p, of.drives_for_target_G(p, target))
     assert state.G_L == pytest.approx(target[0], rel=1e-9)
     assert state.G_R == pytest.approx(target[1], rel=1e-9)
 
@@ -96,8 +88,7 @@ def test_round_trip_randomized():
         p = _with_vacuum_coupling(random_params(rng),
                                   g_hz=10.0 ** rng.uniform(1, 4, size=2))
         target = tuple(TWO_PI * 10.0 ** rng.uniform(4, 8, size=2))
-        eps = of.drives_for_target_G(p, target)
-        state = of.steady_amplitudes(p, (eps[0], eps[1], p.phi_L, p.phi_R))
+        state = of.steady_amplitudes(p, of.drives_for_target_G(p, target))
         assert abs(state.G_L - target[0]) <= 1e-9 * target[0]
         assert abs(state.G_R - target[1]) <= 1e-9 * target[1]
 
@@ -125,14 +116,14 @@ def test_state_beyond_the_float_range_raises_no_solution():
     with pytest.raises(of.NoSolution, match="^eps_L = "):
         of.drives_for_target_G(_with_vacuum_coupling(p, (1.0, 1.0)), (1e307, 1e307))
     with pytest.raises(of.NoSolution, match="^alpha_L = "):
-        of.steady_amplitudes(p, (math.inf, 0.0, 0.0, 0.0))
+        of.steady_amplitudes(p, (math.inf, 0.0))
     with pytest.raises(of.NoSolution, match="^G_L = "):
-        of.steady_amplitudes(_with_vacuum_coupling(p, (1e300, 1e300)), (1e307, 1e307, 0.0, 0.0))
+        of.steady_amplitudes(_with_vacuum_coupling(p, (1e300, 1e300)), (1e307, 1e307))
     # a field of 1.3e308 (1 + i), whose magnitude is past the float range
     # although both of its parts are within
     p = replace(p, optical_hop=0.0, kappa_eL=1.0, kappa_iL=0.0, detuning_L=0.5)
     with pytest.raises(of.NoSolution, match="^G_L: "):
-        of.steady_amplitudes(_with_vacuum_coupling(p), (1.3e308, 0.0, 0.0, 0.0))
+        of.steady_amplitudes(_with_vacuum_coupling(p), (1.3e308, 0.0))
 
 
 def test_degenerate_denominator_raises():
@@ -147,14 +138,14 @@ def test_degenerate_denominator_raises():
         detuning_L=0.0, detuning_R=0.0,
     )
     with pytest.raises(of.DegenerateBlock):
-        of.steady_amplitudes(p, (1.0, 1.0, 0.0, 0.0))
+        of.steady_amplitudes(p, (1.0, 1.0))
 
 
 def test_drive_response_matrix_columns():
     # columns of T are the unit responses of each drive
-    p = of.from_table1(1e6)
-    t = drive_response_matrix(p, 0.3, -0.1)
-    a = of.steady_amplitudes(p, (1.0, 0.0, 0.3, -0.1))
-    b = of.steady_amplitudes(p, (0.0, 1.0, 0.3, -0.1))
+    p = replace(of.from_table1(1e6), phi_L=0.3, phi_R=-0.1)
+    t = drive_response_matrix(p)
+    a = of.steady_amplitudes(p, (1.0, 0.0))
+    b = of.steady_amplitudes(p, (0.0, 1.0))
     assert t[0][0] == a.alpha_L and t[1][0] == a.alpha_R
     assert t[0][1] == b.alpha_L and t[1][1] == b.alpha_R
