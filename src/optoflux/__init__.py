@@ -8,7 +8,6 @@ The package is organised bottom-up:
 - :mod:`~optoflux.response`     the three isolation measures
 - :mod:`~optoflux.steadystate`  mean intracavity fields and enhanced couplings
 - :mod:`~optoflux.sweep`        spectra and flux-frequency maps
-- :mod:`~optoflux.fanout`       independent work cut into ranges for forked processes
 - :mod:`~optoflux.optimize`     destructive-interference tuning
 - :mod:`~optoflux.cli`          scenario files and the ``optoflux`` command
 - :mod:`~optoflux.__main__`     the process entry of the ``optoflux`` command
@@ -38,8 +37,8 @@ _EXPORTS = {
     **dict.fromkeys(("FluxMap", "FrequencyGrid", "default_flux_grid",
                      "default_frequency_grid", "flux_map", "spectrum"), "sweep"),
 }
-_SUBMODULES = ("cli", "errors", "fanout", "linsys", "model", "optimize", "response",
-               "steadystate", "sweep")
+_SUBMODULES = ("cli", "errors", "linsys", "model", "optimize", "response", "steadystate",
+               "sweep")
 
 __all__ = sorted(_EXPORTS)
 

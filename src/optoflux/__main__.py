@@ -14,8 +14,8 @@ enough for more threads to help, and its writer's ranges are then forked
 from a process of one thread.
 
 SIGTERM becomes ``SystemExit(143)``, so that a terminated run unwinds like
-an interrupted one: the writer removes its temporary file and the fan-out
-kills and reaps its children.
+an interrupted one: the writer removes its temporary file and kills and
+reaps its children.
 """
 
 import gc

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import yaml
 
-from . import fanout, model, steadystate
+from . import model, steadystate
 from .errors import ConfigError, OptofluxError
 from .model import TWO_PI, SystemParams, wrap_phase
 
@@ -499,35 +499,108 @@ def _json(payload, rows=None):
     return _Text(head, len(table), table.size, body, tail)
 
 
+def _cut(items, cost, minimum):
+    """Bounds ``[0, ..., items]`` of contiguous ranges of ``items`` items.
+
+    There is one range per usable CPU, but no more ranges than items, nor
+    more than leave each range ``minimum`` of the total ``cost``; there is
+    always at least one, and only one where the platform cannot fork or
+    tell the usable CPUs.
+    """
+    n = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = max(1, min(len(os.sched_getaffinity(0)), items, cost // minimum))
+    return [items * k // n for k in range(n + 1)]
+
+
+def _fork(text, lo, hi, part, what, pids):
+    """Fork a child that writes ``text.body(lo, hi)`` into the binary file
+    ``part``; append its pid to ``pids``.
+
+    The child leaves only by os._exit, 0 once ``part`` is written and 1
+    after printing its error, so nothing of the caller's stack (finally
+    blocks, exception handlers, atexit hooks) runs in it.  SIGINT and
+    SIGTERM stay blocked from before the fork until the child is inside the
+    try that ends in os._exit, so that a signal cannot unwind a child into
+    the caller either, and in the caller until the pid is recorded, so that
+    a signal cannot lose the child before it is reaped.  A fork copies only
+    the calling thread: on Python >= 3.12 a fork while numpy's BLAS threads
+    exist raises a DeprecationWarning.
+    """
+    import signal  # here, not at the top: only a split needs it
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                with open(part.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+                    fh.writelines(text.body(lo, hi))
+                status = 0
+            except BaseException as exc:
+                print(f"optoflux: {what} {lo}-{hi}: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+        pids.append(pid)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _write(text, path):
     """Write ``text`` to ``path`` atomically, its rows cut into ranges of at
-    least MIN_CELLS_PER_PIECE cells by :func:`optoflux.fanout.cut`.
+    least MIN_CELLS_PER_PIECE cells by :func:`_cut`.
 
     The first range is formatted here into a temporary file beside ``path``,
-    each later one by a forked child into an unnamed part file beside it,
-    copied into the output in order once the child exits; one range forks and
-    opens none.  The temporary file is renamed over ``path``, so an
-    interrupted or failed run never leaves a truncated output.
+    each later one by a forked child into an unnamed part file beside it
+    (gone once closed, even if this process is killed), copied into the
+    output in order once the child exits; a failed child raises OSError.
+    One range forks and opens none.  The temporary file is renamed over
+    ``path``, so an interrupted or failed run never leaves a truncated
+    output; on every exit path each child is reaped (killed first if it
+    still runs) and every part closed.
     """
-    def piece(lo, hi, part):
-        with open(part.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-            fh.writelines(text.body(lo, hi))
-
-    bounds = fanout.cut(text.rows, text.cells, MIN_CELLS_PER_PIECE)
+    bounds = _cut(text.rows, text.cells, MIN_CELLS_PER_PIECE)
     tmp = f"{path}.{os.getpid()}.tmp"
+    what = f"{path}: the writer of rows"
+    parts, pids = [], []  # per range after the first
+    reaped = 0
     try:
-        with fanout.forked(bounds, piece, f"{path}: the writer of rows",
-                           os.path.dirname(path) or ".") as parts:
-            # open() keeps the umask-derived file mode
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(text.head)
-                fh.writelines(text.body(0, bounds[1]))
-                for part in parts:
-                    fh.flush()
-                    shutil.copyfileobj(part, fh.buffer)
-                fh.writelines(text.tail)
+        # a child inherits unflushed output and would write it again
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            import tempfile  # here, not at the top: only a split opens parts
+
+            parts.append(tempfile.TemporaryFile(dir=os.path.dirname(path) or "."))
+            _fork(text, lo, hi, parts[-1], what, pids)
+        # open() keeps the umask-derived file mode
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(text.head)
+            fh.writelines(text.body(0, bounds[1]))
+            for pid, part, lo, hi in zip(pids, parts, bounds[1:], bounds[2:]):
+                _, status = os.waitpid(pid, 0)
+                reaped += 1
+                if status:
+                    raise OSError(f"{what} {lo}-{hi} failed "
+                                  f"(exit status {os.waitstatus_to_exitcode(status)})")
+                part.seek(0)
+                fh.flush()
+                shutil.copyfileobj(part, fh.buffer)
+            fh.writelines(text.tail)
         os.replace(tmp, path)
     finally:
+        for pid in pids[reaped:]:
+            from signal import SIGKILL  # loaded by _fork
+
+            with contextlib.suppress(OSError):
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
         with contextlib.suppress(OSError):
             os.remove(tmp)  # still there only if the write or rename failed
 

@@ -166,7 +166,8 @@ def _peak_of(forward, backward, level=0.0):
     if not (forward.min(initial=math.inf) >= UNDERFLOW
             and backward.min(initial=math.inf) >= UNDERFLOW):  # nan fails too
         return None
-    ratio = forward / backward
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is nan, caught below
+        ratio = forward / backward
     if ratio.ndim == 1:  # one row, in scalar steps
         top = ratio.max(initial=0.0)
         if top < level * (1.0 - 2e-9):

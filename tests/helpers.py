@@ -1,6 +1,6 @@
 """Shared test utilities: randomized parameter draws, the dense oracle, the
 exact rational inverse, the reference dB ratio and the hook that forces the
-fan-out's ranges."""
+writer's ranges."""
 
 import math
 import os
@@ -124,10 +124,10 @@ _FORK = os.fork
 
 
 def force_ranges(monkeypatch, n):
-    """Make every later cut of :mod:`optoflux.fanout`, the writer's, give n
-    ranges (fewer only with fewer items): n usable CPUs and a minimum of one
-    cell per range.  Returns the list that collects the pids forked from then
-    on."""
+    """Make every later cut of the writer's rows, :func:`optoflux.cli._cut`,
+    give n ranges (fewer only with fewer items): n usable CPUs and a minimum
+    of one cell per range.  Returns the list that collects the pids forked
+    from then on."""
     forks = []
 
     def counted_fork():

@@ -45,8 +45,8 @@ EXPORTED = {
 SUBMODULES = sorted(path.stem for path in (SRC / "optoflux").glob("*.py")
                     if not path.stem.startswith("__"))
 
-# the module that forks and the stdlib modules only a split needs
-FORKING = ("optoflux.fanout", "signal", "tempfile")
+# the stdlib modules only a split needs
+FORKING = ("signal", "tempfile")
 
 
 def _report(modules):
@@ -148,7 +148,7 @@ _ISOLATED = (f"import os, sys\nsys.path += {_SITE!r}\n"
 
 
 # the process entry loads signal itself, to turn SIGTERM into SystemExit
-_ENTRY = ["optoflux.fanout", "signal"]
+_ENTRY = ["signal"]
 
 
 @pytest.mark.parametrize("name, loaded", [
@@ -157,8 +157,8 @@ _ENTRY = ["optoflux.fanout", "signal"]
     ("tune", _ENTRY),  # a one-range write, after a scan in this process
 ])
 def test_run_without_a_split_loads_no_fork_code(configs, tmp_path, name, loaded):
-    # every output goes through the fan-out; one range forks nothing, opens
-    # no part file and loads no tempfile
+    # every output goes through the writer's cut; one range forks nothing,
+    # opens no part file and loads no tempfile
     assert _loaded_by_cli(configs[name], tmp_path, FORKING, ["-S"], _ISOLATED) == (0, loaded)
 
 

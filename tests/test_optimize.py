@@ -254,6 +254,27 @@ def test_peak_of_a_nan_and_minus_inf_spectrum_is_minus_inf(monkeypatch):
     assert result.peak_frequency == _small_grid().values()[0]
 
 
+def test_overflowed_amplitudes_score_without_a_warning():
+    # amplitudes past the float range are inf, whose ratio inf / inf is nan:
+    # the kernel's full pass scores them without a RuntimeWarning, as
+    # isolation_db does.  V up to 2 pi 1e300 overflows every candidate but
+    # V = 0, whose 0 dB wins; couplings of 1e300 overflow every flux
+    grid = _small_grid()
+    p = of.from_table1(1e6)
+    result = of.tune(p, of.PHONON, of.SearchSpace(
+        flux_bounds=(0.0, math.pi), aux_name="mechanical_hop", aux_bounds=(0.0, TWO_PI * 1e300),
+        frequency_grid=grid, coarse_points=3, golden_iterations=2, descent_sweeps=1))
+    assert (result.best_flux, result.best_aux, result.peak_db) == (0.0, 0.0, 0.0)
+    assert result.trace == (((0.0, 0.0), 0.0),)
+    big = replace(p, mechanical_hop=1e300, optical_hop=1e300, G_L=1e300, G_R=1e300)
+    result = of.tune(big, of.PHOTON_TO_PHONON, of.SearchSpace(
+        flux_bounds=(0.0, math.pi), frequency_grid=grid, coarse_points=3,
+        golden_iterations=2, descent_sweeps=1))
+    assert result.trace == (((0.0, None), -math.inf),)
+    assert math.isnan(result.peak_db)
+    assert np.isnan(of.isolation_db(big, grid.values(), of.PHOTON_TO_PHONON)).all()
+
+
 def test_tune_validates_inputs():
     p = of.from_table1(1e6)
     with pytest.raises(ValueError, match="^unknown quantity 'bogus'"):
