@@ -26,6 +26,8 @@ share only the assembly of M; their agreement is the backbone of the tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateBlock, SingularMatrix
@@ -90,6 +92,8 @@ def invert_dense(m) -> np.ndarray:
 
 
 def _check_det(name, det, scale):
+    if not (abs(det) < math.inf and scale < math.inf):  # nan too
+        raise DegenerateBlock(f"{name} = {det!r} is beyond the float range at this frequency")
     if abs(det) < DEGENERACY_RTOL * scale or scale == 0.0:
         raise DegenerateBlock(f"{name} = {det!r} vanishes at this frequency")
 
@@ -100,17 +104,21 @@ def optical_det(chi, J):
 
 
 def checked_optical_det(chi, J) -> complex:
-    """:func:`optical_det` at one frequency; :class:`DegenerateBlock` if it vanishes."""
+    """:func:`optical_det` at one frequency; :class:`DegenerateBlock` if it
+    vanishes or leaves the float range."""
     det_A = optical_det(chi, J)
     _check_det("det_A", det_A, abs(chi.chi_aR_inv) * abs(chi.chi_aL_inv) + J * J)
     return det_A
 
 
 def _inverse_2x2(block, name):
-    """Adjugate over determinant; :class:`DegenerateBlock` if det (``name``) vanishes."""
+    """Adjugate over determinant; :class:`DegenerateBlock` if det (``name``)
+    vanishes or leaves the float range."""
     (a, b), (c, d) = block
-    det = a * d - b * c
-    _check_det(name, det, abs(a * d) + abs(b * c))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        det = a * d - b * c
+        scale = abs(a * d) + abs(b * c)
+    _check_det(name, det, scale)
     return np.array([[d, -b], [-c, a]]) / det
 
 
@@ -124,7 +132,8 @@ def effective_blocks(params: SystemParams, omega: float) -> np.ndarray:
     off-diagonal entries sums two terms that cancel by eight decades.
 
     Raises :class:`DegenerateBlock` when det(A), det(B), det(A_eff) or
-    det(B_eff) vanishes (possible only with some total decay exactly zero).
+    det(B_eff) vanishes (possible only with some total decay exactly zero)
+    or leaves the float range (couplings or a frequency near its edge).
     """
     m = build_matrix(params, omega)
     A, C, D, B = m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]

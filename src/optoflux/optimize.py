@@ -12,9 +12,11 @@ amplitude kernel's ``peak``, so that the kernel bounds each value once, and
 hands it the running best at the start of the row as the floor below which
 a candidate need not be scored exactly.  Each candidate of the descent is
 one more call, floored by the golden section's other interior point, which
-a candidate below it loses to; one more call, floored by the best score,
-which it repeats, gives the result's peak and its frequency.  Both are
-fully deterministic and run in the calling process.
+a candidate below it loses to, and along the coupling spanned by the
+section's bracket, so that the kernel bounds the bracket once; one more
+call, floored by the best score, which it repeats, gives the result's peak
+and its frequency.  Both are fully deterministic and run in the calling
+process.
 """
 
 from __future__ import annotations
@@ -158,8 +160,10 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     maximum is taken, so the result is that of scoring every candidate
     exactly.  Each candidate of the descent passes the golden section's
     other interior point as its floor, which a candidate below it loses to,
-    so the descent too takes the steps of exact scores; the final peak
-    passes the best score, which is its own.
+    so the descent too takes the steps of exact scores.  A golden section
+    along the coupling passes its bracket as each candidate's span, which
+    holds every candidate and changes no score; the final peak passes the
+    best score, which is its own.
     """
     for name, minimum in (("coarse_points", 1), ("golden_iterations", 0), ("descent_sweeps", 0)):
         count = real(name, getattr(search_space, name), minimum, integer=True)
@@ -189,9 +193,9 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
 
     peak = response.amplitude_kernel(params, omega, quantity, aux_name)
 
-    def objective(flux, aux, floor=-math.inf):
+    def objective(flux, aux, floor=-math.inf, span=None):
         # the peak skips nan cells; only a spectrum that is nan everywhere gives nan
-        db, _ = peak(aux, params.carried_flux(flux), floor)
+        db, _ = peak(aux, params.carried_flux(flux), floor, span)
         return -math.inf if math.isnan(db) else db
 
     def axis(lo, hi):
@@ -231,9 +235,11 @@ def tune(params: SystemParams, quantity: str, search_space: SearchSpace) -> Tune
     for sweep_index in range(search_space.descent_sweeps if coords else 0):
         for k, lo, hi, half in coords:
             width = half * 0.25 ** sweep_index
+            bracket = max(lo, best[k] - width), min(hi, best[k] + width)
+            span = bracket if k else None  # the aux's bracket holds its candidates
             x, fx = _golden_section_max(
-                lambda v, floor: objective(*best[:k], v, *best[k + 1:], floor),
-                max(lo, best[k] - width), min(hi, best[k] + width), search_space.golden_iterations)
+                lambda v, floor: objective(*best[:k], v, *best[k + 1:], floor, span),
+                *bracket, search_space.golden_iterations)
             if fx > best_obj:
                 best[k], best_obj = float(x), fx
                 trace.append((tuple(best), best_obj))

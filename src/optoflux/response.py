@@ -68,7 +68,7 @@ def gamma_A(params: SystemParams, omega: float) -> complex:
     """Optically mediated mechanical coupling Gamma_A = J G_L G_R / det_A.
 
     Raises :class:`ZeroCoupling` when the bridge J G_L G_R vanishes and
-    :class:`DegenerateBlock` when det_A does.
+    :class:`DegenerateBlock` when det_A does or leaves the float range.
     """
     bridge = params.optical_hop * params.G_L * params.G_R
     if bridge == 0.0:
@@ -191,41 +191,57 @@ def _peak_of(forward, backward, level=0.0):
     return ratio.max(axis=-1), ratio.argmax(axis=-1)
 
 
-def _bounds(terms, sizes, hop, q, fub, blb):
-    """Write into ``q``, per cell, an upper bound of the forward amplitude at
-    mechanical hop ``hop`` over a lower bound of the backward one (+inf where
-    the lower bound is 0 or less or nan; nan where both bounds are 0, which
-    makes the least forward bound 0), from the magnitudes ``sizes`` = (|X_f|,
-    |Y_f|, |X_b|, |Y_b|) of ``terms``; return the least forward bound, or
-    None where g V is not finite.  ``fub`` and ``blb`` are scratch.  See
-    amplitude_kernel for the rounding."""
+def _bounds(terms, sizes, span, q, fub, blb, mask):
+    """Write into ``q``, per cell, an upper bound of the forward amplitude
+    over a lower bound of the backward one, each holding at every mechanical
+    hop V of ``span`` = (lo, hi), a lone V being (V, V) (+inf where the lower
+    bound is 0 or less or nan; nan where both bounds are 0, which makes the
+    least forward bound 0), from the magnitudes ``sizes`` = (|X_f|, |Y_f|,
+    |X_b|, |Y_b|) of ``terms``; return the least forward bound, or None
+    where g V is not finite.  ``fub``, ``blb`` and ``mask`` end as the
+    forward bound, the backward one and scratch.  See amplitude_kernel for
+    the rounding."""
     (g_f, _, _), (g_b, _, _) = terms
-    gv_f, gv_b = abs(g_f * hop), abs(g_b * hop)
-    if not math.isfinite(gv_f + gv_b):
+    lo, hi = span
+    gv_f, gv_lo, gv_hi = abs(g_f * hi), abs(g_b * lo), abs(g_b * hi)
+    if not math.isfinite(gv_f + gv_lo + gv_hi):
         return None
     x_f, y_f, x_b, y_b = sizes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.multiply(x_f, gv_f, out=fub)
-        np.add(fub, y_f, out=fub)
-        np.multiply(fub, 1.0 + _SLACK, out=fub)  # |gV||X_f| + |Y_f|, raised
-        np.multiply(x_b, gv_b, out=q)
+        # ||gV||X_b| - |Y_b||, lowered, at lo into blb, its sign in mask
+        np.multiply(x_b, gv_lo, out=q)
         np.subtract(q, y_b, out=blb)
+        np.less(blb, 0.0, out=mask)
         np.abs(blb, out=blb)
         np.add(q, y_b, out=q)
         np.multiply(q, _SLACK, out=q)
-        np.subtract(blb, q, out=blb)  # ||gV||X_b| - |Y_b||, lowered; nan for inf - inf
+        np.subtract(blb, q, out=blb)  # nan for inf - inf
+        # and at hi into q, its slack in fub: 0 where the sign changes.  A
+        # lone V's bound there is the one at lo, bit for bit, so it skips it
+        if lo != hi:
+            np.multiply(x_b, gv_hi, out=q)
+            np.add(q, y_b, out=fub)
+            np.multiply(fub, _SLACK, out=fub)
+            np.subtract(q, y_b, out=q)
+            np.minimum(q, 0.0, out=q, where=mask)
+            np.abs(q, out=q)
+            np.subtract(q, fub, out=q)
+            np.minimum(blb, q, out=blb)  # the lesser end, nan kept
         np.fmax(blb, 0.0, out=blb)
+        np.multiply(x_f, gv_f, out=fub)
+        np.add(fub, y_f, out=fub)
+        np.multiply(fub, 1.0 + _SLACK, out=fub)  # |gV||X_f| + |Y_f| at hi, raised
         np.divide(fub, blb, out=q)
     return float(fub.min())
 
 
 def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     """The search's kernel over a 1-D ``omega``: ``peak(value, flux,
-    floor=-inf)`` is ``(db, index)``, the peak isolation of one channel with
-    the field of ``params`` named ``coupling`` (one of AUX_PARAMETERS) set to
-    ``value``, and the first frequency holding it (0 where every cell is nan);
-    for a 1-D array of fluxes, a row of a scan, it is a list of those pairs,
-    one per flux.
+    floor=-inf, span=None)`` is ``(db, index)``, the peak isolation of one
+    channel with the field of ``params`` named ``coupling`` (one of
+    AUX_PARAMETERS) set to ``value``, and the first frequency holding it (0
+    where every cell is nan); for a 1-D array of fluxes, a row of a scan, it
+    is a list of those pairs, one per flux.
 
     Whenever that peak is at least ``floor``, the pair is, bit for bit,
     ``np.fmax.reduce`` and the nan-masked ``np.argmax`` of
@@ -242,7 +258,18 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     here, once; the terms are rebuilt only when the coupling's bits change
     (never for V, which enters none), and their magnitudes and bounds at a
     row or at a floored call that repeats the value (at a new V's first
-    while the last try of the bounds paid).
+    while the last try of the bounds paid, or whose span's bounds are kept).
+
+    ``span``, a pair ``0 <= lo <= value <= hi`` such as a golden section's
+    bracket, lets a kernel over the mechanical hop make one set of bounds
+    that holds at every V from lo to hi, kept under the span's bits, so
+    that the calls of one bracket share it: the forward bound is the one at
+    hi, which every rounded step of it makes the largest; the backward one
+    is the lesser of the two ends' bounds, 0 where |gV||X_b| - |Y_b|
+    changes sign between them.  A span that is None or holds no such pair,
+    and any span of a kernel over another coupling, is ``(value, value)``.
+    The pruning argument beside ``pruned`` shows why the pair's bits do not
+    depend on the span.
     """
     chi = susceptibilities(params, omega)
     terms = amplitude_terms(params, chi, quantity)
@@ -255,7 +282,7 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the last call
     sizes = None  # |X_f|, |Y_f|, |X_b|, |Y_b| of the terms, () if one is not finite
     q = np.empty(shape)  # _bounds at the coupling value
-    bounded = None  # (the coupling bits, the least forward bound) of q
+    bounded = None  # (the span's bits, the least forward bound) of q
     pruning = False  # whether the last try of the bounds paid
 
     # Why a pruned peak has the full pass's bits.  With u = 2^-53, peak makes
@@ -287,8 +314,21 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     # branch, gives these bits.  Otherwise no ratio of the row reaches L (1 -
     # 2e-9) and its peak is below the floor.  A non-finite magnitude or g V,
     # or a quarter of the cells surviving, also sends peak to the full pass.
+    #   A span's bounds hold at each V of it, so all of the above holds at
+    # each V.  Over 0 <= lo <= V <= hi, fl(|gV|) and fl(fl(|gV|)|X|) rise
+    # with V, and so does every rounded step of fub: fub at hi is at least
+    # fub at V.  The sign of gV|X_b| - |Y_b| is that of its rounded
+    # difference, and can change only once over the span, from - to +; where
+    # it does, blb is 0, the least it is at any V.  Where it is -, blb at V
+    # is a rounded term falling with V less a rounded one rising, so it
+    # falls and is least at hi.  Where it is +, both rounded terms rise, and
+    # the rounding of the two can break blb's rise only by a few u of the
+    # terms, inside _SLACK's margin (128u allowed against ~20u used): the
+    # value at lo is below the backward amplitude at every V of the span.
+    # So the lesser of the two ends' blb bounds every backward amplitude of
+    # the span, and its survivors hold those of each V in it.
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def pruned(bits, hop, flux, floor):
+    def pruned(key, span, hop, flux, floor):
         # [(db, index)], a pair per flux of a row or one for a scalar flux,
         # or None where the bounds cannot serve
         nonlocal sizes, bounded
@@ -302,9 +342,9 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
                 sizes = ()
         if not sizes:
             return None
-        if bounded is None or bounded[0] != bits:
+        if bounded is None or bounded[0] != key:
             bounded = None  # q is rewritten
-            bounded = bits, _bounds(terms, sizes, hop, q, fub, blb)
+            bounded = key, _bounds(terms, sizes, span, q, fub, blb, mask)
         least = bounded[1]
         if least is None:
             return None
@@ -329,7 +369,7 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
             pairs += zip(*(a.tolist() for a in found)) if block.size > 1 else [found]
         return [(db, int(cells[i]) if db > -math.inf else 0) for db, i in pairs]
 
-    def peak(value, flux, floor=-math.inf):
+    def peak(value, flux, floor=-math.inf, span=None):
         nonlocal terms, built, sizes, bounded, pruning
         hop = value if chi is None else params.mechanical_hop
         bits = struct.pack("d", value)
@@ -338,13 +378,18 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
             built = terms = sizes = bounded = None  # freed before the new terms are made
             terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
         built = bits
+        if not (chi is None and span is not None and 0.0 <= span[0] <= value <= span[1]):
+            span = hop, hop
+        key = struct.pack("dd", *span)  # new terms drop their bounds, so it tells V's apart
         # a row tries the bounds at once, as they pay over its fluxes; a lone
         # flux only with a floor, and new terms at their second call, where
-        # their magnitudes tend to pay, or a new V (its bounds are a third of
-        # a full pass) while the last try paid
+        # their magnitudes tend to pay, or a new V while the last try paid or
+        # its span's bounds are kept (a V's bounds cost about a fifth of a
+        # full pass, a span's a third, once for all of its V)
         row = np.ndim(flux) > 0
-        if row or floor > -math.inf and (again or chi is None and pruning):
-            found = pruned(bits, hop, flux, floor)
+        kept = bounded is not None and bounded[0] == key
+        if row or floor > -math.inf and (again or chi is None and (pruning or kept)):
+            found = pruned(key, span, hop, flux, floor)
             pruning = found is not None
             if pruning:
                 return found if row else found[0]

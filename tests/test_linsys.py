@@ -204,5 +204,17 @@ def test_degenerate_block_raised_for_undamped_resonance():
     assert max_entrywise_relative(closed, dense) <= 1e-9
 
 
+def test_a_determinant_beyond_the_float_range_is_a_degenerate_block():
+    # couplings of 1e300 make det_A = chi_aL_inv chi_aR_inv + J^2 overflow:
+    # the block inverse names it, with no numpy warning (tier-1 makes a
+    # RuntimeWarning an error), and gamma_A, which divides by it, does too
+    p = replace(of.from_table1(5e5), mechanical_hop=1e300, optical_hop=1e300, G_L=1e300,
+                G_R=1e300)
+    for entry in (of.effective_blocks, of.gamma_A):
+        with pytest.raises(of.DegenerateBlock, match=r"^det_A = .* is beyond the float range "
+                                                     r"at this frequency$"):
+            entry(p, TWO_PI * 5.85e9)
+
+
 def test_degenerate_block_is_a_singular_matrix():
     assert issubclass(of.DegenerateBlock, of.SingularMatrix)

@@ -112,14 +112,6 @@ def test_synthetic_flux_and_with_flux():
     assert p.carried_flux(-1.3) == p.with_flux(-1.3).synthetic_flux
 
 
-# every entry that takes one probe frequency reaches it through susceptibilities
-@pytest.mark.parametrize("entry", ["susceptibilities", "gamma_A", "interference_condition",
-                                   "build_matrix", "effective_blocks"])
-def test_an_omega_beyond_the_float_range_is_rejected(entry):
-    with pytest.raises(ValueError, match="^omega must be within the float range"):
-        getattr(of, entry)(of.from_table1(5e5), 10**400)
-
-
 def test_copy_helpers():
     # one field changes per replace; the original is untouched and immutable
     p = of.from_table1(1e6)

@@ -11,6 +11,7 @@ import pytest
 import optoflux as of
 from optoflux.model import TWO_PI
 
+import tune_cpu
 from helpers import force_ranges, random_omega, random_params
 
 # scripted closed-form solution at omega/2pi = 5.85 GHz on the reference set
@@ -398,25 +399,30 @@ def test_tune_builds_one_kernel_whatever_it_searches(monkeypatch):
 @pytest.mark.parametrize("quantity", of.QUANTITIES)
 def test_tune_matches_a_kernel_without_floors(monkeypatch, quantity, aux):
     # the scan's rows and the descent's candidates pass the kernel floors,
-    # below which it may answer any lower value; a kernel whose every call
-    # drops its floor scores each candidate exactly, and must give an equal
-    # result, trace included, bit for bit.  Some descent candidate must have
-    # scored below the floor it was passed, or no floor was tested
+    # below which it may answer any lower value, and each candidate of a
+    # golden section along the coupling passes its bracket as the span of
+    # the kernel's bounds; a kernel whose every call drops its floor and its
+    # span scores each candidate exactly, and must give an equal result,
+    # trace included, bit for bit.  Some descent candidate must have scored
+    # below the floor it was passed, or no floor was tested, and every
+    # search along a coupling must have passed spans
     params = of.from_table1(520e3)
     kernel = of.response.amplitude_kernel
     below = []  # per scalar call, whether it scored below its floor
+    spans = []  # per call, the span it passed
 
     def kernel_without_floors(*args):
         peak = kernel(*args)
-        return lambda value, flux, floor=-math.inf: peak(value, flux)
+        return lambda value, flux, floor=-math.inf, span=None: peak(value, flux)
 
     def kernel_with_floors(*args):
         peak = kernel(*args)
 
-        def recorded(value, flux, floor=-math.inf):
-            got = peak(value, flux, floor)
+        def recorded(value, flux, floor=-math.inf, span=None):
+            got = peak(value, flux, floor, span)
             if np.ndim(flux) == 0:
                 below.append(got[0] < floor)
+            spans.append(span)
             return got
 
         return recorded
@@ -427,6 +433,29 @@ def test_tune_matches_a_kernel_without_floors(monkeypatch, quantity, aux):
     result = of.tune(params, quantity, _scan_space(aux))
     assert result == exact and _bits(result) == _bits(exact)
     assert any(below)
+    assert any(spans) == (aux is not None)
+
+
+def test_a_golden_section_over_v_bounds_its_bracket_once(monkeypatch):
+    # the bench-sized photon->phonon tune over V makes one bounds pass per
+    # coarse-scan row (33), per sweep one for the golden section over the
+    # flux at the incumbent V and one for that over V's bracket (3 + 3), and
+    # one for the final peak: 40 passes, against 159 when each candidate of a
+    # section over V had its own
+    spans = []
+    bounds = of.response._bounds
+
+    def counted(terms, sizes, span, *scratch):
+        spans.append(span)
+        return bounds(terms, sizes, span, *scratch)
+
+    monkeypatch.setattr(of.response, "_bounds", counted)
+    space = of.SearchSpace(flux_bounds=(math.pi, TWO_PI), aux_name="mechanical_hop",
+                           aux_bounds=(TWO_PI * 1e6, TWO_PI * 60e6),
+                           frequency_grid=of.FrequencyGrid.from_hz(5.6e9, 6.1e9, 20001))
+    of.tune(of.from_table1(520e3), of.PHOTON_TO_PHONON, space)
+    assert len(spans) == 40
+    assert sum(lo < hi for lo, hi in spans) == 3
 
 
 # sha256 of repr(_bits(...)) of each case's tune, as one process scored it
@@ -490,3 +519,15 @@ def test_scan_peaks_near_the_kernel_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= (3.71 + 1.0) * 1e6
+
+
+def test_tune_cpu_prints_a_line_per_configuration(capsys):
+    # the informational tune_cpu script, on a small grid: a header, then a
+    # CPU time and a count of minor faults per configuration
+    assert tune_cpu.main(["--points", "201", "--runs", "1", "--rounds", "1"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["quantity", "coupling", "cpu_ms", "minor_faults"]
+    assert [line.split()[:2] for line in lines] == [[q, aux] for q, aux, _ in tune_cpu.CONFIGS]
+    for line in lines:
+        cpu_ms, faults = line.split()[2:]
+        assert float(cpu_ms) > 0.0 and int(faults) >= 0

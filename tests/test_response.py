@@ -298,9 +298,13 @@ def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantit
     # from them, with floors at the exact peak, within 1e-9 dB of it, far
     # below it and far above it.  Rows of 1 to 33 fluxes, as a coarse scan
     # makes them, take floors at the row's largest peak, near it, far from
-    # it, at one of its entries' peaks and +-inf.  Each pair is bitwise the
-    # full spectrum's, or, for a peak below the floor or nan, a dB below the
-    # floor.
+    # it, at one of its entries' peaks and +-inf.  Each call passes a span
+    # around its value, whose bounds a kernel over V keeps for the calls to
+    # come: none, the value alone, ends a few ulps off it, ends that
+    # straddle the channel's backward root |Y_b| / |g X_b| at the cell, a
+    # wide one, and one that does not hold the value (so the value alone).
+    # Each pair is bitwise the full spectrum's, or, for a peak below the
+    # floor or nan, a dB below the floor.
     rng = np.random.default_rng([7, of.QUANTITIES.index(quantity),
                                  of.AUX_PARAMETERS.index(coupling)])
     gathered = []
@@ -312,6 +316,14 @@ def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantit
         return amplitudes(terms, hop, flux, cells)
 
     monkeypatch.setattr(of.response, "_amplitudes", counted)
+    spanned = []  # per bounds pass, whether its span holds more than one V
+    bounds = of.response._bounds
+
+    def recorded(terms, sizes, span, *scratch):
+        spanned.append(span[0] < span[1])
+        return bounds(terms, sizes, span, *scratch)
+
+    monkeypatch.setattr(of.response, "_bounds", recorded)
     omegas = TWO_PI * np.linspace(5.7e9, 5.9e9, 257)
     exact = below = pruned = blocks = per_flux = 0
     for trial in range(4):
@@ -324,6 +336,8 @@ def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantit
             null = of.interference_condition(p, cell)
             hop, null_flux = null.mechanical_hop, null.flux
         p = replace(p, mechanical_hop=hop)
+        g, x, y = of.response.amplitude_terms(p, of.susceptibilities(p, cell), quantity)[1]
+        root = abs(y) / abs(g * x)
         own = getattr(p, coupling)
         values = [_ulps(own, int(k)) for k in rng.integers(-6, 7, size=4)]
         values += [1.7 * own, 0.4 * own]
@@ -349,8 +363,13 @@ def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantit
             floor = rng.choice([-math.inf, db, db + rng.uniform(-1e-9, 1e-9), db - 40.0,
                                 db + 40.0, math.inf, float(np.nextafter(db, math.inf)),
                                 wants[int(rng.integers(len(wants)))][0]])
+            k = rng.integers(0, 7, size=2)
+            span = [None, (value, value), (_ulps(value, -int(k[0])), _ulps(value, int(k[1]))),
+                    (min(value, _ulps(root, -int(k[0]))), max(value, _ulps(root, int(k[1])))),
+                    (min(value, 0.5 * root), max(value, 2.0 * root)), (0.5 * value, 2.0 * value),
+                    (2.0 * value, 3.0 * value)][int(rng.integers(7))]
             del gathered[:]
-            got = peak(value, flux, floor)
+            got = peak(value, flux, floor, span)
             pruned += bool(gathered)
             if np.ndim(flux):
                 assert type(got) is list and len(got) == len(wants)
@@ -367,8 +386,45 @@ def test_kernel_peak_keeps_its_contract_over_call_sequences(monkeypatch, quantit
                 assert np.float64(db).tobytes() == np.float64(want[0]).tobytes()
                 assert index == want[1]
     # both sides of the contract, cells gathered past the bounds, and rows
-    # scored as one block and one flux at a time were seen
+    # scored as one block and one flux at a time were seen, and only a
+    # kernel over V bounded spans
     assert exact and below and pruned and blocks and per_flux
+    assert any(spanned) == (coupling == "mechanical_hop")
+
+
+@pytest.mark.parametrize("quantity", of.QUANTITIES)
+def test_a_span_bound_holds_each_bound_within_its_span(quantity):
+    # the bounds of a span of V: cell by cell, the forward bound is at least
+    # and the backward bound at most that of each V in the span, the ends
+    # and a few ulps inside them included, and V at a cell's backward root
+    # |Y_b| / |g X_b|, where that cell's own backward bound is 0; and both
+    # bound the amplitudes at each such V and at any flux.  Spans around a
+    # root straddle it for many cells, one side of it for the others
+    rng = np.random.default_rng([23, of.QUANTITIES.index(quantity)])
+    omegas = TWO_PI * np.linspace(5.7e9, 5.9e9, 257)
+    spanned, lone = ([np.empty(omegas.size) for _ in range(3)] + [np.empty(omegas.size, bool)]
+                     for _ in range(2))
+    straddled = 0
+    for trial in range(6):
+        p = random_params(rng) if trial else of.from_table1(1e6)
+        terms = of.response.amplitude_terms(p, of.susceptibilities(p, omegas), quantity)
+        sizes = [np.abs(t) for _, x, y in terms for t in (x, y)]
+        roots = sizes[3] / (abs(terms[1][0]) * sizes[2])
+        root = float(roots[rng.integers(omegas.size)])
+        for lo, hi in ((root, root), (0.5 * root, 2.0 * root), (_ulps(root, -3), _ulps(root, 3)),
+                       (0.0, root), (root, 10.0 * root), (0.0, 0.0)):
+            assert of.response._bounds(terms, sizes, (lo, hi), *spanned) is not None
+            inside = roots[(lo < roots) & (roots < hi)]
+            straddled += inside.size
+            hops = [lo, _ulps(lo, 1), _ulps(lo, 2), _ulps(hi, -2), _ulps(hi, -1), hi,
+                    *rng.uniform(lo, hi, size=4), *rng.choice(inside, min(inside.size, 4))]
+            for hop in (h for h in hops if lo <= h <= hi):
+                of.response._bounds(terms, sizes, (hop, hop), *lone)
+                assert (spanned[1] >= lone[1]).all() and (spanned[2] <= lone[2]).all()
+                for flux in rng.uniform(-math.pi, math.pi, size=3):
+                    forward, backward = of.response._amplitudes(terms, hop, flux)
+                    assert (forward <= spanned[1]).all() and (backward >= spanned[2]).all()
+    assert straddled
 
 
 def _row_paths(monkeypatch, db, fluxes, floor, infinite=False):
