@@ -13,8 +13,10 @@ The package is organised bottom-up:
 - :mod:`~optoflux.__main__`     the process entry of the ``optoflux`` command
 
 Names and submodules load on first use (PEP 562), so importing the package,
-validating a scenario or computing a steady state never imports numpy; only
-``linsys``, ``response``, ``sweep`` and ``optimize`` do.
+validating a scenario or computing a steady state never imports numpy.  Of
+the modules a run loads, only ``response``, ``sweep`` and ``optimize``
+import numpy; ``linsys``, the dense oracle, does too, but loads only for its
+own callers, as no run needs it.
 """
 
 import importlib

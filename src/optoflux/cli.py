@@ -16,10 +16,11 @@ Example scenario::
     output: {path: spectrum.csv, format: csv}
 
 Loading, validating, building parameters and the steadystate mode are
-plain Python.  The numeric layers (numpy, ``linsys``, ``response``, ``sweep``,
-``optimize``) are imported by the runners of the spectrum, fluxmap and tune
-modes when they run, so a steady-state run or a rejected file never loads
-them.
+plain Python.  At import the module loads only PyYAML, ``model`` and
+``errors``; the rest loads where it is called: numpy and the numeric layers
+in the spectrum, fluxmap and tune runners, ``steadystate`` in its runner,
+``json`` in the JSON writer, ``argparse`` in :func:`main`, and ``signal``
+and ``tempfile`` in a write split into ranges.
 
 Exit codes: 0 success, 1 i/o failure, 2 validation failure, 3 numerical
 degeneracy that aborts the scenario.
@@ -27,10 +28,9 @@ degeneracy that aborts the scenario.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import errno
 import functools
-import json
 import math
 import os
 import shutil
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import yaml
 
-from . import model, steadystate
+from . import model
 from .errors import ConfigError, OptofluxError
 from .model import TWO_PI, SystemParams, wrap_phase
 
@@ -456,6 +456,8 @@ def _json_floats(cells):
     if sys.modules["numpy"].isfinite(cells).all():
         # float.__repr__ is what json writes for a finite float
         return map(float.__repr__, cells.tolist())
+    import json  # loaded by _json
+
     return (json.dumps(_sentinel(x)) for x in cells.tolist())
 
 
@@ -471,6 +473,8 @@ def _json(payload, rows=None):
     objects of their entries a few thousand at a time, as a spectrum's
     points are.
     """
+    import json  # here, not at the top: only a JSON output needs it
+
     mark = "\0rows"  # no payload string holds a NUL, so its JSON text is found once
     text = json.dumps(_plain(payload if rows is None else {**payload, rows: mark}), indent=2)
     head, _, tail = text.partition(json.dumps(mark))
@@ -605,6 +609,19 @@ def _write(text, path):
             os.remove(tmp)  # still there only if the write or rename failed
 
 
+def _writable(path):
+    """``path``; an OSError naming it if no file can be renamed onto it (a
+    symbolic link is replaced, not followed)."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) and not os.path.islink(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return path
+    raise OSError(code, os.strerror(code), path)
+
+
 # the runners call the numeric layers as module attributes, so that a wrapper
 # set on the module is honoured
 
@@ -671,6 +688,8 @@ def _run_tune(scenario, params):
 
 
 def _run_steadystate(scenario, params):
+    from . import steadystate
+
     section = scenario.steadystate
     if "drive_amplitude" in section:
         drives = section["drive_amplitude"]
@@ -715,12 +734,14 @@ def run(scenario: Scenario) -> str:
     before it formats them.  :func:`_write` formats CSV and JSON a row or a
     block of rows at a time, so neither the file nor a map is ever held whole.
 
-    Returns the path written.  Degeneracy errors propagate to the caller;
-    sweeps never abort on per-point degeneracies (those become sentinel
-    values in the data).
+    An output path that no file can be renamed onto is refused before any
+    runner starts.  Returns the path written.  Degeneracy errors propagate
+    to the caller; sweeps never abort on per-point degeneracies (those
+    become sentinel values in the data).
     """
     try:
         params = scenario.build_params()
+        path = _writable(scenario.output["path"])
         # a runner does every check and all numerical work here, but for the
         # rows of a flux map, which its text reads from the map made here; so
         # value-level rejections from the model or search layers surface
@@ -728,7 +749,6 @@ def run(scenario: Scenario) -> str:
         text = _RUNNERS[scenario.mode](scenario, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    path = scenario.output["path"]
     _write(text, path)
     return path
 
@@ -786,6 +806,8 @@ def load_scenario(path=None, preset=None, overrides=(), out=None, fmt=None) -> S
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at the top: a setup that only loads scenarios skips it
+
     parser = argparse.ArgumentParser(
         prog="optoflux",
         description="Nonreciprocal transport and conversion spectra of two "

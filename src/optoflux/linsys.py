@@ -22,16 +22,20 @@ The first block row and the lower-left block follow from the Schur
 complement A_eff of B, the lower-right block from the Schur complement B_eff
 of A, and every 2x2 inverse is adjugate over determinant.  The two routes
 share only the assembly of M; their agreement is the backbone of the tests.
+
+det(A) in closed form, which the isolation measures of
+:mod:`~optoflux.response` read, lives in :mod:`~optoflux.model`
+(:func:`~optoflux.model.optical_det`), beside the susceptibilities, with the
+determinant check the 2x2 inverses here share: the closed forms never load
+this module, so the oracle stays off their path.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DegenerateBlock, SingularMatrix
-from .model import DEGENERACY_RTOL, SystemParams, real, susceptibilities
+from .errors import SingularMatrix
+from .model import DEGENERACY_RTOL, SystemParams, check_det, real, susceptibilities
 
 
 def build_matrix(params: SystemParams, omega: float) -> np.ndarray:
@@ -91,26 +95,6 @@ def invert_dense(m) -> np.ndarray:
     return inv
 
 
-def _check_det(name, det, scale):
-    if not (abs(det) < math.inf and scale < math.inf):  # nan too
-        raise DegenerateBlock(f"{name} = {det!r} is beyond the float range at this frequency")
-    if abs(det) < DEGENERACY_RTOL * scale or scale == 0.0:
-        raise DegenerateBlock(f"{name} = {det!r} vanishes at this frequency")
-
-
-def optical_det(chi, J):
-    """det(A) = chi_aL_inv chi_aR_inv + J^2; broadcasts over array-valued chi."""
-    return chi.chi_aR_inv * chi.chi_aL_inv + J * J
-
-
-def checked_optical_det(chi, J) -> complex:
-    """:func:`optical_det` at one frequency; :class:`DegenerateBlock` if it
-    vanishes or leaves the float range."""
-    det_A = optical_det(chi, J)
-    _check_det("det_A", det_A, abs(chi.chi_aR_inv) * abs(chi.chi_aL_inv) + J * J)
-    return det_A
-
-
 def _inverse_2x2(block, name):
     """Adjugate over determinant; :class:`DegenerateBlock` if det (``name``)
     vanishes or leaves the float range."""
@@ -118,7 +102,7 @@ def _inverse_2x2(block, name):
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         det = a * d - b * c
         scale = abs(a * d) + abs(b * c)
-    _check_det(name, det, scale)
+    check_det(name, det, scale)
     return np.array([[d, -b], [-c, a]]) / det
 
 

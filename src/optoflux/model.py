@@ -23,6 +23,8 @@ import numbers
 import sys
 from dataclasses import dataclass, replace
 
+from .errors import DegenerateBlock
+
 TWO_PI = 2.0 * math.pi
 
 # The constants below are read by the numeric modules and by scenario
@@ -242,6 +244,29 @@ def susceptibilities(params: SystemParams, omega) -> Susceptibilities:
         chi_bL_inv=-1j * (omega - params.omega_mL) + params.gamma_L / 2.0,
         chi_bR_inv=-1j * (omega - params.omega_mR) + params.gamma_R / 2.0,
     )
+
+
+def check_det(name, det, scale):
+    """:class:`DegenerateBlock` if the determinant ``det`` (``name``) leaves
+    the float range or vanishes against ``scale``, the sum of its terms' sizes."""
+    if not (abs(det) < math.inf and scale < math.inf):  # nan too
+        raise DegenerateBlock(f"{name} = {det!r} is beyond the float range at this frequency")
+    if abs(det) < DEGENERACY_RTOL * scale or scale == 0.0:
+        raise DegenerateBlock(f"{name} = {det!r} vanishes at this frequency")
+
+
+def optical_det(chi, J):
+    """det(A) = chi_aL_inv chi_aR_inv + J^2 of the optical block
+    A = [[chi_aL_inv, iJ], [iJ, chi_aR_inv]]; broadcasts over array-valued chi."""
+    return chi.chi_aR_inv * chi.chi_aL_inv + J * J
+
+
+def checked_optical_det(chi, J) -> complex:
+    """:func:`optical_det` at one frequency; :class:`DegenerateBlock` if it
+    vanishes or leaves the float range."""
+    det_A = optical_det(chi, J)
+    check_det("det_A", det_A, abs(chi.chi_aR_inv) * abs(chi.chi_aL_inv) + J * J)
+    return det_A
 
 
 # Reference parameter set (the "table1" preset of the CLI): rates in Hz as

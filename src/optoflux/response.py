@@ -51,11 +51,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import linsys
 from .errors import ZeroCoupling
 # the channel names stay importable from here
 from .model import (PHONON, PHONON_TO_PHOTON, PHOTON_TO_PHONON,  # noqa: F401
-                    QUANTITIES, SystemParams, real, susceptibilities)
+                    QUANTITIES, SystemParams, checked_optical_det, optical_det, real,
+                    susceptibilities)
 
 #: amplitudes below this count as an exact null (perfect isolation sentinel)
 UNDERFLOW = 1e-300
@@ -74,7 +74,7 @@ def gamma_A(params: SystemParams, omega: float) -> complex:
     if bridge == 0.0:
         raise ZeroCoupling("Gamma_A = 0: no optical bridge to interfere with")
     chi = susceptibilities(params, real("omega", omega))
-    return complex(bridge / linsys.checked_optical_det(chi, params.optical_hop))
+    return complex(bridge / checked_optical_det(chi, params.optical_hop))
 
 
 def _ratio_db(num, den):
@@ -115,7 +115,7 @@ def amplitude_terms(params: SystemParams, chi, quantity: str):
     # amplitude, which _ratio_db turns into nan
     with np.errstate(over="ignore", invalid="ignore"):
         if quantity == PHONON:
-            terms = (1.0, linsys.optical_det(chi, J), -(J * params.G_L * params.G_R))
+            terms = (1.0, optical_det(chi, J), -(J * params.G_L * params.G_R))
             return terms, terms
         from_left = (params.G_L, chi.chi_aR_inv, J * params.G_R * chi.chi_bL_inv)
         from_right = (params.G_R, chi.chi_aL_inv, J * params.G_L * chi.chi_bR_inv)

@@ -784,6 +784,46 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+@pytest.mark.parametrize("out, error", [
+    pytest.param("out", "[Errno 21] Is a directory: '{}'", id="a directory"),
+    pytest.param("missing/out.json", "[Errno 2] No such file or directory: '{}'",
+                 id="in a missing directory"),
+    pytest.param("file/out.json", "[Errno 20] Not a directory: '{}'", id="in a file"),
+])
+def test_unwritable_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                           out, error):
+    # the path the user gave is named, no runner starts, and no part or
+    # temporary file is made
+    (tmp_path / "out").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    monkeypatch.chdir(tmp_path)
+
+    def runner(scenario, params):
+        raise AssertionError("the runner started")
+
+    monkeypatch.setitem(cli._RUNNERS, "fluxmap", runner)
+    assert _run(["run", "--preset", "table1", "--set", "mode=fluxmap",
+                 "--set", "quantity=phonon", "--set", "params.mechanical_hop_hz=520e3",
+                 "--format", "json", "--out", out]) == 1
+    assert capsys.readouterr().err == f"i/o error: {error.format(out)}\n"
+    assert sorted(os.listdir(tmp_path)) == ["file", "out"]
+    assert os.listdir(tmp_path / "out") == []
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_output_link_to_a_directory_is_replaced(tmp_path):
+    # a rename replaces a symbolic link, not what it points to
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "link").symlink_to("dir")
+    assert _run(["run", "--preset", "table1", "--set", "mode=steadystate",
+                 "--set", "params.mechanical_hop_hz=520e3",
+                 "--set", "params.vacuum_coupling_hz=[1000, 1000]",
+                 "--set", "steadystate.drive_amplitude=[1e8, 1e8]",
+                 "--out", str(tmp_path / "link")]) == 0
+    assert (tmp_path / "link").is_file() and not (tmp_path / "link").is_symlink()
+    assert os.listdir(tmp_path / "dir") == []
+
+
 def test_run_requires_config_or_preset(capsys):
     assert _run(["run"]) == 2
     assert "preset" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """What importing the package loads, checked in fresh interpreters.
 
 Scenario validation, parameter building and the steadystate mode are plain
-Python, so they must not pay for importing numpy or the numeric layers; the
-package namespace loads its names on first use and must still offer every
-name it always did.  ``python -m optoflux`` and the console script run one
-process entry, which runs the CLI without the cyclic collector and still
-exits through the interpreter's normal shutdown.
+Python, so they must not pay for importing numpy or the numeric layers, and
+any other module loads only on the path of a run that calls it.  Each check
+counts only what the bare interpreter had not already loaded.  The package
+namespace loads its names on first use and must still offer every name it
+always did.  ``python -m optoflux`` and the console script run one process
+entry, which runs the CLI without the cyclic collector and still exits
+through the interpreter's normal shutdown.
 """
 
 import importlib
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import startup_cpu
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -49,9 +53,14 @@ SUBMODULES = sorted(path.stem for path in (SRC / "optoflux").glob("*.py")
 FORKING = ("signal", "tempfile")
 
 
+# first in every child: what the bare interpreter (and its site hooks) loaded
+_BARE = "import sys\n_bare = set(sys.modules)\n"
+
+
 def _report(modules):
-    return ("import json, sys\n"
-            f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))\n")
+    # the list is made before the report imports json
+    return (f"_loaded = [m for m in {modules!r} if m in sys.modules and m not in _bare]\n"
+            "import json\nprint(json.dumps(_loaded))\n")
 
 
 _REPORT = _report(NUMERIC)
@@ -61,8 +70,8 @@ _SETUP = ("import sys\n"
           "    cli.load_scenario(path).build_params()\n")
 
 
-def _python(args, cwd):
-    env = dict(os.environ)
+def _python(args, cwd, **variables):
+    env = {**os.environ, **variables}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
@@ -79,8 +88,10 @@ _CLI = ("import runpy\n"
 
 def _loaded_by_cli(config, cwd, modules=NUMERIC, flags=(), before=""):
     """Exit code of ``python [flags] -m optoflux run config``, run after the
-    code ``before``, and which of ``modules`` it left in ``sys.modules``."""
-    proc = _python([*flags, "-c", before + _CLI + _report(modules), "run", str(config)], cwd)
+    code ``before``, and which of ``modules`` it loaded that the bare
+    interpreter had not."""
+    proc = _python([*flags, "-c", _BARE + before + _CLI + _report(modules), "run", str(config)],
+                   cwd)
     assert proc.returncode == 0, proc.stderr
     *_, code, loaded = proc.stdout.splitlines()
     return int(code), json.loads(loaded)
@@ -125,7 +136,11 @@ def test_steadystate_run_imports_no_numeric_layer(configs, tmp_path, name):
     code, loaded = _loaded_by_cli(configs[name], tmp_path)
     assert code == 0
     assert loaded == []
-    assert (tmp_path / ("result.csv" if name == "steady_forward" else "result.json")).is_file()
+    # the scenarios of the goldens of the same names: the runner's import of
+    # steadystate and the JSON writer's of json, in a fresh interpreter
+    out, golden = (("result.csv", "steady_forward.csv") if name == "steady_forward"
+                   else ("result.json", "steady_inverse.json"))
+    assert (tmp_path / out).read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_rejected_config_imports_no_numeric_layer(configs, tmp_path):
@@ -133,9 +148,26 @@ def test_rejected_config_imports_no_numeric_layer(configs, tmp_path):
 
 
 def test_spectrum_run_imports_the_numeric_layers(configs, tmp_path):
-    # the counterpart of the checks above: an array mode does load them
-    # (all but optimize, which only tune needs)
-    assert _loaded_by_cli(configs["spectrum"], tmp_path) == (0, list(NUMERIC[:-1]))
+    # the counterpart of the checks above: an array mode does load them, all
+    # but linsys, the dense oracle, which no closed form needs, and optimize,
+    # which only tune needs
+    assert _loaded_by_cli(configs["spectrum"], tmp_path) == (
+        0, ["numpy", "optoflux.response", "optoflux.sweep"])
+
+
+@pytest.mark.parametrize("name", ["spectrum", "fluxmap", "tune"])
+def test_array_run_loads_neither_the_oracle_nor_steadystate(configs, tmp_path, name):
+    # the closed forms take det_A from model, so the oracle stays off their path
+    loaded = _loaded_by_cli(configs[name], tmp_path, ("optoflux.linsys", "optoflux.steadystate"))
+    assert loaded == (0, [])
+
+
+@pytest.mark.parametrize("name", ["steady_forward", "spectrum", "fluxmap", "tune",
+                                  "steady_inverse"])
+def test_only_a_json_output_loads_json(configs, tmp_path, name):
+    # of these scenarios, only steady_inverse writes JSON
+    loaded = ["json"] if name == "steady_inverse" else []
+    assert _loaded_by_cli(configs[name], tmp_path, ("json",)) == (0, loaded)
 
 
 # for a run under -S, which adds no site directory (a site hook may import
@@ -166,9 +198,65 @@ def test_setup_stages_import_no_numeric_layer(configs, tmp_path):
     # what a benchmark setup probe does for each mode: import the CLI, load
     # and validate the scenario, build its parameters
     modes = ["spectrum", "fluxmap", "tune", "steady_forward", "steady_inverse"]
-    proc = _python(["-c", _SETUP + _REPORT, *(str(configs[m]) for m in modes)], tmp_path)
+    proc = _python(["-c", _BARE + _SETUP + _REPORT, *(str(configs[m]) for m in modes)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_setup_stages_load_no_front_end_or_oracle_module(configs, tmp_path):
+    # the command line, the JSON writer, the steady-state layer and the dense
+    # oracle load where a run calls them, and the setup stages call none
+    modes = ["spectrum", "fluxmap", "tune", "steady_forward", "steady_inverse"]
+    report = _report(("argparse", "json", "optoflux.steadystate", "optoflux.linsys"))
+    proc = _python(["-c", _BARE + _SETUP + report, *(str(configs[m]) for m in modes)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# each import moved into the function that calls it, on its rarest path, in
+# a fresh interpreter
+_HELP = """\
+usage: optoflux [-h] {run} ...
+
+Nonreciprocal transport and conversion spectra of two flux-threaded
+optomechanical cavities.
+
+positional arguments:
+  {run}
+    run       execute a scenario file
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
+def test_help_exits_0_with_its_text(tmp_path):
+    proc = _python(["-m", "optoflux", "--help"], tmp_path, COLUMNS="80")
+    assert proc.returncode == 0, proc.stderr
+    # Python 3.10 heads the options "optional arguments:"
+    assert proc.stdout.replace("optional arguments:", "options:") == _HELP
+
+
+def test_invalid_format_exits_2_with_the_usage_line(tmp_path):
+    proc = _python(["-m", "optoflux", "run", "--format", "xml"], tmp_path, COLUMNS="80")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: optoflux run [-h] [--preset {table1}]")
+    assert "argument --format: invalid choice: 'xml'" in proc.stderr
+
+
+def test_json_spectrum_with_sentinels_writes_them_as_strings(tmp_path):
+    # no optical bridge and no left coupling: every forward photon->phonon
+    # amplitude is zero, so every cell is -inf, which JSON holds as a string
+    proc = _python(["-m", "optoflux", "run", "--preset", "table1", "--set", "mode=spectrum",
+                    "--set", "quantity=photon_to_phonon", "--set", "params.mechanical_hop_hz=1e6",
+                    "--set", "params.optical_hop_hz=0",
+                    "--set", "params.enhanced_coupling_hz=[0, 31e6]",
+                    "--set", "frequency_grid={start_hz: 5.8e9, stop_hz: 5.9e9, points: 3}",
+                    "--format", "json", "--out", "inf.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    points = json.loads((tmp_path / "inf.json").read_text(encoding="utf-8"))["points"]
+    assert [point["isolation_db"] for point in points] == ["-inf"] * 3
+
 
 
 _NAMESPACE = """
@@ -294,3 +382,17 @@ def test_tier1_forks_from_a_process_of_one_thread():
     import numpy  # noqa: F401
 
     assert len(os.listdir("/proc/self/task")) == 1
+
+
+def test_startup_cpu_prints_a_line_per_entry(capsys):
+    # the informational startup_cpu script, one process per entry: a header,
+    # then each entry's least and median CPU and the modules it loaded
+    assert startup_cpu.main(["--runs", "1"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["entry", "least_ms", "median_ms", "loaded"]
+    rows = {name: (float(least), float(median), set(loaded))
+            for name, least, median, *loaded in (line.split() for line in lines)}
+    assert list(rows) == list(startup_cpu.ENTRIES)
+    assert all(0 < least == median for least, median, _ in rows.values())
+    assert rows["setup"][2] == {"optoflux.cli", "optoflux.errors", "optoflux.model"}
+    assert {"argparse", "numpy", "optoflux.sweep"} <= rows["spectrum"][2]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import optoflux as of
-from optoflux import linsys
+from optoflux import model
 from optoflux.model import TWO_PI
 
 from helpers import (
@@ -142,8 +142,8 @@ def test_effective_blocks_determinants():
     omega = TWO_PI * 5.88e9
     chi = of.susceptibilities(p, omega)
     det_A = chi.chi_aR_inv * chi.chi_aL_inv + p.optical_hop ** 2
-    assert linsys.optical_det(chi, p.optical_hop) == det_A
-    assert linsys.checked_optical_det(chi, p.optical_hop) == det_A
+    assert model.optical_det(chi, p.optical_hop) == det_A
+    assert model.checked_optical_det(chi, p.optical_hop) == det_A
 
 
 def test_mechanical_offdiagonals_coincide_at_integer_flux():
