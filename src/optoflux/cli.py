@@ -509,11 +509,17 @@ def _cut(items, cost, minimum):
     There is one range per usable CPU, but no more ranges than items, nor
     more than leave each range ``minimum`` of the total ``cost``; there is
     always at least one, and only one where the platform cannot fork or
-    tell the usable CPUs.
+    tell the usable CPUs, or where this process runs more than one thread or
+    cannot tell how many (see :func:`_fork`).
     """
     n = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        n = max(1, min(len(os.sched_getaffinity(0)), items, cost // minimum))
+        try:
+            threads = len(os.listdir("/proc/self/task"))
+        except OSError:
+            threads = 0
+        if threads == 1:
+            n = max(1, min(len(os.sched_getaffinity(0)), items, cost // minimum))
     return [items * k // n for k in range(n + 1)]
 
 
@@ -527,9 +533,12 @@ def _fork(text, lo, hi, part, what, pids):
     SIGTERM stay blocked from before the fork until the child is inside the
     try that ends in os._exit, so that a signal cannot unwind a child into
     the caller either, and in the caller until the pid is recorded, so that
-    a signal cannot lose the child before it is reaped.  A fork copies only
-    the calling thread: on Python >= 3.12 a fork while numpy's BLAS threads
-    exist raises a DeprecationWarning.
+    a signal cannot lose the child before it is reaped.  The mask holds
+    only for the calling thread, so :func:`_cut` forks only from a process
+    of one thread: another thread, such as numpy's BLAS in an in-process
+    caller, could take the signal, and the interpreter would raise in this
+    one before the pid is recorded.  A fork copies only the calling thread,
+    which is then the only one.
     """
     import signal  # here, not at the top: only a split needs it
 

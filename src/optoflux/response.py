@@ -150,12 +150,11 @@ def amplitude_db(terms, hop, flux, columns=slice(None)):
 
 
 def _peak_of(forward, backward, level=0.0):
-    """``(db, i)``: the peak isolation of the cells whose amplitudes are
-    ``forward`` and ``backward``, and the first cell holding it; ``(-inf,
-    0)`` when every ratio lies below ``level (1 - 2e-9)``; None where only
-    :func:`_ratio_db`'s sentinels can tell.  For 2-D amplitudes, each row
-    (the last axis) is scored so, into two arrays of a pair per row, and
-    None is for some row.
+    """``(db, i)``, two arrays of a pair per row (the last axis) of the 2-D
+    amplitudes ``forward`` and ``backward``: each row's peak isolation and
+    the first cell holding it, ``(-inf, 0)`` for a row whose every ratio lies
+    below ``level (1 - 2e-9)``; None where only :func:`_ratio_db`'s sentinels
+    can tell for some row.
 
     Past the guards, _ratio_db is 20 (log10 f - log10 b) cell by cell, within
     ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off by a
@@ -168,16 +167,6 @@ def _peak_of(forward, backward, level=0.0):
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is nan, caught below
         ratio = forward / backward
-    if ratio.ndim == 1:  # one row, in scalar steps
-        top = ratio.max(initial=0.0)
-        if top < level * (1.0 - 2e-9):
-            return -math.inf, 0
-        if not sys.float_info.min <= top < math.inf:
-            return None
-        keep = np.flatnonzero(ratio >= top * (1.0 - 1e-9))
-        cells = 20.0 * (np.log10(forward[keep]) - np.log10(backward[keep]))
-        i = int(cells.argmax())
-        return float(cells[i]), int(keep[i])
     top = ratio.max(axis=-1, initial=0.0)
     low = top < level * (1.0 - 2e-9)
     if low.all():
@@ -247,18 +236,18 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     ``np.fmax.reduce`` and the nan-masked ``np.argmax`` of
     :func:`amplitude_db` at that point; otherwise (a peak below ``floor``, or
     nan) it is that pair or one whose ``db`` is below ``floor``, (-inf, 0).
-    Flux-free bounds rule out every cell whose ratio cannot reach the floor;
-    the amplitudes are computed only at the others (the survivors), and the
-    log only where the maximum can be.  A row finds its survivors once and
+    A row, or a lone flux with a floor above -inf, tries flux-free bounds
+    that rule out every cell whose ratio cannot reach the floor; the
+    amplitudes are computed only at the others (the survivors), and the log
+    only where the maximum can be.  A row finds its survivors once and
     computes their amplitudes one broadcast per block of its fluxes; a row
     the bounds cannot serve is scored one full pass per flux, without trying
     them again.  Without a floor, or where the bounds cannot tell, every
     cell is scored, by the :func:`_amplitudes` that :func:`amplitude_db`
     reads.  The susceptibilities and the bounds' scratch space are made
-    here, once; the terms are rebuilt only when the coupling's bits change
-    (never for V, which enters none), and their magnitudes and bounds at a
-    row or at a floored call that repeats the value (at a new V's first
-    while the last try of the bounds paid, or whose span's bounds are kept).
+    here, once; the terms and their magnitudes are rebuilt only when the
+    coupling's bits change (never for V, which enters none), and the bounds
+    only with new terms or a new span.
 
     ``span``, a pair ``0 <= lo <= value <= hi`` such as a golden section's
     bracket, lets a kernel over the mechanical hop make one set of bounds
@@ -279,11 +268,10 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
         chi = replace(chi, chi_bL_inv=None, chi_bR_inv=None)
     shape = np.broadcast_shapes(*(np.shape(t) for _, x, y in terms for t in (x, y)))
     fub, blb, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-    built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the last call
+    built = struct.pack("d", getattr(params, coupling))  # the coupling bits of the terms
     sizes = None  # |X_f|, |Y_f|, |X_b|, |Y_b| of the terms, () if one is not finite
     q = np.empty(shape)  # _bounds at the coupling value
     bounded = None  # (the span's bits, the least forward bound) of q
-    pruning = False  # whether the last try of the bounds paid
 
     # Why a pruned peak has the full pass's bits.  With u = 2^-53, peak makes
     # an amplitude as |fl(fl(gV X) + fl(Y w))|, w = e^{-+i flux} as rounded
@@ -310,10 +298,10 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     # survivor at least UNDERFLOW and a normal top ratio in each flux's row
     # that reaches L (1 - 2e-9), or peak scores each flux with the full pass.
     # If a row's top >= L (1 - 2e-9), every pruned ratio is below top (1 -
-    # 1e-9), outside the full pass's shortlist, so the full pass, in either
-    # branch, gives these bits.  Otherwise no ratio of the row reaches L (1 -
-    # 2e-9) and its peak is below the floor.  A non-finite magnitude or g V,
-    # or a quarter of the cells surviving, also sends peak to the full pass.
+    # 1e-9), outside the full pass's shortlist, so the full pass gives these
+    # bits.  Otherwise no ratio of the row reaches L (1 - 2e-9) and its peak
+    # is below the floor.  A non-finite magnitude or g V, or a quarter of the
+    # cells surviving, also sends peak to the full pass.
     #   A span's bounds hold at each V of it, so all of the above holds at
     # each V.  Over 0 <= lo <= V <= hi, fl(|gV|) and fl(fl(|gV|)|X|) rise
     # with V, and so does every rounded step of fub: fub at hi is at least
@@ -362,47 +350,40 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
         pairs = []
         for lo in range(0, fluxes.size, step):
             block = fluxes[lo:lo + step]
-            found = _peak_of(*_amplitudes(terms, hop, block[:, None] if block.size > 1
-                                          else block[0], cells), level)
+            amplitudes = _amplitudes(terms, hop, block[:, None] if block.size > 1
+                                     else block[0], cells)
+            found = _peak_of(*map(np.atleast_2d, amplitudes), level)
             if found is None:
                 return None
-            pairs += zip(*(a.tolist() for a in found)) if block.size > 1 else [found]
+            pairs += zip(*(a.tolist() for a in found))
         return [(db, int(cells[i]) if db > -math.inf else 0) for db, i in pairs]
 
     def peak(value, flux, floor=-math.inf, span=None):
-        nonlocal terms, built, sizes, bounded, pruning
+        nonlocal terms, built, sizes, bounded
         hop = value if chi is None else params.mechanical_hop
         bits = struct.pack("d", value)
-        again = bits == built
-        if chi is not None and not again:
+        if chi is not None and bits != built:
             built = terms = sizes = bounded = None  # freed before the new terms are made
             terms = amplitude_terms(replace(params, **{coupling: value}), chi, quantity)
-        built = bits
+            built = bits
         if not (chi is None and span is not None and 0.0 <= span[0] <= value <= span[1]):
             span = hop, hop
         key = struct.pack("dd", *span)  # new terms drop their bounds, so it tells V's apart
-        # a row tries the bounds at once, as they pay over its fluxes; a lone
-        # flux only with a floor, and new terms at their second call, where
-        # their magnitudes tend to pay, or a new V while the last try paid or
-        # its span's bounds are kept (a V's bounds cost about a fifth of a
-        # full pass, a span's a third, once for all of its V)
         row = np.ndim(flux) > 0
-        kept = bounded is not None and bounded[0] == key
-        if row or floor > -math.inf and (again or chi is None and (pruning or kept)):
+        if row or floor > -math.inf:
             found = pruned(key, span, hop, flux, floor)
-            pruning = found is not None
-            if pruning:
+            if found is not None:
                 return found if row else found[0]
             if row:
                 return [peak(value, f) for f in flux]  # no floor: the bounds failed at it
         forward, backward = _amplitudes(terms, hop, flux)
-        found = _peak_of(forward, backward)
+        found = _peak_of(forward[None], backward[None])
         if found is None:
             cells = _ratio_db(forward, backward)
             top = float(np.fmax.reduce(cells, axis=None))
             np.copyto(cells, -math.inf, where=np.isnan(cells))
-            found = top, int(cells.argmax())
-        return found
+            return top, int(cells.argmax())
+        return float(found[0][0]), int(found[1][0])
 
     return peak
 

@@ -23,23 +23,23 @@ OMEGA = TWO_PI * 5.85e9
 GRID = of.FrequencyGrid.from_hz(5.8e9, 5.9e9, 3)
 TABLE1 = {name: TWO_PI * hz for name, hz in TABLE1_HZ.items()}  # red_detuned's fields but V
 
-HOSTILE = {"True": True, "'1'": "1", "None": None, "2.5": 2.5, "3.0": 3.0, "nan": math.nan,
-           "inf": math.inf, "-inf": -math.inf, "sys.maxsize + 1": sys.maxsize + 1,
-           "10**400": 10**400, "10**5000": 10**5000}
+HOSTILE = {"True": True, "'1'": "1", "'3'": "3", "None": None, "2.5": 2.5, "3.0": 3.0,
+           "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+           "sys.maxsize + 1": sys.maxsize + 1, "10**400": 10**400, "10**5000": 10**5000}
 REALS = ("True", "'1'", "10**400", "10**5000", "nan", "inf", "-inf")
 # a count is an int up to sys.maxsize, the most an array or a loop can spend;
 # a larger one is rejected where it is spent, not by model.real, so that the
 # CLI's cap on kernel point evaluations answers first
-INTEGERS = ("True", "'1'", "nan", "inf", "-inf", "2.5", "3.0", "None", "sys.maxsize + 1",
-            "10**400")
+INTEGERS = ("True", "'1'", "'3'", "nan", "inf", "-inf", "2.5", "3.0", "None",
+            "sys.maxsize + 1", "10**400")
 # a float or complex amplitude goes into the field as it is: an infinite or
 # nan one makes a field beyond the float range, NoSolution naming that field
 AMPLITUDES = ("True", "'1'", "10**400", "10**5000")
 
 # each SystemParams field's bound and a value below it: every field is a
-# magnitude but the mechanical frequencies, which are positive, and the
-# detunings and phases, which may be any number
-BOUNDS = {"omega_mL": ("> 0.0", 0.0), "omega_mR": ("> 0.0", 0.0),
+# magnitude (-1.0 below, -2.0 for g_L) but the mechanical frequencies, which
+# are positive, and the detunings and phases, which may be any number
+BOUNDS = {"omega_mL": ("> 0.0", 0.0), "omega_mR": ("> 0.0", 0.0), "g_L": (">= 0.0", -2.0),
           **dict.fromkeys(("detuning_L", "detuning_R", "phi_L", "phi_R"), ("", None))}
 # the three fields that had the only SystemParams rows keep their rows' ids
 ROWS = {"G_L": "SystemParams", "omega_mL": "SystemParams positive", "phi_R": "SystemParams phase"}
@@ -134,6 +134,10 @@ def test_every_entry_rejects_a_hostile_number_by_name(call, message, value):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == message
+
+
+def test_a_count_may_be_a_numpy_integer():
+    assert of.FrequencyGrid(0.0, 1.0, np.int64(3)).values().shape == (3,)
 
 
 # ids are the phases' old places in drives, before they moved to SystemParams

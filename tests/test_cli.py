@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -525,6 +526,41 @@ def test_cut_gives_one_range_where_it_cannot_fork_or_count_cpus(monkeypatch, mis
     force_ranges(monkeypatch, 4)
     monkeypatch.delattr(os, missing)
     assert cli._cut(100, 10**6, 1) == [0, 100]
+
+
+def test_cut_gives_one_range_where_it_cannot_count_threads(monkeypatch):
+    force_ranges(monkeypatch, 4)
+    listdir = os.listdir
+
+    def no_proc(path="."):
+        if str(path).startswith("/proc"):
+            raise FileNotFoundError(2, "No such file or directory", path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", no_proc)
+    assert cli._cut(100, 10**6, 1) == [0, 100]
+
+
+def test_a_process_of_two_threads_forks_nothing(tmp_path, monkeypatch):
+    # the signals blocked around a fork stay deliverable to another thread,
+    # which would take them and lose the child before its pid is recorded,
+    # so the writer forks only from a process of one thread
+    forks = force_ranges(monkeypatch, 2)
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        out = tmp_path / "fluxmap_small.csv"
+        assert _run(goldens.argv(out.name, out)) == 0
+    finally:
+        release.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive()
+    assert forks == []
+    assert out.read_bytes() == (DATA / out.name).read_bytes()
+    assert os.listdir(tmp_path) == [out.name]
+    with pytest.raises(ChildProcessError):  # no child was left
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_output_is_deterministic(tmp_path):

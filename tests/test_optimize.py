@@ -441,21 +441,32 @@ def test_a_golden_section_over_v_bounds_its_bracket_once(monkeypatch):
     # coarse-scan row (33), per sweep one for the golden section over the
     # flux at the incumbent V and one for that over V's bracket (3 + 3), and
     # one for the final peak: 40 passes, against 159 when each candidate of a
-    # section over V had its own
+    # section over V had its own.  It computes amplitudes in 309 calls, a
+    # block of survivors or a full pass each, 280,647 pairs in all: a change
+    # that adds work to the kernel fails here
     spans = []
     bounds = of.response._bounds
+    amplitudes = of.response._amplitudes
+    pairs = []  # the amplitude pairs each call computes
 
     def counted(terms, sizes, span, *scratch):
         spans.append(span)
         return bounds(terms, sizes, span, *scratch)
 
+    def counted_amplitudes(*args):
+        forward, backward = amplitudes(*args)
+        pairs.append(forward.size)
+        return forward, backward
+
     monkeypatch.setattr(of.response, "_bounds", counted)
+    monkeypatch.setattr(of.response, "_amplitudes", counted_amplitudes)
     space = of.SearchSpace(flux_bounds=(math.pi, TWO_PI), aux_name="mechanical_hop",
                            aux_bounds=(TWO_PI * 1e6, TWO_PI * 60e6),
                            frequency_grid=of.FrequencyGrid.from_hz(5.6e9, 6.1e9, 20001))
     of.tune(of.from_table1(520e3), of.PHOTON_TO_PHONON, space)
     assert len(spans) == 40
     assert sum(lo < hi for lo, hi in spans) == 3
+    assert (len(pairs), sum(pairs)) == (309, 280647)
 
 
 # sha256 of repr(_bits(...)) of each case's tune, as one process scored it
