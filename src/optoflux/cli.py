@@ -20,7 +20,7 @@ plain Python.  At import the module loads only PyYAML, ``model`` and
 ``errors``; the rest loads where it is called: numpy and the numeric layers
 in the spectrum, fluxmap and tune runners, ``steadystate`` in its runner,
 ``json`` in the JSON writer, ``argparse`` in :func:`main`, and ``signal``
-and ``tempfile`` in a write split into ranges.
+and ``tempfile`` in a write split into lanes or segments.
 
 Exit codes: 0 success, 1 i/o failure, 2 validation failure, 3 numerical
 degeneracy that aborts the scenario.
@@ -376,7 +376,9 @@ class Scenario:
 # the fewest values one process is given to format.  On a 2-CPU x86 host,
 # forking and reaping a 40 MB process took 2-4 ms and a cell took 0.35-0.5 us
 # (CSV) or 0.7-1.1 us (JSON) to format; cutting an output in two began to pay
-# between 20,000 and 80,000 cells in all
+# between 20,000 and 80,000 cells in all.  Later, on the default map, whose
+# second flux period reuses 87% of the first's cell texts, a cell took 0.22
+# us (CSV) or 0.37 us (JSON), against 0.26 and 0.61 us with no reuse
 MIN_CELLS_PER_PIECE = 50_000
 # the rows that _csv joins from its column blocks at a time, and so the
 # frequencies at which a flux map's CSV range computes every flux at a time.
@@ -384,44 +386,76 @@ MIN_CELLS_PER_PIECE = 50_000
 # RSS read 30.7 MB with blocks of 8 rows, 30.9 with 16, 31.2 with 32 and 31.6
 # with 64; CPU time read 0.67 s with 8 and 0.62-0.67 s from 16 to 64
 _CSV_BLOCK_ROWS = 16
+# the most segments _json cuts a periodic table's rows into, so that a split
+# write opens at most this many part files per lane
+_SEGMENTS = 4
 
 
 class _Text(NamedTuple):
-    """An output file's text: the chunks of ``head``, then ``body(lo, hi)``
-    for consecutive row ranges [lo, hi) that cover ``range(rows)``, then the
-    chunks of ``tail``.  ``cells`` counts the values in the rows.
+    """An output file's text: the chunks of ``head``, then the rows, then
+    the chunks of ``tail``.  ``cells`` counts the values in the rows.
 
-    Any cut of the rows into ranges gives the same bytes, so :func:`_write`
-    can format the ranges in separate processes."""
+    The rows fall into segments of ``period`` rows (one segment if None).
+    ``body(lo, hi)`` yields the text of the lane [lo, hi): the rows i with
+    i % period in [lo, hi), in the order lo, lo + period, ..., lo + 1, ...,
+    one chunk per row where there are two segments or more.  Any cut of
+    ``range(period)`` into lanes gives the same bytes, so :func:`_write`
+    can format the lanes in separate processes."""
 
     head: list
     rows: int
     cells: int
     body: Callable
     tail: list
+    period: int | None = None
 
 
-def _csv(header, blocks):
+def _csv(header, blocks, period=None):
     """CSV text: the header row, then one line per row of the column
     ``blocks``: float arrays with one entry per row, each a 1-D array (one
     column) or a 2-D array or view with its columns side by side (such as a
     map's transpose).  The blocks are joined _CSV_BLOCK_ROWS rows at a time,
     so no copy of the whole table is made.  Numbers carry 12 significant
     digits ("%.12g" prints non-finite values as inf, -inf and nan).
+
+    With ``period``, the last block's columns repeat with that period, as a
+    flux map's do over the flux: a cell of it ``period`` columns or more in
+    takes the text of the cell ``period`` before it where their bits match.
     """
     rows = len(blocks[0])
     width = sum(1 if block.ndim == 1 else block.shape[1] for block in blocks)
-    line = ",".join(["%.12g"] * width) + "\n"
+    # the first cell that may take an earlier cell's text
+    first = width if period is None else min(width, width - blocks[-1].shape[1] + period)
+    lead = ",".join(["%.12g"] * first)
+    line = lead + "\n"
     # an array means numpy is loaded: looked up, not imported, so that a
     # forked writer imports nothing
-    column_stack = sys.modules["numpy"].column_stack
+    np = sys.modules["numpy"]
 
     def body(lo, hi):
         for start in range(lo, hi, _CSV_BLOCK_ROWS):
             stop = min(hi, start + _CSV_BLOCK_ROWS)
-            # row by row: a whole-block tolist() would hold every cell as an object
-            for row in column_stack([block[start:stop] for block in blocks]):
-                yield line % tuple(row.tolist())
+            table = np.column_stack([block[start:stop] for block in blocks])
+            if first >= width:
+                # row by row: a whole-block tolist() would hold every cell as an object
+                for row in table:
+                    yield line % tuple(row.tolist())
+                continue
+            # bits, not values: 0.0 == -0.0, but they print as 0 and -0
+            bits = table.view("i8")
+            changed = bits[:, first:] != bits[:, first - period:width - period]
+            for row, new in zip(table, changed):
+                values = row.tolist()
+                cells = (lead % tuple(values[:first])).split(",")
+                new = [*(np.flatnonzero(new) + first).tolist(), width]
+                k = 0
+                for n in range(first, width, period):
+                    m = min(width, n + period)
+                    cells += cells[n - period:m - period]
+                    while new[k] < m:
+                        cells[new[k]] = "%.12g" % values[new[k]]
+                        k += 1
+                yield ",".join(cells) + "\n"
 
     return _Text([",".join(header) + "\n"], rows, rows * width, body, [])
 
@@ -461,7 +495,7 @@ def _json_floats(cells):
     return (json.dumps(_sentinel(x)) for x in cells.tolist())
 
 
-def _json(payload, rows=None):
+def _json(payload, rows=None, period=None):
     """JSON text of the mapping ``payload``: the bytes of
     ``json.dumps(payload, indent=2)`` plus a final newline, with non-finite
     floats as the strings of :func:`_sentinel`.
@@ -472,6 +506,12 @@ def _json(payload, rows=None):
     or a mapping of equal-length 1-D float arrays, written as a list of
     objects of their entries a few thousand at a time, as a spectrum's
     points are.
+
+    With ``period``, the rows of the 2-D array repeat with that period, as
+    a flux map's do over the flux.  The text's segments (see :class:`_Text`)
+    are then the fewest whole periods that leave at most _SEGMENTS, and a
+    row after the first segment takes the texts of the row a segment before
+    it, formatting only the cells whose bits differ.
     """
     import json  # here, not at the top: only a JSON output needs it
 
@@ -495,12 +535,31 @@ def _json(payload, rows=None):
 
         return _Text(head, len(columns[0]), len(columns[0]) * len(columns), body, tail)
 
-    def body(lo, hi):
-        for i in range(lo, hi):
-            yield (("[" if i == 0 else ",") + "\n    [\n      "
-                   + ",\n      ".join(_json_floats(table[i])) + "\n    ]")
+    if period is not None:
+        # segments of the fewest whole periods that leave at most _SEGMENTS
+        period *= -(-len(table) // (_SEGMENTS * period))
+    stride = period or len(table)
+    # an array means numpy is loaded: looked up, not imported, so that a
+    # forked writer imports nothing
+    flatnonzero = sys.modules["numpy"].flatnonzero
 
-    return _Text(head, len(table), table.size, body, tail)
+    def body(lo, hi):
+        for r in range(lo, hi):
+            bits = None
+            for i in range(r, len(table), stride):
+                row = table[i]
+                if bits is None:
+                    cells = list(_json_floats(row))
+                else:
+                    # bits, not values: 0.0 == -0.0, but they print as 0.0 and -0.0
+                    changed = flatnonzero(row.view("i8") != bits)
+                    for j, cell in zip(changed.tolist(), _json_floats(row[changed])):
+                        cells[j] = cell
+                bits = row.view("i8")
+                yield (("[" if i == 0 else ",") + "\n    [\n      "
+                       + ",\n      ".join(cells) + "\n    ]")
+
+    return _Text(head, len(table), table.size, body, tail, period)
 
 
 def _cut(items, cost, minimum):
@@ -523,11 +582,22 @@ def _cut(items, cost, minimum):
     return [items * k // n for k in range(n + 1)]
 
 
-def _fork(text, lo, hi, part, what, pids):
-    """Fork a child that writes ``text.body(lo, hi)`` into the binary file
-    ``part``; append its pid to ``pids``.
+def _lane(text, lo, hi, files):
+    """Write lane [lo, hi) of ``text`` (see :class:`_Text`): each row into
+    ``files[segment]``, the text file of its segment."""
+    if len(files) == 1:
+        files[0].writelines(text.body(lo, hi))
+        return
+    rows = (i for r in range(lo, hi) for i in range(r, text.rows, text.period))
+    for i, chunk in zip(rows, text.body(lo, hi)):
+        files[i // text.period].write(chunk)
 
-    The child leaves only by os._exit, 0 once ``part`` is written and 1
+
+def _fork(text, lo, hi, parts, what, pids):
+    """Fork a child that writes lane [lo, hi) of ``text`` into ``parts``
+    (see :func:`_lane`); append its pid to ``pids``.
+
+    The child leaves only by os._exit, 0 once ``parts`` are written and 1
     after printing its error, so nothing of the caller's stack (finally
     blocks, exception handlers, atexit hooks) runs in it.  SIGINT and
     SIGTERM stay blocked from before the fork until the child is inside the
@@ -549,12 +619,12 @@ def _fork(text, lo, hi, part, what, pids):
             status = 1
             try:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                with open(part.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-                    fh.writelines(text.body(lo, hi))
+                _lane(text, lo, hi, parts)
+                for part in parts:
+                    part.flush()
                 status = 0
             except BaseException as exc:
-                print(f"optoflux: {what} {lo}-{hi}: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
+                print(f"optoflux: {what}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 sys.stderr.flush()
             finally:
                 os._exit(status)
@@ -564,45 +634,57 @@ def _fork(text, lo, hi, part, what, pids):
 
 
 def _write(text, path):
-    """Write ``text`` to ``path`` atomically, its rows cut into ranges of at
-    least MIN_CELLS_PER_PIECE cells by :func:`_cut`.
+    """Write ``text`` to ``path`` atomically, its lanes (see :class:`_Text`)
+    cut by :func:`_cut` to at least MIN_CELLS_PER_PIECE cells each.
 
-    The first range is formatted here into a temporary file beside ``path``,
-    each later one by a forked child into an unnamed part file beside it
-    (gone once closed, even if this process is killed), copied into the
-    output in order once the child exits; a failed child raises OSError.
-    One range forks and opens none.  The temporary file is renamed over
-    ``path``, so an interrupted or failed run never leaves a truncated
-    output; on every exit path each child is reaped (killed first if it
-    still runs) and every part closed.
+    The first lane is formatted here, its first segment into a temporary
+    file beside ``path``; every other lane and segment goes into an unnamed
+    part file beside it (gone once closed, even if this process is killed),
+    each later lane's by a forked child.  The parts are copied into the
+    output segment by segment, lane by lane within a segment, a child's
+    once it exits; a failed child raises OSError.  One lane of one segment
+    forks and opens none.  The temporary file is renamed over ``path``, so
+    an interrupted or failed run never leaves a truncated output; on every
+    exit path each child is reaped (killed first if it still runs) and
+    every part closed.
     """
-    bounds = _cut(text.rows, text.cells, MIN_CELLS_PER_PIECE)
+    period = text.period or text.rows
+    segments = -(-text.rows // period) if period else 1
+    bounds = _cut(period, text.cells, MIN_CELLS_PER_PIECE)
+    lanes = len(bounds) - 1
+    mod = f" mod {period}" if segments > 1 else ""
+    what = [f"{path}: the writer of rows {lo}-{hi}{mod}" for lo, hi in zip(bounds, bounds[1:])]
     tmp = f"{path}.{os.getpid()}.tmp"
-    what = f"{path}: the writer of rows"
-    parts, pids = [], []  # per range after the first
+    # in output order: segment by segment, lane by lane within a segment,
+    # all but the first lane's first segment, which is the output itself
+    parts, pids = [], []
     reaped = 0
     try:
+        if lanes * segments > 1:
+            import tempfile  # here, not at the top: only a split opens parts
+
+            for _ in range(1, lanes * segments):
+                parts.append(tempfile.TemporaryFile("w+", encoding="utf-8",
+                                                    dir=os.path.dirname(path) or "."))
         # a child inherits unflushed output and would write it again
         sys.stdout.flush()
         sys.stderr.flush()
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            import tempfile  # here, not at the top: only a split opens parts
-
-            parts.append(tempfile.TemporaryFile(dir=os.path.dirname(path) or "."))
-            _fork(text, lo, hi, parts[-1], what, pids)
+        for lane in range(1, lanes):
+            _fork(text, bounds[lane], bounds[lane + 1], parts[lane - 1::lanes], what[lane], pids)
         # open() keeps the umask-derived file mode
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(text.head)
-            fh.writelines(text.body(0, bounds[1]))
-            for pid, part, lo, hi in zip(pids, parts, bounds[1:], bounds[2:]):
-                _, status = os.waitpid(pid, 0)
-                reaped += 1
-                if status:
-                    raise OSError(f"{what} {lo}-{hi} failed "
-                                  f"(exit status {os.waitstatus_to_exitcode(status)})")
+            _lane(text, 0, bounds[1], [fh, *parts[lanes - 1::lanes]])
+            for k, part in enumerate(parts, 1):
+                if k < lanes:  # a child's first segment: the child must be done
+                    _, status = os.waitpid(pids[k - 1], 0)
+                    reaped += 1
+                    if status:
+                        raise OSError(f"{what[k]} failed "
+                                      f"(exit status {os.waitstatus_to_exitcode(status)})")
                 part.seek(0)
                 fh.flush()
-                shutil.copyfileobj(part, fh.buffer)
+                shutil.copyfileobj(part.buffer, fh.buffer)
             fh.writelines(text.tail)
         os.replace(tmp, path)
     finally:
@@ -650,21 +732,28 @@ def _run_spectrum(scenario, params):
 def _run_fluxmap(scenario, params):
     from . import sweep
 
-    # never .values: each writer range computes the rows it reads, flux rows
+    # never .values: each writer lane computes the rows it reads, flux rows
     # for JSON and _CSV_BLOCK_ROWS frequencies at every flux for CSV
     fm = sweep.flux_map(params, scenario.quantity, scenario.build_flux_axis(),
                         scenario.build_frequency_grid())
     flux_pi = (fm.flux_axis / math.pi).tolist()
     freqs = fm.freq_axis.values() / TWO_PI
+    # isolation is 2*pi-periodic in the flux: the period in flux steps, where
+    # it is whole.  The writers reuse a cell's text only where the bits match,
+    # so a period that rounding breaks costs time, never bytes
+    g = scenario.flux_grid
+    steps = 2 * (g["points"] - 1) / (g["stop_pi"] - g["start_pi"])
+    period = round(steps) if 1 <= steps < g["points"] and abs(steps - round(steps)) < 1e-9 else None
     if scenario.output["format"] == "csv":
-        return _csv(["frequency_hz"] + ["%.12g" % f for f in flux_pi], (freqs, fm.T))
+        return _csv(["frequency_hz"] + ["%.12g" % f for f in flux_pi], (freqs, fm.T),
+                    period=period)
     return _json({
         "mode": "fluxmap",
         "quantity": scenario.quantity,
         "flux_pi": flux_pi,
         "frequency_hz": freqs.tolist(),
         "isolation_db": fm,
-    }, rows="isolation_db")
+    }, rows="isolation_db", period=period)
 
 
 def _run_tune(scenario, params):
@@ -738,7 +827,7 @@ def run(scenario: Scenario) -> str:
 
     Every check that can reject the scenario runs first, and every number
     is computed before the file opens but a flux map's: :func:`sweep.flux_map`
-    checks the axes and builds the amplitude terms first, and each range of
+    checks the axes and builds the amplitude terms first, and each lane of
     the writer reads from the map the rows it formats, a few at a time, just
     before it formats them.  :func:`_write` formats CSV and JSON a row or a
     block of rows at a time, so neither the file nor a map is ever held whole.

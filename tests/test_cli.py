@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -140,8 +141,10 @@ output: {{path: {out}, format: {fmt}}}
 
 
 # the items a golden's writer cuts, where they are fewer than 4: the
-# sentinel map's 3 rows, and the one record of a tune or a steady state
-_FEW_ITEMS = {"fluxmap_sentinel.csv": 3, "fluxmap_sentinel.json": 3,
+# sentinel map's 3 rows as CSV, the 2 rows of its flux period as JSON (whose
+# lanes cut the first period's rows), and the one record of a tune or a
+# steady state
+_FEW_ITEMS = {"fluxmap_sentinel.csv": 3, "fluxmap_sentinel.json": 2,
               **{name: 1 for name in goldens.GOLDENS if name.startswith(("tune_", "steady_"))}}
 
 
@@ -254,10 +257,10 @@ def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, capsys,
     force_ranges(monkeypatch, 2)
     csv = cli._csv
 
-    def failing_csv(header, table):
+    def failing_csv(header, table, period):
         # the map's block is computed by each range as it formats its rows
         assert isinstance(table[-1], of.sweep.FluxMap)
-        text = csv(header, table)
+        text = csv(header, table, period=period)
         return text._replace(body=lambda lo, hi: body(text, lo, hi))
 
     monkeypatch.setattr(cli, "_csv", failing_csv)
@@ -376,6 +379,19 @@ def test_schema_defaults_match_numeric_layers():
 
 _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999999999e-05,
                   1 / 3, 5800000000.0, 9999999999999998.0, 1e16, 1e22]
+# 7 rows, each column a pattern over the rows: cells a period apart that
+# compare equal but differ in bits (0.0 and -0.0, by row parity, by row
+# mod 3 and by half), cells that keep their bits (nan, 1/3) and signs of
+# inf and of the least subnormal that alternate
+_BIT_TRAPS = np.array([[0.0 if i % 2 else -0.0, -0.0 if i % 3 else 0.0, math.nan,
+                        math.inf if i % 2 else -math.inf, 1 / 3, 0.0 if i < 4 else -0.0,
+                        5e-324 if i % 3 else -5e-324] for i in range(7)])
+
+
+def _periods(items):
+    """No period, and periods fewer than ``items`` rows or columns: 2 and
+    3 divide some of the tables' counts, 1 divides every one and 5 none."""
+    return [None, *(p for p in (1, 2, 3, 5) if p < items)]
 
 
 @pytest.mark.parametrize("values", [
@@ -385,6 +401,7 @@ _ORACLE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-4, 9.999999999
     pytest.param([[1 / 3, -0.0, 1e22], [5e-324, 1e16, math.nan]], id="nan last cell"),
     pytest.param([[x] for x in _ORACLE_VALUES], id="1 column"),
     pytest.param([[math.nan] * 3, [-math.inf] * 3, [math.inf] * 3], id="all sentinels"),
+    pytest.param(_BIT_TRAPS.tolist(), id="bit traps"),
 ])
 def test_json_writer_matches_stdlib_encoder(tmp_path, monkeypatch, values):
     # a flux map: its axes go through json.dumps, its 2-D array is the rows
@@ -402,9 +419,12 @@ def test_json_writer_matches_stdlib_encoder(tmp_path, monkeypatch, values):
                 "flux_pi": plain(_ORACLE_VALUES), "isolation_db": plain(values),
                 "quantity": "phonon"}
     out = tmp_path / "out.json"
-    for ranges in (1, 2, 3, 4):  # up to more ranges than rows
+    # up to more ranges than rows, and periods that divide the rows and
+    # periods that do not; each later row reuses the texts of the cells of
+    # the row a segment before it that have the same bits
+    for ranges, period in itertools.product((1, 2, 3, 4), _periods(len(values))):
         force_ranges(monkeypatch, ranges)
-        cli._write(cli._json(payload, rows="isolation_db"), str(out))
+        cli._write(cli._json(payload, rows="isolation_db", period=period), str(out))
         assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
 
 
@@ -454,6 +474,41 @@ def test_map_parts_larger_than_a_copy_buffer_join_to_the_same_bytes(tmp_path, mo
     assert sorted(os.listdir(tmp_path)) == [f"map_{ranges}.{fmt}" for ranges in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_many_period_map_joins_to_the_same_bytes(tmp_path, monkeypatch, fmt):
+    # 40 flux periods of 100 rows: a JSON lane writes into at most 4 segments
+    # of 11 periods, so a split opens at most 4 part files per lane, and one
+    # lane on one CPU opens them too.  The bytes are those of a write that
+    # reuses no text
+    argv = ["run", "--preset", "table1", "--set", "mode=fluxmap", "--set", "quantity=phonon",
+            "--set", "params.mechanical_hop_hz=515709.8644424447",
+            "--set", "flux_grid={start_pi: -40, stop_pi: 40, points: 4001}",
+            "--set", "frequency_grid={start_hz: 5.85e9, stop_hz: 5.95e9, points: 3}",
+            "--format", fmt]
+    parts = []
+    temporary_file = tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        parts.append(temporary_file(*args, **kwargs))
+        return parts[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    outputs = []
+    for ranges in (1, 3):
+        forks = force_ranges(monkeypatch, ranges)
+        parts.clear()
+        out = tmp_path / f"map_{ranges}.{fmt}"
+        assert _run([*argv, "--out", str(out)]) == 0
+        assert len(forks) == ranges - 1
+        assert len(parts) <= ranges * 4 and all(part.closed for part in parts)
+        outputs.append(out.read_bytes())
+    writer = getattr(cli, f"_{fmt}")
+    monkeypatch.setattr(cli, f"_{fmt}", lambda *args, period, **kwargs: writer(*args, **kwargs))
+    assert _run([*argv, "--out", str(tmp_path / "reference")]) == 0
+    assert outputs[0] == outputs[1] == (tmp_path / "reference").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["map_1." + fmt, "map_3." + fmt, "reference"]
+
+
 # two blocks of rows and 3 more: ranges end inside blocks and across them
 _BLOCKS_ROWS = 2 * cli._CSV_BLOCK_ROWS + 3
 
@@ -474,6 +529,10 @@ def _csv_rows(blocks):
     # a frequency column and a map's transpose, as a flux map is written
     pytest.param((np.linspace(5.8e9, 5.9e9, _BLOCKS_ROWS),
                   np.resize(_ORACLE_VALUES, (5, _BLOCKS_ROWS)).T), id="column blocks"),
+    # a frequency column and a map of bit traps, transposed as a flux map
+    # is written, over more rows than a block
+    pytest.param((np.linspace(5.8e9, 5.9e9, _BLOCKS_ROWS),
+                  np.resize(_BIT_TRAPS.T, (_BLOCKS_ROWS, 7))), id="bit traps"),
 ])
 def test_csv_writer_matches_cell_by_cell_format(tmp_path, monkeypatch, table, ranges):
     force_ranges(monkeypatch, ranges)
@@ -482,8 +541,11 @@ def test_csv_writer_matches_cell_by_cell_format(tmp_path, monkeypatch, table, ra
     expected = ",".join(header) + "\n" + "".join(
         ",".join("%.12g" % x for x in row) + "\n" for row in rows)
     out = tmp_path / "out.csv"
-    cli._write(cli._csv(header, table), str(out))
-    assert out.read_text(encoding="utf-8") == expected
+    # periods of the last block's columns, each of which from its period-th
+    # on reuses the text of the cell a period before it with the same bits
+    for period in _periods(table[-1].shape[1] if table[-1].ndim == 2 else 0):
+        cli._write(cli._csv(header, table, period), str(out))
+        assert out.read_text(encoding="utf-8") == expected
 
 
 @pytest.mark.parametrize("ranges", [1, 2, 3, 4])
