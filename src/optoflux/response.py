@@ -29,17 +29,18 @@ photon at flux phi is exactly minus photon -> phonon at -phi.
 
 These cleared-denominator forms are algebraically identical to the
 block-element ratios but remain finite for vanishing couplings and at
-undamped optical resonances.  A spectrum or map reads the stateless
-:func:`amplitude_db` of terms it builds once.  A search scores its candidates
-through one :func:`amplitude_kernel`, which computes the susceptibilities
-once per frequency grid and rebuilds the terms only for a new J, G_L or G_R.
-By the triangle inequality, without the flux, the forward amplitude is at
-most |g V||X_f| + |Y_f| and the backward one at least ||g V||X_b| - |Y_b||:
-the kernel computes the amplitudes only at the cells where these bounds let
-the ratio reach a floor the caller gives: the scan's running best, or the
-descent's other interior point.  A row of fluxes at one coupling value, as a
-scan makes them, shares one set of such cells, whose amplitudes are one
-broadcast per block of its fluxes.
+undamped optical resonances.  Every dB is :func:`_ratio_db` of two
+amplitudes.  A spectrum or map reads the stateless :func:`amplitude_db` of
+terms it builds once.  A search scores its candidates through one
+:func:`amplitude_kernel`, which computes the susceptibilities once per
+frequency grid and rebuilds the terms only for a new J, G_L or G_R.  By the
+triangle inequality, without the flux, the forward amplitude is at most
+|g V||X_f| + |Y_f| and the backward one at least ||g V||X_b| - |Y_b||: the
+kernel computes the amplitudes and their dB only at the cells where these
+bounds let the ratio reach a floor the caller gives: the scan's running
+best, or the descent's other interior point.  A row of fluxes at one
+coupling value, as a scan makes them, shares one set of such cells, whose
+amplitudes are one broadcast per block of its fluxes.
 """
 
 from __future__ import annotations
@@ -86,20 +87,23 @@ def _ratio_db(num, den):
     they are equal.  An infinite amplitude, one that overflowed, gives nan.
     Equal amplitudes in between give exactly 0 dB through the logs.
     """
-    tiny_n, tiny_d = num < UNDERFLOW, den < UNDERFLOW
-    equal = tiny_n & (num == den)
-    over = np.isinf(num) | np.isinf(den)
-    # log10(0) and inf - inf: the sentinels rewrite those cells
-    with np.errstate(divide="ignore", invalid="ignore"):
+    plain = all(a.min(initial=math.inf) >= UNDERFLOW and a.max(initial=0.0) < math.inf
+                for a in (num, den))  # nan anywhere fails
+    if not plain:  # some cell takes a sentinel
+        tiny_n, tiny_d = num < UNDERFLOW, den < UNDERFLOW
+        equal = tiny_n & (num == den)
+        over = np.isinf(num) | np.isinf(den)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the sentinels' cells
         np.log10(num, out=num)
         np.log10(den, out=den)
         np.subtract(num, den, out=num)
         np.multiply(num, 20.0, out=num)
-    np.copyto(num, math.inf, where=tiny_d & ~tiny_n)
-    np.copyto(num, -math.inf, where=tiny_n & ~tiny_d)
-    np.copyto(num, math.nan, where=tiny_n & tiny_d)
-    np.copyto(num, 0.0, where=equal)
-    np.copyto(num, math.nan, where=over)
+    if not plain:
+        np.copyto(num, math.inf, where=tiny_d & ~tiny_n)
+        np.copyto(num, -math.inf, where=tiny_n & ~tiny_d)
+        np.copyto(num, math.nan, where=tiny_n & tiny_d)
+        np.copyto(num, 0.0, where=equal)
+        np.copyto(num, math.nan, where=over)
     return num
 
 
@@ -149,35 +153,34 @@ def amplitude_db(terms, hop, flux, columns=slice(None)):
     return _ratio_db(*_amplitudes(terms, hop, flux, columns))
 
 
-def _peak_of(forward, backward, level=0.0):
-    """``(db, i)``, two arrays of a pair per row (the last axis) of the 2-D
-    amplitudes ``forward`` and ``backward``: each row's peak isolation and
-    the first cell holding it, ``(-inf, 0)`` for a row whose every ratio lies
-    below ``level (1 - 2e-9)``; None where only :func:`_ratio_db`'s sentinels
-    can tell for some row.
+def _peak_of(db):
+    """``(top, i)``, the peak of each row (the last axis) of the dB array
+    ``db``, which this overwrites: ``np.fmax.reduce`` and the nan-masked
+    ``np.argmax``, the first cell of a row that is all nan being 0."""
+    top = np.fmax.reduce(db, axis=-1)
+    np.copyto(db, -math.inf, where=np.isnan(db))
+    return top, db.argmax(axis=-1)
 
-    Past the guards, _ratio_db is 20 (log10 f - log10 b) cell by cell, within
-    ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is off by a
-    few ulp of at most ~310.  A cell whose ratio is below its row's top (1 -
-    1e-9) lies 8.7e-9 dB lower and cannot hold the row's maximum if top is
+
+def _contenders(forward, backward):
+    """The cells of the 1-D amplitudes ``forward`` and ``backward`` that can
+    hold the peak of their :func:`_ratio_db`: those whose ratio is within a
+    relative 1e-9 of the top one, or every cell where a sentinel, a
+    subnormal top ratio, inf or nan could tell.
+
+    Past its sentinels, _ratio_db is 20 (log10 f - log10 b) cell by cell,
+    within ~1e-11 dB of 20 log10 of the once-rounded ratio: each log10 is
+    off by a few ulp of at most ~310.  A cell whose ratio is below the top
+    (1 - 1e-9) lies 8.7e-9 dB lower and cannot hold the peak if the top is
     normal; a subnormal ratio can be off by half, inf or nan by all.
     """
-    if not (forward.min(initial=math.inf) >= UNDERFLOW
-            and backward.min(initial=math.inf) >= UNDERFLOW):  # nan fails too
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is nan, caught below
-        ratio = forward / backward
-    top = ratio.max(axis=-1, initial=0.0)
-    low = top < level * (1.0 - 2e-9)
-    if low.all():
-        return np.full(low.shape, -math.inf), np.zeros(low.shape, int)
-    if not (low | (sys.float_info.min <= top) & (top < math.inf)).all():
-        return None
-    keep = np.flatnonzero(ratio >= np.where(low, math.inf, top * (1.0 - 1e-9))[..., None])
-    cells = 20.0 * (np.log10(forward.take(keep)) - np.log10(backward.take(keep)))
-    ratio.fill(-math.inf)  # now the rows' dB, finite only on the shortlist
-    ratio.put(keep, cells)
-    return ratio.max(axis=-1), ratio.argmax(axis=-1)
+    if forward.min() >= UNDERFLOW and backward.min() >= UNDERFLOW:  # nan fails too
+        with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is nan
+            ratio = forward / backward
+        top = ratio.max()
+        if sys.float_info.min <= top < math.inf:
+            return np.flatnonzero(ratio >= top * (1.0 - 1e-9))
+    return np.arange(forward.size)
 
 
 def _bounds(terms, sizes, span, q, fub, blb, mask):
@@ -238,16 +241,17 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     nan) it is that pair or one whose ``db`` is below ``floor``, (-inf, 0).
     A row, or a lone flux with a floor above -inf, tries flux-free bounds
     that rule out every cell whose ratio cannot reach the floor; the
-    amplitudes are computed only at the others (the survivors), and the log
-    only where the maximum can be.  A row finds its survivors once and
-    computes their amplitudes one broadcast per block of its fluxes; a row
-    the bounds cannot serve is scored one full pass per flux, without trying
-    them again.  Without a floor, or where the bounds cannot tell, every
-    cell is scored, by the :func:`_amplitudes` that :func:`amplitude_db`
-    reads.  The susceptibilities and the bounds' scratch space are made
-    here, once; the terms and their magnitudes are rebuilt only when the
-    coupling's bits change (never for V, which enters none), and the bounds
-    only with new terms or a new span.
+    amplitudes and their :func:`_ratio_db` are computed only at the others
+    (the survivors).  A row finds its survivors once and computes their
+    amplitudes one broadcast per block of its fluxes; a row the bounds
+    cannot serve is scored one full pass per flux, without trying them
+    again.  Without a floor, or where the bounds cannot tell, a full pass
+    computes every cell's amplitudes, by the :func:`_amplitudes` that
+    :func:`amplitude_db` reads, and their _ratio_db at the
+    :func:`_contenders`.  The susceptibilities and the bounds' scratch space
+    are made here, once; the terms and their magnitudes are rebuilt only
+    when the coupling's bits change (never for V, which enters none), and
+    the bounds only with new terms or a new span.
 
     ``span``, a pair ``0 <= lo <= value <= hi`` such as a golden section's
     bracket, lets a kernel over the mechanical hop make one set of bounds
@@ -288,20 +292,20 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
     # (forward) or +inf (backward), and the second cannot be pruned (below).
     # The survivors' amplitudes come from _amplitudes on gathered cells,
     # broadcast against a column of a row's fluxes, which gives each cell the
-    # bits the full pass gives it at each flux.
-    #   The level L is 10^(floor / 20) (1 - 1e-9): a cell whose dB reaches
-    # the floor has a ratio above L, as its dB is within ~1e-11 dB of 20
-    # log10 of its ratio.  A pruned cell, fl(fub / blb) < fl(L (1 - 4e-9)),
-    # has a ratio below L (1 - 4e-9 + 3u) at every flux and, as min(fub) / L
-    # >= UNDERFLOW, a backward amplitude above UNDERFLOW: its dB is not +inf,
-    # nor nan unless the backward amplitude is inf.  _peak_of sees every
-    # survivor at least UNDERFLOW and a normal top ratio in each flux's row
-    # that reaches L (1 - 2e-9), or peak scores each flux with the full pass.
-    # If a row's top >= L (1 - 2e-9), every pruned ratio is below top (1 -
-    # 1e-9), outside the full pass's shortlist, so the full pass gives these
-    # bits.  Otherwise no ratio of the row reaches L (1 - 2e-9) and its peak
-    # is below the floor.  A non-finite magnitude or g V, or a quarter of the
-    # cells surviving, also sends peak to the full pass.
+    # bits the full pass gives it at each flux, and so does _ratio_db, cell
+    # by cell.
+    #   The level L is 10^(floor / 20) (1 - 1e-9).  A pruned cell, fl(fub /
+    # blb) < fl(L (1 - 4e-9)), has a ratio below L (1 - 4e-9 + 3u) at every
+    # flux and, as min(fub) / L >= UNDERFLOW, a backward amplitude above
+    # UNDERFLOW.  So its dB is never +inf: it is -inf where the forward
+    # amplitude is below UNDERFLOW, nan where the backward one is inf, and
+    # otherwise within ~1e-11 dB of 20 log10 of its ratio (see _contenders),
+    # more than 4e-8 dB below the floor.  Where the survivors' peak at a flux
+    # reaches the floor, it is then the full pass's peak, at the same first
+    # cell; where it does not, or the survivors are all nan or none, the full
+    # pass's peak is below the floor or nan, and (-inf, 0) stands for it.  A
+    # non-finite magnitude or g V, or a quarter of the cells surviving, sends
+    # peak to the full pass.
     #   A span's bounds hold at each V of it, so all of the above holds at
     # each V.  Over 0 <= lo <= V <= hi, fl(|gV|) and fl(fl(|gV|)|X|) rise
     # with V, and so does every rounded step of fub: fub at hi is at least
@@ -340,23 +344,22 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
         cells = np.flatnonzero(np.greater_equal(q, level * (1.0 - 4e-9), out=mask))
         if not fluxes.size or 4 * cells.size > mask.size or least / level < UNDERFLOW:
             return None
+        if not cells.size:  # every cell's dB is below the floor, or nan
+            return [(-math.inf, 0)] * fluxes.size
         # a block of fluxes by survivors holds about an eighth of the grid's
         # cells, so that its temporaries (~48 bytes a cell) take no more
         # memory than a float array over the grid.  One flux stays a scalar:
         # numpy multiplies a 1 x 1 block of complex numbers with its loop for
         # two contiguous operands, whose bits can differ from those of the
         # full pass's loop for an array by a scalar
-        step = max(1, mask.size // max(8 * cells.size, 1))
+        step = max(1, mask.size // (8 * cells.size))
         pairs = []
         for lo in range(0, fluxes.size, step):
             block = fluxes[lo:lo + step]
-            amplitudes = _amplitudes(terms, hop, block[:, None] if block.size > 1
-                                     else block[0], cells)
-            found = _peak_of(*map(np.atleast_2d, amplitudes), level)
-            if found is None:
-                return None
-            pairs += zip(*(a.tolist() for a in found))
-        return [(db, int(cells[i]) if db > -math.inf else 0) for db, i in pairs]
+            db = _ratio_db(*_amplitudes(terms, hop, block[:, None] if block.size > 1
+                                        else block[0], cells))
+            pairs += zip(*(a.tolist() for a in _peak_of(np.atleast_2d(db))))
+        return [(db, int(cells[i])) if db >= floor else (-math.inf, 0) for db, i in pairs]
 
     def peak(value, flux, floor=-math.inf, span=None):
         nonlocal terms, built, sizes, bounded
@@ -377,13 +380,9 @@ def amplitude_kernel(params: SystemParams, omega, quantity: str, coupling: str):
             if row:
                 return [peak(value, f) for f in flux]  # no floor: the bounds failed at it
         forward, backward = _amplitudes(terms, hop, flux)
-        found = _peak_of(forward[None], backward[None])
-        if found is None:
-            cells = _ratio_db(forward, backward)
-            top = float(np.fmax.reduce(cells, axis=None))
-            np.copyto(cells, -math.inf, where=np.isnan(cells))
-            return top, int(cells.argmax())
-        return float(found[0][0]), int(found[1][0])
+        cells = _contenders(forward, backward)
+        db, i = _peak_of(_ratio_db(forward[cells], backward[cells]))
+        return float(db), int(cells[i])
 
     return peak
 

@@ -128,7 +128,7 @@ def test_copy_helpers():
 # group, NaN / +-inf and an int beyond the float range, which the model must
 # reject.
 @pytest.mark.parametrize("field", [
-    "optical_hop", "mechanical_hop", "G_L", "G_R",
+    "G_L",
     "kappa_eL=-1", "kappa_iL=-1", "g_L=-2", "omega_mL=0", "gamma_eL=-1",
     "G_L=nan", "kappa_eL=nan", "omega_mL=nan", "optical_hop=inf", "gamma_iR=-inf",
     "g_R=inf", "detuning_L=nan", "phi_L=inf",

@@ -191,10 +191,12 @@ def test_tune_rejects_non_finite_bounds():
                 of.tune(p, of.PHONON, of.SearchSpace(flux_bounds=flux_bounds))
 
 
-def test_tune_peak_matches_isolation_db_exactly():
+def test_tune_peak_matches_isolation_db_exactly(monkeypatch):
     # candidates skip building SystemParams and share one kernel; every
     # objective in the trace, and the reported peak, must still be exactly
-    # what isolation_db gives at that point
+    # what isolation_db gives at that point.  Then again with _ratio_db
+    # lowering every dB by 1: the kernel turns amplitudes into dB only
+    # through it, as a spectrum does (a lower dB leaves every floor sound)
     p = replace(of.from_table1(2e6), phi_L=0.5, phi_R=0.37)
     grid = _small_grid()
     bounds = {"mechanical_hop": (TWO_PI * 0.1e6, TWO_PI * 20e6),
@@ -202,19 +204,24 @@ def test_tune_peak_matches_isolation_db_exactly():
               "G_L": (TWO_PI * 10e6, TWO_PI * 60e6),
               "G_R": (TWO_PI * 10e6, TWO_PI * 60e6),
               None: None}
-    for quantity in of.QUANTITIES:
-        for aux_name, aux_bounds in bounds.items():
-            space = of.SearchSpace(flux_bounds=(-math.pi, math.pi), aux_name=aux_name,
-                                   aux_bounds=aux_bounds, frequency_grid=grid,
-                                   coarse_points=5, golden_iterations=6, descent_sweeps=1)
-            result = of.tune(p, quantity, space)
-            for (flux, aux), objective in result.trace:
-                point = p.with_flux(flux)
-                if aux_name is not None:
-                    point = replace(point, **{aux_name: aux})
-                assert objective == np.nanmax(of.isolation_db(point, grid.values(), quantity))
-            assert result.trace[-1][0] == (result.best_flux, result.best_aux)
-            assert result.trace[-1][1] == result.peak_db
+    ratio_db = of.response._ratio_db
+    for lowered in (False, True):
+        if lowered:
+            monkeypatch.setattr(of.response, "_ratio_db",
+                                lambda num, den: np.subtract(ratio_db(num, den), 1.0, out=num))
+        for quantity in of.QUANTITIES:
+            for aux_name, aux_bounds in bounds.items():
+                space = of.SearchSpace(flux_bounds=(-math.pi, math.pi), aux_name=aux_name,
+                                       aux_bounds=aux_bounds, frequency_grid=grid,
+                                       coarse_points=5, golden_iterations=6, descent_sweeps=1)
+                result = of.tune(p, quantity, space)
+                for (flux, aux), objective in result.trace:
+                    point = p.with_flux(flux)
+                    if aux_name is not None:
+                        point = replace(point, **{aux_name: aux})
+                    assert objective == np.nanmax(of.isolation_db(point, grid.values(), quantity))
+                assert result.trace[-1][0] == (result.best_flux, result.best_aux)
+                assert result.trace[-1][1] == result.peak_db
 
 
 def test_all_nan_spectrum_scores_minus_inf(monkeypatch):
@@ -534,11 +541,18 @@ def test_scan_peaks_near_the_kernel_scratch():
 
 def test_tune_cpu_prints_a_line_per_configuration(capsys):
     # the informational tune_cpu script, on a small grid: a header, then a
-    # CPU time and a count of minor faults per configuration
+    # CPU time, a count of minor faults and the kernel's full passes, pruned
+    # calls and their amplitude cells per configuration, the kernel's
+    # _amplitudes put back after counting
+    amplitudes = of.response._amplitudes
     assert tune_cpu.main(["--points", "201", "--runs", "1", "--rounds", "1"]) == 0
+    assert of.response._amplitudes is amplitudes
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header.split() == ["quantity", "coupling", "cpu_ms", "minor_faults"]
+    assert header.split() == ["quantity", "coupling", "cpu_ms", "minor_faults",
+                              "full_passes", "pruned_calls", "pruned_cells"]
     assert [line.split()[:2] for line in lines] == [[q, aux] for q, aux, _ in tune_cpu.CONFIGS]
     for line in lines:
-        cpu_ms, faults = line.split()[2:]
+        cpu_ms, faults, full, calls, cells = line.split()[2:]
         assert float(cpu_ms) > 0.0 and int(faults) >= 0
+        # every pruned call computes at least one cell
+        assert int(full) + int(calls) > 0 and int(cells) >= int(calls) >= 0

@@ -111,6 +111,8 @@ def amplitude_pairs(draw, min_size=0):
 @given(pair=amplitude_pairs())
 @example(pair=(np.array([math.nan, 1e-310]), np.array([1.0, 1.0])))
 @example(pair=(np.array([1.0, math.nan]), np.array([2.0, 0.0])))
+# a nan and a tiny or infinite cell in the denominator only
+@example(pair=(np.array([1.0, 1.0, 1.0]), np.array([math.nan, 1e-310, math.inf])))
 @example(pair=(np.array([]), np.array([])))
 # infinite amplitudes and no tiny one
 @example(pair=(np.array([2.0, math.inf, 3.0, math.inf, 1.0]),
