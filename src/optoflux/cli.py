@@ -395,19 +395,19 @@ class _Text(NamedTuple):
     """An output file's text: the chunks of ``head``, then the rows, then
     the chunks of ``tail``.  ``cells`` counts the values in the rows.
 
-    The rows fall into segments of ``period`` rows (one segment if None).
-    ``body(lo, hi)`` yields the text of the lane [lo, hi): the rows i with
-    i % period in [lo, hi), in the order lo, lo + period, ..., lo + 1, ...,
-    one chunk per row where there are two segments or more.  Any cut of
-    ``range(period)`` into lanes gives the same bytes, so :func:`_write`
-    can format the lanes in separate processes."""
+    The rows fall into ``segments`` segments of ``rows`` rows each, the
+    last maybe fewer.  ``body(lo, hi)`` yields the text of the lane [lo, hi)
+    as (segment, chunk) pairs: rows lo to hi - 1 of each segment, each
+    segment's in order.  The output is segment by segment, so any cut of
+    ``range(rows)`` into lanes gives the same bytes, and :func:`_write` can
+    format the lanes in separate processes."""
 
     head: list
     rows: int
     cells: int
     body: Callable
     tail: list
-    period: int | None = None
+    segments: int = 1
 
 
 def _csv(header, blocks, period=None):
@@ -439,7 +439,7 @@ def _csv(header, blocks, period=None):
             if first >= width:
                 # row by row: a whole-block tolist() would hold every cell as an object
                 for row in table:
-                    yield line % tuple(row.tolist())
+                    yield 0, line % tuple(row.tolist())
                 continue
             # bits, not values: 0.0 == -0.0, but they print as 0 and -0
             bits = table.view("i8")
@@ -455,7 +455,7 @@ def _csv(header, blocks, period=None):
                     while new[k] < m:
                         cells[new[k]] = "%.12g" % values[new[k]]
                         k += 1
-                yield ",".join(cells) + "\n"
+                yield 0, ",".join(cells) + "\n"
 
     return _Text([",".join(header) + "\n"], rows, rows * width, body, [])
 
@@ -530,15 +530,13 @@ def _json(payload, rows=None, period=None):
             for start in range(lo, hi, step):
                 texts = zip(*(_json_floats(column[start:min(hi, start + step)])
                               for column in columns))
-                yield (("[" if start == 0 else ",") + "\n    "
-                       + ",\n    ".join(record % cells for cells in texts))
+                yield 0, (("[" if start == 0 else ",") + "\n    "
+                          + ",\n    ".join(record % cells for cells in texts))
 
         return _Text(head, len(columns[0]), len(columns[0]) * len(columns), body, tail)
 
-    if period is not None:
-        # segments of the fewest whole periods that leave at most _SEGMENTS
-        period *= -(-len(table) // (_SEGMENTS * period))
-    stride = period or len(table)
+    # the rows of a segment: the fewest whole periods that leave at most _SEGMENTS
+    stride = len(table) if period is None else period * -(-len(table) // (_SEGMENTS * period))
     # an array means numpy is loaded: looked up, not imported, so that a
     # forked writer imports nothing
     flatnonzero = sys.modules["numpy"].flatnonzero
@@ -556,10 +554,10 @@ def _json(payload, rows=None, period=None):
                     for j, cell in zip(changed.tolist(), _json_floats(row[changed])):
                         cells[j] = cell
                 bits = row.view("i8")
-                yield (("[" if i == 0 else ",") + "\n    [\n      "
-                       + ",\n      ".join(cells) + "\n    ]")
+                yield i // stride, (("[" if i == 0 else ",") + "\n    [\n      "
+                                    + ",\n      ".join(cells) + "\n    ]")
 
-    return _Text(head, len(table), table.size, body, tail, period)
+    return _Text(head, stride, table.size, body, tail, -(-len(table) // stride))
 
 
 def _cut(items, cost, minimum):
@@ -583,14 +581,10 @@ def _cut(items, cost, minimum):
 
 
 def _lane(text, lo, hi, files):
-    """Write lane [lo, hi) of ``text`` (see :class:`_Text`): each row into
+    """Write lane [lo, hi) of ``text`` (see :class:`_Text`), each chunk into
     ``files[segment]``, the text file of its segment."""
-    if len(files) == 1:
-        files[0].writelines(text.body(lo, hi))
-        return
-    rows = (i for r in range(lo, hi) for i in range(r, text.rows, text.period))
-    for i, chunk in zip(rows, text.body(lo, hi)):
-        files[i // text.period].write(chunk)
+    for segment, chunk in text.body(lo, hi):
+        files[segment].write(chunk)
 
 
 def _fork(text, lo, hi, parts, what, pids):
@@ -648,11 +642,9 @@ def _write(text, path):
     exit path each child is reaped (killed first if it still runs) and
     every part closed.
     """
-    period = text.period or text.rows
-    segments = -(-text.rows // period) if period else 1
-    bounds = _cut(period, text.cells, MIN_CELLS_PER_PIECE)
+    bounds = _cut(text.rows, text.cells, MIN_CELLS_PER_PIECE)
     lanes = len(bounds) - 1
-    mod = f" mod {period}" if segments > 1 else ""
+    mod = f" mod {text.rows}" if text.segments > 1 else ""
     what = [f"{path}: the writer of rows {lo}-{hi}{mod}" for lo, hi in zip(bounds, bounds[1:])]
     tmp = f"{path}.{os.getpid()}.tmp"
     # in output order: segment by segment, lane by lane within a segment,
@@ -660,10 +652,10 @@ def _write(text, path):
     parts, pids = [], []
     reaped = 0
     try:
-        if lanes * segments > 1:
+        if lanes * text.segments > 1:
             import tempfile  # here, not at the top: only a split opens parts
 
-            for _ in range(1, lanes * segments):
+            for _ in range(1, lanes * text.segments):
                 parts.append(tempfile.TemporaryFile("w+", encoding="utf-8",
                                                     dir=os.path.dirname(path) or "."))
         # a child inherits unflushed output and would write it again

@@ -252,33 +252,42 @@ def _parent_interrupted(text, lo, hi):
     raise KeyboardInterrupt
 
 
-@pytest.mark.parametrize("body", [_child_fails, _parent_interrupted])
-def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, capsys, body):
+@pytest.mark.parametrize("body, name", [
+    pytest.param(_child_fails, "fluxmap_small.csv", id="_child_fails"),
+    pytest.param(_parent_interrupted, "fluxmap_small.csv", id="_parent_interrupted"),
+    # 5 flux rows with a period of 4: 2 segments, each written by both lanes
+    pytest.param(_child_fails, "fluxmap_small.json", id="_child_fails-json"),
+])
+def test_failed_split_write_keeps_previous_output(tmp_path, monkeypatch, capsys, body, name):
     force_ranges(monkeypatch, 2)
-    csv = cli._csv
+    fmt = name.rpartition(".")[2]
+    make = getattr(cli, f"_{fmt}")
 
-    def failing_csv(header, table, period):
-        # the map's block is computed by each range as it formats its rows
-        assert isinstance(table[-1], of.sweep.FluxMap)
-        text = csv(header, table, period=period)
+    def failing(*args, **kwargs):
+        # the map is computed by each range as it formats its rows
+        table = args[1][-1] if fmt == "csv" else args[0][kwargs["rows"]]
+        assert isinstance(table, of.sweep.FluxMap)
+        text = make(*args, **kwargs)
         return text._replace(body=lambda lo, hi: body(text, lo, hi))
 
-    monkeypatch.setattr(cli, "_csv", failing_csv)
-    out = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, f"_{fmt}", failing)
+    out = tmp_path / f"out.{fmt}"
     out.write_text("previous\n")
-    args = goldens.argv("fluxmap_small.csv", out)
+    args = goldens.argv(name, out)
     if body is _child_fails:
         assert _run(args) == 1
         err = capsys.readouterr().err
-        # the map's 4 frequency rows are cut at 2
-        assert "rows 2-4" in err and "exit status 1" in err
+        # the CSV map's 4 frequency rows, or the 4 rows of each JSON
+        # segment, are cut at 2
+        rows = "rows 2-4 mod 4" if fmt == "json" else "rows 2-4"
+        assert f"{rows} failed" in err and "exit status 1" in err
     else:
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             _run(args)
         assert time.monotonic() - started < 30  # the sleeping child was killed
     assert out.read_text() == "previous\n"
-    assert os.listdir(tmp_path) == ["out.csv"]
+    assert os.listdir(tmp_path) == [out.name]
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 

@@ -123,13 +123,11 @@ def test_copy_helpers():
         p.optical_hop = 7.0
 
 
-# "field" sets -1.0; "field=value" sets float(value); a (field, value) pair
-# sets value as it is.  Covers the sign and strictness rules of every field
-# group, NaN / +-inf and an int beyond the float range, which the model must
-# reject.
+# "field=value" sets float(value); a (field, value) pair sets value as it
+# is.  Covers the sign and strictness rules of every field group, NaN / +-inf
+# and an int beyond the float range, which the model must reject.
 @pytest.mark.parametrize("field", [
-    "G_L",
-    "kappa_eL=-1", "kappa_iL=-1", "g_L=-2", "omega_mL=0", "gamma_eL=-1",
+    "g_L=-2", "omega_mL=0", "gamma_eL=-1",
     "G_L=nan", "kappa_eL=nan", "omega_mL=nan", "optical_hop=inf", "gamma_iR=-inf",
     "g_R=inf", "detuning_L=nan", "phi_L=inf",
     pytest.param(("optical_hop", 10**400), id="optical_hop=10**400"),
@@ -137,7 +135,7 @@ def test_copy_helpers():
 def test_system_params_rejects_negative_magnitudes(field):
     if isinstance(field, str):
         name, _, value = field.partition("=")
-        field = name, float(value or -1.0)
+        field = name, float(value)
     name, value = field
     with pytest.raises(ValueError):
         replace(of.from_table1(1e6), **{name: value})
